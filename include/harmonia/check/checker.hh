@@ -40,11 +40,6 @@ struct CheckOptions
     /** Subset of invariant ids to run; empty = the full catalog.
      * @throws ConfigError on an unknown id at construction. */
     std::vector<std::string> invariantIds;
-
-    /** Sweep through the SIMD-batched lattice kernels (bitwise
-     * identical to the scalar path; false = check_model --no-simd,
-     * which lets CI assert 0 violations on both paths). */
-    bool simd = true;
 };
 
 /** Aggregated outcome of a checker run. */

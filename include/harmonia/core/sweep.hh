@@ -50,23 +50,6 @@ struct SweepOptions
 
     /** Base seed for per-task RNG substreams. */
     uint64_t rngSeed = 0x4841524d4f4e4941ull; // "HARMONIA"
-
-    /**
-     * Evaluate sweeps through the factored lattice path
-     * (GpuDevice::runLattice): config-invariant and axis-separable
-     * work hoisted out of the 448-point loop. Bitwise identical to
-     * the naive per-config path; false forces the naive path (kept as
-     * the reference implementation).
-     */
-    bool factored = true;
-
-    /**
-     * Evaluate factored sweeps through the SIMD-batched kernels
-     * (vector bandwidth bisection + vertical combine over the SoA
-     * planes). Bitwise identical to the scalar factored path; false
-     * is the --no-simd escape hatch. Ignored when factored is false.
-     */
-    bool simd = true;
 };
 
 namespace detail

@@ -1,8 +1,7 @@
 /**
  * @file
  * Public experiment-driver surface (namespace harmonia::exp): the
- * registered-exhibit catalog behind `harmonia_exp --list/--run/--all`
- * and the legacy per-figure wrapper entry point the bench/ shims use.
+ * registered-exhibit catalog behind `harmonia_exp --list/--run/--all`.
  * Exhibits self-register at static-init time (HARMONIA_REGISTER_
  * EXPERIMENT in src/exp/experiment.hh); this header exposes only the
  * stable run/list calls so facade clients never see the registry
@@ -23,7 +22,6 @@ struct ExperimentInfo
 {
     std::string name;         ///< registry key (e.g. "fig10")
     std::string description;  ///< one-line summary
-    std::string legacyBinary; ///< pre-driver binary name, "" if none
     std::string tier;         ///< ctest tier: "exp" or "bench"
     int order = 1000;         ///< paper exhibit order (sort key)
 };
@@ -38,15 +36,6 @@ std::vector<ExperimentInfo> listExperiments();
  * @returns the process exit code.
  */
 int runDriver(int argc, char **argv);
-
-/**
- * Entry point for the legacy one-figure wrapper binaries (bench/):
- * runs exhibit @p experiment as if `harmonia_exp --run <experiment>`
- * had been invoked, forwarding @p argv.
- * @returns the process exit code.
- */
-int runLegacyWrapper(int argc, char **argv,
-                     const std::string &experiment);
 
 } // namespace harmonia::exp
 

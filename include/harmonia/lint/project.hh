@@ -4,7 +4,7 @@
  * build-system facts the cross-checking rules need.
  *
  * scanProject() walks the repo's source directories (src, include,
- * tools, bench, examples, tests) and parses every CMakeLists.txt for
+ * tools, examples, tests) and parses every CMakeLists.txt for
  * `set_source_files_properties(... COMPILE_OPTIONS
  * "${HARMONIA_SIMD_SOURCE_OPTIONS}")` entries — the per-TU FP-safety
  * flags (-ffp-contract=off) whose presence the simd-source-options
@@ -70,7 +70,7 @@ class ProjectBuilder
 
 /**
  * Scan the repository rooted at @p root: sources from src/, include/,
- * tools/, bench/, examples/, and tests/, plus every CMakeLists.txt.
+ * tools/, examples/, and tests/, plus every CMakeLists.txt.
  * Files sort by path, so diagnostics are deterministic.
  * @throws ConfigError when @p root is not a repo root (no
  *         CMakeLists.txt) or a file cannot be read.

@@ -102,8 +102,9 @@ class MemorySystem
      * resolveWithCrossingCap(m, d, crossing().maxBandwidth(c)),
      * bitwise. Factored sweeps hoist the per-compute-frequency
      * crossing cap (8 values) and the per-CU-count demand (8 values)
-     * and call this per lattice point; two compute frequencies whose
-     * crossing caps both clear the bus ceiling share one result.
+     * and resolve lattice points against them in batches; two compute
+     * frequencies whose crossing caps both clear the bus ceiling
+     * share one result.
      */
     BandwidthResult resolveWithCrossingCap(double memFreqMhz,
                                            const MemDemand &demand,
@@ -118,26 +119,21 @@ class MemorySystem
      * supply ceiling, saturation is monotone in the demand level, and
      * the concurrency fixed point is ceiling-independent) and runs
      * the remaining distinct bisections interleaved so their division
-     * chains pipeline — which is what makes batch table construction
-     * fast.
+     * chains pipeline.
      *
-     * The single-lane resolveWithCrossingCap() routes through this
-     * with lanes == 1, so there is exactly one solver implementation.
-     *
-     * With @p simd set (the default), the interleaved bisections run
-     * as explicit vector packs (src/common/simd.hh) with branchless
-     * per-lane selects; every operation is a lane-wise mirror of the
-     * scalar expression, so the results stay bitwise identical to the
-     * scalar loop (docs/MODEL.md §9). Pass false for the scalar
-     * reference loop (the --no-simd escape hatch).
+     * This is the scalar reference solver: the single-lane
+     * resolveWithCrossingCap() — and through it the naive
+     * GpuDevice::run() — routes through it with lanes == 1. Lattice
+     * table builds use the vector twin
+     * resolveSlabLanesWithCrossingCap(), which is bitwise identical
+     * (docs/MODEL.md §9).
      */
     void resolveLanesWithCrossingCap(double memFreqMhz,
                                      const MemDemand &demand,
                                      size_t lanes,
                                      const double *outstanding,
                                      const double *crossingCaps,
-                                     BandwidthResult *out,
-                                     bool simd = true) const;
+                                     BandwidthResult *out) const;
 
     /** One memory frequency's worth of lanes for the multi-slab
      * resolver below; fields mirror the resolveLanesWithCrossingCap
@@ -162,8 +158,10 @@ class MemorySystem
      * several independent packs per iteration to pipeline. Per lane
      * the expression tree is unchanged (each solve carries its own
      * slab's peak/unloaded-latency constants), so every result is
-     * bitwise identical to the per-slab call. SIMD-path only: the
-     * scalar reference keeps the per-slab route.
+     * bitwise identical to the per-slab call. The bisections run as
+     * explicit vector packs (src/common/simd.hh) with branchless
+     * per-lane selects, each a lane-wise mirror of the scalar
+     * expression.
      */
     void resolveSlabLanesWithCrossingCap(const SlabLaneRequest *slabs,
                                          size_t nSlabs,

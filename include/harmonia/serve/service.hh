@@ -76,12 +76,6 @@ struct ServiceOptions
     /** Sweep RNG seed (forwarded to SweepOptions). */
     uint64_t rngSeed = 0x4841524d4f4e4941ull;
 
-    /** Run lattice evaluations through the SIMD-batched kernels.
-     * Responses are byte-identical either way
-     * (tests/test_serve_determinism.cpp); false is the daemon's
-     * --no-simd escape hatch. */
-    bool simd = true;
-
     /**
      * Registry name of the device backing requests that carry no
      * `device` field (the daemon's --device flag). Empty selects

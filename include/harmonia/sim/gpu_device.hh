@@ -22,8 +22,6 @@
 namespace harmonia
 {
 
-class LatticeEvaluator;
-
 /** Result of one kernel invocation on the device. */
 struct KernelResult
 {
@@ -83,35 +81,28 @@ class GpuDevice
     /**
      * Batch evaluation of one invocation across many lattice points:
      * hoists the (profile, phase)-invariant bundle and the per-axis
-     * model tables once, then combines them per configuration. Writes
+     * model tables once, then combines them per configuration in SIMD
+     * lane blocks (LatticeEvaluator::evaluateBatchAtInto). Writes
      * result i for @p configs[i] into @p out[i]; @p out must have room
      * for configs.size() results. Bitwise identical to calling run()
-     * per configuration (tests/test_factored_engine.cpp pins this).
+     * per configuration (tests/test_factored_engine.cpp and
+     * tests/test_simd_equivalence.cpp pin this).
      *
      * When @p pool is non-null, table construction and the per-config
      * combine run on it; each index writes only its own slot, so
      * results are scheduling-independent.
-     *
-     * @p simd selects the batched SIMD combine
-     * (LatticeEvaluator::evaluateBatchAtInto) over the scalar
-     * reference loop. The two paths are bitwise identical
-     * (tests/test_simd_equivalence.cpp); false is the runtime
-     * --no-simd escape hatch.
+     * @throws ConfigError when a config is off the lattice.
      */
     void runLattice(const KernelProfile &profile, const KernelPhase &phase,
                     const std::vector<HardwareConfig> &configs,
-                    KernelResult *out, ThreadPool *pool = nullptr,
-                    bool simd = true) const;
+                    KernelResult *out, ThreadPool *pool = nullptr) const;
 
   private:
-    friend class LatticeEvaluator;
-
     /**
-     * The per-config power/energy composition shared by run() and the
-     * factored lattice path. All model inputs that depend on a tunable
-     * axis arrive as arguments — computed by direct model calls in
-     * run(), by table lookup in LatticeEvaluator — so both paths
-     * execute identical arithmetic on identical values.
+     * run()'s per-config power/energy composition. All model inputs
+     * that depend on a tunable axis arrive as arguments; the lattice
+     * kernel (LatticeEvaluator) reads the same values from its tables
+     * and mirrors this arithmetic op for op.
      */
     KernelResult composeResult(KernelTiming timing,
                                const KernelPhase &phase,
@@ -121,17 +112,6 @@ class GpuDevice
                                const MemPowerBreakdown &idleMem,
                                double l2BandwidthBps,
                                double peakMemBps) const;
-
-    /** composeResult() writing into caller storage; assigns every
-     * field of @p out, so the lattice path can fill its result array
-     * without a per-config KernelResult copy. */
-    void composeResultInto(KernelResult &out, KernelTiming timing,
-                           const KernelPhase &phase,
-                           const GpuPowerFactors &gpuFactors,
-                           const GpuPowerBreakdown &idleGpu,
-                           const Gddr5PowerFactors &memFactors,
-                           const MemPowerBreakdown &idleMem,
-                           double l2BandwidthBps, double peakMemBps) const;
 
     GcnDeviceConfig dev_;
     TimingEngine engine_;

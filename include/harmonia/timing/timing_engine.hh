@@ -85,9 +85,9 @@ struct PreparedKernel
 
 /**
  * The axis-dependent scalar inputs of one lattice point, as consumed
- * by the shared per-config combine step. The naive path computes them
- * with direct model calls; the factored path reads them out of
- * TimingAxisTables. Either way the combine arithmetic is identical,
+ * by the per-config combine step. run() computes them with direct
+ * model calls; the lattice path reads the same values out of
+ * TimingAxisTables and mirrors the combine arithmetic op for op,
  * which is what pins the two paths to bitwise-equal results.
  */
 struct TimingAxisValues
@@ -220,8 +220,8 @@ class TimingEngine
     /**
      * Hoist everything about (@p profile, @p phase) that no tunable
      * can change: validation, occupancy, and the instruction/traffic
-     * totals. run() recomputes this bundle per call; sweeps compute it
-     * once and evaluate() 448 times.
+     * totals. run() recomputes this bundle per call; lattice sweeps
+     * compute it once for all 448 points.
      */
     PreparedKernel prepare(const KernelProfile &profile,
                            const KernelPhase &phase) const;
@@ -229,37 +229,18 @@ class TimingEngine
     /**
      * Build the per-axis lookup tables for @p prep over this engine's
      * configuration lattice. When @p pool is non-null the bandwidth
-     * lattice rows are resolved in parallel (each row writes only its
-     * own slots, so results are scheduling-independent). @p simd
-     * selects the lane-parallel bandwidth bisection (bitwise identical
-     * to the scalar solver; see resolveLanesWithCrossingCap).
+     * lattice slabs are resolved in parallel (each slab writes only
+     * its own slots, so results are scheduling-independent). The
+     * bandwidth bisection runs lane-parallel and is bitwise identical
+     * to the scalar solver behind run() (see
+     * MemorySystem::resolveSlabLanesWithCrossingCap).
      */
     TimingAxisTables buildAxisTables(const PreparedKernel &prep,
-                                     ThreadPool *pool = nullptr,
-                                     bool simd = true) const;
-
-    /**
-     * Factored equivalent of run(): combine a prepared kernel with
-     * table lookups for @p cfg. Bitwise identical to
-     * run(profile, phase, cfg) because every table entry was computed
-     * by the same model call run() would make, and the final combine
-     * step is the same code for both paths.
-     */
-    KernelTiming evaluate(const PreparedKernel &prep,
-                          const TimingAxisTables &tables,
-                          const HardwareConfig &cfg) const;
-
-    /**
-     * evaluate() with the axis positions already derived — for batch
-     * drivers that resolve (cu, cf, mem) indices once and reuse them
-     * for several table families. Indices must be in range.
-     */
-    KernelTiming evaluateAt(const PreparedKernel &prep,
-                            const TimingAxisTables &tables, size_t cuIdx,
-                            size_t cfIdx, size_t memIdx) const;
+                                     ThreadPool *pool = nullptr) const;
 
   private:
-    /** The per-config arithmetic shared by run() and evaluate(). */
+    /** The per-config arithmetic of run(); the lattice kernel
+     * (LatticeEvaluator) mirrors it op for op. */
     KernelTiming combine(const PreparedKernel &prep,
                          const TimingAxisValues &axis) const;
 

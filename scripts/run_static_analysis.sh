@@ -6,7 +6,7 @@
 # ./build directory):
 #
 #   warnings   strict -Wall -Wextra -Wshadow -Werror build of
-#              everything (src, tests, bench, tools, examples)
+#              everything (src, tests, tools, examples)
 #   lint       harmonia_lint: the project-contract analyzer (Layer 0
 #              in docs/CHECKING.md) over the whole tree, with the
 #              checked-in lint-baseline.txt applied — any new finding
@@ -14,13 +14,14 @@
 #   tidy       clang-tidy with the repo .clang-tidy profile
 #              (skipped with a notice when clang-tidy is absent)
 #   asan       ASan+UBSan Debug build; tier-1 ctest suite, the
-#              factored/naive and scalar/SIMD equivalence suites, and
-#              the fig10_ed2 benchmark harness with --jobs 4
+#              SIMD-vs-naive equivalence suites, and
+#              `harmonia_exp --run fig10` with --jobs 4
 #   tsan       TSan build; the thread-pool and sweep-determinism
 #              tests, which exercise every lock in the library
 #   model      check_model: the 11-invariant physics check across
 #              every (app x 448-config) point of the suite, through
-#              both the SIMD lattice kernels and the scalar reference
+#              the SIMD lattice kernels (the scalar backend is the
+#              -DHARMONIA_SIMD=OFF build, covered in CI)
 #
 # Usage:
 #   scripts/run_static_analysis.sh            # all stages
@@ -80,7 +81,7 @@ if want tidy; then
         if cmake -S . -B build-werror -DHARMONIA_WERROR=ON \
                 -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
                 > build-werror.configure.log 2>&1; then
-            find src tools bench tests examples \
+            find src tools tests examples \
                     \( -name '*.cc' -o -name '*.cpp' \) -print0 \
                 | xargs -0 clang-tidy -p build-werror --quiet \
                 || FAILED=1
@@ -101,14 +102,15 @@ if want asan; then
     if [ "$FAILED" -eq 0 ]; then
         (cd build-asan && ctest -L tier1 -j "$JOBS" --output-on-failure \
             | tail -n 5) || FAILED=1
-        # The factored/naive and scalar/SIMD bitwise-equivalence
-        # suites under the sanitizers: the batching, table reuse, and
-        # partial-pack tail loads/stores in those paths are exactly
-        # the kind of code ASan/UBSan exists for.
+        # The SIMD-vs-naive bitwise-equivalence suites under the
+        # sanitizers: the batching, table reuse, and partial-pack tail
+        # loads/stores in the lattice path are exactly the kind of
+        # code ASan/UBSan exists for.
         ./build-asan/tests/test_factored_engine > /dev/null || FAILED=1
         ./build-asan/tests/test_simd_equivalence > /dev/null || FAILED=1
         ./build-asan/tests/test_simd_shim > /dev/null || FAILED=1
-        ./build-asan/bench/fig10_ed2 --jobs 4 > /dev/null || FAILED=1
+        ./build-asan/tools/harmonia_exp --run fig10 --jobs 4 \
+            > /dev/null || FAILED=1
     fi
 fi
 
@@ -130,12 +132,8 @@ if want model; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DHARMONIA_WERROR=ON || FAILED=1
     if [ "$FAILED" -eq 0 ]; then
-        # Both lattice paths must clear every invariant: the SIMD
-        # batched kernels (default) and the scalar reference.
         ./build-werror/tools/check_model --jobs "$JOBS" | tail -n 3 \
             || FAILED=1
-        ./build-werror/tools/check_model --jobs "$JOBS" --no-simd \
-            | tail -n 3 || FAILED=1
     fi
 fi
 

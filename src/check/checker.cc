@@ -39,8 +39,7 @@ ModelChecker::ModelChecker(const GpuDevice &device, CheckOptions options)
     : device_(device), options_(std::move(options)),
       invariants_(selectInvariants(options_.invariantIds)),
       predictor_(SensitivityPredictor::paperTable3()),
-      sweep_(device, SweepOptions{.jobs = options_.jobs,
-                                  .simd = options_.simd})
+      sweep_(device, SweepOptions{.jobs = options_.jobs})
 {
     fatalIf(options_.relTol < 0.0,
             "ModelChecker: negative tolerance ", options_.relTol);

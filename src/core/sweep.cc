@@ -67,17 +67,10 @@ ConfigSweep::evaluate(const KernelProfile &profile, int iteration) const
     // Compute outside the lock: a concurrent evaluate() of another
     // key must not serialize on this one. Each index writes only its
     // own slot, so the result is independent of scheduling.
-    const KernelPhase phase = profile.phase(iteration);
     auto results =
         std::make_unique<std::vector<KernelResult>>(configs_.size());
-    if (options_.factored) {
-        device_.runLattice(profile, phase, configs_, results->data(),
-                           pool_.get(), options_.simd);
-    } else {
-        pool_->parallelFor(configs_.size(), 16, [&](size_t i) {
-            (*results)[i] = device_.run(profile, phase, configs_[i]);
-        });
-    }
+    device_.runLattice(profile, profile.phase(iteration), configs_,
+                       results->data(), pool_.get());
 
     std::unique_lock<std::shared_mutex> lock(mutex_);
     auto [it, inserted] = cache_.emplace(

@@ -1,8 +1,6 @@
 #include "context.hh"
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <ostream>
 
 #include "harmonia/workloads/suite.hh"
@@ -86,15 +84,6 @@ ExpContext::emit(const TextTable &table, const std::string &title,
     table.print(out_, title);
     out_ << '\n';
     artifacts_.writeTable(stem, title, table);
-
-    if (const char *dir = std::getenv("HARMONIA_BENCH_CSV_DIR");
-        dir && *dir) {
-        const std::string path =
-            std::string(dir) + "/" + stem + ".txt";
-        std::ofstream txt(path);
-        if (txt)
-            table.print(txt, title);
-    }
 }
 
 } // namespace harmonia::exp

@@ -55,11 +55,6 @@ struct ExpOptions
      * cross-device comparisons) are unaffected.
      */
     std::string device;
-
-    /** Run sweeps through the SIMD-batched lattice kernels; false is
-     * the harmonia_exp --no-simd escape hatch (results identical,
-     * exhibits record which path ran). */
-    bool simd = true;
 };
 
 /**
@@ -109,10 +104,7 @@ class ExpContext
 
     /**
      * Print @p table to out() and write the machine-readable
-     * artifacts under the output directory. When the legacy
-     * HARMONIA_BENCH_CSV_DIR environment variable is set, the ASCII
-     * rendering is additionally written to <dir>/<stem>.txt, exactly
-     * as the pre-refactor bench binaries did.
+     * artifacts under the output directory.
      */
     void emit(const TextTable &table, const std::string &title,
               const std::string &stem);

@@ -41,17 +41,15 @@ usage(std::ostream &os)
           "  --bench-reps N  micro_sweep passes per variant "
           "(default 6)\n"
           "  --device NAME   run on a registered device profile "
-          "(default hd7970)\n"
-          "  --no-simd       evaluate sweeps on the scalar reference "
-          "path\n";
+          "(default hd7970)\n";
 }
 
 /**
- * Parse one shared option at argv[i]; advances i past consumed
- * values. Returns false when argv[i] is not a shared option.
+ * Parse one ExpOptions flag at argv[i]; advances i past consumed
+ * values. Returns false when argv[i] is not such a flag.
  */
 bool
-parseSharedOption(int argc, char **argv, int &i, CliOptions &opt,
+parseExpOption(int argc, char **argv, int &i, CliOptions &opt,
                   bool &bad)
 {
     const std::string arg = argv[i];
@@ -102,8 +100,6 @@ parseSharedOption(int argc, char **argv, int &i, CliOptions &opt,
         opt.exp.device = value("--device");
     } else if (arg.rfind("--device=", 0) == 0) {
         opt.exp.device = arg.substr(9);
-    } else if (arg == "--no-simd") {
-        opt.exp.simd = false;
     } else {
         return false;
     }
@@ -164,7 +160,6 @@ listExperiments()
         ExperimentInfo info;
         info.name = e->name();
         info.description = e->description();
-        info.legacyBinary = e->legacyBinary();
         info.tier = e->tier();
         info.order = e->order();
         out.push_back(std::move(info));
@@ -181,7 +176,7 @@ runDriver(int argc, char **argv)
     bool bad = false;
     for (int i = 1; i < argc && !bad; ++i) {
         const std::string arg = argv[i];
-        if (parseSharedOption(argc, argv, i, opt, bad))
+        if (parseExpOption(argc, argv, i, opt, bad))
             continue;
         if (arg == "--list") {
             opt.list = true;
@@ -217,15 +212,9 @@ runDriver(int argc, char **argv)
     const ExperimentRegistry &registry = ExperimentRegistry::instance();
 
     if (opt.list) {
-        TextTable table({"experiment", "tier", "legacy binary",
-                         "description"});
-        for (const ExperimentInfo &e : listExperiments()) {
-            table.row()
-                .cell(e.name)
-                .cell(e.tier)
-                .cell(e.legacyBinary.empty() ? "-" : e.legacyBinary)
-                .cell(e.description);
-        }
+        TextTable table({"experiment", "tier", "description"});
+        for (const ExperimentInfo &e : listExperiments())
+            table.row().cell(e.name).cell(e.tier).cell(e.description);
         table.print(std::cout,
                     "Registered experiments (" +
                         std::to_string(registry.size()) + ")");
@@ -256,37 +245,6 @@ runDriver(int argc, char **argv)
         return runSelection(opt, selection);
     } catch (const SimError &e) {
         std::cerr << "harmonia_exp: " << e.what() << '\n';
-        return 1;
-    }
-}
-
-int
-runLegacyWrapper(int argc, char **argv, const std::string &name)
-{
-    CliOptions opt;
-    applyJobsEnv(opt);
-    bool bad = false;
-    for (int i = 1; i < argc && !bad; ++i) {
-        if (!parseSharedOption(argc, argv, i, opt, bad)) {
-            // The pre-refactor binaries ignored unknown arguments;
-            // the compatibility wrappers keep doing so.
-        }
-    }
-    if (bad) {
-        usage(std::cerr);
-        return 2;
-    }
-
-    const Experiment *e = ExperimentRegistry::instance().find(name);
-    if (!e) {
-        std::cerr << "harmonia_exp wrapper: experiment '" << name
-                  << "' is not registered\n";
-        return 2;
-    }
-    try {
-        return runSelection(opt, {e});
-    } catch (const SimError &ex) {
-        std::cerr << name << ": " << ex.what() << '\n';
         return 1;
     }
 }

@@ -31,10 +31,6 @@ class AblationFgDithering final : public Experiment
     {
         return "ablation_fg_dithering";
     }
-    std::string legacyBinary() const override
-    {
-        return "ablation_fg_dithering";
-    }
     std::string description() const override
     {
         return "Sweep of FG dithering cap and descent depth";

@@ -21,10 +21,6 @@ class AblationFreqOnly final : public Experiment
 {
   public:
     std::string name() const override { return "ablation_freq_only"; }
-    std::string legacyBinary() const override
-    {
-        return "ablation_freq_only";
-    }
     std::string description() const override
     {
         return "Compute-DVFS-only ablation vs full coordination";

@@ -34,7 +34,6 @@ class ExtCrossDevice final : public Experiment
 {
   public:
     std::string name() const override { return "cross_device"; }
-    std::string legacyBinary() const override { return ""; }
     std::string description() const override
     {
         return "Cross-device oracle ED2 landscape and governor "
@@ -61,8 +60,7 @@ class ExtCrossDevice final : public Experiment
 
         for (const std::string &name : deviceNames()) {
             const GpuDevice device = makeDevice(name).value();
-            const SweepOptions sweepOpt{ctx.jobs(), ctx.seed(), true,
-                                        ctx.options().simd};
+            const SweepOptions sweepOpt{ctx.jobs(), ctx.seed()};
             const ConfigSweep sweep(device, sweepOpt);
 
             // Landscape: where the full-lattice oracle lands for each

@@ -68,10 +68,6 @@ class ExtMemVoltage final : public Experiment
 {
   public:
     std::string name() const override { return "ext_mem_voltage"; }
-    std::string legacyBinary() const override
-    {
-        return "ext_mem_voltage";
-    }
     std::string description() const override
     {
         return "Extension: memory-interface voltage scaling";

@@ -61,10 +61,6 @@ class ExtStackedMemory final : public Experiment
 {
   public:
     std::string name() const override { return "ext_stacked_memory"; }
-    std::string legacyBinary() const override
-    {
-        return "ext_stacked_memory";
-    }
     std::string description() const override
     {
         return "Extension: Harmonia on an HBM-style stacked device";

@@ -33,10 +33,6 @@ class ExtTdpEnvelope final : public Experiment
 {
   public:
     std::string name() const override { return "ext_tdp_envelope"; }
-    std::string legacyBinary() const override
-    {
-        return "ext_tdp_envelope";
-    }
     std::string description() const override
     {
         return "Extension: baseline vs Harmonia under TDP caps";

@@ -21,10 +21,6 @@ class Fig01PowerBreakdown final : public Experiment
 {
   public:
     std::string name() const override { return "fig01"; }
-    std::string legacyBinary() const override
-    {
-        return "fig01_power_breakdown";
-    }
     std::string description() const override
     {
         return "Card power breakdown, XSBench at the baseline "

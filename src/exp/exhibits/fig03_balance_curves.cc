@@ -102,10 +102,6 @@ class Fig03BalanceCurves final : public Experiment
 {
   public:
     std::string name() const override { return "fig03"; }
-    std::string legacyBinary() const override
-    {
-        return "fig03_balance_curves";
-    }
     std::string description() const override
     {
         return "Hardware balance curves for MaxFlops, DeviceMemory, "

@@ -23,10 +23,6 @@ class Fig04ComputePowerSweep final : public Experiment
 {
   public:
     std::string name() const override { return "fig04"; }
-    std::string legacyBinary() const override
-    {
-        return "fig04_compute_power_sweep";
-    }
     std::string description() const override
     {
         return "DeviceMemory card power across compute configurations";

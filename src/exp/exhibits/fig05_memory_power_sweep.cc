@@ -23,10 +23,6 @@ class Fig05MemoryPowerSweep final : public Experiment
 {
   public:
     std::string name() const override { return "fig05"; }
-    std::string legacyBinary() const override
-    {
-        return "fig05_memory_power_sweep";
-    }
     std::string description() const override
     {
         return "MaxFlops card power across memory configurations";

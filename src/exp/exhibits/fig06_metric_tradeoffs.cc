@@ -65,10 +65,6 @@ class Fig06MetricTradeoffs final : public Experiment
 {
   public:
     std::string name() const override { return "fig06"; }
-    std::string legacyBinary() const override
-    {
-        return "fig06_metric_tradeoffs";
-    }
     std::string description() const override
     {
         return "Energy/ED/ED^2 trade-offs under exhaustive search";

@@ -24,10 +24,6 @@ class Fig07OccupancyBwSensitivity final : public Experiment
 {
   public:
     std::string name() const override { return "fig07"; }
-    std::string legacyBinary() const override
-    {
-        return "fig07_occupancy_bw_sensitivity";
-    }
     std::string description() const override
     {
         return "VGPR-limited occupancy vs memory-bandwidth "

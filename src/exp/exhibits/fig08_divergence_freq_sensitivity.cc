@@ -25,10 +25,6 @@ class Fig08DivergenceFreqSensitivity final : public Experiment
 {
   public:
     std::string name() const override { return "fig08"; }
-    std::string legacyBinary() const override
-    {
-        return "fig08_divergence_freq_sensitivity";
-    }
     std::string description() const override
     {
         return "Branch divergence vs compute-frequency sensitivity";

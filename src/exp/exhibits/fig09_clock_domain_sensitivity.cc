@@ -25,10 +25,6 @@ class Fig09ClockDomainSensitivity final : public Experiment
 {
   public:
     std::string name() const override { return "fig09"; }
-    std::string legacyBinary() const override
-    {
-        return "fig09_clock_domain_sensitivity";
-    }
     std::string description() const override
     {
         return "Clock-domain crossing and DeviceMemory frequency "

@@ -22,7 +22,6 @@ class Fig10Ed2 final : public Experiment
 {
   public:
     std::string name() const override { return "fig10"; }
-    std::string legacyBinary() const override { return "fig10_ed2"; }
     std::string description() const override
     {
         return "ED^2 improvement over baseline per application";

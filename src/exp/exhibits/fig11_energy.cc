@@ -19,7 +19,6 @@ class Fig11Energy final : public Experiment
 {
   public:
     std::string name() const override { return "fig11"; }
-    std::string legacyBinary() const override { return "fig11_energy"; }
     std::string description() const override
     {
         return "Energy improvement over baseline per application";

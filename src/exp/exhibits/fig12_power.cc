@@ -19,7 +19,6 @@ class Fig12Power final : public Experiment
 {
   public:
     std::string name() const override { return "fig12"; }
-    std::string legacyBinary() const override { return "fig12_power"; }
     std::string description() const override
     {
         return "Card-power saving over baseline per application";

@@ -21,10 +21,6 @@ class Fig13Performance final : public Experiment
 {
   public:
     std::string name() const override { return "fig13"; }
-    std::string legacyBinary() const override
-    {
-        return "fig13_performance";
-    }
     std::string description() const override
     {
         return "Performance change vs baseline per application";

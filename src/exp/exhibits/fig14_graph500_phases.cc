@@ -22,10 +22,6 @@ class Fig14Graph500Phases final : public Experiment
 {
   public:
     std::string name() const override { return "fig14"; }
-    std::string legacyBinary() const override
-    {
-        return "fig14_graph500_phases";
-    }
     std::string description() const override
     {
         return "Graph500.BottomStepUp per-iteration phase behaviour";

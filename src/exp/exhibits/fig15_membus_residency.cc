@@ -23,10 +23,6 @@ class Fig15MembusResidency final : public Experiment
 {
   public:
     std::string name() const override { return "fig15"; }
-    std::string legacyBinary() const override
-    {
-        return "fig15_membus_residency";
-    }
     std::string description() const override
     {
         return "Memory bus frequency residency under Harmonia";

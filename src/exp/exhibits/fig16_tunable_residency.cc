@@ -24,10 +24,6 @@ class Fig16TunableResidency final : public Experiment
 {
   public:
     std::string name() const override { return "fig16"; }
-    std::string legacyBinary() const override
-    {
-        return "fig16_tunable_residency";
-    }
     std::string description() const override
     {
         return "Residency of all three tunables in Graph500";

@@ -20,10 +20,6 @@ class Fig17PowerSharing final : public Experiment
 {
   public:
     std::string name() const override { return "fig17"; }
-    std::string legacyBinary() const override
-    {
-        return "fig17_power_sharing";
-    }
     std::string description() const override
     {
         return "GPU vs memory power sharing, baseline vs Harmonia";

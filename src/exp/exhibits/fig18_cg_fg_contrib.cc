@@ -21,10 +21,6 @@ class Fig18CgFgContrib final : public Experiment
 {
   public:
     std::string name() const override { return "fig18"; }
-    std::string legacyBinary() const override
-    {
-        return "fig18_cg_fg_contrib";
-    }
     std::string description() const override
     {
         return "CG vs FG contributions to the ED^2 gain";

@@ -40,7 +40,6 @@ class MicroEngine final : public Experiment
 {
   public:
     std::string name() const override { return "micro_engine"; }
-    std::string legacyBinary() const override { return "micro_engine"; }
     std::string description() const override
     {
         return "Hot-path latencies: timing, device run, oracle, "

@@ -38,10 +38,6 @@ class MicroPredictor final : public Experiment
 {
   public:
     std::string name() const override { return "micro_predictor"; }
-    std::string legacyBinary() const override
-    {
-        return "micro_predictor";
-    }
     std::string description() const override
     {
         return "Prediction-path latencies: features, predict, "

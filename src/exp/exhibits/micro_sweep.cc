@@ -1,8 +1,8 @@
 /**
  * @file
  * Evaluation-path throughput microbenchmark: naive per-config
- * evaluation vs the factored lattice path (scalar reference and
- * SIMD-batched kernels), at 1 and 4 worker threads.
+ * evaluation vs the factored (SIMD-batched) lattice path, at 1 and 4
+ * worker threads.
  *
  * Drives GpuDevice::runLattice (and, for the naive rows, per-config
  * GpuDevice::run under the same thread pool) straight into a reused
@@ -13,11 +13,10 @@
  *
  * Reports kernel-invocation lattices per second (one lattice = one
  * (kernel, iteration) evaluated at all 448 configurations) and the
- * per-config rate, and prints the single-thread factored/naive and
- * simd/scalar speedups. `--bench-reps N` controls how many full-suite
- * passes each variant runs (default 6); the measurements land in the
- * micro_sweep/micro_sweep_summary artifacts under `--out`. Under
- * `--no-simd` the simd rows are skipped rather than mislabelled.
+ * per-config rate, and prints the single-thread factored/naive
+ * speedup. `--bench-reps N` controls how many full-suite passes each
+ * variant runs (default 6); the measurements land in the
+ * micro_sweep/micro_sweep_summary artifacts under `--out`.
  */
 
 #include <chrono>
@@ -36,7 +35,7 @@ namespace
 
 struct Measurement
 {
-    std::string path; // "naive" | "scalar" | "simd"
+    std::string path; // "naive" | "factored"
     int jobs = 1;
     int reps = 1;
     size_t lattices = 0;
@@ -49,9 +48,8 @@ struct Measurement
 
 /**
  * Evaluate every suite kernel at @p reps distinct iterations into a
- * reused result buffer. @p path selects the naive per-config loop,
- * the scalar factored reference, or the SIMD-batched factored
- * kernels.
+ * reused result buffer. @p path selects the naive per-config loop or
+ * the factored lattice path.
  */
 Measurement
 measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
@@ -78,8 +76,7 @@ measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
                     });
                 } else {
                     dev.runLattice(k, k.phase(r), configs, out.data(),
-                                   jobs > 1 ? &pool : nullptr,
-                                   path == "simd");
+                                   jobs > 1 ? &pool : nullptr);
                 }
                 ++m.lattices;
             }
@@ -95,11 +92,9 @@ class MicroSweep final : public Experiment
 {
   public:
     std::string name() const override { return "micro_sweep"; }
-    std::string legacyBinary() const override { return "micro_sweep"; }
     std::string description() const override
     {
-        return "Sweep throughput: naive vs scalar vs SIMD lattice "
-               "path";
+        return "Sweep throughput: naive vs factored lattice path";
     }
     std::string tier() const override { return "bench"; }
     int order() const override { return 270; }
@@ -109,14 +104,10 @@ class MicroSweep final : public Experiment
         const int reps = ctx.options().benchReps;
         ctx.banner("micro_sweep",
                    "Design-space sweep throughput: naive per-config "
-                   "evaluation vs the factored lattice path (scalar "
-                   "reference and SIMD-batched kernels).");
+                   "evaluation vs the factored (SIMD-batched) lattice "
+                   "path.");
 
-        std::vector<std::string> paths = {"naive", "scalar"};
-        if (ctx.options().simd)
-            paths.push_back("simd");
-        else
-            ctx.out() << "(--no-simd: simd rows skipped)\n";
+        const std::vector<std::string> paths = {"naive", "factored"};
 
         // Per path: one warm-up pass so first-touch allocation and
         // page faults don't land in a timed region, then the fastest
@@ -157,26 +148,19 @@ class MicroSweep final : public Experiment
         ctx.emit(table, "Sweep throughput (448-config lattices)",
                  "micro_sweep");
 
-        double naive1 = 0.0, scalar1 = 0.0, simd1 = 0.0;
+        double naive1 = 0.0, factored1 = 0.0;
         for (const Measurement &m : runs) {
             if (m.jobs != 1)
                 continue;
             if (m.path == "naive")
                 naive1 = m.latticesPerSec();
-            else if (m.path == "scalar")
-                scalar1 = m.latticesPerSec();
-            else if (m.path == "simd")
-                simd1 = m.latticesPerSec();
+            else
+                factored1 = m.latticesPerSec();
         }
         const double factoredSpeedup1 =
-            naive1 > 0.0 ? scalar1 / naive1 : 0.0;
-        const double simdSpeedup1 =
-            scalar1 > 0.0 ? simd1 / scalar1 : 0.0;
+            naive1 > 0.0 ? factored1 / naive1 : 0.0;
         ctx.out() << "\nsingle-thread factored speedup: "
                   << formatNum(factoredSpeedup1, 2) << "x\n";
-        if (ctx.options().simd)
-            ctx.out() << "single-thread simd speedup: "
-                      << formatNum(simdSpeedup1, 2) << "x\n";
 
         TextTable summary({"metric", "value"});
         summary.row().cell("configs per lattice").numInt(
@@ -186,9 +170,6 @@ class MicroSweep final : public Experiment
         summary.row().cell("reps per variant").numInt(reps);
         summary.row().cell("single-thread factored speedup").num(
             factoredSpeedup1, 3);
-        if (ctx.options().simd)
-            summary.row().cell("single-thread simd speedup").num(
-                simdSpeedup1, 3);
         ctx.emit(summary, "micro_sweep summary", "micro_sweep_summary");
     }
 };

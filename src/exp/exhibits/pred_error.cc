@@ -24,7 +24,6 @@ class PredError final : public Experiment
 {
   public:
     std::string name() const override { return "pred_error"; }
-    std::string legacyBinary() const override { return "pred_error"; }
     std::string description() const override
     {
         return "Measured vs predicted sensitivity errors (Sec. 7.2)";

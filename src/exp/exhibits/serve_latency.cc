@@ -117,7 +117,6 @@ drive(ExpContext &ctx, bool batching, int jobs, int windows)
     opt.batching = batching;
     opt.cache = false; // Isolate the batching effect from caching.
     opt.rngSeed = ctx.seed();
-    opt.simd = ctx.options().simd;
     Service service(opt);
 
     const std::vector<Application> &apps = ctx.suite();
@@ -249,7 +248,6 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
     opt.batching = true;
     opt.cache = false;
     opt.rngSeed = ctx.seed();
-    opt.simd = ctx.options().simd;
     Service service(opt);
 
     serve::ServerOptions sopt;
@@ -423,7 +421,6 @@ class ServeLatency final : public Experiment
         ServiceOptions copt;
         copt.jobs = 4;
         copt.rngSeed = ctx.seed();
-        copt.simd = ctx.options().simd;
         Service cached(copt);
         for (int pass = 0; pass < 2; ++pass) {
             for (int w = 0; w < windows; ++w) {
@@ -487,11 +484,6 @@ class ServeLatency final : public Experiment
                   << formatNum(fanSpeedup64, 2) << "x\n";
 
         TextTable summary({"metric", "value"});
-        // Which lattice kernels the measured daemon ran; responses are
-        // byte-identical either way, latencies are not comparable
-        // across paths.
-        summary.row().cell("lattice path").cell(
-            ctx.options().simd ? "simd" : "scalar");
         summary.row().cell("clients per window").numInt(kClients);
         summary.row().cell("windows per mode").numInt(windows);
         summary.row().cell("speedup at 1 job").num(speedup1, 3);

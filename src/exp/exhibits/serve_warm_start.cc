@@ -3,22 +3,17 @@
  * Warm-start exhibit: what the durable point-cache snapshot
  * (src/serve/snapshot.hh, --cache-file) buys a restarted harmoniad.
  *
- * One populate phase writes the snapshot, then four restarts replay
+ * One populate phase writes the snapshot, then two restarts replay
  * the same client mix — the post-restart fan-in, where every client
  * re-issues the invocation it was tracking: each window is 16
  * concurrent evaluates for 16 *different* kernels, each over its own
- * lattice slice — cold and warm on both lattice paths:
+ * lattice slice — cold and warm:
  *
  *   populate     — a daemon with a cache file (production defaults)
  *                  serves the mix cold, drains, writes the snapshot.
- *   cold/warm    — fresh daemons without / with that snapshot, on
- *                  the SIMD path and on the scalar reference path.
+ *   cold/warm    — fresh daemons without / with that snapshot.
  *
- * Both paths warm-start from the ONE snapshot: cached results are
- * bitwise path-independent (the SIMD equivalence contract), so a
- * snapshot written by a SIMD daemon restores into a --no-simd daemon
- * and vice versa. The exhibit checks that all five response sets are
- * byte-identical.
+ * The exhibit checks that all three response sets are byte-identical.
  *
  * Reported per restart: time-to-first-response (construction + first
  * window, the restart-visible number), service-side p50/p99 evaluate
@@ -109,7 +104,6 @@ suiteKernels(ExpContext &ctx)
 struct PhaseResult
 {
     std::string phase;
-    std::string path; ///< "simd" or "scalar" lattice path.
     double constructMs = 0.0;     ///< Service ctor (load + probes).
     double firstResponseMs = 0.0; ///< Construction + first window.
     double totalMs = 0.0;         ///< Construction + whole mix.
@@ -141,20 +135,18 @@ persistentStat(const Service &service, std::string_view key)
  * pays a slow load shows it in time-to-first-response.
  */
 PhaseResult
-runOnce(ExpContext &ctx, const std::string &phase, bool simd,
+runOnce(ExpContext &ctx, const std::string &phase,
         const std::vector<std::string> &kernels, int windows,
         const std::string &cacheFile, bool saveOnExit)
 {
     using Clock = std::chrono::steady_clock;
     PhaseResult r;
     r.phase = phase;
-    r.path = simd ? "simd" : "scalar";
 
     const auto start = Clock::now();
     ServiceOptions opt;
     opt.jobs = 1; // Serial: latency differences come from the cache.
     opt.rngSeed = ctx.seed();
-    opt.simd = simd;
     opt.cacheFile = cacheFile;
     Service service(opt);
     r.constructMs = std::chrono::duration<double, std::milli>(
@@ -264,46 +256,38 @@ class ServeWarmStart final : public Experiment
         struct PhaseSpec
         {
             const char *phase;
-            bool simd;
             bool useSnapshot;
             bool save;
         };
         const PhaseSpec specs[] = {
-            {"populate", true, true, true},
-            {"cold", true, false, false},
-            {"warm", true, true, false},
-            {"cold", false, false, false},
-            {"warm", false, true, false},
+            {"populate", true, true},
+            {"cold", false, false},
+            {"warm", true, false},
         };
-        std::vector<PhaseResult> runs[5];
+        std::vector<PhaseResult> runs[3];
         for (int rep = 0; rep < reps; ++rep) {
-            for (size_t s = 0; s < 5; ++s) {
+            for (size_t s = 0; s < 3; ++s) {
                 const PhaseSpec &spec = specs[s];
                 if (spec.save)
                     std::remove(snapPath.c_str());
                 runs[s].push_back(runOnce(
-                    ctx, spec.phase, spec.simd, kernels, windows,
+                    ctx, spec.phase, kernels, windows,
                     spec.useSnapshot ? snapPath : std::string(),
                     spec.save));
             }
         }
         const PhaseResult populate = aggregate(std::move(runs[0]));
-        const PhaseResult coldSimd = aggregate(std::move(runs[1]));
-        const PhaseResult warmSimd = aggregate(std::move(runs[2]));
-        const PhaseResult coldScalar = aggregate(std::move(runs[3]));
-        const PhaseResult warmScalar = aggregate(std::move(runs[4]));
+        const PhaseResult cold = aggregate(std::move(runs[1]));
+        const PhaseResult warm = aggregate(std::move(runs[2]));
         std::remove(snapPath.c_str());
 
-        // Byte-identity across every set: cold/warm, simd/scalar,
-        // every repetition, and the populating run itself must agree
-        // line for line.
+        // Byte-identity across every set: cold/warm, every
+        // repetition, and the populating run itself must agree line
+        // for line.
         size_t mismatches = 0;
-        for (const PhaseResult *r :
-             {&populate, &coldSimd, &warmSimd, &coldScalar,
-              &warmScalar})
+        for (const PhaseResult *r : {&populate, &cold, &warm})
             mismatches += static_cast<size_t>(r->repMismatches);
-        for (const PhaseResult *r :
-             {&coldSimd, &warmSimd, &coldScalar, &warmScalar}) {
+        for (const PhaseResult *r : {&cold, &warm}) {
             if (r->responses.size() != populate.responses.size()) {
                 ++mismatches;
                 continue;
@@ -314,15 +298,12 @@ class ServeWarmStart final : public Experiment
             }
         }
 
-        TextTable table({"phase", "path", "ctor (ms)",
-                         "first resp (ms)", "total (ms)", "p50 (us)",
-                         "p99 (us)", "lattice runs", "warm hits"});
-        for (const PhaseResult *r :
-             {&populate, &coldSimd, &warmSimd, &coldScalar,
-              &warmScalar}) {
+        TextTable table({"phase", "ctor (ms)", "first resp (ms)",
+                         "total (ms)", "p50 (us)", "p99 (us)",
+                         "lattice runs", "warm hits"});
+        for (const PhaseResult *r : {&populate, &cold, &warm}) {
             table.row()
                 .cell(r->phase)
-                .cell(r->path)
                 .cell(formatNum(r->constructMs, 2))
                 .cell(formatNum(r->firstResponseMs, 2))
                 .cell(formatNum(r->totalMs, 2))
@@ -335,35 +316,25 @@ class ServeWarmStart final : public Experiment
                  "serve_warm_start");
 
         const double requests =
-            static_cast<double>(warmScalar.responses.size());
+            static_cast<double>(warm.responses.size());
         const double points = requests * kConfigsPerClient;
         const double warmRate =
-            points > 0.0
-                ? static_cast<double>(warmScalar.warmHits) / points
-                : 0.0;
-        auto speedup = [](double cold, double warm) {
-            return warm > 0.0 ? cold / warm : 0.0;
+            points > 0.0 ? static_cast<double>(warm.warmHits) / points
+                         : 0.0;
+        auto speedup = [](double coldMs, double warmMs) {
+            return warmMs > 0.0 ? coldMs / warmMs : 0.0;
         };
-        const double firstScalar = speedup(
-            coldScalar.firstResponseMs, warmScalar.firstResponseMs);
-        const double totalScalar =
-            speedup(coldScalar.totalMs, warmScalar.totalMs);
-        const double firstSimd = speedup(coldSimd.firstResponseMs,
-                                         warmSimd.firstResponseMs);
-        const double totalSimd =
-            speedup(coldSimd.totalMs, warmSimd.totalMs);
+        const double firstSpeedup =
+            speedup(cold.firstResponseMs, warm.firstResponseMs);
+        const double totalSpeedup = speedup(cold.totalMs, warm.totalMs);
 
         ctx.out() << "\nwarm hit rate: " << formatPct(warmRate, 1)
-                  << "\nscalar path: "
-                  << formatNum(firstScalar, 2)
+                  << "\nwarm restart: " << formatNum(firstSpeedup, 2)
                   << "x time-to-first-response, "
-                  << formatNum(totalScalar, 2) << "x full mix\n"
-                  << "simd path:   " << formatNum(firstSimd, 2)
-                  << "x time-to-first-response, "
-                  << formatNum(totalSimd, 2) << "x full mix\n"
+                  << formatNum(totalSpeedup, 2) << "x full mix\n"
                   << "responses "
                   << (mismatches == 0
-                          ? "byte-identical across all five runs"
+                          ? "byte-identical across all three runs"
                           : "MISMATCHED")
                   << " (" << mismatches << " differing line(s))\n";
 
@@ -374,21 +345,13 @@ class ServeWarmStart final : public Experiment
             .numInt(static_cast<long long>(requests));
         summary.row().cell("warm hit rate").num(warmRate, 4);
         summary.row()
-            .cell("cold first response, scalar (ms)")
-            .num(coldScalar.firstResponseMs, 3);
+            .cell("cold first response (ms)")
+            .num(cold.firstResponseMs, 3);
         summary.row()
-            .cell("warm first response, scalar (ms)")
-            .num(warmScalar.firstResponseMs, 3);
-        summary.row()
-            .cell("first-response speedup, scalar")
-            .num(firstScalar, 3);
-        summary.row()
-            .cell("full-mix speedup, scalar")
-            .num(totalScalar, 3);
-        summary.row()
-            .cell("first-response speedup, simd")
-            .num(firstSimd, 3);
-        summary.row().cell("full-mix speedup, simd").num(totalSimd, 3);
+            .cell("warm first response (ms)")
+            .num(warm.firstResponseMs, 3);
+        summary.row().cell("first-response speedup").num(firstSpeedup, 3);
+        summary.row().cell("full-mix speedup").num(totalSpeedup, 3);
         summary.row()
             .cell("response mismatches")
             .numInt(static_cast<long long>(mismatches));

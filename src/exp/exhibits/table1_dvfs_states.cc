@@ -17,10 +17,6 @@ class Table1DvfsStates final : public Experiment
 {
   public:
     std::string name() const override { return "table1"; }
-    std::string legacyBinary() const override
-    {
-        return "table1_dvfs_states";
-    }
     std::string description() const override
     {
         return "HD7970 GPU DVFS states and interpolated lattice "

@@ -20,10 +20,6 @@ class Table2Counters final : public Experiment
 {
   public:
     std::string name() const override { return "table2"; }
-    std::string legacyBinary() const override
-    {
-        return "table2_counters";
-    }
     std::string description() const override
     {
         return "Predictor counter set with observed suite-wide ranges";

@@ -22,10 +22,6 @@ class Table3TrainPredictors final : public Experiment
 {
   public:
     std::string name() const override { return "table3"; }
-    std::string legacyBinary() const override
-    {
-        return "table3_train_predictors";
-    }
     std::string description() const override
     {
         return "Trained sensitivity-model coefficients vs the paper's";

@@ -26,17 +26,10 @@ ExperimentRegistry::add(std::unique_ptr<Experiment> experiment)
 }
 
 const Experiment *
-ExperimentRegistry::find(std::string_view nameOrAlias) const
+ExperimentRegistry::find(std::string_view name) const
 {
     for (const auto &e : experiments_) {
-        if (e->name() == nameOrAlias)
-            return e.get();
-    }
-    // Legacy bench-binary names remain valid lookup keys so existing
-    // scripts keep working after the refactor.
-    for (const auto &e : experiments_) {
-        if (!e->legacyBinary().empty() &&
-            e->legacyBinary() == nameOrAlias)
+        if (e->name() == name)
             return e.get();
     }
     return nullptr;

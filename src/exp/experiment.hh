@@ -41,12 +41,6 @@ class Experiment
     virtual std::string description() const = 0;
 
     /**
-     * Name of the pre-refactor bench binary this exhibit replaces
-     * (accepted as a lookup alias); empty when there was none.
-     */
-    virtual std::string legacyBinary() const { return {}; }
-
-    /**
      * ctest tier the experiment's test carries: "exp" for the
      * deterministic exhibits, "bench" for wall-clock measurements
      * whose numbers vary run to run.
@@ -74,8 +68,8 @@ class ExperimentRegistry
     /** Register @p experiment; @throws on duplicate names. */
     void add(std::unique_ptr<Experiment> experiment);
 
-    /** Look up by name or legacy binary alias; nullptr when absent. */
-    const Experiment *find(std::string_view nameOrAlias) const;
+    /** Look up by name; nullptr when absent. */
+    const Experiment *find(std::string_view name) const;
 
     /** All experiments, sorted by (order, name). */
     std::vector<const Experiment *> all() const;

@@ -17,8 +17,8 @@ namespace
 {
 
 /** The directories a scan covers, in scan order. */
-constexpr const char *kSourceDirs[] = {"src",  "include",  "tools",
-                                       "bench", "examples", "tests"};
+constexpr const char *kSourceDirs[] = {"src", "include", "tools",
+                                       "examples", "tests"};
 
 bool
 isSourceExtension(const std::string &name)

@@ -54,8 +54,7 @@ MemorySystem::resolveWithCrossingCap(double memFreqMhz,
     BandwidthResult result;
     resolveLanesWithCrossingCap(memFreqMhz, demand, 1,
                                 &demand.outstandingRequests,
-                                &crossingCapBps, &result,
-                                /*simd=*/false);
+                                &crossingCapBps, &result);
     return result;
 }
 
@@ -65,8 +64,7 @@ MemorySystem::resolveLanesWithCrossingCap(double memFreqMhz,
                                           size_t lanes,
                                           const double *outstanding,
                                           const double *crossingCaps,
-                                          BandwidthResult *out,
-                                          bool simd) const
+                                          BandwidthResult *out) const
 {
     fatalIf(demand.requestBytes <= 0.0,
             "MemorySystem: request size must be positive");
@@ -143,45 +141,15 @@ MemorySystem::resolveLanesWithCrossingCap(double memFreqMhz,
     size_t nStaged = 0;
 
     auto flush = [&]() {
-        if (simd) {
-            // Lane-parallel bisection: each vector lane mirrors the
-            // scalar expression tree below op for op (same division,
-            // same clamp, same compare), so lane results are bitwise
-            // identical to the scalar loop. Tail packs pad with the
-            // last staged solve (loadN) and store only live lanes.
-            using simd::VDouble;
-            const VDouble half(0.5), one(1.0), clamp(0.95);
-            const VDouble vPeak(peak), vQs(qs), vUnloaded(unloaded);
-            for (size_t base = 0; base < nSolves;
-                 base += VDouble::width) {
-                const size_t n =
-                    std::min(VDouble::width, nSolves - base);
-                const VDouble in = VDouble::loadN(solveIn + base, n);
-                VDouble vLo = VDouble::loadN(lo + base, n);
-                VDouble vHi = VDouble::loadN(hi + base, n);
-                for (int iter = 0; iter < 48; ++iter) {
-                    const VDouble mid = half * (vLo + vHi);
-                    const VDouble u = vmin(mid / vPeak, clamp);
-                    const VDouble latency =
-                        vUnloaded * (one + vQs * u / (one - u));
-                    const auto below = in / latency >= mid;
-                    vLo = select(below, mid, vLo);
-                    vHi = select(below, vHi, mid);
-                }
-                vLo.storeN(lo + base, n);
-                vHi.storeN(hi + base, n);
-            }
-        } else {
-            for (int iter = 0; iter < 48; ++iter) {
-                for (size_t u = 0; u < nSolves; ++u) {
-                    const double mid = 0.5 * (lo[u] + hi[u]);
-                    // Branchless halving: the comparison outcome is
-                    // data-dependent noise to the branch predictor, so
-                    // select instead of branching.
-                    const bool below = mlpBwAt(solveIn[u], mid) >= mid;
-                    lo[u] = below ? mid : lo[u];
-                    hi[u] = below ? hi[u] : mid;
-                }
+        for (int iter = 0; iter < 48; ++iter) {
+            for (size_t u = 0; u < nSolves; ++u) {
+                const double mid = 0.5 * (lo[u] + hi[u]);
+                // Branchless halving: the comparison outcome is
+                // data-dependent noise to the branch predictor, so
+                // select instead of branching.
+                const bool below = mlpBwAt(solveIn[u], mid) >= mid;
+                lo[u] = below ? mid : lo[u];
+                hi[u] = below ? hi[u] : mid;
             }
         }
         for (size_t u = 0; u < nSolves; ++u) {
@@ -290,6 +258,58 @@ MemorySystem::resolveLanesWithCrossingCap(double memFreqMhz,
     flush();
 }
 
+namespace
+{
+
+/**
+ * Bisect @p K vector packs of concurrency solves, starting at solve
+ * @p first, to completion. Iteration-major over the packs — iteration
+ * i of every pack runs before iteration i+1 of any pack — so the
+ * packs' serially dependent division chains overlap in the divider,
+ * while each pack's bracket stays in registers for all 48 iterations.
+ * Each lane mirrors the scalar bisection op for op with its own
+ * slab's constants, so results are bitwise identical to it. Tail
+ * packs pad with the last solve (loadN); pads stay finite and are
+ * never stored.
+ */
+template <size_t K>
+void
+bisectPacks(size_t first, size_t nSolves, double qs, const double *in,
+            const double *peak, const double *unloaded, double *lo,
+            double *hi)
+{
+    using simd::VDouble;
+    const VDouble half(0.5), one(1.0), clamp(0.95), vQs(qs);
+    size_t base[K], n[K];
+    VDouble vIn[K], vPeak[K], vUnloaded[K], vLo[K], vHi[K];
+    for (size_t p = 0; p < K; ++p) {
+        base[p] = first + p * VDouble::width;
+        n[p] = std::min(VDouble::width, nSolves - base[p]);
+        vIn[p] = VDouble::loadN(in + base[p], n[p]);
+        vPeak[p] = VDouble::loadN(peak + base[p], n[p]);
+        vUnloaded[p] = VDouble::loadN(unloaded + base[p], n[p]);
+        vLo[p] = VDouble::loadN(lo + base[p], n[p]);
+        vHi[p] = VDouble::loadN(hi + base[p], n[p]);
+    }
+    for (int iter = 0; iter < 48; ++iter) {
+        for (size_t p = 0; p < K; ++p) {
+            const VDouble mid = half * (vLo[p] + vHi[p]);
+            const VDouble u = vmin(mid / vPeak[p], clamp);
+            const VDouble latency =
+                vUnloaded[p] * (one + vQs * u / (one - u));
+            const auto below = vIn[p] / latency >= mid;
+            vLo[p] = select(below, mid, vLo[p]);
+            vHi[p] = select(below, vHi[p], mid);
+        }
+    }
+    for (size_t p = 0; p < K; ++p) {
+        vLo[p].storeN(lo + base[p], n[p]);
+        vHi[p].storeN(hi + base[p], n[p]);
+    }
+}
+
+} // namespace
+
 void
 MemorySystem::resolveSlabLanesWithCrossingCap(
     const SlabLaneRequest *slabs, size_t nSlabs,
@@ -322,36 +342,18 @@ MemorySystem::resolveSlabLanesWithCrossingCap(
     size_t nStaged = 0;
 
     auto flush = [&]() {
-        using simd::VDouble;
-        const VDouble half(0.5), one(1.0), clamp(0.95), vQs(qs);
-        // Iteration-major: iteration i of every pack runs before
-        // iteration i+1 of any pack, so the packs' serially dependent
-        // division chains overlap in the divider instead of running
-        // back to back. Each lane mirrors the scalar bisection op for
-        // op with its own slab's constants — bitwise identical
-        // results. Tail packs pad with the last solve (loadN); pads
-        // stay finite and are never stored.
-        for (int iter = 0; iter < 48; ++iter) {
-            for (size_t base = 0; base < nSolves;
-                 base += VDouble::width) {
-                const size_t n = std::min(VDouble::width, nSolves - base);
-                const VDouble in = VDouble::loadN(solveIn + base, n);
-                const VDouble vPeak =
-                    VDouble::loadN(solvePeak + base, n);
-                const VDouble vUnloaded =
-                    VDouble::loadN(solveUnloaded + base, n);
-                VDouble vLo = VDouble::loadN(lo + base, n);
-                VDouble vHi = VDouble::loadN(hi + base, n);
-                const VDouble mid = half * (vLo + vHi);
-                const VDouble u = vmin(mid / vPeak, clamp);
-                const VDouble latency =
-                    vUnloaded * (one + vQs * u / (one - u));
-                const auto below = in / latency >= mid;
-                vLo = select(below, mid, vLo);
-                vHi = select(below, vHi, mid);
-                vLo.storeN(lo + base, n);
-                vHi.storeN(hi + base, n);
-            }
+        // Up to four packs interleave per pass: enough independent
+        // division chains to keep the divider busy, few enough that
+        // their brackets stay in registers.
+        constexpr size_t kW = simd::VDouble::width;
+        constexpr decltype(&bisectPacks<1>) kBisect[] = {
+            bisectPacks<1>, bisectPacks<2>, bisectPacks<3>,
+            bisectPacks<4>};
+        for (size_t first = 0; first < nSolves; first += 4 * kW) {
+            const size_t packs =
+                std::min<size_t>(4, (nSolves - first + kW - 1) / kW);
+            kBisect[packs - 1](first, nSolves, qs, solveIn, solvePeak,
+                               solveUnloaded, lo, hi);
         }
         for (size_t u = 0; u < nSolves; ++u) {
             const double bw = 0.5 * (lo[u] + hi[u]);

@@ -159,8 +159,7 @@ struct Service::DeviceState
 {
     DeviceState(GpuDevice d, const ServiceOptions &opt)
         : device(std::move(d)),
-          sweep(device, SweepOptions{opt.jobs, opt.rngSeed, true,
-                                     opt.simd})
+          sweep(device, SweepOptions{opt.jobs, opt.rngSeed})
     {
     }
 
@@ -450,7 +449,7 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
             std::vector<KernelResult> computed(missing.size());
             dev.device.runLattice(profile, profile.phase(iteration),
                                   missingConfigs, computed.data(),
-                                  &dev.sweep.pool(), options_.simd);
+                                  &dev.sweep.pool());
             for (size_t i = 0; i < missing.size(); ++i)
                 entry->results[missing[i]] = computed[i];
             latticeRuns = 1;
@@ -1063,7 +1062,6 @@ Service::statsJson() const
         {"jobs", JsonValue(options_.jobs)},
         {"batching", JsonValue(options_.batching)},
         {"cache", cacheStatsJson()},
-        {"simd", JsonValue(options_.simd)},
     });
 
     // Per-device breakdown: every registered name, plus live counters

@@ -541,8 +541,9 @@ modelFingerprint(const GpuDevice &device,
     // corners and midpoint and hash every result bit. Any model
     // constant that can influence a cached metric flows through here.
     // run() is the scalar reference path, bitwise identical to the
-    // SIMD path by the equivalence contract, so the fingerprint is
-    // independent of --no-simd and job count.
+    // SIMD lattice path by the equivalence contract, so the
+    // fingerprint is independent of the build's SIMD backend and job
+    // count.
     if (!lattice.empty()) {
         const std::vector<Application> suite = standardSuite();
         const size_t probeApps = std::min<size_t>(4, suite.size());

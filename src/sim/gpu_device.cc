@@ -52,20 +52,6 @@ GpuDevice::composeResult(KernelTiming timing, const KernelPhase &phase,
                          double l2BandwidthBps, double peakMemBps) const
 {
     KernelResult out;
-    composeResultInto(out, std::move(timing), phase, gpuFactors, idleGpu,
-                      memFactors, idleMem, l2BandwidthBps, peakMemBps);
-    return out;
-}
-
-void
-GpuDevice::composeResultInto(KernelResult &out, KernelTiming timing,
-                             const KernelPhase &phase,
-                             const GpuPowerFactors &gpuFactors,
-                             const GpuPowerBreakdown &idleGpu,
-                             const Gddr5PowerFactors &memFactors,
-                             const MemPowerBreakdown &idleMem,
-                             double l2BandwidthBps, double peakMemBps) const
-{
     out.timing = std::move(timing);
 
     // Uncore/memory-path activity: fraction of L2 service bandwidth in
@@ -129,22 +115,22 @@ GpuDevice::composeResultInto(KernelResult &out, KernelTiming timing,
     HARMONIA_CHECK_NONNEG(out.gpuEnergy);
     HARMONIA_CHECK_NONNEG(out.memEnergy);
     HARMONIA_CHECK_FINITE(out.power.total());
+    return out;
 }
 
 void
 GpuDevice::runLattice(const KernelProfile &profile,
                       const KernelPhase &phase,
                       const std::vector<HardwareConfig> &configs,
-                      KernelResult *out, ThreadPool *pool,
-                      bool simd) const
+                      KernelResult *out, ThreadPool *pool) const
 {
-    const LatticeEvaluator eval(*this, profile, phase, pool, simd);
+    const LatticeEvaluator eval(*this, profile, phase, pool);
 
     // Sweeps almost always pass the full lattice in canonical
     // allConfigs() order (memory frequency major, then CU count, then
     // compute frequency). Detect that with one cheap comparison pass
-    // and evaluate by axis index, skipping the per-config
-    // lattice-position derivation.
+    // and derive lane indices arithmetically, skipping the per-config
+    // lattice-position lookups.
     const TimingAxisTables &t = eval.timingTables();
     const size_t nCu = t.cuValues.size();
     const size_t nCf = t.computeFreqValues.size();
@@ -163,76 +149,51 @@ GpuDevice::runLattice(const KernelProfile &profile,
         }
     }
 
-    if (simd) {
-        // Batched SIMD combine, one lane block per task. Each block
-        // derives its lane indices (arithmetically when canonical,
-        // through the axis lookups — same ConfigError behavior as the
-        // scalar path — otherwise) and writes only its own result
-        // window, so pool scheduling cannot affect the output.
-        constexpr size_t kChunk = LatticeEvaluator::kBatchChunk;
-        const size_t nChunks =
-            (configs.size() + kChunk - 1) / kChunk;
-        auto runChunk = [&](size_t chunk) {
-            const size_t begin = chunk * kChunk;
-            const size_t len =
-                std::min(kChunk, configs.size() - begin);
-            size_t cuIdx[kChunk], cfIdx[kChunk], memIdx[kChunk];
-            if (canonical) {
-                // Odometer walk instead of three divisions per lane:
-                // the canonical order increments cf fastest, then cu,
-                // then the memory frequency.
-                size_t cf = begin % nCf;
-                size_t cu = begin / nCf % nCu;
-                size_t m = begin / (nCu * nCf);
-                for (size_t l = 0; l < len; ++l) {
-                    cuIdx[l] = cu;
-                    cfIdx[l] = cf;
-                    memIdx[l] = m;
-                    if (++cf == nCf) {
-                        cf = 0;
-                        if (++cu == nCu) {
-                            cu = 0;
-                            ++m;
-                        }
+    // Batched SIMD combine, one lane block per task. Each block
+    // derives its lane indices (arithmetically when canonical, through
+    // the axis lookups — which throw ConfigError off the lattice —
+    // otherwise) and writes only its own result window, so pool
+    // scheduling cannot affect the output.
+    constexpr size_t kChunk = LatticeEvaluator::kBatchChunk;
+    const size_t nChunks = (configs.size() + kChunk - 1) / kChunk;
+    auto runChunk = [&](size_t chunk) {
+        const size_t begin = chunk * kChunk;
+        const size_t len = std::min(kChunk, configs.size() - begin);
+        size_t cuIdx[kChunk], cfIdx[kChunk], memIdx[kChunk];
+        if (canonical) {
+            // Odometer walk instead of three divisions per lane: the
+            // canonical order increments cf fastest, then cu, then the
+            // memory frequency.
+            size_t cf = begin % nCf;
+            size_t cu = begin / nCf % nCu;
+            size_t m = begin / (nCu * nCf);
+            for (size_t l = 0; l < len; ++l) {
+                cuIdx[l] = cu;
+                cfIdx[l] = cf;
+                memIdx[l] = m;
+                if (++cf == nCf) {
+                    cf = 0;
+                    if (++cu == nCu) {
+                        cu = 0;
+                        ++m;
                     }
                 }
-            } else {
-                for (size_t l = 0; l < len; ++l) {
-                    const HardwareConfig &cfg = configs[begin + l];
-                    cuIdx[l] = t.cuIndex(cfg.cuCount);
-                    cfIdx[l] = t.computeFreqIndex(cfg.computeFreqMhz);
-                    memIdx[l] = t.memFreqIndex(cfg.memFreqMhz);
-                }
             }
-            eval.evaluateBatchAtInto(cuIdx, cfIdx, memIdx, len,
-                                     out + begin);
-        };
-        if (pool != nullptr && pool->numThreads() > 1 && nChunks > 1)
-            pool->parallelFor(nChunks, 1, runChunk);
-        else
-            for (size_t c = 0; c < nChunks; ++c)
-                runChunk(c);
-    } else if (pool != nullptr && pool->numThreads() > 1) {
-        if (canonical) {
-            pool->parallelFor(configs.size(), 16, [&](size_t i) {
-                eval.evaluateAtInto(i / nCf % nCu, i % nCf,
-                                    i / (nCu * nCf), out[i]);
-            });
         } else {
-            pool->parallelFor(configs.size(), 16, [&](size_t i) {
-                eval.evaluateInto(configs[i], out[i]);
-            });
+            for (size_t l = 0; l < len; ++l) {
+                const HardwareConfig &cfg = configs[begin + l];
+                cuIdx[l] = t.cuIndex(cfg.cuCount);
+                cfIdx[l] = t.computeFreqIndex(cfg.computeFreqMhz);
+                memIdx[l] = t.memFreqIndex(cfg.memFreqMhz);
+            }
         }
-    } else if (canonical) {
-        size_t i = 0;
-        for (size_t m = 0; m < nMem; ++m)
-            for (size_t cu = 0; cu < nCu; ++cu)
-                for (size_t cf = 0; cf < nCf; ++cf)
-                    eval.evaluateAtInto(cu, cf, m, out[i++]);
-    } else {
-        for (size_t i = 0; i < configs.size(); ++i)
-            eval.evaluateInto(configs[i], out[i]);
-    }
+        eval.evaluateBatchAtInto(cuIdx, cfIdx, memIdx, len, out + begin);
+    };
+    if (pool != nullptr && pool->numThreads() > 1 && nChunks > 1)
+        pool->parallelFor(nChunks, 1, runChunk);
+    else
+        for (size_t c = 0; c < nChunks; ++c)
+            runChunk(c);
 }
 
 } // namespace harmonia

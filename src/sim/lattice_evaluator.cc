@@ -13,9 +13,9 @@ namespace harmonia
 LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
                                    const KernelProfile &profile,
                                    const KernelPhase &phase,
-                                   ThreadPool *pool, bool simd)
+                                   ThreadPool *pool)
     : device_(device), prep_(device.engine().prepare(profile, phase)),
-      timing_(device.engine().buildAxisTables(prep_, pool, simd))
+      timing_(device.engine().buildAxisTables(prep_, pool))
 {
     const size_t nCu = timing_.cuValues.size();
     const size_t nCf = timing_.computeFreqValues.size();
@@ -85,51 +85,6 @@ LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
     }
 }
 
-KernelResult
-LatticeEvaluator::evaluate(const HardwareConfig &cfg) const
-{
-    KernelResult out;
-    evaluateInto(cfg, out);
-    return out;
-}
-
-void
-LatticeEvaluator::evaluateInto(const HardwareConfig &cfg,
-                               KernelResult &out) const
-{
-    evaluateAtInto(timing_.cuIndex(cfg.cuCount),
-                   timing_.computeFreqIndex(cfg.computeFreqMhz),
-                   timing_.memFreqIndex(cfg.memFreqMhz), out);
-}
-
-void
-LatticeEvaluator::evaluateAtInto(size_t cuIdx, size_t cfIdx,
-                                 size_t memIdx, KernelResult &out) const
-{
-    const size_t nCf = timing_.computeFreqValues.size();
-    const size_t gpuSlot = cuIdx * nCf + cfIdx;
-    const GpuPowerFactors gpuFactors{gpuCuDynPrefix_[gpuSlot],
-                                     gpuUncoreDynPrefix_[gpuSlot],
-                                     gpuLeakage_[gpuSlot]};
-    const GpuPowerBreakdown idleGpu{idleGpuCuDynamic_[gpuSlot],
-                                    idleGpuUncoreDynamic_[gpuSlot],
-                                    idleGpuLeakage_[gpuSlot]};
-    const Gddr5PowerFactors memFactors{memFRatio_[memIdx],
-                                       memLowFreqScale_[memIdx],
-                                       memVScale_[memIdx],
-                                       memBackground_[memIdx]};
-    const MemPowerBreakdown idleMem{idleMemBackground_[memIdx],
-                                    idleMemActivatePrecharge_[memIdx],
-                                    idleMemReadWrite_[memIdx],
-                                    idleMemTermination_[memIdx],
-                                    idleMemPhy_[memIdx]};
-    device_.composeResultInto(
-        out,
-        device_.engine().evaluateAt(prep_, timing_, cuIdx, cfIdx, memIdx),
-        prep_.phase, gpuFactors, idleGpu, memFactors, idleMem,
-        timing_.l2Bandwidth[cfIdx], timing_.peakBandwidth[memIdx]);
-}
-
 void
 LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
                                       const size_t *cfIdx,
@@ -152,12 +107,12 @@ LatticeEvaluator::evaluateBatchAtInto(const size_t *cuIdx,
  *     lane pattern goes through an indexed scalar gather into stack
  *     SoA buffers;
  *  2. vector passes mirror TimingEngine::combine() and
- *     GpuDevice::composeResultInto() op for op over the packs —
- *     same operations, same order, same operands per lane, only
- *     evaluated VDouble::width lanes at a time (so the results are
- *     bitwise identical to the scalar path; docs/MODEL.md §9);
+ *     GpuDevice::composeResult() op for op over the packs — same
+ *     operations, same order, same operands per lane, only evaluated
+ *     VDouble::width lanes at a time (so the results are bitwise
+ *     identical to GpuDevice::run(); docs/MODEL.md §9);
  *  3. a scalar scatter pass assembles each KernelResult and runs the
- *     same always-on validation the scalar path runs.
+ *     same always-on validation run() runs.
  */
 void
 LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
@@ -409,7 +364,7 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         vL2Hit.storeN(l2CacheHit + i, lanes);
         vIc.storeN(icActivity + i, lanes);
 
-        // -- GpuDevice::composeResultInto() ---------------------------
+        // -- GpuDevice::composeResult() -------------------------------
         const VDouble vInvBusy = one / vmax(vBusy, tiny);
         const VDouble vL2Bps = vReqBytes * vInvBusy;
         const VDouble vL2Act = vmin(one, vL2Bps / vL2bwIn);
@@ -455,9 +410,9 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         const VDouble vIdleCardTot =
             vIdleGpuTot + vIdleMemTot + vIdleOther;
 
-        // Energy integration and the nine time-weighted blends. The
-        // scalar path's invTotal is the same expression as invWall on
-        // the same execTime, so the reciprocal is shared here.
+        // Energy integration and the nine time-weighted blends.
+        // composeResult()'s invTotal is the same expression as invWall
+        // on the same execTime, so the reciprocal is shared here.
         const VDouble vCardE =
             vBusyCardTot * vBusy + vIdleCardTot * vLaunch;
         const VDouble vGpuE =
@@ -491,8 +446,8 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         vPOther.storeN(pOther + i, lanes);
     }
 
-    // ---- Scatter: assemble results, run the scalar path's always-on
-    // validation per lane -------------------------------------------
+    // ---- Scatter: assemble results, run run()'s always-on validation
+    // per lane ---------------------------------------------------------
     for (size_t i = 0; i < n; ++i) {
         KernelResult &r = out[i];
         KernelTiming &t = r.timing;

@@ -20,19 +20,14 @@
  *
  * The hoisted tables are stored as structure-of-arrays planes (one
  * contiguous double array per model component) rather than arrays of
- * structs, so the batched path can stream each component with vector
- * loads. Two evaluation paths consume them:
- *
- *  - evaluate()/evaluateAtInto(): the scalar reference. Reassembles
- *    per-config structs from the planes and runs exactly the combine
- *    arithmetic the naive path runs (GpuDevice::composeResultInto),
- *    so the two paths produce bitwise-identical results.
- *  - evaluateBatchAtInto(): the SIMD path. Gathers lane inputs from
- *    the planes and evaluates the combine + power composition as
- *    vertical vector ops (src/common/simd.hh), op-for-op mirroring
- *    the scalar expression trees — no reassociation anywhere — so it
- *    is bitwise identical to the scalar path too (pinned by
- *    tests/test_simd_equivalence.cpp; contract in docs/MODEL.md §9).
+ * structs, so evaluateBatchAtInto() can stream each component with
+ * vector loads. It gathers lane inputs from the planes and evaluates
+ * the combine + power composition as vertical vector ops
+ * (src/common/simd.hh), op-for-op mirroring the scalar expression
+ * trees of GpuDevice::run() — no reassociation anywhere — so it is
+ * bitwise identical to the naive path (pinned by
+ * tests/test_factored_engine.cpp and tests/test_simd_equivalence.cpp;
+ * contract in docs/MODEL.md §9).
  */
 
 #ifndef HARMONIA_SIM_LATTICE_EVALUATOR_HH
@@ -64,46 +59,22 @@ class LatticeEvaluator
     /**
      * Hoist all config-invariant and axis-separable work for
      * (@p profile, @p phase). When @p pool is non-null the bandwidth
-     * lattice is resolved in parallel (deterministically: each row
-     * writes only its own slots). @p simd selects the lane-parallel
-     * bandwidth bisection (bitwise identical either way).
+     * lattice is resolved in parallel (deterministically: each slab
+     * writes only its own slots).
      */
     LatticeEvaluator(const GpuDevice &device, const KernelProfile &profile,
-                     const KernelPhase &phase, ThreadPool *pool = nullptr,
-                     bool simd = true);
-
-    const GpuDevice &device() const { return device_; }
-
-    /** The config-invariant bundle. */
-    const PreparedKernel &prepared() const { return prep_; }
+                     const KernelPhase &phase, ThreadPool *pool = nullptr);
 
     /** The timing-side axis tables. */
     const TimingAxisTables &timingTables() const { return timing_; }
 
     /**
-     * Evaluate one lattice point from the hoisted state. Bitwise
-     * identical to device().run(profile, phase, cfg).
-     * @throws ConfigError when @p cfg is off the lattice.
-     */
-    KernelResult evaluate(const HardwareConfig &cfg) const;
-
-    /** evaluate() writing into caller storage (assigns every field of
-     * @p out); lets batch sweeps fill result arrays copy-free. */
-    void evaluateInto(const HardwareConfig &cfg, KernelResult &out) const;
-
-    /** evaluateInto() with the axis positions already derived — for
-     * drivers iterating the lattice in index order. Indices must be
-     * in range (unchecked). */
-    void evaluateAtInto(size_t cuIdx, size_t cfIdx, size_t memIdx,
-                        KernelResult &out) const;
-
-    /**
-     * SIMD-batched evaluateAtInto(): lane i evaluates the lattice
-     * point (@p cuIdx[i], @p cfIdx[i], @p memIdx[i]) into @p out[i].
-     * Lanes are independent — any subset, duplicates, or a single
-     * point are all fine — and each lane's result is bitwise
-     * identical to the corresponding evaluateAtInto() call. Indices
-     * must be in range (unchecked).
+     * SIMD-batched lattice evaluation: lane i evaluates the lattice
+     * point (@p cuIdx[i], @p cfIdx[i], @p memIdx[i]) into @p out[i]
+     * (assigning every field). Lanes are independent — any subset,
+     * duplicates, or a single point are all fine — and each lane's
+     * result is bitwise identical to GpuDevice::run(profile, phase,
+     * cfg) at that point. Indices must be in range (unchecked).
      */
     void evaluateBatchAtInto(const size_t *cuIdx, const size_t *cfIdx,
                              const size_t *memIdx, size_t n,

@@ -80,7 +80,7 @@ TimingEngine::run(const KernelProfile &profile, const KernelPhase &phase,
     const PreparedKernel prep = prepare(profile, phase);
 
     // The axis-dependent inputs, computed by direct model calls. The
-    // factored path obtains the very same values from its tables.
+    // lattice path reads the very same values from its tables.
     TimingAxisValues axis;
     const double issueRate =
         dev_.peakWaveInstRate(cfg.cuCount, cfg.computeFreqMhz) *
@@ -157,7 +157,7 @@ TimingEngine::prepare(const KernelProfile &profile,
 
 TimingAxisTables
 TimingEngine::buildAxisTables(const PreparedKernel &prep,
-                              ThreadPool *pool, bool simd) const
+                              ThreadPool *pool) const
 {
     const KernelPhase &phase = prep.phase;
 
@@ -220,9 +220,10 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
     //     supply ceiling and limiter ordering — reuse the previous
     //     entry in the row verbatim.
     //  2. Every remaining (CU, compute-freq) point in the slab is an
-    //     independent lane of resolveLanesWithCrossingCap(), which
-    //     interleaves the bisection solves so their division chains
-    //     pipeline instead of running back to back.
+    //     independent lane of resolveSlabLanesWithCrossingCap(), which
+    //     runs the bisection solves as interleaved vector packs so
+    //     their division chains pipeline instead of running back to
+    //     back.
     t.bandwidthBps.resize(nMem * nCu * nCf);
     t.bandwidthLatency.resize(nMem * nCu * nCf);
     t.bandwidthLimiter.resize(nMem * nCu * nCf);
@@ -295,69 +296,34 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
         }
     };
 
-    auto buildSlab = [&](size_t m) {
-        const size_t n = stageLanes(m);
-        memsys_.resolveLanesWithCrossingCap(
-            t.memFreqValues[m], demand, n,
-            &laneOutstandingBuf[m * nCu * nCf],
-            &laneCapBuf[m * nCu * nCf], &laneResultBuf[m * nCu * nCf],
-            simd);
-        scatterSlab(m, n);
-    };
+    std::vector<MemorySystem::SlabLaneRequest> reqs(nMem);
+    for (size_t m = 0; m < nMem; ++m) {
+        reqs[m].memFreqMhz = t.memFreqValues[m];
+        reqs[m].outstanding = &laneOutstandingBuf[m * nCu * nCf];
+        reqs[m].crossingCaps = &laneCapBuf[m * nCu * nCf];
+        reqs[m].out = &laneResultBuf[m * nCu * nCf];
+    }
 
     if (pool != nullptr && pool->numThreads() > 1) {
-        pool->parallelFor(nMem, 1, buildSlab);
-    } else if (simd) {
-        // Serial SIMD path: stage every slab first and resolve them in
-        // one multi-slab call, so the bisection packs of all memory
+        // One slab per task, each resolved on its own.
+        pool->parallelFor(nMem, 1, [&](size_t m) {
+            reqs[m].lanes = stageLanes(m);
+            memsys_.resolveSlabLanesWithCrossingCap(&reqs[m], 1, demand);
+            scatterSlab(m, reqs[m].lanes);
+        });
+    } else {
+        // Serial: stage every slab first and resolve them in one
+        // multi-slab call, so the bisection packs of all memory
         // frequencies pipeline against each other (bitwise identical
         // to the per-slab calls; see resolveSlabLanesWithCrossingCap).
-        std::vector<MemorySystem::SlabLaneRequest> reqs(nMem);
-        for (size_t m = 0; m < nMem; ++m) {
-            reqs[m].memFreqMhz = t.memFreqValues[m];
+        for (size_t m = 0; m < nMem; ++m)
             reqs[m].lanes = stageLanes(m);
-            reqs[m].outstanding = &laneOutstandingBuf[m * nCu * nCf];
-            reqs[m].crossingCaps = &laneCapBuf[m * nCu * nCf];
-            reqs[m].out = &laneResultBuf[m * nCu * nCf];
-        }
         memsys_.resolveSlabLanesWithCrossingCap(reqs.data(), nMem,
                                                 demand);
         for (size_t m = 0; m < nMem; ++m)
             scatterSlab(m, reqs[m].lanes);
-    } else {
-        for (size_t m = 0; m < nMem; ++m)
-            buildSlab(m);
     }
     return t;
-}
-
-KernelTiming
-TimingEngine::evaluate(const PreparedKernel &prep,
-                       const TimingAxisTables &tables,
-                       const HardwareConfig &cfg) const
-{
-    return evaluateAt(prep, tables, tables.cuIndex(cfg.cuCount),
-                      tables.computeFreqIndex(cfg.computeFreqMhz),
-                      tables.memFreqIndex(cfg.memFreqMhz));
-}
-
-KernelTiming
-TimingEngine::evaluateAt(const PreparedKernel &prep,
-                         const TimingAxisTables &tables, size_t cuIdx,
-                         size_t cfIdx, size_t memIdx) const
-{
-    const size_t nCf = tables.computeFreqValues.size();
-
-    TimingAxisValues axis;
-    axis.computeTime = tables.computeTime[cuIdx * nCf + cfIdx];
-    axis.l2HitRate = tables.l2HitRate[cuIdx];
-    axis.offChipBytes = tables.offChipBytes[cuIdx];
-    axis.l2Time = tables.l2Time[cfIdx];
-    axis.peakBandwidth = tables.peakBandwidth[memIdx];
-    axis.invPeakBandwidth = tables.invPeakBandwidth[memIdx];
-    axis.bandwidth = tables.bandwidthAt(
-        (memIdx * tables.cuValues.size() + cuIdx) * nCf + cfIdx);
-    return combine(prep, axis);
 }
 
 KernelTiming

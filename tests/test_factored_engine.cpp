@@ -2,9 +2,9 @@
  * @file
  * Bitwise-equivalence harness for the factored lattice evaluator.
  *
- * The factored path (TimingEngine::prepare + buildAxisTables +
- * evaluate, LatticeEvaluator, GpuDevice::runLattice) promises results
- * *bitwise identical* to the naive per-config path — not merely close.
+ * The factored path (TimingEngine::prepare + buildAxisTables,
+ * LatticeEvaluator, GpuDevice::runLattice) promises results *bitwise
+ * identical* to the naive per-config path — not merely close.
  * These tests compare every double of every KernelResult at the bit
  * level across the full workload suite x the 448-point lattice, plus
  * spot-check each axis table against direct model calls (which also
@@ -23,7 +23,6 @@
 #include "harmonia/common/thread_pool.hh"
 #include "harmonia/core/sweep.hh"
 #include "harmonia/sim/gpu_device.hh"
-#include "sim/lattice_evaluator.hh"
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
@@ -146,29 +145,24 @@ TEST(FactoredEngine, FullSuiteBitwiseIdenticalToNaive)
 
 // Same guarantee through the sweep engine with a thread pool: the
 // factored batch path must be scheduling-independent and bit-equal to
-// a serial naive sweep.
+// per-config run().
 TEST(FactoredEngine, SweepFactoredMatchesNaiveSweep)
 {
-    SweepOptions naiveOpts;
-    naiveOpts.jobs = 1;
-    naiveOpts.factored = false;
-    const ConfigSweep naive(device(), naiveOpts);
-
-    SweepOptions factoredOpts;
-    factoredOpts.jobs = 4;
-    factoredOpts.factored = true;
-    const ConfigSweep factored(device(), factoredOpts);
+    const GpuDevice &dev = device();
+    SweepOptions opts;
+    opts.jobs = 4;
+    const ConfigSweep factored(dev, opts);
 
     for (const Application &app : {makeDeviceMemory(), makeSort(),
                                    makeXsbench()}) {
         for (const KernelProfile &k : app.kernels) {
-            const auto &a = naive.evaluate(k, 0);
-            const auto &b = factored.evaluate(k, 0);
-            ASSERT_EQ(a.size(), b.size());
-            for (size_t i = 0; i < a.size(); ++i)
-                expectSameResult(a[i], b[i],
-                                 k.id() + " @ " +
-                                     naive.configs()[i].str());
+            const auto &results = factored.evaluate(k, 0);
+            ASSERT_EQ(results.size(), factored.configs().size());
+            for (size_t i = 0; i < results.size(); ++i) {
+                const HardwareConfig &cfg = factored.configs()[i];
+                expectSameResult(results[i], dev.run(k, 0, cfg),
+                                 k.id() + " @ " + cfg.str());
+            }
         }
     }
 }
@@ -273,29 +267,34 @@ TEST(FactoredEngine, ParallelTableBuildMatchesSerial)
     }
 }
 
-// Off-lattice configurations are rejected by the table lookup just as
-// the naive path rejects them in validate().
+// Off-lattice configurations in a non-canonical config list are
+// rejected by the table lookup just as the naive path rejects them in
+// validate().
 TEST(FactoredEngine, OffLatticeEvaluationThrows)
 {
     const GpuDevice &dev = device();
     const KernelProfile k = makeMaxFlops().kernels.front();
-    const LatticeEvaluator eval(dev, k, k.phase(0));
+    const KernelPhase phase = k.phase(0);
+    const HardwareConfig max = dev.space().maxConfig();
+    std::vector<KernelResult> out(2);
+    auto runPair = [&](const HardwareConfig &cfg) {
+        dev.runLattice(k, phase, {max, cfg}, out.data());
+    };
 
-    HardwareConfig cfg = dev.space().maxConfig();
-    EXPECT_NO_THROW(eval.evaluate(cfg));
+    EXPECT_NO_THROW(runPair(max));
+    HardwareConfig cfg = max;
     cfg.computeFreqMhz = 1001;
-    EXPECT_THROW(eval.evaluate(cfg), ConfigError);
-    cfg = dev.space().maxConfig();
+    EXPECT_THROW(runPair(cfg), ConfigError);
+    cfg = max;
     cfg.cuCount = 3;
-    EXPECT_THROW(eval.evaluate(cfg), ConfigError);
-    cfg = dev.space().maxConfig();
+    EXPECT_THROW(runPair(cfg), ConfigError);
+    cfg = max;
     cfg.memFreqMhz = 500;
-    EXPECT_THROW(eval.evaluate(cfg), ConfigError);
+    EXPECT_THROW(runPair(cfg), ConfigError);
 }
 
-// The sweep memo must treat the factored and naive paths as the same
-// cache: repeated evaluations hit, and the pair key distinguishes
-// iterations.
+// The sweep memo: repeated evaluations hit, and the pair key
+// distinguishes iterations.
 TEST(FactoredEngine, SweepCacheKeyDistinguishesIterations)
 {
     const ConfigSweep sweep(device());

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -208,65 +207,3 @@ TEST(GoldenFigures, SnapshotValuesAreSane)
             << app;
     }
 }
-
-#if defined(HARMONIA_EXP_DRIVER) && defined(HARMONIA_FIG10_WRAPPER) && \
-    defined(HARMONIA_FIG13_WRAPPER)
-
-namespace
-{
-
-std::string
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << "missing artifact " << path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-int
-runQuiet(const std::string &cmd)
-{
-    return std::system((cmd + " > /dev/null").c_str());
-}
-
-} // namespace
-
-TEST(GoldenFigures, DriverMatchesLegacyWrappersBitwise)
-{
-    // The unified harmonia_exp driver and the per-figure compatibility
-    // wrappers must emit byte-identical artifacts: same numbers, same
-    // formatting, regardless of which entry point produced them.
-    namespace fs = std::filesystem;
-    const fs::path base =
-        fs::path(::testing::TempDir()) / "harmonia_driver_vs_wrapper";
-    const fs::path driverOut = base / "driver";
-    const fs::path wrapperOut = base / "wrapper";
-    fs::remove_all(base);
-
-    ASSERT_EQ(runQuiet(std::string(HARMONIA_EXP_DRIVER) +
-                       " --run fig10 --run fig13 --jobs 2 --out " +
-                       driverOut.string()),
-              0);
-    ASSERT_EQ(runQuiet(std::string(HARMONIA_FIG10_WRAPPER) +
-                       " --jobs 2 --out " + wrapperOut.string()),
-              0);
-    ASSERT_EQ(runQuiet(std::string(HARMONIA_FIG13_WRAPPER) +
-                       " --jobs 2 --out " + wrapperOut.string()),
-              0);
-
-    for (const char *artifact :
-         {"fig10.json", "fig10.csv", "fig13.json", "fig13.csv"}) {
-        const std::string fromDriver =
-            readFileBytes((driverOut / artifact).string());
-        const std::string fromWrapper =
-            readFileBytes((wrapperOut / artifact).string());
-        ASSERT_FALSE(fromDriver.empty()) << artifact;
-        EXPECT_EQ(fromDriver, fromWrapper)
-            << artifact
-            << " differs between the driver and wrapper paths";
-    }
-}
-
-#endif // HARMONIA_EXP_DRIVER && wrappers

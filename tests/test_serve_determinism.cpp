@@ -131,15 +131,13 @@ requestStream(const ConfigSweep &sweep)
 }
 
 /** Run @p lines through a fresh service, cut into windows of
- * @p windowSize requests. @p simd selects the batched SIMD lattice
- * kernels or the scalar reference path. */
+ * @p windowSize requests. */
 std::vector<std::string>
-replay(int jobs, bool batching, size_t windowSize, bool simd = true)
+replay(int jobs, bool batching, size_t windowSize)
 {
     ServiceOptions opt;
     opt.jobs = jobs;
     opt.batching = batching;
-    opt.simd = simd;
     Service service(opt);
     const std::vector<std::string> lines =
         requestStream(service.sweep());
@@ -374,18 +372,6 @@ TEST(ServeDeterminism, ResponsesIndependentOfWindowBoundaries)
     ASSERT_EQ(one.size(), big.size());
     for (size_t i = 0; i < one.size(); ++i)
         EXPECT_EQ(one[i], big[i]) << "response " << i;
-}
-
-// The wire-level face of the scalar-vs-SIMD bitwise contract
-// (tests/test_simd_equivalence.cpp): a client must not be able to
-// tell which lattice kernels the daemon ran.
-TEST(ServeDeterminism, ResponsesIndependentOfSimdPath)
-{
-    const std::vector<std::string> simd = replay(4, true, 8, true);
-    const std::vector<std::string> scalar = replay(4, true, 8, false);
-    ASSERT_EQ(simd.size(), scalar.size());
-    for (size_t i = 0; i < simd.size(); ++i)
-        EXPECT_EQ(simd[i], scalar[i]) << "response " << i;
 }
 
 TEST(ServeDeterminism, RepeatRunsAreByteIdentical)

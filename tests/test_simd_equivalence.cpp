@@ -1,22 +1,22 @@
 /**
  * @file
- * Differential scalar-vs-SIMD equivalence harness.
+ * Differential SIMD-vs-naive equivalence harness.
  *
- * The SIMD-batched lattice path (GpuDevice::runLattice with simd set,
- * LatticeEvaluator::evaluateBatchAtInto, and the batched bandwidth
- * resolvers in MemorySystem) promises results *bitwise identical* to
- * the scalar reference path — not merely close (docs/MODEL.md §9).
- * These tests pin that contract:
+ * The SIMD-batched lattice path (GpuDevice::runLattice,
+ * LatticeEvaluator::evaluateBatchAtInto, and the vector bandwidth
+ * resolver in MemorySystem) promises results *bitwise identical* to
+ * the naive per-config GpuDevice::run() — not merely close
+ * (docs/MODEL.md §9). tests/test_factored_engine.cpp pins the full
+ * suite on the canonical lattice; these tests pin the rest:
  *
- *  - the full workload suite across the whole 448-point lattice,
- *    scalar vs SIMD, every double compared at the bit level;
  *  - seeded fuzzing of off-canonical batches (random subsets,
  *    duplicates, shuffles, single points), which exercises the
  *    indexed-gather fallback rather than the fused canonical gather;
  *  - scheduling independence of the chunked parallel SIMD path;
- *  - the batched crossing-cap bandwidth resolvers against per-lane
- *    and per-slab references, including lanes placed exactly on the
- *    saturation thresholds the batch dedup rules key off.
+ *  - the batched crossing-cap bandwidth resolvers against the
+ *    single-lane resolveWithCrossingCap(), including lanes placed
+ *    exactly on the saturation thresholds the batch dedup rules key
+ *    off.
  */
 
 #include <gtest/gtest.h>
@@ -123,23 +123,19 @@ expectSameResult(const KernelResult &a, const KernelResult &b,
 }
 
 /**
- * Run @p configs through runLattice with the SIMD kernels and with
- * the scalar reference, and require bitwise-identical results.
- * @p pool, when given, is handed only to the SIMD run so the chunked
- * parallel schedule is compared against the serial scalar loop.
+ * Run @p configs through runLattice (on @p pool, when given) and
+ * require results bitwise identical to per-config GpuDevice::run().
  */
 void
-expectSimdMatchesScalar(const KernelProfile &k, const KernelPhase &phase,
-                        const std::vector<HardwareConfig> &configs,
-                        const std::string &ctxBase,
-                        ThreadPool *pool = nullptr)
+expectLatticeMatchesNaive(const KernelProfile &k, const KernelPhase &phase,
+                          const std::vector<HardwareConfig> &configs,
+                          const std::string &ctxBase,
+                          ThreadPool *pool = nullptr)
 {
-    std::vector<KernelResult> scalar(configs.size());
     std::vector<KernelResult> simd(configs.size());
-    device().runLattice(k, phase, configs, scalar.data(), nullptr, false);
-    device().runLattice(k, phase, configs, simd.data(), pool, true);
+    device().runLattice(k, phase, configs, simd.data(), pool);
     for (size_t i = 0; i < configs.size(); ++i)
-        expectSameResult(simd[i], scalar[i],
+        expectSameResult(simd[i], device().run(k, phase, configs[i]),
                          ctxBase + " @ " + configs[i].str());
 }
 
@@ -154,32 +150,11 @@ expectSameBandwidth(const BandwidthResult &a, const BandwidthResult &b,
 
 } // namespace
 
-// The headline guarantee: every kernel of every suite application, at
-// representative iterations' phases, produces the same bits through
-// the SIMD-batched lattice path as through the scalar reference path,
-// across the full canonical 448-point lattice (fused-gather route).
-TEST(SimdEquivalence, FullSuiteBitwiseIdenticalToScalar)
-{
-    const std::vector<HardwareConfig> configs =
-        device().space().allConfigs();
-    ASSERT_EQ(configs.size(), 448u);
-
-    for (const Application &app : standardSuite()) {
-        for (const KernelProfile &k : app.kernels) {
-            for (int iter : {0, 1, app.iterations - 1}) {
-                expectSimdMatchesScalar(
-                    k, k.phase(iter), configs,
-                    k.id() + "#" + std::to_string(iter));
-            }
-        }
-    }
-}
-
 // Off-canonical batches: random subsets with duplicates, shuffled
 // full lattices, and odd batch sizes, all fed through the
 // indexed-gather route (the canonical detection must reject them and
-// the result must still be bitwise scalar-identical). Seeded via the
-// sweep RNG substream helper so failures replay exactly.
+// the result must still be bitwise identical to run()). Seeded via
+// the sweep RNG substream helper so failures replay exactly.
 TEST(SimdEquivalence, FuzzedBatchesBitwiseIdenticalToScalar)
 {
     const std::vector<HardwareConfig> all = device().space().allConfigs();
@@ -210,17 +185,15 @@ TEST(SimdEquivalence, FuzzedBatchesBitwiseIdenticalToScalar)
                 batch.push_back(all[rng.uniformInt(0, all.size() - 1)]);
         }
 
-        expectSimdMatchesScalar(k, k.phase(iter), batch,
-                                k.id() + "#" + std::to_string(iter) +
-                                    " fuzz trial " +
-                                    std::to_string(trial));
+        expectLatticeMatchesNaive(k, k.phase(iter), batch,
+                                  k.id() + "#" + std::to_string(iter) +
+                                      " fuzz trial " +
+                                      std::to_string(trial));
     }
 }
 
 // Degenerate batch shapes: a single point, one chunk of duplicates of
-// the same point, and a chunk-straddling batch. Also anchors the SIMD
-// result to the naive per-config GpuDevice::run, not just the scalar
-// lattice path.
+// the same point, and a chunk-straddling batch.
 TEST(SimdEquivalence, SinglePointAndDuplicateBatches)
 {
     const GpuDevice &dev = device();
@@ -242,50 +215,36 @@ TEST(SimdEquivalence, SinglePointAndDuplicateBatches)
         straddle.push_back(i % 2 == 0 ? lo : hi);
     batches.push_back(straddle);
 
-    for (const std::vector<HardwareConfig> &batch : batches) {
-        expectSimdMatchesScalar(k, phase, batch,
-                                k.id() + " degenerate batch of " +
-                                    std::to_string(batch.size()));
-        std::vector<KernelResult> simd(batch.size());
-        dev.runLattice(k, phase, batch, simd.data(), nullptr, true);
-        for (size_t i = 0; i < batch.size(); ++i) {
-            const KernelResult naive = dev.run(k, phase, batch[i]);
-            expectSameResult(simd[i], naive,
-                             k.id() + " vs naive @ " + batch[i].str());
-        }
-    }
+    for (const std::vector<HardwareConfig> &batch : batches)
+        expectLatticeMatchesNaive(k, phase, batch,
+                                  k.id() + " degenerate batch of " +
+                                      std::to_string(batch.size()));
 }
 
 // Scheduling independence: the chunked SIMD path under a thread pool
-// must produce the same bytes as both the serial SIMD loop and the
-// serial scalar reference.
+// (per-slab pooled table build included) and the serial path must
+// both produce the same bytes as per-config run().
 TEST(SimdEquivalence, ParallelSimdMatchesSerial)
 {
-    const GpuDevice &dev = device();
-    const std::vector<HardwareConfig> configs = dev.space().allConfigs();
+    const std::vector<HardwareConfig> configs =
+        device().space().allConfigs();
     const Application app = makeXsbench();
     ThreadPool pool(4);
 
     for (const KernelProfile &k : app.kernels) {
         const KernelPhase phase = k.phase(0);
-        expectSimdMatchesScalar(k, phase, configs, k.id() + " pooled",
-                                &pool);
-        std::vector<KernelResult> serial(configs.size());
-        std::vector<KernelResult> pooled(configs.size());
-        dev.runLattice(k, phase, configs, serial.data(), nullptr, true);
-        dev.runLattice(k, phase, configs, pooled.data(), &pool, true);
-        for (size_t i = 0; i < configs.size(); ++i)
-            expectSameResult(pooled[i], serial[i],
-                             k.id() + " pooled vs serial @ " +
-                                 configs[i].str());
+        expectLatticeMatchesNaive(k, phase, configs, k.id() + " pooled",
+                                  &pool);
+        expectLatticeMatchesNaive(k, phase, configs, k.id() + " serial");
     }
 }
 
-// The batched crossing-cap solver, lane by lane: SIMD batch vs scalar
-// batch vs the single-lane call, over a grid of demand levels and
-// crossing caps that includes every saturation-threshold boundary the
-// dedup rules depend on (cap exactly at the supply ceiling, one ULP
-// either side, zero demand, and saturating demand).
+// The batched crossing-cap solvers, lane by lane: the scalar lane
+// batch and the vector (single-slab) batch vs the single-lane call,
+// over a grid of demand levels and crossing caps that includes every
+// saturation-threshold boundary the dedup rules depend on (cap
+// exactly at the supply ceiling, one ULP either side, zero demand,
+// and saturating demand).
 TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
 {
     const MemorySystem &ms = device().engine().memorySystem();
@@ -335,14 +294,13 @@ TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
             const size_t lanes = outstanding.size();
             std::vector<BandwidthResult> simd(lanes);
             std::vector<BandwidthResult> scalar(lanes);
+            const MemorySystem::SlabLaneRequest slab{
+                static_cast<double>(mem), lanes, outstanding.data(),
+                caps.data(), simd.data()};
+            ms.resolveSlabLanesWithCrossingCap(&slab, 1, d);
             ms.resolveLanesWithCrossingCap(mem, d, lanes,
                                            outstanding.data(),
-                                           caps.data(), simd.data(),
-                                           true);
-            ms.resolveLanesWithCrossingCap(mem, d, lanes,
-                                           outstanding.data(),
-                                           caps.data(), scalar.data(),
-                                           false);
+                                           caps.data(), scalar.data());
             for (size_t l = 0; l < lanes; ++l) {
                 const std::string ctx =
                     "mem " + std::to_string(mem) + " lane " +
@@ -353,7 +311,7 @@ TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
                 lane.outstandingRequests = outstanding[l];
                 const BandwidthResult ref =
                     ms.resolveWithCrossingCap(mem, lane, caps[l]);
-                expectSameBandwidth(simd[l], scalar[l], ctx);
+                expectSameBandwidth(scalar[l], ref, ctx);
                 expectSameBandwidth(simd[l], ref, ctx);
             }
         }
@@ -362,8 +320,9 @@ TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
 
 // The cross-slab resolver: staging all memory frequencies' lane
 // batches into one interleaved bisection pass must reproduce the
-// per-slab batched results (and hence the per-lane scalar reference)
-// bit for bit, including slabs whose lane counts leave partial packs.
+// per-slab calls (what the pooled table build issues) and the
+// single-lane resolveWithCrossingCap() bit for bit, including slabs
+// whose lane counts leave partial packs.
 TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)
 {
     const MemorySystem &ms = device().engine().memorySystem();
@@ -399,19 +358,18 @@ TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)
                                        demand);
 
     for (size_t s = 0; s < mems.size(); ++s) {
-        ms.resolveLanesWithCrossingCap(
-            slabs[s].memFreqMhz, demand, slabs[s].lanes,
-            outstanding[s].data(), caps[s].data(), refOut[s].data(),
-            true);
+        MemorySystem::SlabLaneRequest single = slabs[s];
+        single.out = refOut[s].data();
+        ms.resolveSlabLanesWithCrossingCap(&single, 1, demand);
         for (size_t l = 0; l < slabs[s].lanes; ++l) {
             const std::string ctx = "slab " + std::to_string(mems[s]) +
                                     " lane " + std::to_string(l);
             expectSameBandwidth(slabOut[s][l], refOut[s][l], ctx);
             MemDemand lane = demand;
             lane.outstandingRequests = outstanding[s][l];
-            const BandwidthResult single = ms.resolveWithCrossingCap(
+            const BandwidthResult ref = ms.resolveWithCrossingCap(
                 slabs[s].memFreqMhz, lane, caps[s][l]);
-            expectSameBandwidth(slabOut[s][l], single, ctx);
+            expectSameBandwidth(slabOut[s][l], ref, ctx);
         }
     }
 }

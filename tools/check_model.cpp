@@ -18,8 +18,6 @@
  *   --app NAME      Restrict to one application (repeatable).
  *   --invariant ID  Run only the named invariant (repeatable).
  *   --max-report N  Print at most N diagnostics (default 25).
- *   --no-simd       Sweep through the scalar reference path instead
- *                   of the SIMD-batched kernels (same output).
  *   --list          Print the invariant catalog and exit.
  *
  * Output on stdout is bitwise identical for any --jobs value (the
@@ -56,7 +54,7 @@ usage(int status)
     std::cout
         << "usage: check_model [--device NAME] [--jobs N] "
            "[--iterations N] [--app NAME]... [--invariant ID]... "
-           "[--max-report N] [--no-simd] [--list] [--list-devices]\n";
+           "[--max-report N] [--list] [--list-devices]\n";
     std::exit(status);
 }
 
@@ -100,8 +98,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--max-report") {
             opt.maxReport =
                 static_cast<size_t>(std::max(0, intArg(i, arg)));
-        } else if (arg == "--no-simd") {
-            opt.check.simd = false;
         } else if (arg == "--list") {
             opt.list = true;
         } else if (arg == "--help" || arg == "-h") {

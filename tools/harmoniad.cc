@@ -35,8 +35,6 @@
  *                     files degrade to a logged cold start.
  *                     Responses are byte-identical either way.
  *                     Ignored under --no-cache.
- *   --no-simd         Run lattice evaluations through the scalar
- *                     reference path (responses are byte-identical).
  *   --coalesce-us N   Fixed coalescing window in microseconds
  *                     (default: adaptive; 0 = no coalescing).
  *   --max-configs N   Per-request config-list cap (default 1024).
@@ -74,9 +72,8 @@ usage(int status)
                  "--stdio) [--device NAME]\n"
                  "                 [--list-devices] [--jobs N] "
                  "[--no-batching] [--no-cache]\n"
-                 "                 [--cache-file PATH]\n"
-                 "                 [--no-simd] [--coalesce-us N] "
-                 "[--max-configs N] [--max-sessions N]\n"
+                 "                 [--cache-file PATH] [--coalesce-us N]\n"
+                 "                 [--max-configs N] [--max-sessions N]\n"
                  "                 [--max-connections N] "
                  "[--idle-timeout-ms N]\n"
                  "                 [--max-write-buf BYTES] [--seed N]\n";
@@ -142,8 +139,6 @@ main(int argc, char **argv)
                 usage(2);
             }
             service.cacheFile = argv[++i];
-        } else if (arg == "--no-simd") {
-            service.simd = false;
         } else if (arg == "--coalesce-us") {
             server.coalesceMicros = std::max(0, intArg(i, arg));
         } else if (arg == "--max-configs") {
