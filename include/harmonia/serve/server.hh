@@ -1,6 +1,6 @@
 /**
  * @file
- * harmoniad's I/O front-end: a single-threaded poll() reactor over a
+ * harmoniad's I/O front-end: a single-threaded ppoll() reactor over a
  * Unix-domain listener, a TCP listener, or stdin/stdout, feeding
  * request lines from every connection into the Service in coalescing
  * windows.
@@ -20,8 +20,10 @@
  * sockets in one wake-up form one batch, so same-(kernel, iteration)
  * evaluates from different clients fuse into a single lattice run
  * (the `stats` verb reports the cross-connection fusion counters).
- * An idle loop blocks in poll() indefinitely; the window only ever
- * delays work that is already queued behind other work.
+ * An idle loop blocks in ppoll() indefinitely; the window only ever
+ * delays work that is already queued behind other work. The sleep
+ * ends on the window's deadline to the microsecond (ns timeout, 1 ns
+ * timer slack), so a few-microsecond window costs a few microseconds.
  *
  * Containment: every connection is non-blocking with its own read
  * and write buffers. Partial writes are parked and re-armed with
@@ -117,7 +119,10 @@ class Server
      */
     Status start();
 
-    /** Serve until EOF/SIGTERM/shutdown-verb; 0 on clean drain. */
+    /**
+     * Serve until EOF/SIGTERM/shutdown-verb; 0 on clean drain. Sets
+     * the calling thread's timer slack to 1 ns for precise wake-ups.
+     */
     int run();
 
     /** Bound TCP port after start() (0 when no TCP listener). */

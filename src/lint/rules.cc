@@ -13,8 +13,9 @@
  *    FMA contraction forks the scalar and vector arithmetic.
  *  - layering: the public facade stays the only doorway for tools
  *    and examples, the serving layer never throws across the
- *    protocol boundary, and modules build devices from DeviceRegistry
- *    profiles instead of the raw hd7970 config factory.
+ *    protocol boundary and never sleeps at millisecond granularity,
+ *    and modules build devices from DeviceRegistry profiles instead
+ *    of the raw hd7970 config factory.
  *  - hygiene: include guards and no using-namespace in headers.
  *
  * Each rule fires exactly once per fixture in tests/test_lint.cpp; a
@@ -633,6 +634,64 @@ class ServeNoThrow : public LintRule
     }
 };
 HARMONIA_REGISTER_LINT_RULE(ServeNoThrow)
+
+/**
+ * The reactor waits out coalescing windows of a few microseconds.
+ * poll() and epoll_wait() take their timeout in whole milliseconds,
+ * so a wait through them rounds every window up to 1 ms — the
+ * latency floor harmoniad once had. select() goes with them: it is
+ * capped at FD_SETSIZE descriptors, and the reactor has exactly one
+ * wait, ppoll(). The load client (tools/harmonia_client.cpp) is not
+ * the reactor and stays out of scope.
+ */
+class ServePreciseTimeout : public LintRule
+{
+  public:
+    std::string id() const override
+    {
+        return "serve-precise-timeout";
+    }
+
+    std::string description() const override
+    {
+        return "src/serve/ waits only in ppoll() (ns timeout): no "
+               "poll()/epoll_wait() (ms timeouts) or select()";
+    }
+
+    void check(const Project &project,
+               std::vector<Diagnostic> &out) const override
+    {
+        for (const SourceFile &file : project.files()) {
+            if (!file.under("src/serve/"))
+                continue;
+            const auto &lines = file.codeLines();
+            for (size_t ln = 0; ln < lines.size(); ++ln) {
+                for (std::string_view tok :
+                     {"poll", "epoll_wait", "select"}) {
+                    const std::string &line = lines[ln];
+                    const size_t pos = findToken(line, tok, 0);
+                    if (pos == std::string::npos ||
+                        memberAccessBefore(line, pos))
+                        continue;
+                    const size_t after =
+                        skipSpace(line, pos + tok.size());
+                    if (after >= line.size() || line[after] != '(')
+                        continue;
+                    out.push_back(makeDiagnostic(
+                        *this, file, static_cast<int>(ln + 1),
+                        std::string(tok) +
+                            "(): the reactor waits only in ppoll(); "
+                            "millisecond timeouts round its "
+                            "microsecond coalescing window up to 1 ms",
+                        "wait with ppoll() and a timespec from "
+                        "wakeTimeout() (src/serve/wake.hh)"));
+                    break;
+                }
+            }
+        }
+    }
+};
+HARMONIA_REGISTER_LINT_RULE(ServePreciseTimeout)
 
 // --- hygiene -----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 #include "harmonia/serve/server.hh"
 
+#include "serve/wake.hh"
+
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -13,6 +15,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -56,11 +59,27 @@ nowMicros()
 /** The hard cap on the adaptive coalescing window. */
 constexpr int kMaxWindowMicros = 2000;
 
+/** Re-check period while draining toward shutdown. */
+constexpr long long kDrainTickMicros = 10000;
+
 /** Compact a partially-flushed write buffer once the sent prefix
  * dominates; keeps flushing O(bytes) instead of O(bytes^2). */
 constexpr size_t kCompactThresholdBytes = 1u << 20;
 
 } // namespace
+
+const timespec *
+wakeTimeout(long long nowUs, long long wakeAtUs, bool draining,
+            timespec &storage)
+{
+    if (!draining && wakeAtUs < 0)
+        return nullptr;
+    const long long sleepUs =
+        draining ? kDrainTickMicros : std::max(0LL, wakeAtUs - nowUs);
+    storage.tv_sec = static_cast<time_t>(sleepUs / 1000000);
+    storage.tv_nsec = static_cast<long>(sleepUs % 1000000 * 1000);
+    return &storage;
+}
 
 Server::Server(Service &service, ServerOptions options)
     : service_(service), options_(std::move(options))
@@ -542,6 +561,9 @@ Server::run()
         std::cerr << "harmoniad: " << s.message() << '\n';
         return 1;
     }
+    // The adaptive window is a few microseconds; the default 50 us
+    // timer slack would stretch every wake-up well past it.
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
 
     while (true) {
         // Drain condition: stop was requested (signal, shutdown verb,
@@ -609,6 +631,8 @@ Server::run()
         // Sleep until the earliest of: coalescing-window expiry, the
         // nearest idle-eviction deadline, or (while draining) a short
         // re-check tick. Idle with none of those: block indefinitely.
+        // ppoll() takes the deadline to the microsecond; a
+        // millisecond timeout would round every window up to 1 ms.
         const long long pollStart = nowMicros();
         long long wakeAtUs = -1;
         auto considerWake = [&](long long t) {
@@ -627,22 +651,12 @@ Server::run()
                 considerWake(conn->lastActivityMicros + limitUs);
             }
         }
-        int timeoutMs = -1;
-        if (draining) {
-            timeoutMs = 10;
-        } else if (wakeAtUs >= 0) {
-            const long long remaining = wakeAtUs - pollStart;
-            timeoutMs = remaining <= 0
-                            ? 0
-                            : static_cast<int>((remaining + 999) /
-                                               1000);
-        }
-
-        const int rc =
-            poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                 timeoutMs);
+        timespec timeout{};
+        const int rc = ppoll(
+            fds.data(), static_cast<nfds_t>(fds.size()),
+            wakeTimeout(pollStart, wakeAtUs, draining, timeout), nullptr);
         if (rc < 0 && errno != EINTR) {
-            std::cerr << "harmoniad: poll(): " << std::strerror(errno)
+            std::cerr << "harmoniad: ppoll(): " << std::strerror(errno)
                       << '\n';
             return 1;
         }

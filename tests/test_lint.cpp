@@ -321,6 +321,54 @@ TEST(LintRules, ServeNoThrowCoversServingTools)
     EXPECT_EQ(diags[1].file, "tools/harmoniad.cc");
 }
 
+// A millisecond-granularity wait in the serving layer rounds the
+// reactor's microsecond coalescing window up to 1 ms.
+TEST(LintRules, ServePreciseTimeoutFires)
+{
+    const Project p =
+        ProjectBuilder()
+            .add("src/serve/loop.cc",
+                 "#include <poll.h>\n"
+                 "int f(pollfd *fds) {\n"
+                 "    return poll (fds, 1, 1);\n"
+                 "}\n"
+                 "int g(int ep, epoll_event *ev) {\n"
+                 "    return ::epoll_wait(ep, ev, 8, 1);\n"
+                 "}\n"
+                 "int h() { return select(0, 0, 0, 0, 0); }\n")
+            .build();
+    const auto diags = runRule("serve-precise-timeout", p);
+    ASSERT_EQ(diags.size(), 3u);
+    EXPECT_EQ(diags[0].file, "src/serve/loop.cc");
+    EXPECT_EQ(diags[0].line, 3);
+    EXPECT_EQ(diags[1].line, 6);
+    EXPECT_EQ(diags[2].line, 8);
+}
+
+// ppoll(), pollfd/POLLIN, members named select, comments, strings and
+// waits outside src/serve/ (the load client included) are all fine.
+TEST(LintRules, ServePreciseTimeoutAllowsPpollAndOtherLayers)
+{
+    const Project p =
+        ProjectBuilder()
+            .add("src/serve/loop.cc",
+                 "// the old poll() reactor\n"
+                 "int f(pollfd *fds, const timespec *t) {\n"
+                 "    fds[0].events = POLLIN;\n"
+                 "    log(\"ppoll(): failed; poll(\");\n"
+                 "    return ppoll(fds, 1, t, nullptr);\n"
+                 "}\n"
+                 "int g(Picker &p) { return p.select(1) + "
+                 "p->select (2); }\n"
+                 "int poll_count = 0;\n")
+            .add("tools/harmonia_client.cpp",
+                 "int f(pollfd *fds) { return poll(fds, 1, 5); }\n")
+            .add("src/exp/wait.cc",
+                 "int g(pollfd *fds) { return poll(fds, 1, 5); }\n")
+            .build();
+    EXPECT_TRUE(runRule("serve-precise-timeout", p).empty());
+}
+
 // --- hygiene -----------------------------------------------------------
 
 TEST(LintRules, HeaderGuardFiresOnUnguardedHeader)
@@ -373,7 +421,7 @@ TEST(LintRules, UsingNamespaceInHeaderFires)
 TEST(LintRegistry, CatalogIsCompleteSortedAndSearchable)
 {
     const auto rules = RuleRegistry::instance().all();
-    EXPECT_EQ(rules.size(), 10u);
+    EXPECT_EQ(rules.size(), 11u);
     EXPECT_TRUE(std::is_sorted(
         rules.begin(), rules.end(),
         [](const LintRule *a, const LintRule *b) {

@@ -15,7 +15,10 @@
  *  - write backpressure: a client that requests megabytes and never
  *    reads is shed at the buffer cap, alone;
  *  - --max-connections: connects past the cap get one structured
- *    resource_exhausted reply, existing connections keep working.
+ *    resource_exhausted reply, existing connections keep working;
+ *  - wake-up precision: the reactor sleeps exactly to its coalescing
+ *    deadline (wakeTimeout), so the adaptive window adds no
+ *    millisecond floor to a lone client's cached round trip.
  *
  * The transport counters these paths tick are asserted through the
  * public `stats` verb, the same way an operator would see them.
@@ -23,6 +26,7 @@
 
 #include "harmonia/serve/server.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -46,6 +50,7 @@
 #include "harmonia/serve/protocol.hh"
 #include "harmonia/serve/service.hh"
 #include "harmonia/workloads/suite.hh"
+#include "serve/wake.hh"
 
 using namespace harmonia;
 using namespace harmonia::serve;
@@ -154,6 +159,23 @@ evaluateAllLine(const std::string &id, const std::string &kernel)
            "\",\"id\":\"" + id +
            "\",\"verb\":\"evaluate\",\"kernel\":\"" + kernel +
            "\",\"iteration\":0,\"configs\":\"all\"}\n";
+}
+
+/** A governor-style evaluate: eight on-lattice configs of one key. */
+std::string
+evaluateSliceLine(const std::string &id, const std::string &kernel)
+{
+    std::string configs;
+    for (int i = 0; i < 8; ++i) {
+        configs += std::string(i == 0 ? "" : ",") + "{\"cu\":" +
+                   std::to_string(4 + 4 * i) + ",\"compute_mhz\":" +
+                   std::to_string(300 + 100 * i) + ",\"mem_mhz\":" +
+                   std::to_string(475 + 150 * (i % 7)) + "}";
+    }
+    return std::string("{\"schema\":\"") + kRequestSchema +
+           "\",\"id\":\"" + id +
+           "\",\"verb\":\"evaluate\",\"kernel\":\"" + kernel +
+           "\",\"iteration\":0,\"configs\":[" + configs + "]}\n";
 }
 
 /** One blocking request/response round trip on @p fd. */
@@ -469,6 +491,112 @@ TEST(ServeReactor, MaxConnectionsRejectsWithStructuredError)
     EXPECT_GE(transportCounter(b, "rejected"), 1);
     close(a);
     close(b);
+}
+
+// --- wake-up precision --------------------------------------------------
+
+// A coalescing window of a few microseconds sleeps for exactly that,
+// not for a millisecond.
+TEST(ServeReactorWake, MicrosecondsLeftBecomeNanoseconds)
+{
+    timespec ts{};
+    const timespec *t = wakeTimeout(1000, 1005, false, ts);
+    ASSERT_EQ(t, &ts);
+    EXPECT_EQ(ts.tv_sec, 0);
+    EXPECT_EQ(ts.tv_nsec, 5000);
+}
+
+TEST(ServeReactorWake, PassedDeadlineIsZeroTimeout)
+{
+    for (const long long wakeAt : {1500LL, 2000LL}) {
+        timespec ts{7, 7};
+        ASSERT_EQ(wakeTimeout(2000, wakeAt, false, ts), &ts);
+        EXPECT_EQ(ts.tv_sec, 0);
+        EXPECT_EQ(ts.tv_nsec, 0);
+    }
+}
+
+TEST(ServeReactorWake, NoDeadlineBlocks)
+{
+    timespec ts{};
+    EXPECT_EQ(wakeTimeout(1000, -1, false, ts), nullptr);
+}
+
+// Draining re-checks on a fixed 10 ms tick, deadline or not.
+TEST(ServeReactorWake, DrainingTicks)
+{
+    for (const long long wakeAt : {-1LL, 1005LL}) {
+        timespec ts{};
+        ASSERT_EQ(wakeTimeout(1000, wakeAt, true, ts), &ts);
+        EXPECT_EQ(ts.tv_sec, 0);
+        EXPECT_EQ(ts.tv_nsec, 10000000);
+    }
+}
+
+TEST(ServeReactorWake, SecondsSplitFromNanoseconds)
+{
+    timespec ts{};
+    ASSERT_EQ(wakeTimeout(0, 2500000, false, ts), &ts);
+    EXPECT_EQ(ts.tv_sec, 2);
+    EXPECT_EQ(ts.tv_nsec, 500000000);
+}
+
+/**
+ * Median of 200 closed-loop round trips of one cached evaluate from a
+ * lone Unix-socket client of a fresh reactor with @p sopt; <0 when a
+ * request fails.
+ */
+double
+medianCachedRoundTripMs(const ServerOptions &sopt)
+{
+    Reactor reactor(sopt);
+    const int fd = reactor.ok() ? connectUnix(reactor.socketPath()) : -1;
+    if (fd < 0)
+        return -1.0;
+    const std::string request = evaluateSliceLine("e", firstKernelId());
+    // The first request fills the cache and the service-time EWMA.
+    std::string reply;
+    bool ok = roundTrip(fd, request, reply) && replyOk(reply);
+    std::vector<double> ms;
+    for (int i = 0; ok && i < 200; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ok = roundTrip(fd, request, reply) && replyOk(reply);
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+    }
+    close(fd);
+    if (!ok)
+        return -1.0;
+    std::nth_element(ms.begin(), ms.begin() + 100, ms.end());
+    return ms[100];
+}
+
+// One client, the default adaptive window, one cached key. The window
+// is an eighth of the service time, so a round trip may exceed one
+// without a window (--coalesce-us 0) by that eighth and no more; 0.5
+// ms of slack on top covers noise. A reactor that rounded its sleep up
+// to whole milliseconds added >= 1 ms to every request, so on an
+// optimized build (~0.1 ms round trips) the bound separates the two
+// widely. Comparing against the no-window median keeps the test valid
+// on slow sanitizer builds too. The best of three attempts rides out a
+// burst of host load.
+TEST(ServeReactor, LoneClientHasNoMillisecondFloor)
+{
+    ServerOptions immediate;
+    immediate.coalesceMicros = 0;
+    double bestExcessMs = 1e9;
+    for (int attempt = 0; attempt < 3 && bestExcessMs >= 0.5;
+         ++attempt) {
+        const double adaptiveMs =
+            medianCachedRoundTripMs(ServerOptions{});
+        const double immediateMs = medianCachedRoundTripMs(immediate);
+        ASSERT_GE(adaptiveMs, 0.0);
+        ASSERT_GE(immediateMs, 0.0);
+        bestExcessMs = std::min(bestExcessMs,
+                                adaptiveMs - immediateMs * 9.0 / 8.0);
+    }
+    EXPECT_LT(bestExcessMs, 0.5);
 }
 
 } // namespace

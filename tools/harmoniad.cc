@@ -35,8 +35,8 @@
  *                     files degrade to a logged cold start.
  *                     Responses are byte-identical either way.
  *                     Ignored under --no-cache.
- *   --coalesce-us N   Fixed coalescing window in microseconds
- *                     (default: adaptive; 0 = no coalescing).
+ *   --coalesce-us N   Coalescing window in microseconds: -1 =
+ *                     adaptive (default), 0 = none, N > 0 = fixed.
  *   --max-configs N   Per-request config-list cap (default 1024).
  *   --max-sessions N  Concurrent governor-session cap (default 256).
  *   --max-connections N  Concurrent client connections (default 64);
@@ -73,6 +73,8 @@ usage(int status)
                  "                 [--list-devices] [--jobs N] "
                  "[--no-batching] [--no-cache]\n"
                  "                 [--cache-file PATH] [--coalesce-us N]\n"
+                 "                 (--coalesce-us: -1 = adaptive "
+                 "(default), 0 = none)\n"
                  "                 [--max-configs N] [--max-sessions N]\n"
                  "                 [--max-connections N] "
                  "[--idle-timeout-ms N]\n"
@@ -140,7 +142,8 @@ main(int argc, char **argv)
             }
             service.cacheFile = argv[++i];
         } else if (arg == "--coalesce-us") {
-            server.coalesceMicros = std::max(0, intArg(i, arg));
+            // Any negative value selects the adaptive window.
+            server.coalesceMicros = std::max(-1, intArg(i, arg));
         } else if (arg == "--max-configs") {
             service.maxConfigsPerRequest =
                 static_cast<size_t>(std::max(1, intArg(i, arg)));
