@@ -8,7 +8,8 @@
 # The drain writes the persistent point-cache snapshot (--cache-file),
 # and a second daemon lifetime replays an identical burst against it
 # to prove a warm restart actually serves from the snapshot
-# (cache.persistent warm_hits > 0 in the stats verb).
+# (cache.persistent warm_hits > 0 in the stats verb) and restored every
+# point the first lifetime's cache held.
 # Used by ctest (serve_smoke) and the CI smoke stage.
 #
 # usage: serve_smoke.sh /path/to/harmoniad /path/to/harmonia_client
@@ -36,6 +37,15 @@ wait_for_socket() {
     done
     echo "serve_smoke: socket never appeared" >&2
     exit 1
+}
+
+# hd7970_stat STATS_OUTPUT PREFIX: the number following PREFIX inside
+# the stats reply's devices.active.hd7970 object (which nests objects
+# one level deep).
+hd7970_stat() {
+    printf '%s\n' "$1" |
+        grep -oE '"hd7970":\{([^{}]|\{[^{}]*\})*\}' | head -n 1 |
+        sed -n "s/.*$2\([0-9][0-9]*\).*/\1/p"
 }
 
 # SIGTERM the daemon and require a clean exit plus the drain marker.
@@ -100,8 +110,11 @@ if [ -z "$TCP_PORT" ]; then
 fi
 "$CLIENT" --tcp "127.0.0.1:$TCP_PORT" --clients 16 --requests 100 \
     --mix mixed --configs 8 --kernels 4 --stats
-"$CLIENT" --tcp "127.0.0.1:$TCP_PORT" --clients 16 --requests 48 \
-    --mix evaluate --configs 16 --kernels 2 --quiet
+# Its stats reply is the last word before the drain: the point cache
+# it reports is exactly what the snapshot must hold.
+FINAL_OUT=$("$CLIENT" --tcp "127.0.0.1:$TCP_PORT" --clients 16 \
+    --requests 48 --mix evaluate --configs 16 --kernels 2 --quiet --stats)
+FINAL_POINTS=$(hd7970_stat "$FINAL_OUT" '"point_cache_points":')
 
 # Graceful SIGTERM drain: daemon must exit 0, report its shutdown
 # stats line, and leave the persistent snapshot behind.
@@ -134,6 +147,18 @@ if [ -z "$WARM_HITS" ] || [ "$WARM_HITS" -eq 0 ]; then
     exit 1
 fi
 echo "serve_smoke: warm restart served $WARM_HITS snapshot hits"
+
+# The drain must have persisted every point the first lifetime held:
+# the restored section's point count equals its final point cache.
+WARM_POINTS=$(hd7970_stat "$WARM_OUT" '"snapshot":{"entries":[0-9]*,"points":')
+if [ -z "$FINAL_POINTS" ] || [ "$FINAL_POINTS" -eq 0 ] ||
+    [ "$WARM_POINTS" != "$FINAL_POINTS" ]; then
+    echo "serve_smoke: restored ${WARM_POINTS:-?} hd7970 snapshot" \
+        "points, first lifetime held ${FINAL_POINTS:-?}" >&2
+    printf '%s\n' "$FINAL_OUT" "$WARM_OUT" >&2
+    exit 1
+fi
+echo "serve_smoke: snapshot restored all $WARM_POINTS hd7970 points"
 
 drain_daemon
 

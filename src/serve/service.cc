@@ -69,6 +69,27 @@ kernelResultJson(const HardwareConfig &cfg, const KernelResult &r)
     });
 }
 
+/** An evaluate result around its encoded @p results. */
+JsonValue
+evaluateEnvelope(const EvaluateParams &p, const std::string &device,
+                 JsonValue results)
+{
+    const int64_t count =
+        static_cast<int64_t>(results.asArray().size());
+    JsonValue out = JsonValue::object({
+        {"kernel", JsonValue(p.kernel)},
+        {"iteration", JsonValue(p.iteration)},
+        {"points", JsonValue(count)},
+        {"results", std::move(results)},
+    });
+    // Only requests that selected a device echo it back: device-less
+    // request streams keep byte-identical responses across the
+    // introduction of the registry.
+    if (!p.device.empty())
+        out.set("device", JsonValue(device));
+    return out;
+}
+
 } // namespace
 
 /** One request line moving through processBatch. */
@@ -91,20 +112,63 @@ struct Service::EvalGroup
     std::vector<size_t> members; ///< Indices into the pending vector.
 };
 
-/** Sparse per-(device, kernel, iteration) lattice results. */
+/**
+ * The evaluated points of one (device, kernel, iteration): only the
+ * slots some request asked for, in the same shape as a SnapshotEntry.
+ */
 struct Service::PointCacheEntry
 {
-    explicit PointCacheEntry(size_t points)
-        : results(points), present(points, 0), fromSnapshot(points, 0)
+    std::vector<uint32_t> slots;       ///< Lattice indices, sorted unique.
+    std::vector<KernelResult> results; ///< Parallel to slots.
+
+    /** Parallel to slots: 1 where the point was restored from the
+     * durable snapshot rather than computed this process (warm/cold
+     * hit stats). */
+    std::vector<char> fromSnapshot;
+
+    /** Position of @p slot in `slots`, or slots.size() if absent. */
+    size_t find(uint32_t slot) const
     {
+        const auto it =
+            std::lower_bound(slots.begin(), slots.end(), slot);
+        return it != slots.end() && *it == slot
+                   ? static_cast<size_t>(it - slots.begin())
+                   : slots.size();
     }
 
-    std::vector<KernelResult> results;
-    std::vector<char> present;
+    /** Merge freshly computed points (sorted, unique, none present)
+     * in place, from the back. */
+    void merge(const std::vector<uint32_t> &addSlots,
+               const std::vector<KernelResult> &addResults)
+    {
+        size_t old = slots.size();
+        size_t add = addSlots.size();
+        const size_t total = old + add;
+        slots.resize(total);
+        results.resize(total);
+        fromSnapshot.resize(total);
+        for (size_t out = total; add > 0; --out) {
+            if (old > 0 && slots[old - 1] > addSlots[add - 1]) {
+                --old;
+                slots[out - 1] = slots[old];
+                results[out - 1] = results[old];
+                fromSnapshot[out - 1] = fromSnapshot[old];
+            } else {
+                --add;
+                slots[out - 1] = addSlots[add];
+                results[out - 1] = addResults[add];
+                fromSnapshot[out - 1] = 0;
+            }
+        }
+    }
 
-    /** 1 where the point was restored from the durable snapshot
-     * rather than computed this process (warm/cold hit stats). */
-    std::vector<char> fromSnapshot;
+    /** Heap bytes held by the three vectors. */
+    size_t bytes() const
+    {
+        return slots.capacity() * sizeof(uint32_t) +
+               results.capacity() * sizeof(KernelResult) +
+               fromSnapshot.capacity() * sizeof(char);
+    }
 };
 
 /**
@@ -167,14 +231,17 @@ struct Service::DeviceState
     ConfigSweep sweep;
 
     /**
-     * Partial-lattice result cache: SweepKey -> sparse lattice-sized
-     * vector. Reuses the sweep memo's transparent hash; a full-lattice
-     * result in this device's sweep memo supersedes it.
+     * Partial-lattice result cache: SweepKey -> the points requests
+     * computed for that invocation (never a lattice-sized vector).
+     * Reuses the sweep memo's transparent hash; a full-lattice result
+     * in this device's sweep memo supersedes it.
      */
-    std::unordered_map<detail::SweepKey,
-                       std::unique_ptr<PointCacheEntry>,
+    std::unordered_map<detail::SweepKey, PointCacheEntry,
                        detail::SweepKeyHash, detail::SweepKeyEqual>
         points;
+
+    uint64_t pointCachePoints = 0; ///< Points resident in `points`.
+    uint64_t pointCacheBytes = 0;  ///< Heap bytes its entries hold.
 
     // The predictor must outlive any governor pointing at it; sessions
     // are torn down before device states (member order in Service).
@@ -334,20 +401,7 @@ Service::evaluateResultJson(const DeviceState &dev,
             results.push(
                 kernelResultJson(cfg, full[dev.sweep.indexOf(cfg)]));
     }
-    const int64_t count =
-        static_cast<int64_t>(results.asArray().size());
-    JsonValue out = JsonValue::object({
-        {"kernel", JsonValue(p.kernel)},
-        {"iteration", JsonValue(p.iteration)},
-        {"points", JsonValue(count)},
-        {"results", std::move(results)},
-    });
-    // Only requests that selected a device echo it back: device-less
-    // request streams keep byte-identical responses across the
-    // introduction of the registry.
-    if (!p.device.empty())
-        out.set("device", JsonValue(dev.device.name()));
-    return out;
+    return evaluateEnvelope(p, dev.device.name(), std::move(results));
 }
 
 JsonValue
@@ -355,7 +409,13 @@ Service::evaluateResultJson(const DeviceState &dev,
                             const EvaluateParams &p,
                             const PointCacheEntry &entry)
 {
-    return evaluateResultJson(dev, p, entry.results);
+    JsonValue results = JsonValue::array();
+    for (const HardwareConfig &cfg : p.configs) {
+        const size_t at = entry.find(
+            static_cast<uint32_t>(dev.sweep.indexOf(cfg)));
+        results.push(kernelResultJson(cfg, entry.results.at(at)));
+    }
+    return evaluateEnvelope(p, dev.device.name(), std::move(results));
 }
 
 void
@@ -406,52 +466,61 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     } else {
         // Partial-lattice path: compute the deduplicated union of the
         // group's missing points in one factored lattice run.
-        PointCacheEntry *entry = nullptr;
-        std::unique_ptr<PointCacheEntry> scratch;
+        PointCacheEntry scratch;
+        PointCacheEntry *entry = &scratch;
         if (options_.cache) {
-            auto &slot = dev.points[detail::SweepKey{
-                dev.device.name(), profile.id(), iteration}];
-            if (!slot) {
-                slot = std::make_unique<PointCacheEntry>(
-                    dev.sweep.configs().size());
+            auto [it, fresh] = dev.points.try_emplace(detail::SweepKey{
+                dev.device.name(), profile.id(), iteration});
+            if (fresh)
                 materializeFromSnapshot(dev, profile.id(), iteration,
-                                        *slot);
-            }
-            entry = slot.get();
-        } else {
-            scratch = std::make_unique<PointCacheEntry>(
-                dev.sweep.configs().size());
-            entry = scratch.get();
+                                        it->second);
+            entry = &it->second;
         }
 
-        std::vector<size_t> missing;
-        std::vector<HardwareConfig> missingConfigs;
+        // Hits are counted per requested config; every miss is
+        // queued, and a config queued twice in one group is computed
+        // once and counted as a cold hit the second time.
+        std::vector<uint32_t> missing;
         for (const size_t idx : group.members) {
             for (const HardwareConfig &cfg :
                  pending[idx].req.evaluate.configs) {
-                const size_t slot = dev.sweep.indexOf(cfg);
-                if (entry->present[slot]) {
-                    if (persistent_) {
-                        if (entry->fromSnapshot[slot])
-                            ++persistent_->warmHits;
-                        else
-                            ++persistent_->coldHits;
-                    }
-                    continue;
+                const auto slot =
+                    static_cast<uint32_t>(dev.sweep.indexOf(cfg));
+                const size_t at = entry->find(slot);
+                if (at == entry->slots.size()) {
+                    missing.push_back(slot);
+                } else if (persistent_) {
+                    if (entry->fromSnapshot[at])
+                        ++persistent_->warmHits;
+                    else
+                        ++persistent_->coldHits;
                 }
-                entry->present[slot] = 1; // Marks "queued" too.
-                missing.push_back(slot);
-                missingConfigs.push_back(cfg);
             }
         }
+        std::sort(missing.begin(), missing.end());
+        const size_t queued = missing.size();
+        missing.erase(std::unique(missing.begin(), missing.end()),
+                      missing.end());
+        if (persistent_)
+            persistent_->coldHits += queued - missing.size();
 
         if (!missing.empty()) {
+            const std::vector<HardwareConfig> &lattice =
+                dev.sweep.configs();
+            std::vector<HardwareConfig> missingConfigs;
+            missingConfigs.reserve(missing.size());
+            for (const uint32_t slot : missing)
+                missingConfigs.push_back(lattice[slot]);
             std::vector<KernelResult> computed(missing.size());
             dev.device.runLattice(profile, profile.phase(iteration),
                                   missingConfigs, computed.data(),
                                   &dev.sweep.pool());
-            for (size_t i = 0; i < missing.size(); ++i)
-                entry->results[missing[i]] = computed[i];
+            const size_t bytesBefore = entry->bytes();
+            entry->merge(missing, computed);
+            if (options_.cache) {
+                dev.pointCachePoints += missing.size();
+                dev.pointCacheBytes += entry->bytes() - bytesBefore;
+            }
             latticeRuns = 1;
             pointsComputed = missing.size();
         }
@@ -649,12 +718,12 @@ Service::materializeFromSnapshot(DeviceState &dev,
                   << "; recomputing\n";
         return;
     }
-    for (size_t i = 0; i < decoded.slots.size(); ++i) {
-        const uint32_t idx = decoded.slots[i];
-        entry.results[idx] = decoded.results[i];
-        entry.present[idx] = 1;
-        entry.fromSnapshot[idx] = 1;
-    }
+    // Decoded slots are sorted and unique: the entry's own shape.
+    entry.slots = std::move(decoded.slots);
+    entry.results = std::move(decoded.results);
+    entry.fromSnapshot.assign(entry.slots.size(), 1);
+    dev.pointCachePoints += entry.slots.size();
+    dev.pointCacheBytes += entry.bytes();
 }
 
 Status
@@ -684,7 +753,7 @@ Service::savePersistentCache()
         cached.reserve(state->points.size());
         for (auto it = state->points.begin();
              it != state->points.end(); ++it)
-            cached.emplace_back(&it->first, it->second.get());
+            cached.emplace_back(&it->first, &it->second);
         std::sort(cached.begin(), cached.end(),
                   [](const auto &a, const auto &b) {
                       if (a.first->kernelId != b.first->kernelId)
@@ -693,18 +762,11 @@ Service::savePersistentCache()
                   });
 
         for (const auto &[key, entry] : cached) {
-            SnapshotEntry out;
-            out.kernel = key->kernelId;
-            out.iteration = key->iteration;
-            for (size_t i = 0; i < entry->present.size(); ++i) {
-                if (!entry->present[i])
-                    continue;
-                out.slots.push_back(static_cast<uint32_t>(i));
-                out.results.push_back(entry->results[i]);
-            }
-            if (out.slots.empty())
+            if (entry->slots.empty())
                 continue;
-            section.entries.push_back(std::move(out));
+            section.entries.push_back(SnapshotEntry{
+                key->kernelId, key->iteration, entry->slots,
+                entry->results});
         }
 
         // Restored entries no request touched are still warmth worth
@@ -1058,6 +1120,12 @@ Service::statsJson() const
         {"point_cache_invocations",
          JsonValue(
              static_cast<int64_t>(defaultDevice_->points.size()))},
+        {"point_cache_points",
+         JsonValue(static_cast<int64_t>(
+             defaultDevice_->pointCachePoints))},
+        {"point_cache_bytes",
+         JsonValue(static_cast<int64_t>(
+             defaultDevice_->pointCacheBytes))},
         {"trained", JsonValue(defaultDevice_->predictor.has_value())},
         {"jobs", JsonValue(options_.jobs)},
         {"batching", JsonValue(options_.batching)},
@@ -1099,6 +1167,12 @@ Service::statsJson() const
                  })},
                 {"point_cache_invocations",
                  JsonValue(static_cast<int64_t>(state->points.size()))},
+                {"point_cache_points",
+                 JsonValue(static_cast<int64_t>(
+                     state->pointCachePoints))},
+                {"point_cache_bytes",
+                 JsonValue(static_cast<int64_t>(
+                     state->pointCacheBytes))},
                 {"snapshot",
                  JsonValue::object({
                      {"entries", JsonValue(static_cast<int64_t>(
