@@ -1,24 +1,34 @@
 /**
  * @file
- * Parallel design-space sweep engine.
+ * Parallel design-space sweep engine and the store of evaluated
+ * points.
  *
- * Every paper artifact replays kernels across the 8x8x7 = 448-point
- * tunable space: the ED^2 oracle (Section 6), the sensitivity
+ * Every paper artifact replays kernels across the device's tunable
+ * lattice (8x8x7 = 448 points on the HD7970; docs/DEVICES.md lists
+ * the others): the ED^2 oracle (Section 6), the sensitivity
  * ground-truth sweeps (Section 4.1), predictor training, and the
  * Figure 10-18 campaign. ConfigSweep owns that enumeration in exactly
  * one place (the canonical mem-major order of
- * ConfigSpace::allConfigs()) and evaluates a kernel invocation at
- * every point with a ThreadPool, memoizing the 448-result vector per
- * (app, kernel, iteration) so repeated searches — the oracle visits
- * each invocation once per scheme, benches rerun figures — hit the
- * cache instead of the timing model.
+ * ConfigSpace::allConfigs()) and evaluates a kernel invocation with a
+ * ThreadPool.
  *
- * Determinism: the device model is const and purely functional, each
- * configuration's result is written to its own pre-assigned slot, and
- * any randomness a sweep consumer needs must come from
- * sweepSubstream(seed, taskIndex), whose stream depends only on the
- * task index — never on which worker ran the task or in what order.
- * Parallel sweeps are therefore bit-identical to serial ones
+ * The memo is the one store of evaluated points. Each (kernel,
+ * iteration) has one SweepEntry: sorted lattice slots and their
+ * results. evaluate() completes an entry to the whole lattice;
+ * fill() adds only the slots a caller names, which is what the
+ * serving daemon asks for at a kernel boundary (Algorithm 1 weighs a
+ * few neighbouring configurations). Either call runs only the slots
+ * the entry lacks, so a repeated search — the oracle visits each
+ * invocation once per scheme, benches rerun figures — hits the store
+ * instead of the timing model.
+ *
+ * Determinism: the device model is const and purely functional, and
+ * runLattice is bitwise identical to per-config run() over any subset
+ * of the lattice, so an entry's results do not depend on which calls
+ * filled which slots. Any randomness a sweep consumer needs must come
+ * from sweepSubstream(seed, taskIndex), whose stream depends only on
+ * the task index — never on which worker ran the task or in what
+ * order. Parallel sweeps are therefore bit-identical to serial ones
  * (tests/test_sweep_determinism.cpp).
  */
 
@@ -27,6 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -55,17 +66,9 @@ struct SweepOptions
 namespace detail
 {
 
-/**
- * The sweep memo key: (device name, kernel id string, iteration).
- * The device dimension exists so results evaluated on different
- * registered parts (sim/device_registry.hh) can never collide, even
- * when caches from several per-device sweeps are merged or compared
- * by key downstream (the serving daemon's point cache shares this
- * key type across its per-device states).
- */
+/** The sweep memo key: (kernel id string, iteration). */
 struct SweepKey
 {
-    std::string device;   ///< GpuDevice::name() of the part.
     std::string kernelId; ///< "App.Kernel".
     int iteration;
 
@@ -73,13 +76,12 @@ struct SweepKey
 };
 
 /**
- * Transparent view of a SweepKey. Lookups hash the device name and
- * the profile's app and name segments directly — byte-compatible
- * with hashing the stored key — so a cache hit allocates nothing.
+ * Transparent view of a SweepKey. Lookups hash the profile's app and
+ * name segments directly — byte-compatible with hashing the stored
+ * key — so a cache hit allocates nothing.
  */
 struct SweepKeyView
 {
-    std::string_view device;
     std::string_view app;
     std::string_view name;
     int iteration;
@@ -107,17 +109,13 @@ struct SweepKeyHash
 
     size_t operator()(const SweepKey &key) const
     {
-        size_t h = mix(0xcbf29ce484222325ull, key.device);
-        h = mix(h, std::string_view("/"));
-        h = mix(h, key.kernelId);
-        return finish(h, key.iteration);
+        return finish(mix(0xcbf29ce484222325ull, key.kernelId),
+                      key.iteration);
     }
 
     size_t operator()(const SweepKeyView &key) const
     {
-        size_t h = mix(0xcbf29ce484222325ull, key.device);
-        h = mix(h, std::string_view("/"));
-        h = mix(h, key.app);
+        size_t h = mix(0xcbf29ce484222325ull, key.app);
         h = mix(h, std::string_view("."));
         h = mix(h, key.name);
         return finish(h, key.iteration);
@@ -136,7 +134,7 @@ struct SweepKeyEqual
     bool operator()(const SweepKeyView &a, const SweepKey &b) const
     {
         const std::string_view id = b.kernelId;
-        return a.iteration == b.iteration && a.device == b.device &&
+        return a.iteration == b.iteration &&
                id.size() == a.app.size() + 1 + a.name.size() &&
                id.substr(0, a.app.size()) == a.app &&
                id[a.app.size()] == '.' &&
@@ -152,6 +150,27 @@ struct SweepKeyEqual
 } // namespace detail
 
 /**
+ * The evaluated points of one (kernel, iteration): sorted lattice
+ * slots and their results. A full lattice is the entry that holds
+ * every slot, so its results[i] belongs to ConfigSweep::configs()[i].
+ */
+struct SweepEntry
+{
+    std::vector<uint32_t> slots;       ///< Lattice indices, sorted unique.
+    std::vector<KernelResult> results; ///< Parallel to slots.
+
+    /** Parallel to slots: 1 where the point came in through
+     * ConfigSweep::restore() rather than being computed here. */
+    std::vector<char> restored;
+
+    /** Position of @p slot in `slots`, or slots.size() if absent. */
+    size_t find(uint32_t slot) const;
+
+    /** Heap bytes held by the three vectors. */
+    size_t bytes() const;
+};
+
+/**
  * Deterministic per-task RNG substream: the generator for task
  * @p taskIndex depends only on (@p baseSeed, @p taskIndex). Tasks may
  * be executed by any worker in any order and still draw identical
@@ -162,9 +181,9 @@ struct SweepKeyEqual
 Rng sweepSubstream(uint64_t baseSeed, uint64_t taskIndex);
 
 /**
- * The design-space sweep engine: canonical enumeration + parallel,
- * memoized evaluation of one kernel invocation across all 448
- * configurations.
+ * The design-space sweep engine: canonical enumeration, parallel
+ * evaluation of one kernel invocation over the lattice or a slice of
+ * it, and the per-device store of every point evaluated so far.
  */
 class ConfigSweep
 {
@@ -190,8 +209,10 @@ class ConfigSweep
 
     /**
      * Evaluate @p profile's iteration @p iteration at every
-     * configuration, in parallel, memoized by (kernel id, iteration).
-     * The returned reference stays valid for the sweep's lifetime.
+     * configuration, in parallel: runs the slots its entry lacks and
+     * returns the complete entry's results (index i is configs()[i]).
+     * A complete entry is never modified again, so the returned
+     * reference stays valid until clearCache().
      */
     const std::vector<KernelResult> &evaluate(const KernelProfile &profile,
                                               int iteration) const;
@@ -201,16 +222,41 @@ class ConfigSweep
                            const HardwareConfig &cfg) const;
 
     /**
-     * Memoized result vector for (@p profile, @p iteration) when it is
-     * already cached, nullptr otherwise — never computes. Lets layers
-     * with their own partial-evaluation path (the serving daemon's
-     * `evaluate` verb) harvest a full-lattice result for free without
-     * committing to a 448-point run on a miss. Counts as a cache hit
-     * when present; a miss is not recorded (the caller decides how to
-     * compute).
+     * Evaluate (@p profile, @p iteration) at @p slots only (lattice
+     * indices, sorted and unique): run the ones its entry lacks in one
+     * lattice run, merge them in, and return a copy of the requested
+     * points. @p computed, when given, receives how many points this
+     * call ran. The call counts as a cache hit when it ran nothing.
      */
-    const std::vector<KernelResult> *peek(const KernelProfile &profile,
-                                          int iteration) const;
+    SweepEntry fill(const KernelProfile &profile, int iteration,
+                    const std::vector<uint32_t> &slots,
+                    size_t *computed = nullptr) const;
+
+    /** Evaluate @p slots (sorted lattice indices) of (@p profile,
+     * @p iteration) in one lattice run, bypassing the store. */
+    std::vector<KernelResult> run(const KernelProfile &profile,
+                                  int iteration,
+                                  const std::vector<uint32_t> &slots) const;
+
+    /**
+     * Add points evaluated elsewhere (a durable snapshot) to
+     * (@p kernelId, @p iteration)'s entry, flagged as restored.
+     * @p slots are sorted and unique, parallel to @p results; slots
+     * the entry already holds keep their present result.
+     */
+    void restore(const std::string &kernelId, int iteration,
+                 std::vector<uint32_t> slots,
+                 std::vector<KernelResult> results) const;
+
+    /**
+     * Call @p visit for every entry, sorted by (kernel id,
+     * iteration), under the store's shared lock: @p visit must not
+     * call back into this sweep.
+     */
+    void forEachEntry(
+        const std::function<void(const std::string &kernelId,
+                                 int iteration, const SweepEntry &)>
+            &visit) const;
 
     /** RNG substream for task @p taskIndex under options().rngSeed. */
     Rng rngFor(uint64_t taskIndex) const
@@ -221,12 +267,17 @@ class ConfigSweep
     /** The pool driving this sweep (shared with cooperating layers). */
     ThreadPool &pool() const { return *pool_; }
 
-    /** Cache statistics (evaluate() calls served from memo / computed). */
+    /** Cache statistics: evaluate()/fill() calls that ran nothing /
+     * that ran points, and the store's (kernel, iteration) entries. */
     size_t cacheHits() const;
     size_t cacheMisses() const;
     size_t cacheEntries() const;
 
-    /** Drop all memoized results (statistics are kept). */
+    /** Points the store holds, and the heap bytes of their entries. */
+    size_t cachePoints() const;
+    size_t cacheBytes() const;
+
+    /** Drop all memoized results (hit/miss statistics are kept). */
     void clearCache() const;
 
   private:
@@ -235,17 +286,35 @@ class ConfigSweep
     std::vector<HardwareConfig> configs_;
     std::shared_ptr<ThreadPool> pool_;
 
-    // Reader-writer cache: concurrent evaluate() calls on memoized
-    // invocations take the shared lock only; the exclusive lock is
-    // held just to insert a freshly computed vector (values stay
-    // stable behind unique_ptr across rehashes). Hit/miss counters
-    // are atomics so shared-lock readers can bump them.
+    using Store = std::unordered_map<detail::SweepKey, SweepEntry,
+                                     detail::SweepKeyHash,
+                                     detail::SweepKeyEqual>;
+
+    /** The entry of (@p profile, @p iteration), or nullptr; the
+     * caller holds the lock. */
+    const SweepEntry *find(const KernelProfile &profile,
+                           int iteration) const;
+
+    /** Merge points into @p key's entry (created if absent) and
+     * update the counters; the caller holds the exclusive lock. */
+    const SweepEntry &merge(detail::SweepKey key,
+                            std::vector<uint32_t> slots,
+                            std::vector<KernelResult> results,
+                            char restored) const;
+
+    /** 0, 1, ..., configs().size() - 1. */
+    std::vector<uint32_t> allSlots_;
+
+    // Reader-writer store: calls whose points are all present take the
+    // shared lock only; the exclusive lock is held just to merge
+    // freshly computed points (unordered_map values stay put across
+    // rehashes). Hit/miss counters are atomics so shared-lock readers
+    // can bump them; points_/bytes_ change only under the exclusive
+    // lock.
     mutable std::shared_mutex mutex_;
-    mutable std::unordered_map<detail::SweepKey,
-                               std::unique_ptr<std::vector<KernelResult>>,
-                               detail::SweepKeyHash,
-                               detail::SweepKeyEqual>
-        cache_;
+    mutable Store cache_;
+    mutable size_t points_ = 0;
+    mutable size_t bytes_ = 0;
     mutable std::atomic<size_t> hits_ = 0;
     mutable std::atomic<size_t> misses_ = 0;
 };

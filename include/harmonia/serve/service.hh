@@ -10,7 +10,7 @@
  * batch boundary is where the micro-batcher gets its leverage:
  * concurrent `evaluate` requests for the same (kernel, iteration) are
  * fused into a single GpuDevice::runLattice invocation over the
- * deduplicated union of their configurations, so the factored
+ * deduplicated union of their configurations, so the lattice
  * evaluator's per-invocation hoist (config-invariant bundle + axis
  * tables) is paid once per group instead of once per request.
  *
@@ -35,7 +35,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "harmonia/core/governor.hh"
@@ -112,7 +111,7 @@ class Service
 {
   public:
     explicit Service(ServiceOptions options = {});
-    ~Service(); // Out of line: PointCacheEntry is incomplete here.
+    ~Service(); // Out of line: DeviceState is incomplete here.
 
     const ServiceOptions &options() const { return options_; }
 
@@ -160,7 +159,7 @@ class Service
     JsonValue statsJson() const;
 
     /**
-     * Write every instantiated device's point cache to
+     * Write every instantiated device's point store to
      * ServiceOptions::cacheFile (no-op Ok when persistence is off).
      * The server calls this on drain; tests and embedders may call it
      * directly. Crash-safe: the previous snapshot survives any
@@ -171,7 +170,6 @@ class Service
   private:
     struct Pending;
     struct EvalGroup;
-    struct PointCacheEntry;
     struct DeviceState;
     struct PersistentCache;
 
@@ -191,10 +189,7 @@ class Service
     void runEvalGroup(EvalGroup &group, std::vector<Pending> &pending);
     JsonValue evaluateResultJson(const DeviceState &dev,
                                  const EvaluateParams &p,
-                                 const std::vector<KernelResult> &full);
-    JsonValue evaluateResultJson(const DeviceState &dev,
-                                 const EvaluateParams &p,
-                                 const PointCacheEntry &entry);
+                                 const SweepEntry &points);
     Result<JsonValue> runGovern(const GovernParams &p);
     Result<JsonValue> runSweep(const SweepParams &p);
     Result<std::unique_ptr<Governor>>
@@ -209,12 +204,12 @@ class Service
      * Mismatches invalidate to a logged cold start. */
     void hydrateFromSnapshot(DeviceState &dev);
 
-    /** Decode @p dev's restored entry for (kernelId, iteration) — if
-     * one is pending — into the freshly created cache @p entry. */
+    /** Decode @p dev's restored entry for (@p profile, @p iteration)
+     * — if one is still pending — into the device's sweep store.
+     * Called before the store is read for that invocation. */
     void materializeFromSnapshot(DeviceState &dev,
-                                 const std::string &kernelId,
-                                 int iteration,
-                                 PointCacheEntry &entry);
+                                 const KernelProfile &profile,
+                                 int iteration);
 
     ServiceOptions options_;
 
@@ -237,8 +232,7 @@ class Service
     ServiceMetrics metrics_;
     bool shutdownRequested_ = false;
 
-    /** Durable-snapshot state; null when persistence is off.
-     * Incomplete here for the same reason as PointCacheEntry. */
+    /** Durable-snapshot state; null when persistence is off. */
     std::unique_ptr<PersistentCache> persistent_;
 };
 

@@ -1,5 +1,9 @@
 #include "harmonia/core/sweep.hh"
 
+#include <algorithm>
+#include <numeric>
+#include <tuple>
+
 #include "harmonia/common/error.hh"
 
 namespace harmonia
@@ -29,6 +33,23 @@ sweepSubstream(uint64_t baseSeed, uint64_t taskIndex)
     return Rng(baseSeed ^ splitmix64Once(taskIndex));
 }
 
+size_t
+SweepEntry::find(uint32_t slot) const
+{
+    const auto it = std::lower_bound(slots.begin(), slots.end(), slot);
+    return it != slots.end() && *it == slot
+               ? static_cast<size_t>(it - slots.begin())
+               : slots.size();
+}
+
+size_t
+SweepEntry::bytes() const
+{
+    return slots.capacity() * sizeof(uint32_t) +
+           results.capacity() * sizeof(KernelResult) +
+           restored.capacity() * sizeof(char);
+}
+
 ConfigSweep::ConfigSweep(const GpuDevice &device, SweepOptions options)
     : device_(device), options_(options),
       configs_(device.space().allConfigs()),
@@ -40,6 +61,8 @@ ConfigSweep::ConfigSweep(const GpuDevice &device, SweepOptions options)
     // inside the evaluation loop.
     for (const HardwareConfig &cfg : configs_)
         device_.space().validate(cfg);
+    allSlots_.resize(configs_.size());
+    std::iota(allSlots_.begin(), allSlots_.end(), uint32_t{0});
 }
 
 size_t
@@ -48,39 +71,140 @@ ConfigSweep::indexOf(const HardwareConfig &cfg) const
     return device_.space().indexOf(cfg);
 }
 
+const SweepEntry *
+ConfigSweep::find(const KernelProfile &profile, int iteration) const
+{
+    // Heterogeneous probe: hashes the id segments in place, so the
+    // hot path (repeated oracle/figure lookups) never allocates.
+    const auto it = cache_.find(
+        detail::SweepKeyView{profile.app, profile.name, iteration});
+    return it == cache_.end() ? nullptr : &it->second;
+}
+
+std::vector<KernelResult>
+ConfigSweep::run(const KernelProfile &profile, int iteration,
+                 const std::vector<uint32_t> &slots) const
+{
+    // Each slot writes only its own result, so the values are
+    // independent of scheduling and of which call ran them.
+    std::vector<KernelResult> results(slots.size());
+    if (slots.size() == configs_.size()) {
+        device_.runLattice(profile, profile.phase(iteration), configs_,
+                           results.data(), pool_.get());
+    } else {
+        std::vector<HardwareConfig> configs;
+        configs.reserve(slots.size());
+        for (const uint32_t slot : slots)
+            configs.push_back(configs_[slot]);
+        device_.runLattice(profile, profile.phase(iteration), configs,
+                           results.data(), pool_.get());
+    }
+    return results;
+}
+
+const SweepEntry &
+ConfigSweep::merge(detail::SweepKey key, std::vector<uint32_t> slots,
+                   std::vector<KernelResult> results, char restored) const
+{
+    SweepEntry &entry = cache_.try_emplace(std::move(key)).first->second;
+    if (entry.slots.size() == configs_.size())
+        return entry; // Complete, so immutable: evaluate() handed it out.
+    const size_t before = entry.slots.size();
+    bytes_ -= entry.bytes();
+    if (entry.slots.empty()) {
+        entry.slots = std::move(slots);
+        entry.results = std::move(results);
+        entry.restored.assign(entry.slots.size(), restored);
+    } else {
+        // Sorted merge; where a concurrent call landed a slot first,
+        // its (bitwise identical) result stays.
+        SweepEntry out;
+        const size_t cap = entry.slots.size() + slots.size();
+        out.slots.reserve(cap);
+        out.results.reserve(cap);
+        out.restored.reserve(cap);
+        size_t i = 0;
+        size_t j = 0;
+        while (i < entry.slots.size() || j < slots.size()) {
+            if (j == slots.size() ||
+                (i < entry.slots.size() && entry.slots[i] <= slots[j])) {
+                if (j < slots.size() && entry.slots[i] == slots[j])
+                    ++j;
+                out.slots.push_back(entry.slots[i]);
+                out.results.push_back(entry.results[i]);
+                out.restored.push_back(entry.restored[i]);
+                ++i;
+            } else {
+                out.slots.push_back(slots[j]);
+                out.results.push_back(results[j]);
+                out.restored.push_back(restored);
+                ++j;
+            }
+        }
+        entry = std::move(out);
+    }
+    bytes_ += entry.bytes();
+    points_ += entry.slots.size() - before;
+    return entry;
+}
+
+namespace
+{
+
+/** The slots of @p want (sorted) that @p entry (may be null) lacks. */
+std::vector<uint32_t>
+missingSlots(const SweepEntry *entry, const std::vector<uint32_t> &want)
+{
+    if (!entry)
+        return want;
+    std::vector<uint32_t> missing;
+    for (const uint32_t slot : want) {
+        if (entry->find(slot) == entry->slots.size())
+            missing.push_back(slot);
+    }
+    return missing;
+}
+
+/** The points of @p entry at @p slots (sorted, all present). */
+SweepEntry
+select(const SweepEntry &entry, const std::vector<uint32_t> &slots)
+{
+    SweepEntry out;
+    out.slots = slots;
+    out.results.reserve(slots.size());
+    out.restored.reserve(slots.size());
+    for (const uint32_t slot : slots) {
+        const size_t at = entry.find(slot);
+        out.results.push_back(entry.results[at]);
+        out.restored.push_back(entry.restored[at]);
+    }
+    return out;
+}
+
+} // namespace
+
 const std::vector<KernelResult> &
 ConfigSweep::evaluate(const KernelProfile &profile, int iteration) const
 {
-    // Heterogeneous probe: hashes the device/id segments in place, so
-    // the hot path (repeated oracle/figure lookups) never allocates.
-    const detail::SweepKeyView view{device_.name(), profile.app,
-                                    profile.name, iteration};
+    std::vector<uint32_t> missing;
     {
         std::shared_lock<std::shared_mutex> lock(mutex_);
-        auto it = cache_.find(view);
-        if (it != cache_.end()) {
+        const SweepEntry *entry = find(profile, iteration);
+        if (entry && entry->slots.size() == configs_.size()) {
             hits_.fetch_add(1, std::memory_order_relaxed);
-            return *it->second;
+            return entry->results;
         }
+        missing = missingSlots(entry, allSlots_);
     }
 
-    // Compute outside the lock: a concurrent evaluate() of another
-    // key must not serialize on this one. Each index writes only its
-    // own slot, so the result is independent of scheduling.
-    auto results =
-        std::make_unique<std::vector<KernelResult>>(configs_.size());
-    device_.runLattice(profile, profile.phase(iteration), configs_,
-                       results->data(), pool_.get());
-
+    // Compute outside the lock: a concurrent call for another key
+    // must not serialize on this one.
+    std::vector<KernelResult> results = run(profile, iteration, missing);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    auto [it, inserted] = cache_.emplace(
-        detail::SweepKey{device_.name(), profile.id(), iteration},
-        std::move(results));
-    if (inserted)
-        misses_.fetch_add(1, std::memory_order_relaxed);
-    else
-        hits_.fetch_add(1, std::memory_order_relaxed); // Raced; theirs won.
-    return *it->second;
+    return merge(detail::SweepKey{profile.id(), iteration},
+                 std::move(missing), std::move(results), 0)
+        .results;
 }
 
 const KernelResult &
@@ -90,17 +214,69 @@ ConfigSweep::at(const KernelProfile &profile, int iteration,
     return evaluate(profile, iteration)[indexOf(cfg)];
 }
 
-const std::vector<KernelResult> *
-ConfigSweep::peek(const KernelProfile &profile, int iteration) const
+SweepEntry
+ConfigSweep::fill(const KernelProfile &profile, int iteration,
+                  const std::vector<uint32_t> &slots,
+                  size_t *computed) const
 {
-    const detail::SweepKeyView view{device_.name(), profile.app,
-                                    profile.name, iteration};
+    std::vector<uint32_t> missing;
+    {
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        const SweepEntry *entry = find(profile, iteration);
+        missing = missingSlots(entry, slots);
+        if (missing.empty()) {
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            if (computed)
+                *computed = 0;
+            return entry ? select(*entry, slots) : SweepEntry{};
+        }
+    }
+
+    if (computed)
+        *computed = missing.size();
+    std::vector<KernelResult> results = run(profile, iteration, missing);
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    return select(merge(detail::SweepKey{profile.id(), iteration},
+                        std::move(missing), std::move(results), 0),
+                  slots);
+}
+
+void
+ConfigSweep::restore(const std::string &kernelId, int iteration,
+                     std::vector<uint32_t> slots,
+                     std::vector<KernelResult> results) const
+{
+    fatalIf(slots.size() != results.size() ||
+                !std::is_sorted(slots.begin(), slots.end()) ||
+                std::adjacent_find(slots.begin(), slots.end()) !=
+                    slots.end() ||
+                (!slots.empty() && slots.back() >= configs_.size()),
+            "ConfigSweep::restore: slots must be sorted, unique, "
+            "on-lattice and parallel to results");
+    if (slots.empty())
+        return;
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    merge(detail::SweepKey{kernelId, iteration}, std::move(slots),
+          std::move(results), 1);
+}
+
+void
+ConfigSweep::forEachEntry(
+    const std::function<void(const std::string &, int,
+                             const SweepEntry &)> &visit) const
+{
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = cache_.find(view);
-    if (it == cache_.end())
-        return nullptr;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.get();
+    std::vector<Store::const_iterator> order;
+    order.reserve(cache_.size());
+    for (auto it = cache_.cbegin(); it != cache_.cend(); ++it)
+        order.push_back(it);
+    std::sort(order.begin(), order.end(), [](auto a, auto b) {
+        return std::tie(a->first.kernelId, a->first.iteration) <
+               std::tie(b->first.kernelId, b->first.iteration);
+    });
+    for (const auto it : order)
+        visit(it->first.kernelId, it->first.iteration, it->second);
 }
 
 size_t
@@ -122,11 +298,27 @@ ConfigSweep::cacheEntries() const
     return cache_.size();
 }
 
+size_t
+ConfigSweep::cachePoints() const
+{
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    return points_;
+}
+
+size_t
+ConfigSweep::cacheBytes() const
+{
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    return bytes_;
+}
+
 void
 ConfigSweep::clearCache() const
 {
     std::unique_lock<std::shared_mutex> lock(mutex_);
     cache_.clear();
+    points_ = 0;
+    bytes_ = 0;
 }
 
 } // namespace harmonia

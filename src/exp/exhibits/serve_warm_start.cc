@@ -19,7 +19,7 @@
  * window, the restart-visible number), service-side p50/p99 evaluate
  * latency, lattice runs, and the snapshot's warm-hit count from the
  * stats verb. Cold, every distinct (kernel, iteration) pays the
- * factored evaluator's per-invocation hoist plus per-point pricing;
+ * lattice evaluator's per-invocation hoist plus per-point pricing;
  * warm, it is one lazy snapshot-entry decode, and the header/blob
  * file layout keeps daemon construction O(header) so the saved work
  * shows up from the very first window.
@@ -59,7 +59,7 @@ constexpr int kConfigsPerClient = 8;
  * DIFFERENT kernel at the same iteration, each over its own 28-config
  * lattice slice — the post-restart fan-in, where every client
  * re-issues its in-flight invocation at once. Cold, each distinct
- * (kernel, iteration) pays the factored evaluator's per-invocation
+ * (kernel, iteration) pays the lattice evaluator's per-invocation
  * hoist; warm, each is one snapshot-entry decode. */
 std::vector<std::string>
 makeWindow(const ConfigSweep &sweep,

@@ -174,7 +174,7 @@ struct Parser
     }
 
     bool atEnd() const { return pos >= text.size(); }
-    char peek() const { return text[pos]; }
+    char current() const { return text[pos]; }
 
     void skipWs()
     {
@@ -206,7 +206,7 @@ struct Parser
         skipWs();
         if (atEnd())
             return error("unexpected end of input");
-        const char c = peek();
+        const char c = current();
         if (c == '{')
             return parseObject(depth);
         if (c == '[')
@@ -240,7 +240,7 @@ struct Parser
             return JsonValue(std::move(obj));
         while (true) {
             skipWs();
-            if (atEnd() || peek() != '"')
+            if (atEnd() || current() != '"')
                 return error("expected object key");
             Result<JsonValue> key = parseString();
             if (!key.ok())
@@ -353,21 +353,21 @@ struct Parser
         const size_t start = pos;
         if (consume('-')) {
         }
-        while (!atEnd() && peek() >= '0' && peek() <= '9')
+        while (!atEnd() && current() >= '0' && current() <= '9')
             ++pos;
         bool isFloat = false;
-        if (!atEnd() && peek() == '.') {
+        if (!atEnd() && current() == '.') {
             isFloat = true;
             ++pos;
-            while (!atEnd() && peek() >= '0' && peek() <= '9')
+            while (!atEnd() && current() >= '0' && current() <= '9')
                 ++pos;
         }
-        if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
+        if (!atEnd() && (current() == 'e' || current() == 'E')) {
             isFloat = true;
             ++pos;
-            if (!atEnd() && (peek() == '+' || peek() == '-'))
+            if (!atEnd() && (current() == '+' || current() == '-'))
                 ++pos;
-            while (!atEnd() && peek() >= '0' && peek() <= '9')
+            while (!atEnd() && current() >= '0' && current() <= '9')
                 ++pos;
         }
         const std::string_view tok = text.substr(start, pos - start);

@@ -113,65 +113,6 @@ struct Service::EvalGroup
 };
 
 /**
- * The evaluated points of one (device, kernel, iteration): only the
- * slots some request asked for, in the same shape as a SnapshotEntry.
- */
-struct Service::PointCacheEntry
-{
-    std::vector<uint32_t> slots;       ///< Lattice indices, sorted unique.
-    std::vector<KernelResult> results; ///< Parallel to slots.
-
-    /** Parallel to slots: 1 where the point was restored from the
-     * durable snapshot rather than computed this process (warm/cold
-     * hit stats). */
-    std::vector<char> fromSnapshot;
-
-    /** Position of @p slot in `slots`, or slots.size() if absent. */
-    size_t find(uint32_t slot) const
-    {
-        const auto it =
-            std::lower_bound(slots.begin(), slots.end(), slot);
-        return it != slots.end() && *it == slot
-                   ? static_cast<size_t>(it - slots.begin())
-                   : slots.size();
-    }
-
-    /** Merge freshly computed points (sorted, unique, none present)
-     * in place, from the back. */
-    void merge(const std::vector<uint32_t> &addSlots,
-               const std::vector<KernelResult> &addResults)
-    {
-        size_t old = slots.size();
-        size_t add = addSlots.size();
-        const size_t total = old + add;
-        slots.resize(total);
-        results.resize(total);
-        fromSnapshot.resize(total);
-        for (size_t out = total; add > 0; --out) {
-            if (old > 0 && slots[old - 1] > addSlots[add - 1]) {
-                --old;
-                slots[out - 1] = slots[old];
-                results[out - 1] = results[old];
-                fromSnapshot[out - 1] = fromSnapshot[old];
-            } else {
-                --add;
-                slots[out - 1] = addSlots[add];
-                results[out - 1] = addResults[add];
-                fromSnapshot[out - 1] = 0;
-            }
-        }
-    }
-
-    /** Heap bytes held by the three vectors. */
-    size_t bytes() const
-    {
-        return slots.capacity() * sizeof(uint32_t) +
-               results.capacity() * sizeof(KernelResult) +
-               fromSnapshot.capacity() * sizeof(char);
-    }
-};
-
-/**
  * Durable-snapshot bookkeeping (src/serve/snapshot.hh): the sections
  * loaded at startup that no instantiated device has consumed yet,
  * plus every counter the stats verb's cache.persistent block reports.
@@ -214,10 +155,10 @@ struct Service::PersistentCache
 
 /**
  * Everything the service holds per device: the model, its sweep
- * engine (whose memo is therefore partitioned per device), the
- * partial-lattice point cache, the lazily trained predictor, and
- * request accounting for the `stats` verb. Non-movable — the sweep
- * holds a reference to the device — hence unique_ptr storage.
+ * engine (whose memo is the device's one store of evaluated points),
+ * the lazily trained predictor, and request accounting for the
+ * `stats` verb. Non-movable — the sweep holds a reference to the
+ * device — hence unique_ptr storage.
  */
 struct Service::DeviceState
 {
@@ -229,19 +170,6 @@ struct Service::DeviceState
 
     GpuDevice device;
     ConfigSweep sweep;
-
-    /**
-     * Partial-lattice result cache: SweepKey -> the points requests
-     * computed for that invocation (never a lattice-sized vector).
-     * Reuses the sweep memo's transparent hash; a full-lattice result
-     * in this device's sweep memo supersedes it.
-     */
-    std::unordered_map<detail::SweepKey, PointCacheEntry,
-                       detail::SweepKeyHash, detail::SweepKeyEqual>
-        points;
-
-    uint64_t pointCachePoints = 0; ///< Points resident in `points`.
-    uint64_t pointCacheBytes = 0;  ///< Heap bytes its entries hold.
 
     // The predictor must outlive any governor pointing at it; sessions
     // are torn down before device states (member order in Service).
@@ -257,9 +185,9 @@ struct Service::DeviceState
     uint64_t snapshotPoints = 0;  ///< Points restored from disk.
 
     /** Snapshot entries that passed this device's fingerprint check
-     * but have not been touched by a request yet. Decoded (and moved
-     * into `points`) on first touch; whatever is still here at save
-     * time is decoded then, so untouched warmth is never dropped.
+     * but have not been touched by a request yet. Decoded (and
+     * restored into `sweep`) on first touch; whatever is still here at
+     * save time is decoded then, so untouched warmth is never dropped.
      * Ordered map: savePersistentCache() iterates it. */
     std::map<std::pair<std::string, int>, EntryRef> lazyEntries;
 };
@@ -389,31 +317,21 @@ Service::validateEvaluate(const DeviceState &dev,
 JsonValue
 Service::evaluateResultJson(const DeviceState &dev,
                             const EvaluateParams &p,
-                            const std::vector<KernelResult> &full)
+                            const SweepEntry &points)
 {
     JsonValue results = JsonValue::array();
+    auto push = [&](const HardwareConfig &cfg, size_t slot) {
+        results.push(kernelResultJson(
+            cfg, points.results[points.find(
+                     static_cast<uint32_t>(slot))]));
+    };
     if (p.fullLattice) {
         const auto &configs = dev.sweep.configs();
         for (size_t i = 0; i < configs.size(); ++i)
-            results.push(kernelResultJson(configs[i], full[i]));
+            push(configs[i], i);
     } else {
         for (const HardwareConfig &cfg : p.configs)
-            results.push(
-                kernelResultJson(cfg, full[dev.sweep.indexOf(cfg)]));
-    }
-    return evaluateEnvelope(p, dev.device.name(), std::move(results));
-}
-
-JsonValue
-Service::evaluateResultJson(const DeviceState &dev,
-                            const EvaluateParams &p,
-                            const PointCacheEntry &entry)
-{
-    JsonValue results = JsonValue::array();
-    for (const HardwareConfig &cfg : p.configs) {
-        const size_t at = entry.find(
-            static_cast<uint32_t>(dev.sweep.indexOf(cfg)));
-        results.push(kernelResultJson(cfg, entry.results.at(at)));
+            push(cfg, dev.sweep.indexOf(cfg));
     }
     return evaluateEnvelope(p, dev.device.name(), std::move(results));
 }
@@ -425,122 +343,67 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     DeviceState &dev = *group.dev;
     const KernelProfile &profile = *group.profile;
     const int iteration = group.iteration;
+    const auto latticeSize =
+        static_cast<uint32_t>(dev.sweep.configs().size());
 
-    uint64_t pointsRequested = 0;
+    // Every point the group asks for, duplicates included (a
+    // full-lattice request asks for each slot once), and their sorted
+    // union: one lattice run covers whatever of it is missing.
+    std::vector<uint32_t> requested;
     for (const size_t idx : group.members) {
         const EvaluateParams &p = pending[idx].req.evaluate;
-        pointsRequested += p.fullLattice ? dev.sweep.configs().size()
-                                         : p.configs.size();
-    }
-
-    uint64_t latticeRuns = 0;
-    uint64_t pointsComputed = 0;
-
-    // Fast path: the full lattice for this invocation is already in
-    // the sweep memo (a prior `sweep` request or `configs:"all"`).
-    const std::vector<KernelResult> *full =
-        dev.sweep.peek(profile, iteration);
-
-    const bool wantFull =
-        std::any_of(group.members.begin(), group.members.end(),
-                    [&](size_t idx) {
-                        return pending[idx].req.evaluate.fullLattice;
-                    });
-
-    if (!full && wantFull) {
-        // Someone asked for the whole lattice anyway: let the sweep
-        // engine compute and memoize it once.
-        full = &dev.sweep.evaluate(profile, iteration);
-        latticeRuns = 1;
-        pointsComputed = full->size();
-    }
-
-    if (full) {
-        for (const size_t idx : group.members) {
-            Pending &p = pending[idx];
-            p.response = makeResultResponse(
-                p.id, Verb::Evaluate,
-                evaluateResultJson(dev, p.req.evaluate, *full));
-            p.done = true;
+        if (p.fullLattice) {
+            for (uint32_t slot = 0; slot < latticeSize; ++slot)
+                requested.push_back(slot);
+        } else {
+            for (const HardwareConfig &cfg : p.configs)
+                requested.push_back(
+                    static_cast<uint32_t>(dev.sweep.indexOf(cfg)));
         }
+    }
+    std::vector<uint32_t> slots = requested;
+    std::sort(slots.begin(), slots.end());
+    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+
+    size_t computed = 0;
+    SweepEntry points;
+    if (options_.cache) {
+        materializeFromSnapshot(dev, profile, iteration);
+        points = dev.sweep.fill(profile, iteration, slots, &computed);
     } else {
-        // Partial-lattice path: compute the deduplicated union of the
-        // group's missing points in one factored lattice run.
-        PointCacheEntry scratch;
-        PointCacheEntry *entry = &scratch;
-        if (options_.cache) {
-            auto [it, fresh] = dev.points.try_emplace(detail::SweepKey{
-                dev.device.name(), profile.id(), iteration});
-            if (fresh)
-                materializeFromSnapshot(dev, profile.id(), iteration,
-                                        it->second);
-            entry = &it->second;
-        }
+        // No reuse: compute the union and keep nothing.
+        points.results = dev.sweep.run(profile, iteration, slots);
+        computed = slots.size();
+        points.slots = std::move(slots);
+        points.restored.assign(computed, 0);
+    }
 
-        // Hits are counted per requested config; every miss is
-        // queued, and a config queued twice in one group is computed
-        // once and counted as a cold hit the second time.
-        std::vector<uint32_t> missing;
-        for (const size_t idx : group.members) {
-            for (const HardwareConfig &cfg :
-                 pending[idx].req.evaluate.configs) {
-                const auto slot =
-                    static_cast<uint32_t>(dev.sweep.indexOf(cfg));
-                const size_t at = entry->find(slot);
-                if (at == entry->slots.size()) {
-                    missing.push_back(slot);
-                } else if (persistent_) {
-                    if (entry->fromSnapshot[at])
-                        ++persistent_->warmHits;
-                    else
-                        ++persistent_->coldHits;
-                }
-            }
-        }
-        std::sort(missing.begin(), missing.end());
-        const size_t queued = missing.size();
-        missing.erase(std::unique(missing.begin(), missing.end()),
-                      missing.end());
-        if (persistent_)
-            persistent_->coldHits += queued - missing.size();
+    // Every requested point that was not computed here is a hit: warm
+    // when it was restored from the snapshot, cold otherwise (a point
+    // asked for twice in one group is computed once, then a cold hit).
+    if (persistent_) {
+        uint64_t warm = 0;
+        for (const uint32_t slot : requested)
+            warm += points.restored[points.find(slot)];
+        persistent_->warmHits += warm;
+        persistent_->coldHits += requested.size() - computed - warm;
+    }
 
-        if (!missing.empty()) {
-            const std::vector<HardwareConfig> &lattice =
-                dev.sweep.configs();
-            std::vector<HardwareConfig> missingConfigs;
-            missingConfigs.reserve(missing.size());
-            for (const uint32_t slot : missing)
-                missingConfigs.push_back(lattice[slot]);
-            std::vector<KernelResult> computed(missing.size());
-            dev.device.runLattice(profile, profile.phase(iteration),
-                                  missingConfigs, computed.data(),
-                                  &dev.sweep.pool());
-            const size_t bytesBefore = entry->bytes();
-            entry->merge(missing, computed);
-            if (options_.cache) {
-                dev.pointCachePoints += missing.size();
-                dev.pointCacheBytes += entry->bytes() - bytesBefore;
-            }
-            latticeRuns = 1;
-            pointsComputed = missing.size();
-        }
-
-        for (const size_t idx : group.members) {
-            Pending &p = pending[idx];
-            p.response = makeResultResponse(
-                p.id, Verb::Evaluate,
-                evaluateResultJson(dev, p.req.evaluate, *entry));
-            p.done = true;
-        }
+    for (const size_t idx : group.members) {
+        Pending &p = pending[idx];
+        p.response = makeResultResponse(
+            p.id, Verb::Evaluate,
+            evaluateResultJson(dev, p.req.evaluate, points));
+        p.done = true;
     }
 
     const double elapsed = microsSince(start);
     for (size_t i = 0; i < group.members.size(); ++i)
         metrics_.record(Verb::Evaluate, true, elapsed);
     metrics_.recordEvaluate(
-        latticeRuns,
-        group.members.size() > 1 ? group.members.size() : 0,
-        pointsComputed, pointsRequested - pointsComputed);
+        computed > 0 ? 1 : 0,
+        group.members.size() > 1 ? group.members.size() : 0, computed,
+        requested.size() - computed);
 
     // Fan-in accounting: how many distinct transport connections fed
     // this fused group. Purely observational (stats verb).
@@ -691,14 +554,13 @@ Service::hydrateFromSnapshot(DeviceState &dev)
 
 void
 Service::materializeFromSnapshot(DeviceState &dev,
-                                 const std::string &kernelId,
-                                 int iteration,
-                                 PointCacheEntry &entry)
+                                 const KernelProfile &profile,
+                                 int iteration)
 {
     if (dev.lazyEntries.empty())
         return;
     const auto it =
-        dev.lazyEntries.find(std::make_pair(kernelId, iteration));
+        dev.lazyEntries.find(std::make_pair(profile.id(), iteration));
     if (it == dev.lazyEntries.end())
         return;
 
@@ -712,18 +574,16 @@ Service::materializeFromSnapshot(DeviceState &dev,
     // this entry — logged, counted, then served cold.
     if (!status.ok()) {
         ++persistent_->decodeFailures;
-        std::cerr << "harmoniad: snapshot entry (" << kernelId << ", "
-                  << iteration << ") for device '"
+        std::cerr << "harmoniad: snapshot entry (" << profile.id()
+                  << ", " << iteration << ") for device '"
                   << dev.device.name() << "': " << status.message()
                   << "; recomputing\n";
         return;
     }
-    // Decoded slots are sorted and unique: the entry's own shape.
-    entry.slots = std::move(decoded.slots);
-    entry.results = std::move(decoded.results);
-    entry.fromSnapshot.assign(entry.slots.size(), 1);
-    dev.pointCachePoints += entry.slots.size();
-    dev.pointCacheBytes += entry.bytes();
+    // Decoded slots are sorted and unique: the store's own shape.
+    dev.sweep.restore(decoded.kernel, decoded.iteration,
+                      std::move(decoded.slots),
+                      std::move(decoded.results));
 }
 
 Status
@@ -744,34 +604,16 @@ Service::savePersistentCache()
                 state->device, state->sweep.configs());
         section.fingerprint = *state->snapshotFingerprint;
 
-        // The point cache is an unordered_map and snapshot bytes must
-        // be deterministic: pull the entries out, then sort by
-        // (kernel, iteration).
-        std::vector<std::pair<const detail::SweepKey *,
-                              const PointCacheEntry *>>
-            cached;
-        cached.reserve(state->points.size());
-        for (auto it = state->points.begin();
-             it != state->points.end(); ++it)
-            cached.emplace_back(&it->first, &it->second);
-        std::sort(cached.begin(), cached.end(),
-                  [](const auto &a, const auto &b) {
-                      if (a.first->kernelId != b.first->kernelId)
-                          return a.first->kernelId < b.first->kernelId;
-                      return a.first->iteration < b.first->iteration;
-                  });
-
-        for (const auto &[key, entry] : cached) {
-            if (entry->slots.empty())
-                continue;
+        state->sweep.forEachEntry([&](const std::string &kernel,
+                                      int iteration,
+                                      const SweepEntry &entry) {
             section.entries.push_back(SnapshotEntry{
-                key->kernelId, key->iteration, entry->slots,
-                entry->results});
-        }
+                kernel, iteration, entry.slots, entry.results});
+        });
 
         // Restored entries no request touched are still warmth worth
         // keeping: decode them now (their keys are disjoint from the
-        // live cache — materialization consumes the lazy entry).
+        // store — materialization consumes the lazy entry).
         for (const auto &[key, ref] : state->lazyEntries) {
             SnapshotEntry out;
             if (decodeEntry(ref, section.latticeSize, &out).ok())
@@ -990,6 +832,7 @@ Service::runSweep(const SweepParams &p)
         return devResult.status();
     DeviceState &dev = *devResult.value();
     ++dev.requests;
+    materializeFromSnapshot(dev, *profile, p.iteration);
     const ConfigSweep &sweep = dev.sweep;
 
     const std::vector<KernelResult> &results =
@@ -1118,14 +961,14 @@ Service::statsJson() const
                              defaultDevice_->sweep.cacheEntries()))},
          })},
         {"point_cache_invocations",
-         JsonValue(
-             static_cast<int64_t>(defaultDevice_->points.size()))},
+         JsonValue(static_cast<int64_t>(
+             defaultDevice_->sweep.cacheEntries()))},
         {"point_cache_points",
          JsonValue(static_cast<int64_t>(
-             defaultDevice_->pointCachePoints))},
+             defaultDevice_->sweep.cachePoints()))},
         {"point_cache_bytes",
          JsonValue(static_cast<int64_t>(
-             defaultDevice_->pointCacheBytes))},
+             defaultDevice_->sweep.cacheBytes()))},
         {"trained", JsonValue(defaultDevice_->predictor.has_value())},
         {"jobs", JsonValue(options_.jobs)},
         {"batching", JsonValue(options_.batching)},
@@ -1166,13 +1009,14 @@ Service::statsJson() const
                                      state->sweep.cacheEntries()))},
                  })},
                 {"point_cache_invocations",
-                 JsonValue(static_cast<int64_t>(state->points.size()))},
+                 JsonValue(static_cast<int64_t>(
+                     state->sweep.cacheEntries()))},
                 {"point_cache_points",
                  JsonValue(static_cast<int64_t>(
-                     state->pointCachePoints))},
+                     state->sweep.cachePoints()))},
                 {"point_cache_bytes",
                  JsonValue(static_cast<int64_t>(
-                     state->pointCacheBytes))},
+                     state->sweep.cacheBytes()))},
                 {"snapshot",
                  JsonValue::object({
                      {"entries", JsonValue(static_cast<int64_t>(

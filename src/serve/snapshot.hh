@@ -2,7 +2,7 @@
  * @file
  * Durable evaluation-cache snapshots (docs/SERVING.md, "Persistent
  * cache"): a versioned, compact binary image of the per-device
- * partial-lattice point caches, written on daemon drain and loaded
+ * point stores (core/sweep.hh), written on daemon drain and loaded
  * lazily at startup so a restarted harmoniad serves previously
  * visited (kernel, iteration, config) points without re-paying the
  * lattice cost.

@@ -1,14 +1,12 @@
 /**
  * @file
- * Unit tests for the board power composition (Equation 4) and the DAQ
- * measurement emulation.
+ * Unit tests for the board power composition (Equation 4).
  */
 
 #include <gtest/gtest.h>
 
 #include "harmonia/common/error.hh"
 #include "harmonia/power/board_power.hh"
-#include "power/daq.hh"
 
 using namespace harmonia;
 
@@ -55,69 +53,4 @@ TEST(BoardPower, Validation)
     p = BoardPowerParams{};
     p.fanWatts = -1.0;
     EXPECT_THROW(BoardPowerModel{p}, ConfigError);
-}
-
-TEST(Daq, ExactEnergyIntegration)
-{
-    Daq daq;
-    daq.addInterval(100.0, 2.0);
-    daq.addInterval(50.0, 1.0);
-    EXPECT_DOUBLE_EQ(daq.energy(), 250.0);
-    EXPECT_DOUBLE_EQ(daq.duration(), 3.0);
-    EXPECT_NEAR(daq.averagePower(), 250.0 / 3.0, 1e-12);
-}
-
-TEST(Daq, SampledEnergyApproachesExact)
-{
-    // 1 kHz sampling of a piecewise-constant trace: quantization error
-    // bounded by one sample per transition.
-    Daq daq(1000.0);
-    daq.addInterval(120.0, 0.5);
-    daq.addInterval(80.0, 0.25);
-    daq.addInterval(200.0, 1.0);
-    EXPECT_NEAR(daq.sampledEnergy(), daq.energy(),
-                0.005 * daq.energy());
-    EXPECT_EQ(daq.sampleCount(), 1750u);
-}
-
-TEST(Daq, CoarseSamplerIsLessAccurate)
-{
-    Daq fine(10000.0);
-    Daq coarse(10.0);
-    for (Daq *d : {&fine, &coarse}) {
-        d->addInterval(10.0, 0.123);
-        d->addInterval(300.0, 0.05);
-        d->addInterval(50.0, 0.2);
-    }
-    const double fineErr =
-        std::abs(fine.sampledEnergy() - fine.energy());
-    const double coarseErr =
-        std::abs(coarse.sampledEnergy() - coarse.energy());
-    EXPECT_LE(fineErr, coarseErr + 1e-9);
-}
-
-TEST(Daq, EmptyAndReset)
-{
-    Daq daq;
-    EXPECT_DOUBLE_EQ(daq.averagePower(), 0.0);
-    EXPECT_DOUBLE_EQ(daq.sampledEnergy(), 0.0);
-    daq.addInterval(10.0, 1.0);
-    daq.reset();
-    EXPECT_DOUBLE_EQ(daq.energy(), 0.0);
-    EXPECT_DOUBLE_EQ(daq.duration(), 0.0);
-}
-
-TEST(Daq, ZeroDurationIntervalIgnored)
-{
-    Daq daq;
-    daq.addInterval(100.0, 0.0);
-    EXPECT_DOUBLE_EQ(daq.energy(), 0.0);
-}
-
-TEST(Daq, RejectsInvalidInputs)
-{
-    EXPECT_THROW(Daq(0.0), ConfigError);
-    Daq daq;
-    EXPECT_THROW(daq.addInterval(-1.0, 1.0), ConfigError);
-    EXPECT_THROW(daq.addInterval(1.0, -1.0), ConfigError);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
- * The service's partial-lattice point cache: what it holds, how its
- * hits are counted, and the snapshot bytes it drains to.
+ * The service's point cache — each device's sweep store: what it
+ * holds, how its hits are counted, and the snapshot bytes it drains
+ * to.
  *
  * - Memory: an entry stores only the points a request computed, so
  *   resident bytes scale with computed points, never with the size of
@@ -10,6 +11,8 @@
  *   persistent layer's `warm_hits` / `cold_hits` are pinned for a
  *   repeated config, coalesced overlapping slices, and a warm restart
  *   that mixes restored and new points.
+ * - One store: a swept full lattice is stored, drained and restored
+ *   like any slice, so a restarted daemon answers both from disk.
  * - Snapshot bytes: draining the serve-determinism request stream
  *   writes a file with a pinned digest, and save -> load -> save is
  *   byte-identical whether requests touch the restored entries or
@@ -342,6 +345,54 @@ TEST(PointCache, WarmRestartMixesRestoredAndNewPoints)
     std::remove(path.c_str());
 }
 
+TEST(PointCache, SweptLatticesSurviveARestart)
+{
+    const std::string path = tmpPath("swept");
+    std::remove(path.c_str());
+    const std::string kernel = kernelIds()[3];
+    const std::string sweep =
+        JsonValue::object({
+                              {"schema", JsonValue(kRequestSchema)},
+                              {"id", JsonValue(2)},
+                              {"verb", JsonValue("sweep")},
+                              {"kernel", JsonValue(kernel)},
+                              {"iteration", JsonValue(1)},
+                              {"objective", JsonValue("min_ed2")},
+                              {"top", JsonValue(3)},
+                          })
+            .dump();
+    std::string evaluate;
+    std::vector<std::string> first;
+    {
+        Service a(persistentOptions(path));
+        const std::vector<HardwareConfig> &lattice = a.sweep().configs();
+        std::vector<HardwareConfig> configs;
+        for (size_t i = 0; i < 8; ++i)
+            configs.push_back(lattice[i * 53 + 7]);
+        evaluate = evaluateLine(kernel, 1, configs);
+        first = a.processBatch({sweep});
+        const std::vector<std::string> slice = a.processBatch({evaluate});
+        first.insert(first.end(), slice.begin(), slice.end());
+        ASSERT_TRUE(a.savePersistentCache().ok());
+    }
+
+    Service b(persistentOptions(path));
+    std::vector<std::string> second = b.processBatch({evaluate});
+    const std::vector<std::string> swept = b.processBatch({sweep});
+    second.insert(second.begin(), swept.begin(), swept.end());
+    EXPECT_EQ(second, first);
+
+    const JsonValue s = stats(b);
+    EXPECT_EQ(s.find("metrics")->find("batching")->find("lattice_runs")
+                  ->asInt(),
+              0);
+    EXPECT_EQ(s.find("sweep_cache")->find("misses")->asInt(), 0);
+    EXPECT_GT(s.find("cache")->find("persistent")->find("warm_hits")
+                  ->asInt(),
+              0);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------- snapshot bytes
 
 /** The request stream of test_serve_determinism.cpp, verbatim: the
@@ -428,11 +479,12 @@ TEST(PointCache, DrainedSnapshotBytesArePinned)
     std::remove(path.c_str());
     const std::string bytes = drain(path, true);
 
-    // Recorded on the dense entry this cache replaced. A model or
-    // snapshot-format change legitimately moves it; a cache change
-    // must not.
-    EXPECT_EQ(bytes.size(), 9415u);
-    EXPECT_EQ(wire::hash64(bytes), 0x9067444a9f67453cull);
+    // Recorded on the one point store, where the stream's `sweep` and
+    // `configs:"all"` persist the full lattice of ids[1]/iteration 0.
+    // A model or snapshot-format change legitimately moves it; a
+    // cache change must not.
+    EXPECT_EQ(bytes.size(), 74367u);
+    EXPECT_EQ(wire::hash64(bytes), 0x6a363106435f652aull);
 
     // save -> load -> save: untouched restored entries are carried
     // over byte for byte...

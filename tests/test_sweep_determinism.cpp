@@ -7,12 +7,16 @@
  * that down for every layer ported onto the sweep engine: oracle
  * search, sensitivity ground truth, training, and the full campaign,
  * each compared across 1, 2, and 8 worker threads with exact
- * (bitwise) double equality. Also covers the sweep memo cache's hit
- * accounting and the per-task RNG substream scheme.
+ * (bitwise) double equality. Also covers the sweep store: its hit
+ * accounting, partial fills that run only the slots an entry lacks,
+ * concurrent fills and evaluates on shared keys, and the per-task RNG
+ * substream scheme.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <thread>
 #include <vector>
 
 #include "harmonia/core/campaign.hh"
@@ -20,6 +24,7 @@
 #include "harmonia/core/sensitivity.hh"
 #include "harmonia/core/sweep.hh"
 #include "harmonia/core/training.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
@@ -58,6 +63,27 @@ runCampaign(int jobs)
 }
 
 constexpr int kJobVariants[] = {2, 8};
+
+/** Bit patterns of the result's doubles: equal vectors mean bitwise
+ * equal timing, power and energy. */
+std::vector<uint64_t>
+bits(const KernelResult &r)
+{
+    const KernelTiming &t = r.timing;
+    std::vector<uint64_t> out;
+    for (const double x :
+         {t.execTime, t.computeTime, t.l2Time, t.memTime,
+          t.launchOverhead, t.busyTime, t.l2HitRate, t.requestedBytes,
+          t.offChipBytes, t.bandwidth.effectiveBps, t.bandwidth.latency,
+          t.counters.valuBusy, t.counters.memUnitStalled,
+          r.power.gpu.cuDynamic, r.power.gpu.uncoreDynamic,
+          r.power.gpu.leakage, r.power.mem.background,
+          r.power.mem.activatePrecharge, r.power.mem.readWrite,
+          r.power.mem.termination, r.power.mem.phy, r.power.other,
+          r.cardEnergy, r.gpuEnergy, r.memEnergy})
+        out.push_back(std::bit_cast<uint64_t>(x));
+    return out;
+}
 
 } // namespace
 
@@ -225,6 +251,142 @@ TEST(SweepDeterminism, CacheHitAccountingOnRepeatedRuns)
     oracle.decide(kernel, 0);
     EXPECT_EQ(oracle.searches(), 1u);
     EXPECT_EQ(oracle.sweep().cacheMisses(), 1u);
+}
+
+TEST(SweepDeterminism, PartialFillsThenEvaluateMatchAFreshSweep)
+{
+    const auto suite = miniSuite();
+    const KernelProfile &kernel = suite.front().kernels.front();
+    for (const char *name : {"hd7970", "ampere-ga100"}) {
+        SCOPED_TRACE(name);
+        const GpuDevice dev = makeDevice(name).value();
+        ConfigSweep sweep(dev, {.jobs = 2});
+        const auto n = static_cast<uint32_t>(sweep.configs().size());
+
+        // Two overlapping slices, as two kernel-boundary requests ask.
+        const std::vector<uint32_t> a = {0, 3, 17, 40, n / 2, n - 1};
+        const std::vector<uint32_t> b = {3, 17, 41, 100, n - 1};
+        size_t computed = 0;
+        const SweepEntry first = sweep.fill(kernel, 1, a, &computed);
+        EXPECT_EQ(computed, a.size());
+        EXPECT_EQ(first.slots, a);
+        const SweepEntry second = sweep.fill(kernel, 1, b, &computed);
+        EXPECT_EQ(computed, 2u); // 41 and 100.
+        EXPECT_EQ(second.slots, b);
+        EXPECT_EQ(sweep.cachePoints(), a.size() + 2);
+
+        const std::vector<KernelResult> &all = sweep.evaluate(kernel, 1);
+        EXPECT_EQ(sweep.cacheMisses(), 3u);
+        EXPECT_EQ(sweep.cacheEntries(), 1u);
+        EXPECT_EQ(sweep.cachePoints(), n);
+        sweep.fill(kernel, 1, b, &computed);
+        EXPECT_EQ(computed, 0u);
+        EXPECT_EQ(sweep.cacheHits(), 1u);
+
+        const ConfigSweep fresh(dev, {.jobs = 2});
+        const std::vector<KernelResult> &expected =
+            fresh.evaluate(kernel, 1);
+        ASSERT_EQ(all.size(), expected.size());
+        const KernelPhase phase = kernel.phase(1);
+        for (uint32_t slot = 0; slot < n; ++slot) {
+            const auto want = bits(expected[slot]);
+            ASSERT_EQ(bits(all[slot]), want) << "slot " << slot;
+            ASSERT_EQ(bits(dev.run(kernel, phase, sweep.configs()[slot])),
+                      want)
+                << "slot " << slot;
+        }
+        for (size_t i = 0; i < a.size(); ++i)
+            EXPECT_EQ(bits(first.results[i]), bits(all[a[i]]));
+        for (size_t i = 0; i < b.size(); ++i)
+            EXPECT_EQ(bits(second.results[i]), bits(all[b[i]]));
+    }
+}
+
+TEST(SweepDeterminism, EvaluateRunsOnlyTheSlotsTheEntryLacks)
+{
+    const auto suite = miniSuite();
+    const KernelProfile &kernel = suite.front().kernels.front();
+    const ConfigSweep sweep(device());
+
+    // A sentinel no model run produces: if evaluate() recomputed the
+    // present slot, the sentinel would be overwritten.
+    KernelResult sentinel;
+    sentinel.cardEnergy = -1.0;
+    sweep.restore(kernel.id(), 0, {5}, {sentinel});
+    EXPECT_EQ(sweep.cachePoints(), 1u);
+
+    const std::vector<KernelResult> &all = sweep.evaluate(kernel, 0);
+    EXPECT_EQ(all[5].cardEnergy, -1.0);
+    EXPECT_EQ(bits(all[6]),
+              bits(device().run(kernel, 0, sweep.configs()[6])));
+
+    // The restored flag travels with the point.
+    const SweepEntry slice = sweep.fill(kernel, 0, {4, 5});
+    EXPECT_EQ(slice.restored, (std::vector<char>{0, 1}));
+}
+
+TEST(SweepDeterminism, ConcurrentFillsAndEvaluatesOnSharedKeys)
+{
+    const auto suite = miniSuite();
+    const KernelProfile &kernel = suite.front().kernels.front();
+    // One worker per call: the only concurrency is on the store.
+    const ConfigSweep sweep(device(), {.jobs = 1});
+    const auto n = static_cast<uint32_t>(sweep.configs().size());
+    constexpr int kThreads = 4;
+    constexpr int kKeys = 3;
+    constexpr int kRounds = 4;
+
+    struct Seen
+    {
+        std::vector<std::pair<int, SweepEntry>> fills;
+        std::vector<std::pair<int, const std::vector<KernelResult> *>>
+            lattices;
+    };
+    std::vector<Seen> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round) {
+                for (int it = 0; it < kKeys; ++it) {
+                    if ((t + round + it) % 3 == 0) {
+                        seen[t].lattices.emplace_back(
+                            it, &sweep.evaluate(kernel, it));
+                        continue;
+                    }
+                    // Overlapping strided slices across threads.
+                    std::vector<uint32_t> slots;
+                    for (uint32_t s = (t * 5 + round) % 11; s < n;
+                         s += 9 + t)
+                        slots.push_back(s);
+                    seen[t].fills.emplace_back(
+                        it, sweep.fill(kernel, it, slots));
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    const ConfigSweep serial(device(), {.jobs = 1});
+    for (const Seen &s : seen) {
+        for (const auto &[it, entry] : s.fills) {
+            const std::vector<KernelResult> &want =
+                serial.evaluate(kernel, it);
+            for (size_t i = 0; i < entry.slots.size(); ++i)
+                ASSERT_EQ(bits(entry.results[i]),
+                          bits(want[entry.slots[i]]));
+        }
+        // References handed out by evaluate() stayed valid through
+        // every later merge.
+        for (const auto &[it, lattice] : s.lattices) {
+            const std::vector<KernelResult> &want =
+                serial.evaluate(kernel, it);
+            ASSERT_EQ(lattice->size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i)
+                ASSERT_EQ(bits((*lattice)[i]), bits(want[i]));
+        }
+    }
+    EXPECT_EQ(sweep.cachePoints(), static_cast<size_t>(kKeys) * n);
 }
 
 TEST(SweepDeterminism, RngSubstreamsAreIndexDeterministic)
