@@ -1,8 +1,8 @@
 /**
  * @file
  * Model checker: drives the invariant registry over every
- * (application x kernel x iteration x 448-config) point of a workload
- * suite, reusing the parallel, memoized ConfigSweep engine so the
+ * (application x kernel x iteration x lattice config) point of a
+ * workload suite, reusing the parallel, memoized ConfigSweep engine so the
  * sweep cost is shared with any campaign evaluating the same device.
  *
  * Determinism: invocations are visited in suite order, each sweep is
@@ -73,7 +73,8 @@ class ModelChecker
         return invariants_;
     }
 
-    /** Check one kernel invocation across all 448 configurations. */
+    /** Check one kernel invocation across every configuration of the
+     * device's lattice (448 on hd7970, 10,416 on ampere-ga100). */
     CheckReport checkInvocation(const KernelProfile &profile,
                                 int iteration) const;
 

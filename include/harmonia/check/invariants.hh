@@ -10,7 +10,7 @@
  * power x time. GPGPU-DVFS modeling studies show unchecked analytical
  * models silently drifting into non-physical regimes; each Invariant
  * here encodes one such law as an executable check over a full
- * 448-configuration sweep of one kernel invocation.
+ * lattice sweep of one kernel invocation.
  *
  * Violations are reported as structured Diagnostics naming the
  * invariant, the (app, kernel, iteration) coordinates, the exact
@@ -52,7 +52,7 @@ struct Diagnostic
 /**
  * Everything an invariant may inspect: the device (for model-level
  * queries and lattice algebra), the invocation coordinates, and the
- * 448-point result vector in canonical mem-major order (results[i]
+ * full-lattice result vector in canonical mem-major order (results[i]
  * corresponds to configs[i]).
  */
 struct InvariantContext

@@ -87,6 +87,9 @@ class ConfigSpace
      * 150 MHz bus = 30 GB/s). */
     int step(Tunable t) const;
 
+    /** Number of legal values of one tunable. */
+    size_t count(Tunable t) const;
+
     /** Lattice bounds of one tunable. */
     int minValue(Tunable t) const;
     int maxValue(Tunable t) const;

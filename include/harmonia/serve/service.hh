@@ -10,9 +10,11 @@
  * batch boundary is where the micro-batcher gets its leverage:
  * concurrent `evaluate` requests for the same (kernel, iteration) are
  * fused into a single GpuDevice::runLattice invocation over the
- * deduplicated union of their configurations, so the lattice
- * evaluator's per-invocation hoist (config-invariant bundle + axis
- * tables) is paid once per group instead of once per request.
+ * deduplicated union of their configurations. The lattice evaluator
+ * builds only what the requested points read, so fusing saves the
+ * config-invariant bundle, the axis entries the requests share and
+ * every point they have in common: each is computed once per group
+ * instead of once per request.
  *
  * Determinism: responses depend only on the request stream, never on
  * batch boundaries or worker count — runLattice is bitwise identical

@@ -80,13 +80,17 @@ class GpuDevice
 
     /**
      * Batch evaluation of one invocation across many lattice points:
-     * hoists the (profile, phase)-invariant bundle and the per-axis
-     * model tables once, then combines them per configuration in SIMD
-     * lane blocks (LatticeEvaluator::evaluateBatchAtInto). Writes
-     * result i for @p configs[i] into @p out[i]; @p out must have room
-     * for configs.size() results. Bitwise identical to calling run()
-     * per configuration (tests/test_factored_engine.cpp and
-     * tests/test_simd_equivalence.cpp pin this).
+     * hoists the (profile, phase)-invariant bundle once and builds the
+     * per-axis model tables only for what @p configs touch (their
+     * LatticeDemand: axis values, (CU, freq) pairs and bandwidth
+     * cells), then combines them per configuration in SIMD lane blocks
+     * (LatticeEvaluator::evaluateBatchAtInto). The full lattice in
+     * canonical order is recognized and builds the dense tables; an
+     * 8-config governor slice costs about what 8 run() calls cost.
+     * Writes result i for @p configs[i] into @p out[i]; @p out must
+     * have room for configs.size() results. Bitwise identical to
+     * calling run() per configuration (tests/test_factored_engine.cpp
+     * and tests/test_simd_equivalence.cpp pin this).
      *
      * When @p pool is non-null, table construction and the per-config
      * combine run on it; each index writes only its own slot, so

@@ -102,28 +102,63 @@ struct TimingAxisValues
 };
 
 /**
- * Per-axis lookup tables over the configuration lattice for one
- * prepared kernel, built once per sweep by
- * TimingEngine::buildAxisTables(). Each entry is produced by exactly
- * the model call the naive path would make, so indexed lookups are
- * bitwise identical to recomputation:
+ * The lattice cells one batch evaluation reads. The touched values of
+ * each tunable axis (ascending) span a compact grid; @c cells marks
+ * the requested (memory frequency, CU count, compute frequency)
+ * cells of that grid and @c pairs the (CU count, compute frequency)
+ * pairs those cells use. TimingEngine::buildAxisTables() builds only
+ * what a demand touches; the full lattice is the demand that touches
+ * every cell, and its grid is the lattice itself.
+ */
+struct LatticeDemand
+{
+    std::vector<int> cuValues;          ///< Touched values, ascending.
+    std::vector<int> computeFreqValues; ///< Touched values, ascending.
+    std::vector<int> memFreqValues;     ///< Touched values, ascending.
+
+    /** Touched (CU, compute-freq) pairs, row-major in CU count. */
+    std::vector<char> pairs;
+    /** Requested cells, mem-major: (m * nCu + cu) * nCf + cf. */
+    std::vector<char> cells;
+
+    /** Every cell of @p space. */
+    static LatticeDemand full(const ConfigSpace &space);
+
+    /**
+     * The cells @p n configs read. Writes config i's position on the
+     * touched axes to @p cuIdx[i], @p cfIdx[i] and @p memIdx[i].
+     * @throws ConfigError when a config is off the lattice.
+     */
+    static LatticeDemand of(const ConfigSpace &space,
+                            const HardwareConfig *configs, size_t n,
+                            size_t *cuIdx, size_t *cfIdx, size_t *memIdx);
+};
+
+/**
+ * Per-axis lookup tables over the compact grid of one LatticeDemand
+ * for one prepared kernel, built by TimingEngine::buildAxisTables().
+ * Each entry is produced by exactly the model call the naive path
+ * would make, so indexed lookups are bitwise identical to
+ * recomputation:
  *
- *  - CU-count axis (8 values): L2 hit rate, off-chip bytes, and the
- *    Little's-law outstanding-request demand;
- *  - compute-frequency axis (8): L2 bandwidth and service time, and
- *    the L2->MC crossing cap;
- *  - (CU count x compute frequency) plane (64): vector-ALU issue time
- *    (the kernel's issue slots over the wave issue rate);
- *  - memory-frequency axis (7): peak bus bandwidth and its
- *    reciprocal;
- *  - full lattice (448): resolved BandwidthResult, deduplicated where
+ *  - CU-count axis: L2 hit rate, off-chip bytes, and the Little's-law
+ *    outstanding-request demand;
+ *  - compute-frequency axis: L2 bandwidth and service time, and the
+ *    L2->MC crossing cap;
+ *  - (CU count x compute frequency) plane: vector-ALU issue time (the
+ *    kernel's issue slots over the wave issue rate), at touched pairs;
+ *  - memory-frequency axis: peak bus bandwidth and its reciprocal;
+ *  - the (memory frequency x CU count x compute frequency) grid:
+ *    resolved BandwidthResult at requested cells, deduplicated where
  *    the crossing cap saturates against the bus ceiling.
+ *
+ * Entries the demand does not touch stay zero and are never read.
  */
 struct TimingAxisTables
 {
-    std::vector<int> cuValues;          ///< Ascending lattice values.
-    std::vector<int> computeFreqValues; ///< Ascending lattice values.
-    std::vector<int> memFreqValues;     ///< Ascending lattice values.
+    std::vector<int> cuValues;          ///< The demand's touched values.
+    std::vector<int> computeFreqValues; ///< The demand's touched values.
+    std::vector<int> memFreqValues;     ///< The demand's touched values.
 
     // --- CU-count axis (phase-dependent) ---------------------------
     std::vector<double> l2HitRate;
@@ -142,24 +177,19 @@ struct TimingAxisTables
     std::vector<double> peakBandwidth;
     std::vector<double> invPeakBandwidth;
 
-    // --- Full lattice, mem-major like ConfigSpace::allConfigs(),
+    // --- The demand's grid, mem-major like ConfigSpace::allConfigs(),
     // stored as structure-of-arrays planes so the batched combine can
     // stream each component with vector loads ---------------------
     std::vector<double> bandwidthBps;
     std::vector<double> bandwidthLatency;
     std::vector<BandwidthLimiter> bandwidthLimiter;
 
-    /** Reassemble the resolved bandwidth of one lattice slot. */
+    /** Reassemble the resolved bandwidth of one grid slot. */
     BandwidthResult bandwidthAt(size_t slot) const
     {
         return {bandwidthBps[slot], bandwidthLatency[slot],
                 bandwidthLimiter[slot]};
     }
-
-    /** Axis position of a lattice value; @throws when off-lattice. */
-    size_t cuIndex(int cuCount) const;
-    size_t computeFreqIndex(int computeFreqMhz) const;
-    size_t memFreqIndex(int memFreqMhz) const;
 };
 
 class ThreadPool;
@@ -220,21 +250,28 @@ class TimingEngine
     /**
      * Hoist everything about (@p profile, @p phase) that no tunable
      * can change: validation, occupancy, and the instruction/traffic
-     * totals. run() recomputes this bundle per call; lattice sweeps
-     * compute it once for all 448 points.
+     * totals. run() recomputes this bundle per call; lattice runs
+     * compute it once for all their points.
      */
     PreparedKernel prepare(const KernelProfile &profile,
                            const KernelPhase &phase) const;
 
     /**
-     * Build the per-axis lookup tables for @p prep over this engine's
-     * configuration lattice. When @p pool is non-null the bandwidth
-     * lattice slabs are resolved in parallel (each slab writes only
-     * its own slots, so results are scheduling-independent). The
-     * bandwidth bisection runs lane-parallel and is bitwise identical
-     * to the scalar solver behind run() (see
-     * MemorySystem::resolveSlabLanesWithCrossingCap).
+     * Build the per-axis lookup tables for @p prep over the cells
+     * @p demand touches: axis entries for its touched values, plane
+     * entries for its touched pairs, and bandwidth for its requested
+     * cells only. When @p pool is non-null the bandwidth slabs (one
+     * per touched memory frequency) are resolved in parallel; each
+     * slab writes only its own slots, so results are
+     * scheduling-independent. The bandwidth bisection runs
+     * lane-parallel and is bitwise identical to the scalar solver
+     * behind run() (see MemorySystem::resolveSlabLanesWithCrossingCap).
      */
+    TimingAxisTables buildAxisTables(const PreparedKernel &prep,
+                                     const LatticeDemand &demand,
+                                     ThreadPool *pool = nullptr) const;
+
+    /** buildAxisTables() over the full lattice. */
     TimingAxisTables buildAxisTables(const PreparedKernel &prep,
                                      ThreadPool *pool = nullptr) const;
 

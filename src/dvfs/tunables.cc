@@ -187,10 +187,6 @@ ConfigSpace::indexOf(const HardwareConfig &cfg) const
     auto ord = [&](Tunable t) {
         return static_cast<size_t>((cfg.get(t) - minValue(t)) / step(t));
     };
-    auto count = [&](Tunable t) {
-        return static_cast<size_t>((maxValue(t) - minValue(t)) / step(t)) +
-               1;
-    };
     // Must mirror the loop nesting of allConfigs(): mem, cu, freq.
     return (ord(Tunable::MemFreq) * count(Tunable::CuCount) +
             ord(Tunable::CuCount)) *
@@ -199,11 +195,16 @@ ConfigSpace::indexOf(const HardwareConfig &cfg) const
 }
 
 size_t
+ConfigSpace::count(Tunable t) const
+{
+    return static_cast<size_t>((maxValue(t) - minValue(t)) / step(t)) + 1;
+}
+
+size_t
 ConfigSpace::size() const
 {
-    return values(Tunable::CuCount).size() *
-           values(Tunable::ComputeFreq).size() *
-           values(Tunable::MemFreq).size();
+    return count(Tunable::CuCount) * count(Tunable::ComputeFreq) *
+           count(Tunable::MemFreq);
 }
 
 double

@@ -1,8 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the hot paths: one timing-model evaluation, one
- * full device run (timing + power), an exhaustive 448-configuration
- * oracle search, and a full Harmonia decide/observe control step.
+ * full device run (timing + power), an exhaustive oracle search over
+ * the device's lattice, and a full Harmonia decide/observe control step.
  * Demonstrates the policy is cheap enough to run at kernel-boundary
  * granularity (the paper's control interval).
  */
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <string>
 
 #include "harmonia/core/harmonia_governor.hh"
 #include "harmonia/core/oracle.hh"
@@ -96,7 +97,9 @@ class MicroEngine final : public Experiment
                                   .cuCount;
             });
             table.row()
-                .cell("oracle search (448 configs)")
+                .cell("oracle search (" +
+                      std::to_string(device.space().size()) +
+                      " configs)")
                 .numInt(iters)
                 .num(ns, 0);
         }

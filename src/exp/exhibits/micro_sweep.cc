@@ -2,7 +2,7 @@
  * @file
  * Evaluation-path throughput microbenchmark: naive per-config
  * evaluation vs the factored (SIMD-batched) lattice path, at 1 and 4
- * worker threads.
+ * worker threads, on full lattices and on governor slices.
  *
  * Drives GpuDevice::runLattice (and, for the naive rows, per-config
  * GpuDevice::run under the same thread pool) straight into a reused
@@ -11,22 +11,32 @@
  * allocation is cache-feature overhead, not evaluation work, and
  * whose cost would otherwise dominate run-to-run noise.
  *
- * Reports kernel-invocation lattices per second (one lattice = one
- * (kernel, iteration) evaluated at all 448 configurations) and the
- * per-config rate, and prints the single-thread factored/naive
- * speedup. `--bench-reps N` controls how many full-suite passes each
- * variant runs (default 6); the measurements land in the
- * micro_sweep/micro_sweep_summary artifacts under `--out`.
+ * The sweep table reports kernel-invocation lattices per second (one
+ * lattice = one (kernel, iteration) evaluated at every configuration
+ * of the device's lattice) and the per-config rate, and prints the
+ * single-thread factored/naive speedup. The slice table times the
+ * shape of a harmoniad evaluate — 8 configs around one centre, the
+ * candidates a governor weighs at a kernel boundary — through one
+ * runLattice call against 8 run() calls, single-threaded, after
+ * checking that both paths produce the same bits (the exhibit fails
+ * if they differ). `--bench-reps N` controls how many full-suite
+ * passes each variant runs (default 6); the measurements land in the
+ * micro_sweep, micro_sweep_slices and micro_sweep_summary artifacts
+ * under `--out`.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
 
+#include "harmonia/common/error.hh"
 #include "harmonia/common/thread_pool.hh"
+#include "harmonia/core/sweep.hh"
 #include "exp/context.hh"
 #include "exp/experiment.hh"
 #include "harmonia/sim/gpu_device.hh"
+#include "serve/snapshot.hh"
 
 namespace harmonia::exp
 {
@@ -88,6 +98,129 @@ measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
     return m;
 }
 
+/**
+ * The fastest of five timings of each path, interleaved: every path
+ * takes its k-th timing back to back, so a quiet-machine window
+ * benefits every path, and the minimum-time estimator drops the
+ * one-sided scheduler/neighbor noise — the pair of standard tricks
+ * for stable wall-clock ratios on shared hardware.
+ */
+template <typename Time>
+std::vector<Measurement>
+fastestInterleaved(const std::vector<std::string> &paths, Time time)
+{
+    constexpr int kRounds = 5;
+    std::vector<Measurement> best;
+    for (const std::string &path : paths)
+        best.push_back(time(path));
+    for (int round = 1; round < kRounds; ++round) {
+        for (size_t p = 0; p < paths.size(); ++p) {
+            const Measurement m = time(paths[p]);
+            if (m.seconds < best[p].seconds)
+                best[p] = m;
+        }
+    }
+    return best;
+}
+
+/** Configs per governor slice: the size of a harmoniad evaluate. */
+constexpr size_t kSlice = 8;
+
+/** Suite walks per rep in the slice rows: a slice costs microseconds,
+ * so one walk per rep would time too little to rise above the clock
+ * and scheduler noise. */
+constexpr int kSliceWalksPerRep = 25;
+
+/**
+ * A governor's candidate set at a kernel boundary: a centre, its
+ * one-step neighbours along each axis, then distinct random lattice
+ * points up to kSlice.
+ */
+std::vector<HardwareConfig>
+governorSlice(const ConfigSpace &space,
+              const std::vector<HardwareConfig> &all, Rng &rng)
+{
+    const HardwareConfig centre = all[rng.uniformInt(0, all.size() - 1)];
+    std::vector<HardwareConfig> slice;
+    auto add = [&](const HardwareConfig &cfg) {
+        if (std::find(slice.begin(), slice.end(), cfg) == slice.end())
+            slice.push_back(cfg);
+    };
+    add(centre);
+    for (const Tunable t : kAllTunables)
+        for (const int step : {-1, 1})
+            add(space.stepped(centre, t, step));
+    while (slice.size() < kSlice)
+        add(all[rng.uniformInt(0, all.size() - 1)]);
+    slice.resize(kSlice);
+    return slice;
+}
+
+/** One governor slice per (suite kernel, iteration < @p walks),
+ * seeded from --seed so every run times the same slices. */
+std::vector<std::vector<HardwareConfig>>
+governorSlices(ExpContext &ctx, int walks)
+{
+    const ConfigSpace &space = ctx.device().space();
+    const std::vector<HardwareConfig> all = space.allConfigs();
+    std::vector<std::vector<HardwareConfig>> slices;
+    for (int r = 0; r < walks; ++r) {
+        for (const Application &app : ctx.suite()) {
+            for (size_t k = 0; k < app.kernels.size(); ++k) {
+                Rng rng = sweepSubstream(ctx.options().seed, slices.size());
+                slices.push_back(governorSlice(space, all, rng));
+            }
+        }
+    }
+    return slices;
+}
+
+/**
+ * Evaluate slice s of @p slices for invocation s of @p walks suite
+ * walks (the order governorSlices() built them in) through @p path: one
+ * runLattice call ("factored") or kSlice run() calls ("naive"). When
+ * @p bytes is non-null every result is appended to it in the snapshot
+ * wire encoding, which is lossless, so two paths agree bitwise exactly
+ * when their byte strings do.
+ */
+Measurement
+measureSlices(ExpContext &ctx, const std::string &path,
+              const std::vector<std::vector<HardwareConfig>> &slices,
+              int walks, std::string *bytes = nullptr)
+{
+    const GpuDevice &dev = ctx.device();
+    std::vector<KernelResult> out(kSlice);
+    serve::wire::DeltaChain chain;
+
+    Measurement m;
+    m.path = path;
+    m.reps = walks;
+
+    const auto start = std::chrono::steady_clock::now();
+    for (int r = 0; r < walks; ++r) {
+        for (const Application &app : ctx.suite()) {
+            for (const KernelProfile &k : app.kernels) {
+                const std::vector<HardwareConfig> &slice =
+                    slices[m.lattices++];
+                const KernelPhase phase = k.phase(r);
+                if (path == "naive") {
+                    for (size_t i = 0; i < slice.size(); ++i)
+                        out[i] = dev.run(k, phase, slice[i]);
+                } else {
+                    dev.runLattice(k, phase, slice, out.data());
+                }
+                if (bytes != nullptr)
+                    for (const KernelResult &res : out)
+                        serve::appendKernelResult(*bytes, res, &chain);
+            }
+        }
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    m.seconds = std::chrono::duration<double>(stop - start).count();
+    m.configs = m.lattices * kSlice;
+    return m;
+}
+
 class MicroSweep final : public Experiment
 {
   public:
@@ -111,28 +244,16 @@ class MicroSweep final : public Experiment
 
         // Per path: one warm-up pass so first-touch allocation and
         // page faults don't land in a timed region, then the fastest
-        // of several timed slices. Slices interleave across the paths
-        // (all paths sample slice k back to back) so a quiet-machine
-        // window benefits every path, and the minimum-time estimator
-        // drops the one-sided scheduler/neighbor noise — the pair of
-        // standard tricks for stable wall-clock ratios on shared
-        // hardware.
-        constexpr int kSlices = 5;
+        // of several interleaved timings.
         std::vector<Measurement> runs;
         for (const int jobs : {1, 4}) {
-            const size_t base = runs.size();
-            for (const std::string &path : paths) {
+            for (const std::string &path : paths)
                 measure(ctx, path, jobs, 1);
-                runs.push_back(measure(ctx, path, jobs, reps));
-            }
-            for (int slice = 1; slice < kSlices; ++slice) {
-                for (size_t p = 0; p < paths.size(); ++p) {
-                    const Measurement s =
-                        measure(ctx, paths[p], jobs, reps);
-                    if (s.seconds < runs[base + p].seconds)
-                        runs[base + p] = s;
-                }
-            }
+            for (const Measurement &m :
+                 fastestInterleaved(paths, [&](const std::string &path) {
+                     return measure(ctx, path, jobs, reps);
+                 }))
+                runs.push_back(m);
         }
 
         TextTable table(
@@ -145,8 +266,43 @@ class MicroSweep final : public Experiment
                 .cell(formatNum(m.configsPerSec(), 0))
                 .cell(formatNum(m.seconds, 3));
         }
-        ctx.emit(table, "Sweep throughput (448-config lattices)",
+        const size_t latticeSize = ctx.device().space().size();
+        ctx.emit(table,
+                 "Sweep throughput (" + std::to_string(latticeSize) +
+                     "-config lattices)",
                  "micro_sweep");
+
+        // Governor slices, single-threaded. The bitwise check doubles
+        // as the warm-up pass.
+        const int walks = reps * kSliceWalksPerRep;
+        const std::vector<std::vector<HardwareConfig>> slices =
+            governorSlices(ctx, walks);
+        std::string naiveBytes, factoredBytes;
+        measureSlices(ctx, "naive", slices, walks, &naiveBytes);
+        measureSlices(ctx, "factored", slices, walks, &factoredBytes);
+        if (naiveBytes != factoredBytes)
+            panic("micro_sweep: runLattice and run() disagree on a "
+                  "governor slice of ", ctx.device().name());
+        const std::vector<Measurement> sliceRuns =
+            fastestInterleaved(paths, [&](const std::string &path) {
+                return measureSlices(ctx, path, slices, walks);
+            });
+
+        TextTable sliceTable({"path", "jobs", "slices/s", "us/slice",
+                              "sec"});
+        for (const Measurement &m : sliceRuns) {
+            sliceTable.row()
+                .cell(m.path)
+                .cell(std::to_string(m.jobs))
+                .cell(formatNum(m.latticesPerSec(), 1))
+                .cell(formatNum(1e6 / m.latticesPerSec(), 2))
+                .cell(formatNum(m.seconds, 3));
+        }
+        ctx.emit(sliceTable,
+                 "Governor slices (" + std::to_string(kSlice) +
+                     " configs; factored = one runLattice, naive = " +
+                     std::to_string(kSlice) + " run() calls)",
+                 "micro_sweep_slices");
 
         double naive1 = 0.0, factored1 = 0.0;
         for (const Measurement &m : runs) {
@@ -159,17 +315,21 @@ class MicroSweep final : public Experiment
         }
         const double factoredSpeedup1 =
             naive1 > 0.0 ? factored1 / naive1 : 0.0;
+        const double sliceRatio =
+            sliceRuns[1].seconds / sliceRuns[0].seconds;
         ctx.out() << "\nsingle-thread factored speedup: "
-                  << formatNum(factoredSpeedup1, 2) << "x\n";
+                  << formatNum(factoredSpeedup1, 2) << "x\n"
+                  << "governor slice time, factored / naive: "
+                  << formatNum(sliceRatio, 2) << "x\n";
 
         TextTable summary({"metric", "value"});
         summary.row().cell("configs per lattice").numInt(
-            static_cast<long long>(
-                runs.empty() ? 0 : runs.front().configs /
-                                       runs.front().lattices));
+            static_cast<long long>(latticeSize));
         summary.row().cell("reps per variant").numInt(reps);
         summary.row().cell("single-thread factored speedup").num(
             factoredSpeedup1, 3);
+        summary.row().cell("slice time factored / naive").num(
+            sliceRatio, 3);
         ctx.emit(summary, "micro_sweep summary", "micro_sweep_summary");
     }
 };

@@ -62,8 +62,10 @@ constexpr int kClients = 16;
 
 /** Lattice points per request — a governor-style candidate set (the
  * current config plus its lattice neighbours). Small lists are where
- * batching pays: unbatched, each request re-pays the factored
- * evaluator's per-invocation hoist for just a handful of points. */
+ * batching pays: unbatched, each request re-pays the lattice
+ * evaluator's per-invocation work (the config-invariant bundle, the
+ * axis entries it shares with the other requests, the run setup) for
+ * just a handful of points. */
 constexpr int kConfigsPerClient = 4;
 
 /** One window of evaluate request lines: @p clients requests against

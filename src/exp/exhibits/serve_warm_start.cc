@@ -51,8 +51,8 @@ using serve::Verb;
 constexpr int kClients = 16;
 
 /** Lattice points per request: a governor-style handful of candidate
- * configs per invocation, so the per-invocation hoist — the cost the
- * snapshot saves — dominates the cold window. */
+ * configs per invocation, so the cold window pays one lattice run per
+ * invocation — the cost the snapshot saves. */
 constexpr int kConfigsPerClient = 8;
 
 /** One window of evaluate lines: @p kClients clients each tracking a

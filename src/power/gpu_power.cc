@@ -71,6 +71,7 @@ GpuPowerModel::factorsFor(const HardwareConfig &cfg) const
 void
 GpuPowerModel::factorsForLattice(const int *cuCounts, size_t nCu,
                                  const int *computeFreqsMhz, size_t nCf,
+                                 const char *touched,
                                  GpuPowerFactors *out) const
 {
     for (size_t cf = 0; cf < nCf; ++cf) {
@@ -88,6 +89,8 @@ GpuPowerModel::factorsForLattice(const int *cuCounts, size_t nCu,
         const double leakScale =
             std::pow(v / params_.refVoltage, params_.leakVoltageExp);
         for (size_t cu = 0; cu < nCu; ++cu) {
+            if (!touched[cu * nCf + cf])
+                continue;
             const double cuFraction =
                 static_cast<double>(cuCounts[cu]) / dev_.numCus;
             GpuPowerFactors &f = out[cu * nCf + cf];

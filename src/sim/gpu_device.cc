@@ -124,67 +124,70 @@ GpuDevice::runLattice(const KernelProfile &profile,
                       const std::vector<HardwareConfig> &configs,
                       KernelResult *out, ThreadPool *pool) const
 {
-    const LatticeEvaluator eval(*this, profile, phase, pool);
-
     // Sweeps almost always pass the full lattice in canonical
     // allConfigs() order (memory frequency major, then CU count, then
-    // compute frequency). Detect that with one cheap comparison pass
-    // and derive lane indices arithmetically, skipping the per-config
-    // lattice-position lookups.
-    const TimingAxisTables &t = eval.timingTables();
-    const size_t nCu = t.cuValues.size();
-    const size_t nCf = t.computeFreqValues.size();
-    const size_t nMem = t.memFreqValues.size();
-    bool canonical = configs.size() == nMem * nCu * nCf;
-    for (size_t m = 0, i = 0; canonical && m < nMem; ++m) {
-        for (size_t cu = 0; canonical && cu < nCu; ++cu) {
-            for (size_t cf = 0; cf < nCf; ++cf, ++i) {
-                if (configs[i].cuCount != t.cuValues[cu] ||
-                    configs[i].computeFreqMhz != t.computeFreqValues[cf] ||
-                    configs[i].memFreqMhz != t.memFreqValues[m]) {
-                    canonical = false;
-                    break;
+    // compute frequency). Detect that with one cheap comparison pass:
+    // its demand is the full lattice and lane indices follow
+    // arithmetically. Any other list is mapped onto the axis values
+    // it touches (validating every config), so the hoist below builds
+    // only what those configs read.
+    const size_t n = configs.size();
+    LatticeDemand demand;
+    bool canonical = n == space().size();
+    if (canonical) {
+        demand = LatticeDemand::full(space());
+        size_t i = 0;
+        for (const int mem : demand.memFreqValues)
+            for (const int cu : demand.cuValues)
+                for (const int cf : demand.computeFreqValues) {
+                    const HardwareConfig &c = configs[i++];
+                    canonical = canonical && c.cuCount == cu &&
+                                c.computeFreqMhz == cf &&
+                                c.memFreqMhz == mem;
                 }
-            }
-        }
     }
+    std::vector<size_t> lanes;
+    if (!canonical) {
+        lanes.resize(3 * n);
+        demand = LatticeDemand::of(space(), configs.data(), n,
+                                   lanes.data(), lanes.data() + n,
+                                   lanes.data() + 2 * n);
+    }
+    const LatticeEvaluator eval(*this, profile, phase, demand, pool);
 
-    // Batched SIMD combine, one lane block per task. Each block
-    // derives its lane indices (arithmetically when canonical, through
-    // the axis lookups — which throw ConfigError off the lattice —
-    // otherwise) and writes only its own result window, so pool
-    // scheduling cannot affect the output.
+    // Batched SIMD combine, one lane block per task. Each block writes
+    // only its own result window, so pool scheduling cannot affect the
+    // output.
+    const size_t nCu = demand.cuValues.size();
+    const size_t nCf = demand.computeFreqValues.size();
     constexpr size_t kChunk = LatticeEvaluator::kBatchChunk;
-    const size_t nChunks = (configs.size() + kChunk - 1) / kChunk;
+    const size_t nChunks = (n + kChunk - 1) / kChunk;
     auto runChunk = [&](size_t chunk) {
         const size_t begin = chunk * kChunk;
-        const size_t len = std::min(kChunk, configs.size() - begin);
+        const size_t len = std::min(kChunk, n - begin);
+        if (!canonical) {
+            eval.evaluateBatchAtInto(&lanes[begin], &lanes[n + begin],
+                                     &lanes[2 * n + begin], len,
+                                     out + begin);
+            return;
+        }
+        // Odometer walk instead of three divisions per lane: the
+        // canonical order increments cf fastest, then cu, then the
+        // memory frequency.
         size_t cuIdx[kChunk], cfIdx[kChunk], memIdx[kChunk];
-        if (canonical) {
-            // Odometer walk instead of three divisions per lane: the
-            // canonical order increments cf fastest, then cu, then the
-            // memory frequency.
-            size_t cf = begin % nCf;
-            size_t cu = begin / nCf % nCu;
-            size_t m = begin / (nCu * nCf);
-            for (size_t l = 0; l < len; ++l) {
-                cuIdx[l] = cu;
-                cfIdx[l] = cf;
-                memIdx[l] = m;
-                if (++cf == nCf) {
-                    cf = 0;
-                    if (++cu == nCu) {
-                        cu = 0;
-                        ++m;
-                    }
+        size_t cf = begin % nCf;
+        size_t cu = begin / nCf % nCu;
+        size_t m = begin / (nCu * nCf);
+        for (size_t l = 0; l < len; ++l) {
+            cuIdx[l] = cu;
+            cfIdx[l] = cf;
+            memIdx[l] = m;
+            if (++cf == nCf) {
+                cf = 0;
+                if (++cu == nCu) {
+                    cu = 0;
+                    ++m;
                 }
-            }
-        } else {
-            for (size_t l = 0; l < len; ++l) {
-                const HardwareConfig &cfg = configs[begin + l];
-                cuIdx[l] = t.cuIndex(cfg.cuCount);
-                cfIdx[l] = t.computeFreqIndex(cfg.computeFreqMhz);
-                memIdx[l] = t.memFreqIndex(cfg.memFreqMhz);
             }
         }
         eval.evaluateBatchAtInto(cuIdx, cfIdx, memIdx, len, out + begin);

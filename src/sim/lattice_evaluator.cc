@@ -13,36 +13,60 @@ namespace harmonia
 LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
                                    const KernelProfile &profile,
                                    const KernelPhase &phase,
+                                   const LatticeDemand &demand,
                                    ThreadPool *pool)
     : device_(device), prep_(device.engine().prepare(profile, phase)),
-      timing_(device.engine().buildAxisTables(prep_, pool))
+      timing_(device.engine().buildAxisTables(prep_, demand, pool))
 {
     const size_t nCu = timing_.cuValues.size();
     const size_t nCf = timing_.computeFreqValues.size();
     const size_t nMem = timing_.memFreqValues.size();
 
     // GPU-side power state depends only on the DPM state: active CU
-    // count and compute frequency (which selects the voltage). The
-    // plane entries are produced by exactly the calls run() makes, so
-    // lookups are bitwise identical to recomputation; the memory
-    // frequency in the probe config is irrelevant to both calls.
-    gpuCuDynPrefix_.resize(nCu * nCf);
-    gpuUncoreDynPrefix_.resize(nCu * nCf);
-    gpuLeakage_.resize(nCu * nCf);
-    idleGpuCuDynamic_.resize(nCu * nCf);
-    idleGpuUncoreDynamic_.resize(nCu * nCf);
-    idleGpuLeakage_.resize(nCu * nCf);
-    idleGpuTotal_.resize(nCu * nCf);
+    // count and compute frequency (which selects the voltage), so it
+    // is built at the demand's touched pairs only. The plane entries
+    // are produced by exactly the calls run() makes, so lookups are
+    // bitwise identical to recomputation; the memory frequency in the
+    // probe config is irrelevant to both calls.
+    const size_t nGpu = nCu * nCf;
+    planes_.resize(7 * nGpu + 10 * nMem);
+    double *next = planes_.data();
+    auto carve = [&](size_t len) {
+        double *plane = next;
+        next += len;
+        return plane;
+    };
+    gpuCuDynPrefix_ = carve(nGpu);
+    gpuUncoreDynPrefix_ = carve(nGpu);
+    gpuLeakage_ = carve(nGpu);
+    idleGpuCuDynamic_ = carve(nGpu);
+    idleGpuUncoreDynamic_ = carve(nGpu);
+    idleGpuLeakage_ = carve(nGpu);
+    idleGpuTotal_ = carve(nGpu);
+    memFRatio_ = carve(nMem);
+    memLowFreqScale_ = carve(nMem);
+    memVScale_ = carve(nMem);
+    memBackground_ = carve(nMem);
+    idleMemBackground_ = carve(nMem);
+    idleMemActivatePrecharge_ = carve(nMem);
+    idleMemReadWrite_ = carve(nMem);
+    idleMemTermination_ = carve(nMem);
+    idleMemPhy_ = carve(nMem);
+    idleMemTotal_ = carve(nMem);
+
     // factorsForLattice() hoists the per-frequency voltage lookup and
     // pow() out of the CU loop and is bitwise equal to calling
     // factorsFor() per slot; idlePower(cfg) is
     // powerFromFactors(factorsFor(cfg), 0, 0), so reusing the factors
     // skips the second voltage lookup and pow() with the same bits.
-    std::vector<GpuPowerFactors> factors(nCu * nCf);
+    std::vector<GpuPowerFactors> factors(nGpu);
     device_.gpuPower().factorsForLattice(timing_.cuValues.data(), nCu,
                                          timing_.computeFreqValues.data(),
-                                         nCf, factors.data());
-    for (size_t slot = 0; slot < nCu * nCf; ++slot) {
+                                         nCf, demand.pairs.data(),
+                                         factors.data());
+    for (size_t slot = 0; slot < nGpu; ++slot) {
+        if (!demand.pairs[slot])
+            continue;
         const GpuPowerBreakdown idle =
             device_.gpuPower().powerFromFactors(factors[slot], 0.0, 0.0);
         gpuCuDynPrefix_[slot] = factors[slot].cuDynPrefix;
@@ -54,17 +78,8 @@ LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
         idleGpuTotal_[slot] = idle.total();
     }
 
-    // Memory-side power state depends only on the bus frequency.
-    memFRatio_.resize(nMem);
-    memLowFreqScale_.resize(nMem);
-    memVScale_.resize(nMem);
-    memBackground_.resize(nMem);
-    idleMemBackground_.resize(nMem);
-    idleMemActivatePrecharge_.resize(nMem);
-    idleMemReadWrite_.resize(nMem);
-    idleMemTermination_.resize(nMem);
-    idleMemPhy_.resize(nMem);
-    idleMemTotal_.resize(nMem);
+    // Memory-side power state depends only on the bus frequency; the
+    // demand's memory axis holds only touched frequencies.
     const MemorySystem &memsys = device_.engine().memorySystem();
     for (size_t m = 0; m < nMem; ++m) {
         const int memFreq = timing_.memFreqValues[m];

@@ -1,31 +1,40 @@
 /**
  * @file
- * Factored lattice evaluation of one kernel invocation.
+ * Demand-driven lattice evaluation of one kernel invocation.
  *
- * Design-space sweeps evaluate the same (profile, phase) at all 448
- * points of the tunable lattice. The naive path recomputes everything
- * per point; almost all of it is config-invariant or depends on a
- * single tunable axis. LatticeEvaluator hoists that work once:
+ * A lattice run evaluates one (profile, phase) at a set of lattice
+ * points: all of them for a sweep, a handful of neighbouring
+ * configurations for a governor's kernel-boundary decision. The naive
+ * path recomputes everything per point; almost all of it is
+ * config-invariant or depends on a single tunable axis.
+ * LatticeEvaluator hoists that work once, and only for the cells the
+ * run's LatticeDemand touches:
  *
  *  - the config-invariant bundle (TimingEngine::prepare): validation,
  *    occupancy, instruction and traffic totals;
  *  - the timing axis tables (TimingEngine::buildAxisTables): L2 hit
- *    rates per CU count, L2 bandwidth and crossing caps per compute
- *    frequency, ALU issue times per (CU, freq), peak bus bandwidth
- *    per memory frequency, and the resolved bandwidth lattice;
- *  - GPU power factors and DPM-state idle power per (CU count,
- *    compute frequency) — 64 voltage lookups and pow() calls instead
- *    of 448;
- *  - GDDR5 power factors and idle memory power per memory frequency.
+ *    rates per touched CU count, L2 bandwidth and crossing caps per
+ *    touched compute frequency, ALU issue times per touched (CU, freq)
+ *    pair, peak bus bandwidth per touched memory frequency, and the
+ *    resolved bandwidth of each requested cell;
+ *  - GPU power factors and DPM-state idle power per touched (CU count,
+ *    compute frequency) pair, with one voltage lookup and pow() per
+ *    touched frequency;
+ *  - GDDR5 power factors and idle memory power per touched memory
+ *    frequency.
  *
- * The hoisted tables are stored as structure-of-arrays planes (one
- * contiguous double array per model component) rather than arrays of
- * structs, so evaluateBatchAtInto() can stream each component with
- * vector loads. It gathers lane inputs from the planes and evaluates
- * the combine + power composition as vertical vector ops
- * (src/common/simd.hh), op-for-op mirroring the scalar expression
- * trees of GpuDevice::run() — no reassociation anywhere — so it is
- * bitwise identical to the naive path (pinned by
+ * The full lattice is the demand that touches every cell, so a sweep
+ * builds exactly the dense tables, while an 8-point slice builds a
+ * few axis entries and at most 8 bandwidth cells.
+ *
+ * The hoisted tables are stored as structure-of-arrays planes over
+ * the demand's compact grid (one contiguous double array per model
+ * component) rather than arrays of structs, so evaluateBatchAtInto()
+ * can stream each component with vector loads. It gathers lane inputs
+ * from the planes and evaluates the combine + power composition as
+ * vertical vector ops (src/common/simd.hh), op-for-op mirroring the
+ * scalar expression trees of GpuDevice::run() — no reassociation
+ * anywhere — so it is bitwise identical to the naive path (pinned by
  * tests/test_factored_engine.cpp and tests/test_simd_equivalence.cpp;
  * contract in docs/MODEL.md §9).
  */
@@ -57,24 +66,27 @@ class LatticeEvaluator
     static constexpr size_t kBatchChunk = 64;
 
     /**
-     * Hoist all config-invariant and axis-separable work for
-     * (@p profile, @p phase). When @p pool is non-null the bandwidth
-     * lattice is resolved in parallel (deterministically: each slab
-     * writes only its own slots).
+     * Hoist the config-invariant and axis-separable work for
+     * (@p profile, @p phase) over the cells @p demand touches. When
+     * @p pool is non-null the bandwidth slabs are resolved in parallel
+     * (deterministically: each slab writes only its own slots).
      */
     LatticeEvaluator(const GpuDevice &device, const KernelProfile &profile,
-                     const KernelPhase &phase, ThreadPool *pool = nullptr);
+                     const KernelPhase &phase, const LatticeDemand &demand,
+                     ThreadPool *pool = nullptr);
 
-    /** The timing-side axis tables. */
-    const TimingAxisTables &timingTables() const { return timing_; }
+    // The power planes point into planes_.
+    LatticeEvaluator(const LatticeEvaluator &) = delete;
+    LatticeEvaluator &operator=(const LatticeEvaluator &) = delete;
 
     /**
-     * SIMD-batched lattice evaluation: lane i evaluates the lattice
-     * point (@p cuIdx[i], @p cfIdx[i], @p memIdx[i]) into @p out[i]
-     * (assigning every field). Lanes are independent — any subset,
+     * SIMD-batched lattice evaluation: lane i evaluates the grid cell
+     * (@p cuIdx[i], @p cfIdx[i], @p memIdx[i]) — positions on the
+     * demand's touched axes — into @p out[i] (assigning every field).
+     * Lanes are independent — any subset of the requested cells,
      * duplicates, or a single point are all fine — and each lane's
      * result is bitwise identical to GpuDevice::run(profile, phase,
-     * cfg) at that point. Indices must be in range (unchecked).
+     * cfg) at that point. Cells must be requested (unchecked).
      */
     void evaluateBatchAtInto(const size_t *cuIdx, const size_t *cfIdx,
                              const size_t *memIdx, size_t n,
@@ -90,29 +102,33 @@ class LatticeEvaluator
     PreparedKernel prep_;
     TimingAxisTables timing_;
 
-    // (CU count, compute frequency) plane, row-major in CU count —
+    // One allocation backs every power plane below.
+    std::vector<double> planes_;
+
+    // (CU count, compute frequency) plane over the demand's touched
+    // axes, row-major in CU count, filled at its touched pairs —
     // GpuPowerFactors and the DPM-state idle GpuPowerBreakdown split
     // into one plane per component.
-    std::vector<double> gpuCuDynPrefix_;
-    std::vector<double> gpuUncoreDynPrefix_;
-    std::vector<double> gpuLeakage_;
-    std::vector<double> idleGpuCuDynamic_;
-    std::vector<double> idleGpuUncoreDynamic_;
-    std::vector<double> idleGpuLeakage_;
-    std::vector<double> idleGpuTotal_; ///< idle GpuPowerBreakdown::total().
+    double *gpuCuDynPrefix_ = nullptr;
+    double *gpuUncoreDynPrefix_ = nullptr;
+    double *gpuLeakage_ = nullptr;
+    double *idleGpuCuDynamic_ = nullptr;
+    double *idleGpuUncoreDynamic_ = nullptr;
+    double *idleGpuLeakage_ = nullptr;
+    double *idleGpuTotal_ = nullptr; ///< idle GpuPowerBreakdown::total().
 
     // Memory-frequency axis — Gddr5PowerFactors and the idle
     // MemPowerBreakdown, one plane per component.
-    std::vector<double> memFRatio_;
-    std::vector<double> memLowFreqScale_;
-    std::vector<double> memVScale_;
-    std::vector<double> memBackground_;
-    std::vector<double> idleMemBackground_;
-    std::vector<double> idleMemActivatePrecharge_;
-    std::vector<double> idleMemReadWrite_;
-    std::vector<double> idleMemTermination_;
-    std::vector<double> idleMemPhy_;
-    std::vector<double> idleMemTotal_; ///< idle MemPowerBreakdown::total().
+    double *memFRatio_ = nullptr;
+    double *memLowFreqScale_ = nullptr;
+    double *memVScale_ = nullptr;
+    double *memBackground_ = nullptr;
+    double *idleMemBackground_ = nullptr;
+    double *idleMemActivatePrecharge_ = nullptr;
+    double *idleMemReadWrite_ = nullptr;
+    double *idleMemTermination_ = nullptr;
+    double *idleMemPhy_ = nullptr;
+    double *idleMemTotal_ = nullptr; ///< idle MemPowerBreakdown::total().
 };
 
 } // namespace harmonia

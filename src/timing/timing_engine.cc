@@ -11,41 +11,64 @@
 namespace harmonia
 {
 
-namespace
+LatticeDemand
+LatticeDemand::full(const ConfigSpace &space)
 {
-
-/** Position of @p value on an ascending arithmetic lattice axis. */
-size_t
-axisIndexOf(int value, const std::vector<int> &values, const char *what)
-{
-    fatalIf(values.empty(), "TimingAxisTables: empty ", what, " axis");
-    const int lo = values.front();
-    const int hi = values.back();
-    const int step = values.size() > 1 ? values[1] - values[0] : 1;
-    fatalIf(value < lo || value > hi || (value - lo) % step != 0,
-            "TimingAxisTables: ", what, " = ", value,
-            " is not on the lattice [", lo, ", ", hi, "] step ", step);
-    return static_cast<size_t>((value - lo) / step);
+    LatticeDemand d;
+    d.cuValues = space.values(Tunable::CuCount);
+    d.computeFreqValues = space.values(Tunable::ComputeFreq);
+    d.memFreqValues = space.values(Tunable::MemFreq);
+    d.pairs.assign(d.cuValues.size() * d.computeFreqValues.size(), 1);
+    d.cells.assign(d.pairs.size() * d.memFreqValues.size(), 1);
+    return d;
 }
 
-} // namespace
-
-size_t
-TimingAxisTables::cuIndex(int cuCount) const
+LatticeDemand
+LatticeDemand::of(const ConfigSpace &space, const HardwareConfig *configs,
+                  size_t n, size_t *cuIdx, size_t *cfIdx, size_t *memIdx)
 {
-    return axisIndexOf(cuCount, cuValues, "CU-count");
-}
+    // Per axis: mark the touched lattice positions, number them in
+    // ascending order, and map every config onto that numbering.
+    LatticeDemand d;
+    std::vector<size_t> pos;
+    auto touch = [&](Tunable axis, int HardwareConfig::*field,
+                     std::vector<int> &values, size_t *idx) {
+        const int lo = space.minValue(axis);
+        const int hi = space.maxValue(axis);
+        const int step = space.step(axis);
+        pos.assign(space.count(axis), 0);
+        for (size_t i = 0; i < n; ++i) {
+            const int v = configs[i].*field;
+            if (v < lo || v > hi || (v - lo) % step != 0)
+                space.validate(configs[i]); // Throws, naming the axis.
+            idx[i] = static_cast<size_t>((v - lo) / step);
+            pos[idx[i]] = 1;
+        }
+        values.reserve(std::count(pos.begin(), pos.end(), 1));
+        for (size_t p = 0; p < pos.size(); ++p) {
+            if (pos[p] != 0) {
+                pos[p] = values.size();
+                values.push_back(lo + static_cast<int>(p) * step);
+            }
+        }
+        for (size_t i = 0; i < n; ++i)
+            idx[i] = pos[idx[i]];
+    };
+    touch(Tunable::CuCount, &HardwareConfig::cuCount, d.cuValues, cuIdx);
+    touch(Tunable::ComputeFreq, &HardwareConfig::computeFreqMhz,
+          d.computeFreqValues, cfIdx);
+    touch(Tunable::MemFreq, &HardwareConfig::memFreqMhz, d.memFreqValues,
+          memIdx);
 
-size_t
-TimingAxisTables::computeFreqIndex(int computeFreqMhz) const
-{
-    return axisIndexOf(computeFreqMhz, computeFreqValues, "compute-freq");
-}
-
-size_t
-TimingAxisTables::memFreqIndex(int memFreqMhz) const
-{
-    return axisIndexOf(memFreqMhz, memFreqValues, "mem-freq");
+    const size_t nCu = d.cuValues.size();
+    const size_t nCf = d.computeFreqValues.size();
+    d.pairs.assign(nCu * nCf, 0);
+    d.cells.assign(nCu * nCf * d.memFreqValues.size(), 0);
+    for (size_t i = 0; i < n; ++i) {
+        d.pairs[cuIdx[i] * nCf + cfIdx[i]] = 1;
+        d.cells[(memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i]] = 1;
+    }
+    return d;
 }
 
 TimingEngine::TimingEngine(const GcnDeviceConfig &dev, CacheModel cache,
@@ -159,12 +182,20 @@ TimingAxisTables
 TimingEngine::buildAxisTables(const PreparedKernel &prep,
                               ThreadPool *pool) const
 {
+    return buildAxisTables(prep, LatticeDemand::full(space_), pool);
+}
+
+TimingAxisTables
+TimingEngine::buildAxisTables(const PreparedKernel &prep,
+                              const LatticeDemand &demand,
+                              ThreadPool *pool) const
+{
     const KernelPhase &phase = prep.phase;
 
     TimingAxisTables t;
-    t.cuValues = space_.values(Tunable::CuCount);
-    t.computeFreqValues = space_.values(Tunable::ComputeFreq);
-    t.memFreqValues = space_.values(Tunable::MemFreq);
+    t.cuValues = demand.cuValues;
+    t.computeFreqValues = demand.computeFreqValues;
+    t.memFreqValues = demand.memFreqValues;
     const size_t nCu = t.cuValues.size();
     const size_t nCf = t.computeFreqValues.size();
     const size_t nMem = t.memFreqValues.size();
@@ -195,6 +226,8 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
     t.computeTime.resize(nCu * nCf);
     for (size_t cu = 0; cu < nCu; ++cu) {
         for (size_t cf = 0; cf < nCf; ++cf) {
+            if (!demand.pairs[cu * nCf + cf])
+                continue;
             const double issueRate =
                 dev_.peakWaveInstRate(t.cuValues[cu],
                                       t.computeFreqValues[cf]) *
@@ -210,61 +243,81 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
         t.invPeakBandwidth[m] = 1.0 / t.peakBandwidth[m];
     }
 
-    // The bandwidth lattice, built one memory-frequency slab at a
-    // time. Two levers keep the slab cheap while staying bitwise
-    // identical to per-point resolveBandwidth() calls:
+    // The bandwidth grid, built one memory-frequency slab at a time
+    // over the requested cells only. Two levers keep the slab cheap
+    // while staying bitwise identical to per-point resolveBandwidth()
+    // calls:
     //
     //  1. Compute-frequency dedup: with zero outstanding requests the
-    //     result never reads the crossing cap, and once both adjacent
+    //     result never reads the crossing cap, and once both crossing
     //     caps clear the bus ceiling the solve sees the identical
-    //     supply ceiling and limiter ordering — reuse the previous
-    //     entry in the row verbatim.
-    //  2. Every remaining (CU, compute-freq) point in the slab is an
+    //     supply ceiling and limiter ordering — so a requested cell
+    //     reuses the previous requested cell of its (memory
+    //     frequency, CU count) row verbatim.
+    //  2. Every remaining requested cell of the slab is an
     //     independent lane of resolveSlabLanesWithCrossingCap(), which
     //     runs the bisection solves as interleaved vector packs so
     //     their division chains pipeline instead of running back to
     //     back.
-    t.bandwidthBps.resize(nMem * nCu * nCf);
-    t.bandwidthLatency.resize(nMem * nCu * nCf);
-    t.bandwidthLimiter.resize(nMem * nCu * nCf);
+    const size_t slab = nCu * nCf;
+    t.bandwidthBps.resize(nMem * slab);
+    t.bandwidthLatency.resize(nMem * slab);
+    t.bandwidthLimiter.resize(nMem * slab);
 
-    // Lane scratch for every slab, allocated once up front; slab m
-    // touches only its own [m * nCu * nCf, ...) window, so the
-    // parallel path stays write-disjoint.
-    std::vector<double> laneOutstandingBuf(nMem * nCu * nCf);
-    std::vector<double> laneCapBuf(nMem * nCu * nCf);
-    std::vector<size_t> laneSlotBuf(nMem * nCu * nCf);
-    std::vector<BandwidthResult> laneResultBuf(nMem * nCu * nCf);
+    // Lane buffers for every slab, allocated once up front and sized
+    // by the requested cells: slab m stages into its own window
+    // [laneBegin[m], laneBegin[m + 1]), so the parallel path stays
+    // write-disjoint.
+    std::vector<size_t> laneBegin(nMem + 1, 0);
+    for (size_t m = 0; m < nMem; ++m) {
+        size_t requested = 0;
+        for (size_t s = 0; s < slab; ++s)
+            requested += demand.cells[m * slab + s] != 0;
+        laneBegin[m + 1] = laneBegin[m] + requested;
+    }
+    const size_t nLanes = laneBegin[nMem];
+    std::vector<double> laneOutstandingBuf(nLanes);
+    std::vector<double> laneCapBuf(nLanes);
+    std::vector<size_t> laneSlotBuf(nLanes);
+    std::vector<BandwidthResult> laneResultBuf(nLanes);
 
-    MemDemand demand;
-    demand.requestBytes = dev_.cacheLineBytes;
-    demand.rowHitFraction = phase.rowHitFraction;
-    demand.streamEfficiency = phase.streamEfficiency;
+    MemDemand memDemand;
+    memDemand.requestBytes = dev_.cacheLineBytes;
+    memDemand.rowHitFraction = phase.rowHitFraction;
+    memDemand.streamEfficiency = phase.streamEfficiency;
 
-    // A compute frequency dedups against its left neighbor when both
-    // crossing caps clear the slab's bus ceiling (or the row has no
-    // outstanding requests); everything else becomes a lane.
-    auto dedups = [&](double outstanding, double busPeak, size_t cf) {
-        return cf > 0 && (outstanding == 0.0 ||
-                          (t.crossingCap[cf] >= busPeak &&
-                           t.crossingCap[cf - 1] >= busPeak));
+    // A requested compute frequency dedups against the previous
+    // requested one (@p prev) of its row when both crossing caps clear
+    // the slab's bus ceiling (or the row has no outstanding requests);
+    // everything else becomes a lane.
+    auto dedups = [&](double outstanding, double busPeak, size_t prev,
+                      size_t cf) {
+        return prev < nCf &&
+               (outstanding == 0.0 || (t.crossingCap[cf] >= busPeak &&
+                                       t.crossingCap[prev] >= busPeak));
     };
 
     auto stageLanes = [&](size_t m) -> size_t {
         const double busPeak =
-            t.peakBandwidth[m] * demand.streamEfficiency;
-        double *laneOutstanding = &laneOutstandingBuf[m * nCu * nCf];
-        double *laneCap = &laneCapBuf[m * nCu * nCf];
-        size_t *laneSlot = &laneSlotBuf[m * nCu * nCf];
+            t.peakBandwidth[m] * memDemand.streamEfficiency;
+        const char *cells = &demand.cells[m * slab];
+        double *laneOutstanding = &laneOutstandingBuf[laneBegin[m]];
+        double *laneCap = &laneCapBuf[laneBegin[m]];
+        size_t *laneSlot = &laneSlotBuf[laneBegin[m]];
         size_t n = 0;
         for (size_t cu = 0; cu < nCu; ++cu) {
+            size_t prev = nCf;
             for (size_t cf = 0; cf < nCf; ++cf) {
-                if (dedups(t.outstandingRequests[cu], busPeak, cf))
+                if (!cells[cu * nCf + cf])
                     continue;
-                laneOutstanding[n] = t.outstandingRequests[cu];
-                laneCap[n] = t.crossingCap[cf];
-                laneSlot[n] = cu * nCf + cf;
-                ++n;
+                if (!dedups(t.outstandingRequests[cu], busPeak, prev,
+                            cf)) {
+                    laneOutstanding[n] = t.outstandingRequests[cu];
+                    laneCap[n] = t.crossingCap[cf];
+                    laneSlot[n] = cu * nCf + cf;
+                    ++n;
+                }
+                prev = cf;
             }
         }
         return n;
@@ -272,13 +325,13 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
 
     auto scatterSlab = [&](size_t m, size_t n) {
         const double busPeak =
-            t.peakBandwidth[m] * demand.streamEfficiency;
-        double *slabBps = &t.bandwidthBps[m * nCu * nCf];
-        double *slabLatency = &t.bandwidthLatency[m * nCu * nCf];
-        BandwidthLimiter *slabLimiter =
-            &t.bandwidthLimiter[m * nCu * nCf];
-        const size_t *laneSlot = &laneSlotBuf[m * nCu * nCf];
-        const BandwidthResult *laneResult = &laneResultBuf[m * nCu * nCf];
+            t.peakBandwidth[m] * memDemand.streamEfficiency;
+        const char *cells = &demand.cells[m * slab];
+        double *slabBps = &t.bandwidthBps[m * slab];
+        double *slabLatency = &t.bandwidthLatency[m * slab];
+        BandwidthLimiter *slabLimiter = &t.bandwidthLimiter[m * slab];
+        const size_t *laneSlot = &laneSlotBuf[laneBegin[m]];
+        const BandwidthResult *laneResult = &laneResultBuf[laneBegin[m]];
         for (size_t l = 0; l < n; ++l) {
             slabBps[laneSlot[l]] = laneResult[l].effectiveBps;
             slabLatency[laneSlot[l]] = laneResult[l].latency;
@@ -286,12 +339,17 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
         }
         for (size_t cu = 0; cu < nCu; ++cu) {
             const size_t row = cu * nCf;
-            for (size_t cf = 1; cf < nCf; ++cf) {
-                if (dedups(t.outstandingRequests[cu], busPeak, cf)) {
-                    slabBps[row + cf] = slabBps[row + cf - 1];
-                    slabLatency[row + cf] = slabLatency[row + cf - 1];
-                    slabLimiter[row + cf] = slabLimiter[row + cf - 1];
+            size_t prev = nCf;
+            for (size_t cf = 0; cf < nCf; ++cf) {
+                if (!cells[row + cf])
+                    continue;
+                if (dedups(t.outstandingRequests[cu], busPeak, prev,
+                           cf)) {
+                    slabBps[row + cf] = slabBps[row + prev];
+                    slabLatency[row + cf] = slabLatency[row + prev];
+                    slabLimiter[row + cf] = slabLimiter[row + prev];
                 }
+                prev = cf;
             }
         }
     };
@@ -299,16 +357,17 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
     std::vector<MemorySystem::SlabLaneRequest> reqs(nMem);
     for (size_t m = 0; m < nMem; ++m) {
         reqs[m].memFreqMhz = t.memFreqValues[m];
-        reqs[m].outstanding = &laneOutstandingBuf[m * nCu * nCf];
-        reqs[m].crossingCaps = &laneCapBuf[m * nCu * nCf];
-        reqs[m].out = &laneResultBuf[m * nCu * nCf];
+        reqs[m].outstanding = &laneOutstandingBuf[laneBegin[m]];
+        reqs[m].crossingCaps = &laneCapBuf[laneBegin[m]];
+        reqs[m].out = &laneResultBuf[laneBegin[m]];
     }
 
     if (pool != nullptr && pool->numThreads() > 1) {
         // One slab per task, each resolved on its own.
         pool->parallelFor(nMem, 1, [&](size_t m) {
             reqs[m].lanes = stageLanes(m);
-            memsys_.resolveSlabLanesWithCrossingCap(&reqs[m], 1, demand);
+            memsys_.resolveSlabLanesWithCrossingCap(&reqs[m], 1,
+                                                    memDemand);
             scatterSlab(m, reqs[m].lanes);
         });
     } else {
@@ -319,7 +378,7 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
         for (size_t m = 0; m < nMem; ++m)
             reqs[m].lanes = stageLanes(m);
         memsys_.resolveSlabLanesWithCrossingCap(reqs.data(), nMem,
-                                                demand);
+                                                memDemand);
         for (size_t m = 0; m < nMem; ++m)
             scatterSlab(m, reqs[m].lanes);
     }

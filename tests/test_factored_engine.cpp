@@ -22,6 +22,7 @@
 #include "harmonia/common/error.hh"
 #include "harmonia/common/thread_pool.hh"
 #include "harmonia/core/sweep.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/sim/gpu_device.hh"
 #include "harmonia/workloads/suite.hh"
 
@@ -239,6 +240,67 @@ TEST(FactoredEngine, AxisTablesMatchDirectModelCalls)
                 EXPECT_EQ(tabled.limiter, direct.limiter) << ctx;
             }
         }
+    }
+
+    // A sparse demand on the 10,416-point ampere-ga100 lattice: a few
+    // scattered configs (two sharing a (memory frequency, CU count)
+    // row, one repeated) touch a few axis values and bandwidth cells.
+    // Every entry the tables hold for them must equal what run()
+    // computes at that config.
+    const GpuDevice ampere = makeDevice("ampere-ga100").value();
+    const TimingEngine &aEng = ampere.engine();
+    const ConfigSpace &space = ampere.space();
+    const HardwareConfig lo = space.minConfig();
+    const HardwareConfig hi = space.maxConfig();
+    const std::vector<HardwareConfig> configs = {
+        lo,
+        hi,
+        space.stepped(hi, Tunable::ComputeFreq, -3),
+        space.stepped(hi, Tunable::MemFreq, -5),
+        space.stepped(space.stepped(lo, Tunable::CuCount, 2),
+                      Tunable::ComputeFreq, 7),
+        hi,
+    };
+    const size_t n = configs.size();
+    std::vector<size_t> cuIdx(n), cfIdx(n), memIdx(n);
+    const LatticeDemand cells = LatticeDemand::of(
+        space, configs.data(), n, cuIdx.data(), cfIdx.data(),
+        memIdx.data());
+    const PreparedKernel aPrep = aEng.prepare(k, phase);
+    const TimingAxisTables sparse = aEng.buildAxisTables(aPrep, cells);
+
+    ASSERT_EQ(sparse.cuValues.size(), 3u);
+    ASSERT_EQ(sparse.computeFreqValues.size(), 4u);
+    ASSERT_EQ(sparse.memFreqValues.size(), 3u);
+    ASSERT_EQ(sparse.bandwidthBps.size(), 3u * 4u * 3u);
+    const size_t nCu = sparse.cuValues.size();
+    const size_t nCf = sparse.computeFreqValues.size();
+    for (size_t i = 0; i < n; ++i) {
+        const HardwareConfig &cfg = configs[i];
+        const std::string ctx = "ampere-ga100 sparse @ " + cfg.str();
+        EXPECT_EQ(sparse.cuValues[cuIdx[i]], cfg.cuCount) << ctx;
+        EXPECT_EQ(sparse.computeFreqValues[cfIdx[i]], cfg.computeFreqMhz)
+            << ctx;
+        EXPECT_EQ(sparse.memFreqValues[memIdx[i]], cfg.memFreqMhz) << ctx;
+
+        const KernelTiming direct = aEng.run(k, phase, cfg);
+        EXPECT_SAME_BITS(sparse.l2HitRate[cuIdx[i]], direct.l2HitRate);
+        EXPECT_SAME_BITS(sparse.offChipBytes[cuIdx[i]],
+                         direct.offChipBytes);
+        EXPECT_SAME_BITS(sparse.l2Time[cfIdx[i]], direct.l2Time);
+        EXPECT_SAME_BITS(
+            sparse.crossingCap[cfIdx[i]],
+            aEng.memorySystem().crossing().maxBandwidth(cfg.computeFreqMhz));
+        EXPECT_SAME_BITS(sparse.computeTime[cuIdx[i] * nCf + cfIdx[i]],
+                         direct.computeTime);
+        EXPECT_SAME_BITS(sparse.peakBandwidth[memIdx[i]],
+                         aEng.memorySystem().peakBandwidth(cfg.memFreqMhz));
+        const BandwidthResult tabled = sparse.bandwidthAt(
+            (memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i]);
+        EXPECT_SAME_BITS(tabled.effectiveBps,
+                         direct.bandwidth.effectiveBps);
+        EXPECT_SAME_BITS(tabled.latency, direct.bandwidth.latency);
+        EXPECT_EQ(tabled.limiter, direct.bandwidth.limiter) << ctx;
     }
 }
 

@@ -10,8 +10,15 @@
  * suite on the canonical lattice; these tests pin the rest:
  *
  *  - seeded fuzzing of off-canonical batches (random subsets,
- *    duplicates, shuffles, single points), which exercises the
+ *    duplicates, shuffles, single points) on every registered device,
+ *    which exercises the demand-driven hoist (only the touched axis
+ *    entries and requested bandwidth cells are built) and the
  *    indexed-gather fallback rather than the fused canonical gather;
+ *  - the batch shapes a sparse demand can get wrong: governor slices,
+ *    two requested compute frequencies of one (memory frequency, CU
+ *    count) row on either side of the crossing-cap dedup boundary, a
+ *    kernel with zero outstanding requests, and sizes around the lane
+ *    block;
  *  - scheduling independence of the chunked parallel SIMD path;
  *  - the batched crossing-cap bandwidth resolvers against the
  *    single-lane resolveWithCrossingCap(), including lanes placed
@@ -31,6 +38,7 @@
 #include "harmonia/core/sweep.hh"
 #include "harmonia/dvfs/tunables.hh"
 #include "harmonia/memsys/memory_system.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/sim/gpu_device.hh"
 #include "sim/lattice_evaluator.hh"
 #include "harmonia/workloads/suite.hh"
@@ -45,6 +53,19 @@ device()
 {
     static GpuDevice dev;
     return dev;
+}
+
+/** Every registered device profile, built once. */
+const std::vector<GpuDevice> &
+allDevices()
+{
+    static const std::vector<GpuDevice> devices = [] {
+        std::vector<GpuDevice> out;
+        for (const std::string &name : deviceNames())
+            out.push_back(makeDevice(name).value());
+        return out;
+    }();
+    return devices;
 }
 
 /** Bit pattern of a double: distinguishes -0.0/0.0 and NaN payloads. */
@@ -123,20 +144,41 @@ expectSameResult(const KernelResult &a, const KernelResult &b,
 }
 
 /**
- * Run @p configs through runLattice (on @p pool, when given) and
- * require results bitwise identical to per-config GpuDevice::run().
+ * Run @p configs through @p dev's runLattice (on @p pool, when given)
+ * and require results bitwise identical to per-config run().
  */
 void
-expectLatticeMatchesNaive(const KernelProfile &k, const KernelPhase &phase,
+expectLatticeMatchesNaive(const GpuDevice &dev, const KernelProfile &k,
+                          const KernelPhase &phase,
                           const std::vector<HardwareConfig> &configs,
                           const std::string &ctxBase,
                           ThreadPool *pool = nullptr)
 {
     std::vector<KernelResult> simd(configs.size());
-    device().runLattice(k, phase, configs, simd.data(), pool);
+    dev.runLattice(k, phase, configs, simd.data(), pool);
     for (size_t i = 0; i < configs.size(); ++i)
-        expectSameResult(simd[i], device().run(k, phase, configs[i]),
-                         ctxBase + " @ " + configs[i].str());
+        expectSameResult(simd[i], dev.run(k, phase, configs[i]),
+                         dev.name() + " " + ctxBase + " @ " +
+                             configs[i].str());
+}
+
+/**
+ * A governor's candidate set: @p centre, its one-step neighbours
+ * along each axis, then random lattice points up to @p size (the
+ * shape of a harmoniad evaluate).
+ */
+std::vector<HardwareConfig>
+governorSlice(const ConfigSpace &space, const HardwareConfig &centre,
+              size_t size, Rng &rng)
+{
+    const std::vector<HardwareConfig> all = space.allConfigs();
+    std::vector<HardwareConfig> slice = {centre};
+    for (const Tunable t : kAllTunables)
+        for (const int step : {-1, 1})
+            slice.push_back(space.stepped(centre, t, step));
+    while (slice.size() < size)
+        slice.push_back(all[rng.uniformInt(0, all.size() - 1)]);
+    return slice;
 }
 
 void
@@ -153,72 +195,145 @@ expectSameBandwidth(const BandwidthResult &a, const BandwidthResult &b,
 // Off-canonical batches: random subsets with duplicates, shuffled
 // full lattices, and odd batch sizes, all fed through the
 // indexed-gather route (the canonical detection must reject them and
-// the result must still be bitwise identical to run()). Seeded via
-// the sweep RNG substream helper so failures replay exactly.
+// the result must still be bitwise identical to run()) on every
+// registered device. A subset builds only the axis entries and
+// bandwidth cells it touches, so these also pin the demand-driven
+// hoist. Seeded via the sweep RNG substream helper so failures replay
+// exactly.
 TEST(SimdEquivalence, FuzzedBatchesBitwiseIdenticalToScalar)
 {
-    const std::vector<HardwareConfig> all = device().space().allConfigs();
     const std::vector<Application> suite = standardSuite();
 
-    constexpr int kTrials = 24;
-    for (int trial = 0; trial < kTrials; ++trial) {
-        Rng rng = sweepSubstream(0x51D0E01ull, trial);
-        const Application &app =
-            suite[rng.uniformInt(0, suite.size() - 1)];
-        const KernelProfile &k =
-            app.kernels[rng.uniformInt(0, app.kernels.size() - 1)];
-        const int iter = rng.uniformInt(0, app.iterations - 1);
+    for (const GpuDevice &dev : allDevices()) {
+        const std::vector<HardwareConfig> all = dev.space().allConfigs();
+        constexpr int kTrials = 24;
+        for (int trial = 0; trial < kTrials; ++trial) {
+            Rng rng = sweepSubstream(0x51D0E01ull, trial);
+            const Application &app =
+                suite[rng.uniformInt(0, suite.size() - 1)];
+            const KernelProfile &k =
+                app.kernels[rng.uniformInt(0, app.kernels.size() - 1)];
+            const int iter = rng.uniformInt(0, app.iterations - 1);
 
-        std::vector<HardwareConfig> batch;
-        if (trial % 4 == 0) {
-            // Full lattice, Fisher-Yates shuffled: canonical size but
-            // non-canonical order.
-            batch = all;
-            for (size_t i = batch.size() - 1; i > 0; --i)
-                std::swap(batch[i], batch[rng.uniformInt(0, i)]);
-        } else {
-            // Random multiset of lattice points, including sizes that
-            // leave partial tail chunks and partial vector packs.
-            const size_t n = rng.uniformInt(1, 600);
-            batch.reserve(n);
-            for (size_t i = 0; i < n; ++i)
-                batch.push_back(all[rng.uniformInt(0, all.size() - 1)]);
+            std::vector<HardwareConfig> batch;
+            if (trial % 4 == 0) {
+                // Full lattice, Fisher-Yates shuffled: canonical size
+                // but non-canonical order.
+                batch = all;
+                for (size_t i = batch.size() - 1; i > 0; --i)
+                    std::swap(batch[i], batch[rng.uniformInt(0, i)]);
+            } else {
+                // Random multiset of lattice points, including sizes
+                // that leave partial tail chunks and partial vector
+                // packs.
+                const size_t n = rng.uniformInt(1, 600);
+                batch.reserve(n);
+                for (size_t i = 0; i < n; ++i)
+                    batch.push_back(
+                        all[rng.uniformInt(0, all.size() - 1)]);
+            }
+
+            expectLatticeMatchesNaive(dev, k, k.phase(iter), batch,
+                                      k.id() + "#" +
+                                          std::to_string(iter) +
+                                          " fuzz trial " +
+                                          std::to_string(trial));
         }
-
-        expectLatticeMatchesNaive(k, k.phase(iter), batch,
-                                  k.id() + "#" + std::to_string(iter) +
-                                      " fuzz trial " +
-                                      std::to_string(trial));
     }
 }
 
-// Degenerate batch shapes: a single point, one chunk of duplicates of
-// the same point, and a chunk-straddling batch.
+// Degenerate and sparse batch shapes on every registered device: a
+// single point, one chunk of duplicates of the same point, a
+// chunk-straddling batch, sizes one either side of the lane block,
+// governor slices, requested compute frequencies on either side of
+// the crossing-cap >= bus-ceiling dedup boundary of one (memory
+// frequency, CU count) row, and a kernel with zero outstanding
+// requests (every bandwidth cell of a row dedups).
 TEST(SimdEquivalence, SinglePointAndDuplicateBatches)
 {
-    const GpuDevice &dev = device();
+    constexpr size_t kChunk = LatticeEvaluator::kBatchChunk;
     const Application app = makeDeviceMemory();
     const KernelProfile &k = app.kernels.front();
     const KernelPhase phase = k.phase(0);
+    KernelPhase noRequests = phase;
+    noRequests.mlpPerWave = 0.0;
 
-    const HardwareConfig lo = dev.space().minConfig();
-    const HardwareConfig hi = dev.space().maxConfig();
+    for (const GpuDevice &dev : allDevices()) {
+        const ConfigSpace &space = dev.space();
+        const std::vector<HardwareConfig> all = space.allConfigs();
+        const HardwareConfig lo = space.minConfig();
+        const HardwareConfig hi = space.maxConfig();
+        Rng rng = sweepSubstream(0x5117CEull, all.size());
 
-    std::vector<std::vector<HardwareConfig>> batches;
-    batches.push_back({lo});
-    batches.push_back({hi});
-    batches.push_back(
-        std::vector<HardwareConfig>(LatticeEvaluator::kBatchChunk, lo));
-    // One full chunk plus a 1-lane tail, alternating two points.
-    std::vector<HardwareConfig> straddle;
-    for (size_t i = 0; i < LatticeEvaluator::kBatchChunk + 1; ++i)
-        straddle.push_back(i % 2 == 0 ? lo : hi);
-    batches.push_back(straddle);
+        std::vector<std::vector<HardwareConfig>> batches;
+        batches.push_back({lo});
+        batches.push_back({hi});
+        batches.push_back(std::vector<HardwareConfig>(kChunk, lo));
+        // One full chunk plus a 1-lane tail, alternating two points.
+        std::vector<HardwareConfig> straddle;
+        for (size_t i = 0; i < kChunk + 1; ++i)
+            straddle.push_back(i % 2 == 0 ? lo : hi);
+        batches.push_back(straddle);
+        for (const size_t n : {kChunk - 1, kChunk, kChunk + 1}) {
+            std::vector<HardwareConfig> batch;
+            for (size_t i = 0; i < n; ++i)
+                batch.push_back(all[rng.uniformInt(0, all.size() - 1)]);
+            batches.push_back(batch);
+        }
 
-    for (const std::vector<HardwareConfig> &batch : batches)
-        expectLatticeMatchesNaive(k, phase, batch,
-                                  k.id() + " degenerate batch of " +
-                                      std::to_string(batch.size()));
+        // Governor slices: around the corners (neighbours clamp, so
+        // the slice repeats points) and around random centres.
+        const std::vector<HardwareConfig> loSlice =
+            governorSlice(space, lo, 8, rng);
+        batches.push_back(loSlice);
+        batches.push_back(governorSlice(space, hi, 8, rng));
+        for (int s = 0; s < 6; ++s)
+            batches.push_back(governorSlice(
+                space, all[rng.uniformInt(0, all.size() - 1)], 8, rng));
+
+        // Per memory frequency: the highest compute frequency whose
+        // crossing cap is below the bus ceiling and the lowest one at
+        // or above it. Pairs across the boundary must not share a
+        // result; pairs above it (adjacent or not) do.
+        const MemorySystem &ms = dev.engine().memorySystem();
+        const std::vector<int> cfs = space.values(Tunable::ComputeFreq);
+        int boundaries = 0;
+        for (const int mem : space.values(Tunable::MemFreq)) {
+            const double busPeak =
+                ms.peakBandwidth(mem) * phase.streamEfficiency;
+            size_t above = 0;
+            while (above < cfs.size() &&
+                   ms.crossing().maxBandwidth(cfs[above]) < busPeak)
+                ++above;
+            if (above == 0 || above == cfs.size())
+                continue;
+            ++boundaries;
+            const int below = cfs[above - 1];
+            for (const int cu : {lo.cuCount, hi.cuCount}) {
+                batches.push_back({{cu, below, mem}, {cu, cfs[above], mem}});
+                batches.push_back({{cu, cfs.front(), mem},
+                                   {cu, cfs.back(), mem}});
+                batches.push_back({{cu, cfs[above], mem},
+                                   {cu, cfs.back(), mem},
+                                   {cu, below, mem}});
+            }
+        }
+        EXPECT_GT(boundaries, 0)
+            << dev.name() << ": no memory frequency crosses the dedup "
+                             "boundary, so the row cases test nothing";
+
+        for (const std::vector<HardwareConfig> &batch : batches) {
+            expectLatticeMatchesNaive(dev, k, phase, batch,
+                                      k.id() + " batch of " +
+                                          std::to_string(batch.size()));
+        }
+        for (const std::vector<HardwareConfig> &batch :
+             {loSlice, batches.back(), all}) {
+            expectLatticeMatchesNaive(dev, k, noRequests, batch,
+                                      k.id() + " zero-MLP batch of " +
+                                          std::to_string(batch.size()));
+        }
+    }
 }
 
 // Scheduling independence: the chunked SIMD path under a thread pool
@@ -233,9 +348,10 @@ TEST(SimdEquivalence, ParallelSimdMatchesSerial)
 
     for (const KernelProfile &k : app.kernels) {
         const KernelPhase phase = k.phase(0);
-        expectLatticeMatchesNaive(k, phase, configs, k.id() + " pooled",
-                                  &pool);
-        expectLatticeMatchesNaive(k, phase, configs, k.id() + " serial");
+        expectLatticeMatchesNaive(device(), k, phase, configs,
+                                  k.id() + " pooled", &pool);
+        expectLatticeMatchesNaive(device(), k, phase, configs,
+                                  k.id() + " serial");
     }
 }
 
