@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -159,14 +158,10 @@ struct SweepEntry
     std::vector<uint32_t> slots;       ///< Lattice indices, sorted unique.
     std::vector<KernelResult> results; ///< Parallel to slots.
 
-    /** Parallel to slots: 1 where the point came in through
-     * ConfigSweep::restore() rather than being computed here. */
-    std::vector<char> restored;
-
     /** Position of @p slot in `slots`, or slots.size() if absent. */
     size_t find(uint32_t slot) const;
 
-    /** Heap bytes held by the three vectors. */
+    /** Heap bytes held by the two vectors. */
     size_t bytes() const;
 };
 
@@ -238,26 +233,6 @@ class ConfigSweep
                                   int iteration,
                                   const std::vector<uint32_t> &slots) const;
 
-    /**
-     * Add points evaluated elsewhere (a durable snapshot) to
-     * (@p kernelId, @p iteration)'s entry, flagged as restored.
-     * @p slots are sorted and unique, parallel to @p results; slots
-     * the entry already holds keep their present result.
-     */
-    void restore(const std::string &kernelId, int iteration,
-                 std::vector<uint32_t> slots,
-                 std::vector<KernelResult> results) const;
-
-    /**
-     * Call @p visit for every entry, sorted by (kernel id,
-     * iteration), under the store's shared lock: @p visit must not
-     * call back into this sweep.
-     */
-    void forEachEntry(
-        const std::function<void(const std::string &kernelId,
-                                 int iteration, const SweepEntry &)>
-            &visit) const;
-
     /** RNG substream for task @p taskIndex under options().rngSeed. */
     Rng rngFor(uint64_t taskIndex) const
     {
@@ -299,8 +274,7 @@ class ConfigSweep
      * update the counters; the caller holds the exclusive lock. */
     const SweepEntry &merge(detail::SweepKey key,
                             std::vector<uint32_t> slots,
-                            std::vector<KernelResult> results,
-                            char restored) const;
+                            std::vector<KernelResult> results) const;
 
     /** 0, 1, ..., configs().size() - 1. */
     std::vector<uint32_t> allSlots_;

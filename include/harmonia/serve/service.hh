@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,7 +60,9 @@ struct ServiceOptions
      * for the serve_latency exhibit; results are identical). */
     bool batching = true;
 
-    /** Reuse computed lattice points across requests. */
+    /** Reuse computed lattice points across requests. Off = every
+     * evaluate group computes its points and keeps none (the
+     * serve_latency exhibit uses this to isolate batching). */
     bool cache = true;
 
     /** Per-request config-list cap (448 distinct points exist;
@@ -85,18 +86,6 @@ struct ServiceOptions
      * Device::make) first.
      */
     std::string defaultDevice;
-
-    /**
-     * Durable point-cache snapshot path (the daemon's --cache-file
-     * flag). Empty disables persistence. When set (and `cache` is on),
-     * the service loads previously evaluated points from the file at
-     * startup — sections whose model fingerprint no longer matches
-     * degrade to a logged cold start — and savePersistentCache()
-     * writes the current caches back crash-safely (temp file + atomic
-     * rename). Responses are byte-identical with the snapshot
-     * present, absent, or corrupt; only latency changes.
-     */
-    std::string cacheFile;
 };
 
 /** One stateful governor session (the `govern` verb). */
@@ -160,20 +149,10 @@ class Service
     /** The `stats` verb payload (also printed on shutdown). */
     JsonValue statsJson() const;
 
-    /**
-     * Write every instantiated device's point store to
-     * ServiceOptions::cacheFile (no-op Ok when persistence is off).
-     * The server calls this on drain; tests and embedders may call it
-     * directly. Crash-safe: the previous snapshot survives any
-     * failure, and the error comes back as a Status (never a throw).
-     */
-    Status savePersistentCache();
-
   private:
     struct Pending;
     struct EvalGroup;
     struct DeviceState;
-    struct PersistentCache;
 
     const KernelProfile *findKernel(const std::string &id) const;
 
@@ -198,21 +177,6 @@ class Service
     buildGovernor(DeviceState &dev, const std::string &name);
     Status ensureTraining(DeviceState &dev);
 
-    /** The `stats` verb's `cache` block (persistent counters). */
-    JsonValue cacheStatsJson() const;
-
-    /** Claim @p dev's snapshot section (if any): fingerprint check,
-     * then stash its entries undecoded for on-demand materialization.
-     * Mismatches invalidate to a logged cold start. */
-    void hydrateFromSnapshot(DeviceState &dev);
-
-    /** Decode @p dev's restored entry for (@p profile, @p iteration)
-     * — if one is still pending — into the device's sweep store.
-     * Called before the store is read for that invocation. */
-    void materializeFromSnapshot(DeviceState &dev,
-                                 const KernelProfile &profile,
-                                 int iteration);
-
     ServiceOptions options_;
 
     /** "App.Kernel" -> profile, for the whole standard suite. */
@@ -233,9 +197,6 @@ class Service
 
     ServiceMetrics metrics_;
     bool shutdownRequested_ = false;
-
-    /** Durable-snapshot state; null when persistence is off. */
-    std::unique_ptr<PersistentCache> persistent_;
 };
 
 } // namespace harmonia::serve

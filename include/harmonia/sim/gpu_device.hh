@@ -13,6 +13,7 @@
 #define HARMONIA_SIM_GPU_DEVICE_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harmonia/power/board_power.hh"
@@ -40,6 +41,18 @@ struct KernelResult
     /** Energy-delay-squared product (J*s^2). */
     double ed2() const { return cardEnergy * time() * time(); }
 };
+
+/**
+ * Bitwise comparison of two results, field by field: the 37 doubles
+ * by bit pattern (so -0.0 vs 0.0 and NaN payloads differ), the 3
+ * occupancy counts and the 2 limiter enums by value. Returns the
+ * path of the first differing field in declaration order (e.g.
+ * "timing.counters.valuBusy"), or "" when the results are bitwise
+ * identical. This is the equality behind "runLattice is bitwise
+ * identical to run()".
+ */
+std::string_view firstBitDifference(const KernelResult &a,
+                                    const KernelResult &b);
 
 /**
  * The simulated GPU card.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <tuple>
 
 #include "harmonia/common/error.hh"
 
@@ -46,8 +45,7 @@ size_t
 SweepEntry::bytes() const
 {
     return slots.capacity() * sizeof(uint32_t) +
-           results.capacity() * sizeof(KernelResult) +
-           restored.capacity() * sizeof(char);
+           results.capacity() * sizeof(KernelResult);
 }
 
 ConfigSweep::ConfigSweep(const GpuDevice &device, SweepOptions options)
@@ -104,7 +102,7 @@ ConfigSweep::run(const KernelProfile &profile, int iteration,
 
 const SweepEntry &
 ConfigSweep::merge(detail::SweepKey key, std::vector<uint32_t> slots,
-                   std::vector<KernelResult> results, char restored) const
+                   std::vector<KernelResult> results) const
 {
     SweepEntry &entry = cache_.try_emplace(std::move(key)).first->second;
     if (entry.slots.size() == configs_.size())
@@ -114,7 +112,6 @@ ConfigSweep::merge(detail::SweepKey key, std::vector<uint32_t> slots,
     if (entry.slots.empty()) {
         entry.slots = std::move(slots);
         entry.results = std::move(results);
-        entry.restored.assign(entry.slots.size(), restored);
     } else {
         // Sorted merge; where a concurrent call landed a slot first,
         // its (bitwise identical) result stays.
@@ -122,7 +119,6 @@ ConfigSweep::merge(detail::SweepKey key, std::vector<uint32_t> slots,
         const size_t cap = entry.slots.size() + slots.size();
         out.slots.reserve(cap);
         out.results.reserve(cap);
-        out.restored.reserve(cap);
         size_t i = 0;
         size_t j = 0;
         while (i < entry.slots.size() || j < slots.size()) {
@@ -132,12 +128,10 @@ ConfigSweep::merge(detail::SweepKey key, std::vector<uint32_t> slots,
                     ++j;
                 out.slots.push_back(entry.slots[i]);
                 out.results.push_back(entry.results[i]);
-                out.restored.push_back(entry.restored[i]);
                 ++i;
             } else {
                 out.slots.push_back(slots[j]);
                 out.results.push_back(results[j]);
-                out.restored.push_back(restored);
                 ++j;
             }
         }
@@ -172,12 +166,8 @@ select(const SweepEntry &entry, const std::vector<uint32_t> &slots)
     SweepEntry out;
     out.slots = slots;
     out.results.reserve(slots.size());
-    out.restored.reserve(slots.size());
-    for (const uint32_t slot : slots) {
-        const size_t at = entry.find(slot);
-        out.results.push_back(entry.results[at]);
-        out.restored.push_back(entry.restored[at]);
-    }
+    for (const uint32_t slot : slots)
+        out.results.push_back(entry.results[entry.find(slot)]);
     return out;
 }
 
@@ -203,7 +193,7 @@ ConfigSweep::evaluate(const KernelProfile &profile, int iteration) const
     misses_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::shared_mutex> lock(mutex_);
     return merge(detail::SweepKey{profile.id(), iteration},
-                 std::move(missing), std::move(results), 0)
+                 std::move(missing), std::move(results))
         .results;
 }
 
@@ -238,45 +228,8 @@ ConfigSweep::fill(const KernelProfile &profile, int iteration,
     misses_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::shared_mutex> lock(mutex_);
     return select(merge(detail::SweepKey{profile.id(), iteration},
-                        std::move(missing), std::move(results), 0),
+                        std::move(missing), std::move(results)),
                   slots);
-}
-
-void
-ConfigSweep::restore(const std::string &kernelId, int iteration,
-                     std::vector<uint32_t> slots,
-                     std::vector<KernelResult> results) const
-{
-    fatalIf(slots.size() != results.size() ||
-                !std::is_sorted(slots.begin(), slots.end()) ||
-                std::adjacent_find(slots.begin(), slots.end()) !=
-                    slots.end() ||
-                (!slots.empty() && slots.back() >= configs_.size()),
-            "ConfigSweep::restore: slots must be sorted, unique, "
-            "on-lattice and parallel to results");
-    if (slots.empty())
-        return;
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    merge(detail::SweepKey{kernelId, iteration}, std::move(slots),
-          std::move(results), 1);
-}
-
-void
-ConfigSweep::forEachEntry(
-    const std::function<void(const std::string &, int,
-                             const SweepEntry &)> &visit) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    std::vector<Store::const_iterator> order;
-    order.reserve(cache_.size());
-    for (auto it = cache_.cbegin(); it != cache_.cend(); ++it)
-        order.push_back(it);
-    std::sort(order.begin(), order.end(), [](auto a, auto b) {
-        return std::tie(a->first.kernelId, a->first.iteration) <
-               std::tie(b->first.kernelId, b->first.iteration);
-    });
-    for (const auto it : order)
-        visit(it->first.kernelId, it->first.iteration, it->second);
 }
 
 size_t

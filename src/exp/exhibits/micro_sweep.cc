@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harmonia/common/error.hh"
@@ -36,7 +37,6 @@
 #include "exp/context.hh"
 #include "exp/experiment.hh"
 #include "harmonia/sim/gpu_device.hh"
-#include "serve/snapshot.hh"
 
 namespace harmonia::exp
 {
@@ -176,21 +176,50 @@ governorSlices(ExpContext &ctx, int walks)
 }
 
 /**
+ * Panic unless one runLattice call over slice s of @p slices gives,
+ * for invocation s of @p walks suite walks (the order
+ * governorSlices() built them in), the same bits as run() per config.
+ */
+void
+checkSlices(ExpContext &ctx,
+            const std::vector<std::vector<HardwareConfig>> &slices,
+            int walks)
+{
+    const GpuDevice &dev = ctx.device();
+    std::vector<KernelResult> out(kSlice);
+    size_t s = 0;
+    for (int r = 0; r < walks; ++r) {
+        for (const Application &app : ctx.suite()) {
+            for (const KernelProfile &k : app.kernels) {
+                const std::vector<HardwareConfig> &slice = slices[s++];
+                const KernelPhase phase = k.phase(r);
+                dev.runLattice(k, phase, slice, out.data());
+                for (size_t i = 0; i < slice.size(); ++i) {
+                    const std::string_view field = firstBitDifference(
+                        out[i], dev.run(k, phase, slice[i]));
+                    if (!field.empty())
+                        panic("micro_sweep: runLattice and run() "
+                              "disagree on ", field, " of ", k.id(),
+                              " iteration ", r, " at ", slice[i].str(),
+                              " on ", dev.name());
+                }
+            }
+        }
+    }
+}
+
+/**
  * Evaluate slice s of @p slices for invocation s of @p walks suite
- * walks (the order governorSlices() built them in) through @p path: one
- * runLattice call ("factored") or kSlice run() calls ("naive"). When
- * @p bytes is non-null every result is appended to it in the snapshot
- * wire encoding, which is lossless, so two paths agree bitwise exactly
- * when their byte strings do.
+ * walks through @p path: one runLattice call ("factored") or kSlice
+ * run() calls ("naive").
  */
 Measurement
 measureSlices(ExpContext &ctx, const std::string &path,
               const std::vector<std::vector<HardwareConfig>> &slices,
-              int walks, std::string *bytes = nullptr)
+              int walks)
 {
     const GpuDevice &dev = ctx.device();
     std::vector<KernelResult> out(kSlice);
-    serve::wire::DeltaChain chain;
 
     Measurement m;
     m.path = path;
@@ -209,9 +238,6 @@ measureSlices(ExpContext &ctx, const std::string &path,
                 } else {
                     dev.runLattice(k, phase, slice, out.data());
                 }
-                if (bytes != nullptr)
-                    for (const KernelResult &res : out)
-                        serve::appendKernelResult(*bytes, res, &chain);
             }
         }
     }
@@ -277,12 +303,7 @@ class MicroSweep final : public Experiment
         const int walks = reps * kSliceWalksPerRep;
         const std::vector<std::vector<HardwareConfig>> slices =
             governorSlices(ctx, walks);
-        std::string naiveBytes, factoredBytes;
-        measureSlices(ctx, "naive", slices, walks, &naiveBytes);
-        measureSlices(ctx, "factored", slices, walks, &factoredBytes);
-        if (naiveBytes != factoredBytes)
-            panic("micro_sweep: runLattice and run() disagree on a "
-                  "governor slice of ", ctx.device().name());
+        checkSlices(ctx, slices, walks);
         const std::vector<Measurement> sliceRuns =
             fastestInterleaved(paths, [&](const std::string &path) {
                 return measureSlices(ctx, path, slices, walks);

@@ -705,15 +705,6 @@ Server::run()
         closeFinished();
     }
 
-    // Drain is the snapshot point: every in-flight request has been
-    // answered, so the point caches are quiescent. A failed save is
-    // logged but does not fail the drain — the previous snapshot (if
-    // any) is still intact on disk.
-    const Status saved = service_.savePersistentCache();
-    if (!saved.ok())
-        std::cerr << "harmoniad: cache snapshot save failed: "
-                  << saved.message() << '\n';
-
     std::cerr << "harmoniad: drained, shutting down\n"
               << service_.statsJson().dump() << '\n';
     return 0;

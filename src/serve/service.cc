@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iostream>
 #include <numeric>
 #include <tuple>
 
 #include "harmonia/core/governor_registry.hh"
 #include "harmonia/core/oracle.hh"
 #include "harmonia/workloads/suite.hh"
-#include "serve/snapshot.hh"
 
 namespace harmonia::serve
 {
@@ -113,47 +111,6 @@ struct Service::EvalGroup
 };
 
 /**
- * Durable-snapshot bookkeeping (src/serve/snapshot.hh): the sections
- * loaded at startup that no instantiated device has consumed yet,
- * plus every counter the stats verb's cache.persistent block reports.
- */
-struct Service::PersistentCache
-{
-    std::string path;
-    bool loaded = false;     ///< A snapshot file was parsed OK.
-    std::string loadWarning; ///< Corruption/version note; "" if clean.
-
-    /** The raw snapshot file (mmap-backed where possible), kept alive
-     * because every EntryRef in the index (and in each device's
-     * lazy-entry map) views into it. */
-    SnapshotBytes bytes;
-
-    /** Structurally parsed sections awaiting a device instantiation.
-     * Hydration removes a device's section (consumed or invalidated);
-     * what remains at save time belongs to devices this process never
-     * touched and is carried over. */
-    SnapshotIndex index;
-
-    uint64_t warmHits = 0; ///< Points served from restored entries.
-    uint64_t coldHits = 0; ///< Points served from this process's runs.
-    uint64_t decodeFailures = 0; ///< Corrupt bodies found at decode.
-
-    uint64_t loadBytes = 0;
-    double loadMicros = 0.0;
-    uint64_t loadedDevices = 0;
-    uint64_t loadedEntries = 0;
-    uint64_t loadedPoints = 0;
-    uint64_t invalidatedDevices = 0;
-
-    uint64_t saves = 0;
-    uint64_t saveBytes = 0;
-    double saveMicros = 0.0;
-    uint64_t savedEntries = 0;
-    uint64_t savedPoints = 0;
-    std::string saveError; ///< Last save failure; "" after success.
-};
-
-/**
  * Everything the service holds per device: the model, its sweep
  * engine (whose memo is the device's one store of evaluated points),
  * the lazily trained predictor, and request accounting for the
@@ -177,50 +134,10 @@ struct Service::DeviceState
     std::optional<SensitivityPredictor> predictor;
 
     uint64_t requests = 0; ///< evaluate/govern/sweep routed here.
-
-    /** modelFingerprint(), computed once per process when the durable
-     * snapshot is enabled (it prices a handful of probe runs). */
-    std::optional<uint64_t> snapshotFingerprint;
-    uint64_t snapshotEntries = 0; ///< Entries restored from disk.
-    uint64_t snapshotPoints = 0;  ///< Points restored from disk.
-
-    /** Snapshot entries that passed this device's fingerprint check
-     * but have not been touched by a request yet. Decoded (and
-     * restored into `sweep`) on first touch; whatever is still here at
-     * save time is decoded then, so untouched warmth is never dropped.
-     * Ordered map: savePersistentCache() iterates it. */
-    std::map<std::pair<std::string, int>, EntryRef> lazyEntries;
 };
 
 Service::Service(ServiceOptions options) : options_(std::move(options))
 {
-    // Durable snapshot: parse the cache file once, up front; device
-    // states hydrate from their section lazily as they appear. Every
-    // load failure — absent file, truncation, bit flips, version
-    // skew — degrades to a logged cold start, never a crash, and
-    // never changes a response byte. Persistence rides on the point
-    // cache, so --no-cache disables it too.
-    if (!options_.cacheFile.empty() && options_.cache) {
-        persistent_ = std::make_unique<PersistentCache>();
-        persistent_->path = options_.cacheFile;
-        const auto loadStart = Clock::now();
-        Status status =
-            loadSnapshotBytes(options_.cacheFile, &persistent_->bytes);
-        if (status.ok())
-            status = indexSnapshot(persistent_->bytes.view(),
-                                   &persistent_->index);
-        persistent_->loadMicros = microsSince(loadStart);
-        persistent_->loadBytes = persistent_->bytes.size();
-        if (status.ok()) {
-            persistent_->loaded = true;
-        } else if (status.code() != StatusCode::NotFound) {
-            persistent_->loadWarning = status.message();
-            std::cerr << "harmoniad: cache file '"
-                      << options_.cacheFile << "': "
-                      << status.message() << "; cold start\n";
-        }
-    }
-
     // The default device is always resident: legacy (device-less)
     // requests must not pay a lazy-construction step, and device()/
     // sweep() accessors need a state to point at from birth.
@@ -235,7 +152,6 @@ Service::Service(ServiceOptions options) : options_(std::move(options))
     defaultDevice_ = state.get();
     const std::string canonical = state->device.name();
     devices_.emplace(canonical, std::move(state));
-    hydrateFromSnapshot(*defaultDevice_);
 
     for (const Application &app : standardSuite()) {
         for (const KernelProfile &kernel : app.kernels)
@@ -275,7 +191,6 @@ Service::resolveDevice(const std::string &name)
             profile.value().makeDevice(), options_);
         DeviceState *raw = state.get();
         devices_.emplace(key, std::move(state));
-        hydrateFromSnapshot(*raw);
         return raw;
     } catch (...) {
         return statusFromCurrentException();
@@ -347,46 +262,33 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
         static_cast<uint32_t>(dev.sweep.configs().size());
 
     // Every point the group asks for, duplicates included (a
-    // full-lattice request asks for each slot once), and their sorted
+    // full-lattice request asks for each slot once), then their sorted
     // union: one lattice run covers whatever of it is missing.
-    std::vector<uint32_t> requested;
+    std::vector<uint32_t> slots;
     for (const size_t idx : group.members) {
         const EvaluateParams &p = pending[idx].req.evaluate;
         if (p.fullLattice) {
             for (uint32_t slot = 0; slot < latticeSize; ++slot)
-                requested.push_back(slot);
+                slots.push_back(slot);
         } else {
             for (const HardwareConfig &cfg : p.configs)
-                requested.push_back(
+                slots.push_back(
                     static_cast<uint32_t>(dev.sweep.indexOf(cfg)));
         }
     }
-    std::vector<uint32_t> slots = requested;
+    const size_t requested = slots.size();
     std::sort(slots.begin(), slots.end());
     slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
 
     size_t computed = 0;
     SweepEntry points;
     if (options_.cache) {
-        materializeFromSnapshot(dev, profile, iteration);
         points = dev.sweep.fill(profile, iteration, slots, &computed);
     } else {
         // No reuse: compute the union and keep nothing.
         points.results = dev.sweep.run(profile, iteration, slots);
         computed = slots.size();
         points.slots = std::move(slots);
-        points.restored.assign(computed, 0);
-    }
-
-    // Every requested point that was not computed here is a hit: warm
-    // when it was restored from the snapshot, cold otherwise (a point
-    // asked for twice in one group is computed once, then a cold hit).
-    if (persistent_) {
-        uint64_t warm = 0;
-        for (const uint32_t slot : requested)
-            warm += points.restored[points.find(slot)];
-        persistent_->warmHits += warm;
-        persistent_->coldHits += requested.size() - computed - warm;
     }
 
     for (const size_t idx : group.members) {
@@ -403,7 +305,7 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     metrics_.recordEvaluate(
         computed > 0 ? 1 : 0,
         group.members.size() > 1 ? group.members.size() : 0, computed,
-        requested.size() - computed);
+        requested - computed);
 
     // Fan-in accounting: how many distinct transport connections fed
     // this fused group. Purely observational (stats verb).
@@ -497,187 +399,6 @@ Service::ensureTraining(DeviceState &dev)
         return statusFromCurrentException();
     }
     return Status::okStatus();
-}
-
-void
-Service::hydrateFromSnapshot(DeviceState &dev)
-{
-    if (!persistent_)
-        return;
-    // Fingerprint every instantiated device once: hydration needs it
-    // to validate a section now, and savePersistentCache() needs it
-    // to stamp the section it writes later.
-    dev.snapshotFingerprint =
-        modelFingerprint(dev.device, dev.sweep.configs());
-    if (!persistent_->loaded)
-        return;
-
-    auto &sections = persistent_->index.sections;
-    const auto it = std::find_if(
-        sections.begin(), sections.end(),
-        [&](const SectionRef &s) {
-            return s.device == dev.device.name();
-        });
-    if (it == sections.end())
-        return;
-
-    // The section is consumed either way: a stale one must not be
-    // carried over at save time, and a fresh one is superseded by the
-    // live cache it feeds.
-    SectionRef section = std::move(*it);
-    sections.erase(it);
-
-    if (section.fingerprint != *dev.snapshotFingerprint ||
-        section.latticeSize != dev.sweep.configs().size()) {
-        ++persistent_->invalidatedDevices;
-        std::cerr << "harmoniad: snapshot section for device '"
-                  << dev.device.name()
-                  << "' no longer matches the model (fingerprint or "
-                     "lattice changed); cold start\n";
-        return;
-    }
-
-    // Structure only — each entry body stays undecoded (a view into
-    // persistent_->bytes) until a request first touches its
-    // invocation, in materializeFromSnapshot().
-    for (EntryRef &entry : section.entries) {
-        ++dev.snapshotEntries;
-        dev.snapshotPoints += entry.slotCount;
-        dev.lazyEntries.emplace(
-            std::make_pair(entry.kernel, entry.iteration),
-            std::move(entry));
-    }
-    ++persistent_->loadedDevices;
-    persistent_->loadedEntries += dev.snapshotEntries;
-    persistent_->loadedPoints += dev.snapshotPoints;
-}
-
-void
-Service::materializeFromSnapshot(DeviceState &dev,
-                                 const KernelProfile &profile,
-                                 int iteration)
-{
-    if (dev.lazyEntries.empty())
-        return;
-    const auto it =
-        dev.lazyEntries.find(std::make_pair(profile.id(), iteration));
-    if (it == dev.lazyEntries.end())
-        return;
-
-    SnapshotEntry decoded;
-    const Status status = decodeEntry(
-        it->second,
-        static_cast<uint32_t>(dev.sweep.configs().size()), &decoded);
-    dev.lazyEntries.erase(it);
-    // The header vouched for the structure only; a body that fails
-    // its own checksum here is blob corruption, and it costs exactly
-    // this entry — logged, counted, then served cold.
-    if (!status.ok()) {
-        ++persistent_->decodeFailures;
-        std::cerr << "harmoniad: snapshot entry (" << profile.id()
-                  << ", " << iteration << ") for device '"
-                  << dev.device.name() << "': " << status.message()
-                  << "; recomputing\n";
-        return;
-    }
-    // Decoded slots are sorted and unique: the store's own shape.
-    dev.sweep.restore(decoded.kernel, decoded.iteration,
-                      std::move(decoded.slots),
-                      std::move(decoded.results));
-}
-
-Status
-Service::savePersistentCache()
-{
-    if (!persistent_)
-        return Status::okStatus();
-    const auto start = Clock::now();
-
-    Snapshot snap;
-    for (const auto &[name, state] : devices_) {
-        DeviceSection section;
-        section.device = name;
-        section.latticeSize =
-            static_cast<uint32_t>(state->sweep.configs().size());
-        if (!state->snapshotFingerprint)
-            state->snapshotFingerprint = modelFingerprint(
-                state->device, state->sweep.configs());
-        section.fingerprint = *state->snapshotFingerprint;
-
-        state->sweep.forEachEntry([&](const std::string &kernel,
-                                      int iteration,
-                                      const SweepEntry &entry) {
-            section.entries.push_back(SnapshotEntry{
-                kernel, iteration, entry.slots, entry.results});
-        });
-
-        // Restored entries no request touched are still warmth worth
-        // keeping: decode them now (their keys are disjoint from the
-        // store — materialization consumes the lazy entry).
-        for (const auto &[key, ref] : state->lazyEntries) {
-            SnapshotEntry out;
-            if (decodeEntry(ref, section.latticeSize, &out).ok())
-                section.entries.push_back(std::move(out));
-            else
-                ++persistent_->decodeFailures;
-        }
-        std::sort(section.entries.begin(), section.entries.end(),
-                  [](const SnapshotEntry &a, const SnapshotEntry &b) {
-                      if (a.kernel != b.kernel)
-                          return a.kernel < b.kernel;
-                      return a.iteration < b.iteration;
-                  });
-        if (!section.entries.empty())
-            snap.devices.push_back(std::move(section));
-    }
-
-    // Sections for devices this process never instantiated are
-    // carried over, so a rolling restart that exercises one device
-    // does not shed every other device's warmth.
-    for (const SectionRef &ref : persistent_->index.sections) {
-        if (devices_.find(ref.device) != devices_.end())
-            continue;
-        DeviceSection section;
-        section.device = ref.device;
-        section.fingerprint = ref.fingerprint;
-        section.latticeSize = ref.latticeSize;
-        for (const EntryRef &entry : ref.entries) {
-            SnapshotEntry out;
-            if (decodeEntry(entry, ref.latticeSize, &out).ok())
-                section.entries.push_back(std::move(out));
-            else
-                ++persistent_->decodeFailures;
-        }
-        if (!section.entries.empty())
-            snap.devices.push_back(std::move(section));
-    }
-    std::sort(snap.devices.begin(), snap.devices.end(),
-              [](const DeviceSection &a, const DeviceSection &b) {
-                  return a.device < b.device;
-              });
-
-    uint64_t entries = 0;
-    uint64_t points = 0;
-    for (const DeviceSection &section : snap.devices) {
-        entries += section.entries.size();
-        for (const SnapshotEntry &entry : section.entries)
-            points += entry.slots.size();
-    }
-
-    size_t bytes = 0;
-    const Status status =
-        writeSnapshotFile(persistent_->path, snap, &bytes);
-    persistent_->saveMicros = microsSince(start);
-    if (!status.ok()) {
-        persistent_->saveError = status.message();
-        return status;
-    }
-    ++persistent_->saves;
-    persistent_->saveBytes = bytes;
-    persistent_->savedEntries = entries;
-    persistent_->savedPoints = points;
-    persistent_->saveError.clear();
-    return status;
 }
 
 Result<std::unique_ptr<Governor>>
@@ -832,7 +553,6 @@ Service::runSweep(const SweepParams &p)
         return devResult.status();
     DeviceState &dev = *devResult.value();
     ++dev.requests;
-    materializeFromSnapshot(dev, *profile, p.iteration);
     const ConfigSweep &sweep = dev.sweep;
 
     const std::vector<KernelResult> &results =
@@ -883,64 +603,6 @@ Service::runSweep(const SweepParams &p)
     return out;
 }
 
-/**
- * The stats verb's `cache` block: the in-process point cache switch
- * plus everything observable about the durable snapshot layer.
- */
-JsonValue
-Service::cacheStatsJson() const
-{
-    JsonValue persistent = JsonValue::object({
-        {"enabled", JsonValue(persistent_ != nullptr)},
-    });
-    if (persistent_) {
-        const PersistentCache &p = *persistent_;
-        persistent.set("path", JsonValue(p.path));
-        persistent.set("loaded", JsonValue(p.loaded));
-        persistent.set("load_warning", JsonValue(p.loadWarning));
-        persistent.set("warm_hits",
-                       JsonValue(static_cast<int64_t>(p.warmHits)));
-        persistent.set("cold_hits",
-                       JsonValue(static_cast<int64_t>(p.coldHits)));
-        persistent.set(
-            "decode_failures",
-            JsonValue(static_cast<int64_t>(p.decodeFailures)));
-        persistent.set(
-            "load",
-            JsonValue::object({
-                {"bytes",
-                 JsonValue(static_cast<int64_t>(p.loadBytes))},
-                {"micros", JsonValue(p.loadMicros)},
-                {"devices",
-                 JsonValue(static_cast<int64_t>(p.loadedDevices))},
-                {"entries",
-                 JsonValue(static_cast<int64_t>(p.loadedEntries))},
-                {"points",
-                 JsonValue(static_cast<int64_t>(p.loadedPoints))},
-                {"invalidated_devices",
-                 JsonValue(
-                     static_cast<int64_t>(p.invalidatedDevices))},
-            }));
-        persistent.set(
-            "save",
-            JsonValue::object({
-                {"saves", JsonValue(static_cast<int64_t>(p.saves))},
-                {"bytes",
-                 JsonValue(static_cast<int64_t>(p.saveBytes))},
-                {"micros", JsonValue(p.saveMicros)},
-                {"entries",
-                 JsonValue(static_cast<int64_t>(p.savedEntries))},
-                {"points",
-                 JsonValue(static_cast<int64_t>(p.savedPoints))},
-                {"error", JsonValue(p.saveError)},
-            }));
-    }
-    return JsonValue::object({
-        {"point_results", JsonValue(options_.cache)},
-        {"persistent", std::move(persistent)},
-    });
-}
-
 JsonValue
 Service::statsJson() const
 {
@@ -972,7 +634,9 @@ Service::statsJson() const
         {"trained", JsonValue(defaultDevice_->predictor.has_value())},
         {"jobs", JsonValue(options_.jobs)},
         {"batching", JsonValue(options_.batching)},
-        {"cache", cacheStatsJson()},
+        {"cache", JsonValue::object({
+                      {"point_results", JsonValue(options_.cache)},
+                  })},
     });
 
     // Per-device breakdown: every registered name, plus live counters
@@ -1017,13 +681,6 @@ Service::statsJson() const
                 {"point_cache_bytes",
                  JsonValue(static_cast<int64_t>(
                      state->sweep.cacheBytes()))},
-                {"snapshot",
-                 JsonValue::object({
-                     {"entries", JsonValue(static_cast<int64_t>(
-                                     state->snapshotEntries))},
-                     {"points", JsonValue(static_cast<int64_t>(
-                                    state->snapshotPoints))},
-                 })},
                 {"trained", JsonValue(state->predictor.has_value())},
             }));
     }

@@ -1,6 +1,8 @@
 #include "harmonia/sim/gpu_device.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/check.hh"
 #include "harmonia/common/thread_pool.hh"
@@ -17,6 +19,81 @@ GpuDevice::GpuDevice(const GcnDeviceConfig &dev, TimingEngine engine,
       name_(std::move(name))
 {
     dev_.validate();
+}
+
+namespace
+{
+
+bool
+differs(double x, double y)
+{
+    return std::bit_cast<uint64_t>(x) != std::bit_cast<uint64_t>(y);
+}
+
+template <typename T>
+bool
+differs(T x, T y)
+{
+    return x != y;
+}
+
+} // namespace
+
+// firstBitDifference() names every KernelResult field; a new field
+// changes the size, and this assert asks for it to be listed there.
+static_assert(sizeof(KernelResult) == 328,
+              "KernelResult changed: update firstBitDifference()");
+
+std::string_view
+firstBitDifference(const KernelResult &a, const KernelResult &b)
+{
+#define HARMONIA_FIELD(f)                                               \
+    if (differs(a.f, b.f))                                              \
+        return #f;
+    HARMONIA_FIELD(timing.execTime)
+    HARMONIA_FIELD(timing.computeTime)
+    HARMONIA_FIELD(timing.l2Time)
+    HARMONIA_FIELD(timing.memTime)
+    HARMONIA_FIELD(timing.launchOverhead)
+    HARMONIA_FIELD(timing.busyTime)
+    HARMONIA_FIELD(timing.occupancy.wavesPerSimd)
+    HARMONIA_FIELD(timing.occupancy.wavesPerCu)
+    HARMONIA_FIELD(timing.occupancy.workgroupsPerCu)
+    HARMONIA_FIELD(timing.occupancy.occupancy)
+    HARMONIA_FIELD(timing.occupancy.limiter)
+    HARMONIA_FIELD(timing.l2HitRate)
+    HARMONIA_FIELD(timing.requestedBytes)
+    HARMONIA_FIELD(timing.offChipBytes)
+    HARMONIA_FIELD(timing.bandwidth.effectiveBps)
+    HARMONIA_FIELD(timing.bandwidth.latency)
+    HARMONIA_FIELD(timing.bandwidth.limiter)
+    HARMONIA_FIELD(timing.counters.valuBusy)
+    HARMONIA_FIELD(timing.counters.valuUtilization)
+    HARMONIA_FIELD(timing.counters.memUnitBusy)
+    HARMONIA_FIELD(timing.counters.memUnitStalled)
+    HARMONIA_FIELD(timing.counters.writeUnitStalled)
+    HARMONIA_FIELD(timing.counters.l2CacheHit)
+    HARMONIA_FIELD(timing.counters.icActivity)
+    HARMONIA_FIELD(timing.counters.normVgpr)
+    HARMONIA_FIELD(timing.counters.normSgpr)
+    HARMONIA_FIELD(timing.counters.valuInsts)
+    HARMONIA_FIELD(timing.counters.vfetchInsts)
+    HARMONIA_FIELD(timing.counters.vwriteInsts)
+    HARMONIA_FIELD(timing.counters.offChipBytes)
+    HARMONIA_FIELD(power.gpu.cuDynamic)
+    HARMONIA_FIELD(power.gpu.uncoreDynamic)
+    HARMONIA_FIELD(power.gpu.leakage)
+    HARMONIA_FIELD(power.mem.background)
+    HARMONIA_FIELD(power.mem.activatePrecharge)
+    HARMONIA_FIELD(power.mem.readWrite)
+    HARMONIA_FIELD(power.mem.termination)
+    HARMONIA_FIELD(power.mem.phy)
+    HARMONIA_FIELD(power.other)
+    HARMONIA_FIELD(cardEnergy)
+    HARMONIA_FIELD(gpuEnergy)
+    HARMONIA_FIELD(memEnergy)
+#undef HARMONIA_FIELD
+    return {};
 }
 
 // GpuDevice::GpuDevice() is defined in device_registry.cc: the

@@ -5,11 +5,11 @@
  * The factored path (TimingEngine::prepare + buildAxisTables,
  * LatticeEvaluator, GpuDevice::runLattice) promises results *bitwise
  * identical* to the naive per-config path — not merely close.
- * These tests compare every double of every KernelResult at the bit
- * level across the full workload suite x the 448-point lattice, plus
- * spot-check each axis table against direct model calls (which also
- * pins the bandwidth-dedupe rule: a reused entry must equal the full
- * fixed-point solve it skipped).
+ * These tests compare every field of every KernelResult bit for bit
+ * (firstBitDifference) across the full workload suite x the 448-point
+ * lattice, plus spot-check each axis table against direct model
+ * calls (which also pins the bandwidth-dedupe rule: a reused entry
+ * must equal the full fixed-point solve it skipped).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harmonia/common/error.hh"
@@ -27,6 +28,7 @@
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
+using namespace std::string_view_literals;
 
 namespace
 {
@@ -47,71 +49,6 @@ bits(double x)
 
 #define EXPECT_SAME_BITS(a, b)                                          \
     EXPECT_EQ(bits(a), bits(b)) << #a " differs from " #b " at " << ctx
-
-void
-expectSameCounters(const CounterSet &a, const CounterSet &b,
-                   const std::string &ctx)
-{
-    EXPECT_SAME_BITS(a.valuBusy, b.valuBusy);
-    EXPECT_SAME_BITS(a.valuUtilization, b.valuUtilization);
-    EXPECT_SAME_BITS(a.memUnitBusy, b.memUnitBusy);
-    EXPECT_SAME_BITS(a.memUnitStalled, b.memUnitStalled);
-    EXPECT_SAME_BITS(a.writeUnitStalled, b.writeUnitStalled);
-    EXPECT_SAME_BITS(a.l2CacheHit, b.l2CacheHit);
-    EXPECT_SAME_BITS(a.icActivity, b.icActivity);
-    EXPECT_SAME_BITS(a.normVgpr, b.normVgpr);
-    EXPECT_SAME_BITS(a.normSgpr, b.normSgpr);
-    EXPECT_SAME_BITS(a.valuInsts, b.valuInsts);
-    EXPECT_SAME_BITS(a.vfetchInsts, b.vfetchInsts);
-    EXPECT_SAME_BITS(a.vwriteInsts, b.vwriteInsts);
-    EXPECT_SAME_BITS(a.offChipBytes, b.offChipBytes);
-}
-
-void
-expectSameTiming(const KernelTiming &a, const KernelTiming &b,
-                 const std::string &ctx)
-{
-    EXPECT_SAME_BITS(a.execTime, b.execTime);
-    EXPECT_SAME_BITS(a.computeTime, b.computeTime);
-    EXPECT_SAME_BITS(a.l2Time, b.l2Time);
-    EXPECT_SAME_BITS(a.memTime, b.memTime);
-    EXPECT_SAME_BITS(a.launchOverhead, b.launchOverhead);
-    EXPECT_SAME_BITS(a.busyTime, b.busyTime);
-    EXPECT_EQ(a.occupancy.wavesPerSimd, b.occupancy.wavesPerSimd) << ctx;
-    EXPECT_EQ(a.occupancy.wavesPerCu, b.occupancy.wavesPerCu) << ctx;
-    EXPECT_EQ(a.occupancy.workgroupsPerCu, b.occupancy.workgroupsPerCu)
-        << ctx;
-    EXPECT_SAME_BITS(a.occupancy.occupancy, b.occupancy.occupancy);
-    EXPECT_EQ(a.occupancy.limiter, b.occupancy.limiter) << ctx;
-    EXPECT_SAME_BITS(a.l2HitRate, b.l2HitRate);
-    EXPECT_SAME_BITS(a.requestedBytes, b.requestedBytes);
-    EXPECT_SAME_BITS(a.offChipBytes, b.offChipBytes);
-    EXPECT_SAME_BITS(a.bandwidth.effectiveBps, b.bandwidth.effectiveBps);
-    EXPECT_SAME_BITS(a.bandwidth.latency, b.bandwidth.latency);
-    EXPECT_EQ(a.bandwidth.limiter, b.bandwidth.limiter) << ctx;
-    expectSameCounters(a.counters, b.counters, ctx);
-}
-
-void
-expectSameResult(const KernelResult &a, const KernelResult &b,
-                 const std::string &ctx)
-{
-    expectSameTiming(a.timing, b.timing, ctx);
-    EXPECT_SAME_BITS(a.power.gpu.cuDynamic, b.power.gpu.cuDynamic);
-    EXPECT_SAME_BITS(a.power.gpu.uncoreDynamic,
-                     b.power.gpu.uncoreDynamic);
-    EXPECT_SAME_BITS(a.power.gpu.leakage, b.power.gpu.leakage);
-    EXPECT_SAME_BITS(a.power.mem.background, b.power.mem.background);
-    EXPECT_SAME_BITS(a.power.mem.activatePrecharge,
-                     b.power.mem.activatePrecharge);
-    EXPECT_SAME_BITS(a.power.mem.readWrite, b.power.mem.readWrite);
-    EXPECT_SAME_BITS(a.power.mem.termination, b.power.mem.termination);
-    EXPECT_SAME_BITS(a.power.mem.phy, b.power.mem.phy);
-    EXPECT_SAME_BITS(a.power.other, b.power.other);
-    EXPECT_SAME_BITS(a.cardEnergy, b.cardEnergy);
-    EXPECT_SAME_BITS(a.gpuEnergy, b.gpuEnergy);
-    EXPECT_SAME_BITS(a.memEnergy, b.memEnergy);
-}
 
 } // namespace
 
@@ -134,10 +71,8 @@ TEST(FactoredEngine, FullSuiteBitwiseIdenticalToNaive)
                 for (size_t i = 0; i < configs.size(); ++i) {
                     const KernelResult naive =
                         dev.run(k, phase, configs[i]);
-                    expectSameResult(factored[i], naive,
-                                     k.id() + "#" +
-                                         std::to_string(iter) + " @ " +
-                                         configs[i].str());
+                    EXPECT_EQ(firstBitDifference(factored[i], naive), ""sv)
+                        << k.id() << "#" << iter << " @ " << configs[i].str();
                 }
             }
         }
@@ -161,8 +96,9 @@ TEST(FactoredEngine, SweepFactoredMatchesNaiveSweep)
             ASSERT_EQ(results.size(), factored.configs().size());
             for (size_t i = 0; i < results.size(); ++i) {
                 const HardwareConfig &cfg = factored.configs()[i];
-                expectSameResult(results[i], dev.run(k, 0, cfg),
-                                 k.id() + " @ " + cfg.str());
+                EXPECT_EQ(firstBitDifference(results[i], dev.run(k, 0, cfg)),
+                          ""sv)
+                    << k.id() << " @ " << cfg.str();
             }
         }
     }

@@ -21,7 +21,6 @@
 #include "harmonia/serve/service.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -42,7 +41,6 @@
 #include "harmonia/serve/protocol.hh"
 #include "harmonia/serve/server.hh"
 #include "harmonia/workloads/suite.hh"
-#include "serve/snapshot.hh"
 
 using namespace harmonia;
 using namespace harmonia::serve;
@@ -377,87 +375,6 @@ TEST(ServeDeterminism, ResponsesIndependentOfWindowBoundaries)
 TEST(ServeDeterminism, RepeatRunsAreByteIdentical)
 {
     EXPECT_EQ(replay(8, true, 8), replay(8, true, 8));
-}
-
-/** replay() against a service with a persistent-cache file attached;
- * optionally drains the caches to disk afterwards (the daemon's
- * SIGTERM path). Corrupt-snapshot runs narrate on stderr, which is
- * swallowed so the log stays signal. */
-std::vector<std::string>
-cacheReplay(const std::string &cacheFile, bool save)
-{
-    ServiceOptions opt;
-    opt.jobs = 2;
-    opt.batching = true;
-    opt.cacheFile = cacheFile;
-    std::ostringstream sink;
-    std::streambuf *cerrBuf = std::cerr.rdbuf(sink.rdbuf());
-    Service service(opt);
-    const std::vector<std::string> lines =
-        requestStream(service.sweep());
-    std::vector<std::string> responses = service.processBatch(lines);
-    if (save) {
-        EXPECT_TRUE(service.savePersistentCache().ok());
-    }
-    std::cerr.rdbuf(cerrBuf);
-    return responses;
-}
-
-/** Overwrite @p path with @p bytes (plain, not atomic — this *is* the
- * corruption). */
-void
-clobberFile(const std::string &path, const std::string &bytes)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(nullptr, f);
-    ASSERT_EQ(bytes.size(),
-              std::fwrite(bytes.data(), 1, bytes.size(), f));
-    std::fclose(f);
-}
-
-// The persistent cache's own determinism contract: whether a point
-// was computed this process or restored from a snapshot — and whether
-// that snapshot is present, absent, stale, or damaged — must be
-// invisible in the response bytes. Latency is the only degree of
-// freedom persistence gets.
-TEST(ServeDeterminism, ResponsesIndependentOfSnapshotState)
-{
-    const std::vector<std::string> base = replay(2, true, 1000);
-    const std::string path = "/tmp/harmonia_det_snap_" +
-                             std::to_string(getpid()) + ".snap";
-    std::remove(path.c_str());
-
-    // Cold start (no file yet), populating and draining to disk.
-    EXPECT_EQ(base, cacheReplay(path, true));
-
-    // Warm restart: every previously evaluated point now comes off
-    // the snapshot instead of the lattice.
-    std::string good;
-    ASSERT_TRUE(readSnapshotBytes(path, &good).ok());
-    ASSERT_FALSE(good.empty());
-    EXPECT_EQ(base, cacheReplay(path, false));
-
-    // Header bit flip: the whole file is rejected at index time and
-    // the daemon cold-starts.
-    std::string corrupt = good;
-    corrupt[5] = static_cast<char>(
-        static_cast<uint8_t>(corrupt[5]) ^ 0x10);
-    clobberFile(path, corrupt);
-    EXPECT_EQ(base, cacheReplay(path, false));
-
-    // Blob bit flip (last byte lives in the final entry body): only
-    // the damaged entry falls back to recompute.
-    corrupt = good;
-    corrupt.back() = static_cast<char>(
-        static_cast<uint8_t>(corrupt.back()) ^ 0x01);
-    clobberFile(path, corrupt);
-    EXPECT_EQ(base, cacheReplay(path, false));
-
-    // Truncation (a torn copy of the file).
-    clobberFile(path, good.substr(0, good.size() / 2));
-    EXPECT_EQ(base, cacheReplay(path, false));
-
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harmonia/common/thread_pool.hh"
@@ -44,6 +45,7 @@
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
+using namespace std::string_view_literals;
 
 namespace
 {
@@ -78,71 +80,6 @@ bits(double x)
 #define EXPECT_SAME_BITS(a, b)                                          \
     EXPECT_EQ(bits(a), bits(b)) << #a " differs from " #b " at " << ctx
 
-void
-expectSameCounters(const CounterSet &a, const CounterSet &b,
-                   const std::string &ctx)
-{
-    EXPECT_SAME_BITS(a.valuBusy, b.valuBusy);
-    EXPECT_SAME_BITS(a.valuUtilization, b.valuUtilization);
-    EXPECT_SAME_BITS(a.memUnitBusy, b.memUnitBusy);
-    EXPECT_SAME_BITS(a.memUnitStalled, b.memUnitStalled);
-    EXPECT_SAME_BITS(a.writeUnitStalled, b.writeUnitStalled);
-    EXPECT_SAME_BITS(a.l2CacheHit, b.l2CacheHit);
-    EXPECT_SAME_BITS(a.icActivity, b.icActivity);
-    EXPECT_SAME_BITS(a.normVgpr, b.normVgpr);
-    EXPECT_SAME_BITS(a.normSgpr, b.normSgpr);
-    EXPECT_SAME_BITS(a.valuInsts, b.valuInsts);
-    EXPECT_SAME_BITS(a.vfetchInsts, b.vfetchInsts);
-    EXPECT_SAME_BITS(a.vwriteInsts, b.vwriteInsts);
-    EXPECT_SAME_BITS(a.offChipBytes, b.offChipBytes);
-}
-
-void
-expectSameTiming(const KernelTiming &a, const KernelTiming &b,
-                 const std::string &ctx)
-{
-    EXPECT_SAME_BITS(a.execTime, b.execTime);
-    EXPECT_SAME_BITS(a.computeTime, b.computeTime);
-    EXPECT_SAME_BITS(a.l2Time, b.l2Time);
-    EXPECT_SAME_BITS(a.memTime, b.memTime);
-    EXPECT_SAME_BITS(a.launchOverhead, b.launchOverhead);
-    EXPECT_SAME_BITS(a.busyTime, b.busyTime);
-    EXPECT_EQ(a.occupancy.wavesPerSimd, b.occupancy.wavesPerSimd) << ctx;
-    EXPECT_EQ(a.occupancy.wavesPerCu, b.occupancy.wavesPerCu) << ctx;
-    EXPECT_EQ(a.occupancy.workgroupsPerCu, b.occupancy.workgroupsPerCu)
-        << ctx;
-    EXPECT_SAME_BITS(a.occupancy.occupancy, b.occupancy.occupancy);
-    EXPECT_EQ(a.occupancy.limiter, b.occupancy.limiter) << ctx;
-    EXPECT_SAME_BITS(a.l2HitRate, b.l2HitRate);
-    EXPECT_SAME_BITS(a.requestedBytes, b.requestedBytes);
-    EXPECT_SAME_BITS(a.offChipBytes, b.offChipBytes);
-    EXPECT_SAME_BITS(a.bandwidth.effectiveBps, b.bandwidth.effectiveBps);
-    EXPECT_SAME_BITS(a.bandwidth.latency, b.bandwidth.latency);
-    EXPECT_EQ(a.bandwidth.limiter, b.bandwidth.limiter) << ctx;
-    expectSameCounters(a.counters, b.counters, ctx);
-}
-
-void
-expectSameResult(const KernelResult &a, const KernelResult &b,
-                 const std::string &ctx)
-{
-    expectSameTiming(a.timing, b.timing, ctx);
-    EXPECT_SAME_BITS(a.power.gpu.cuDynamic, b.power.gpu.cuDynamic);
-    EXPECT_SAME_BITS(a.power.gpu.uncoreDynamic,
-                     b.power.gpu.uncoreDynamic);
-    EXPECT_SAME_BITS(a.power.gpu.leakage, b.power.gpu.leakage);
-    EXPECT_SAME_BITS(a.power.mem.background, b.power.mem.background);
-    EXPECT_SAME_BITS(a.power.mem.activatePrecharge,
-                     b.power.mem.activatePrecharge);
-    EXPECT_SAME_BITS(a.power.mem.readWrite, b.power.mem.readWrite);
-    EXPECT_SAME_BITS(a.power.mem.termination, b.power.mem.termination);
-    EXPECT_SAME_BITS(a.power.mem.phy, b.power.mem.phy);
-    EXPECT_SAME_BITS(a.power.other, b.power.other);
-    EXPECT_SAME_BITS(a.cardEnergy, b.cardEnergy);
-    EXPECT_SAME_BITS(a.gpuEnergy, b.gpuEnergy);
-    EXPECT_SAME_BITS(a.memEnergy, b.memEnergy);
-}
-
 /**
  * Run @p configs through @p dev's runLattice (on @p pool, when given)
  * and require results bitwise identical to per-config run().
@@ -157,9 +94,9 @@ expectLatticeMatchesNaive(const GpuDevice &dev, const KernelProfile &k,
     std::vector<KernelResult> simd(configs.size());
     dev.runLattice(k, phase, configs, simd.data(), pool);
     for (size_t i = 0; i < configs.size(); ++i)
-        expectSameResult(simd[i], dev.run(k, phase, configs[i]),
-                         dev.name() + " " + ctxBase + " @ " +
-                             configs[i].str());
+        EXPECT_EQ(firstBitDifference(simd[i], dev.run(k, phase, configs[i])),
+                  ""sv)
+            << dev.name() << " " << ctxBase << " @ " << configs[i].str();
 }
 
 /**

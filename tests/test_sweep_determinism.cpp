@@ -15,7 +15,8 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <numeric>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
+using namespace std::string_view_literals;
 
 namespace
 {
@@ -64,27 +66,6 @@ runCampaign(int jobs)
 
 constexpr int kJobVariants[] = {2, 8};
 
-/** Bit patterns of the result's doubles: equal vectors mean bitwise
- * equal timing, power and energy. */
-std::vector<uint64_t>
-bits(const KernelResult &r)
-{
-    const KernelTiming &t = r.timing;
-    std::vector<uint64_t> out;
-    for (const double x :
-         {t.execTime, t.computeTime, t.l2Time, t.memTime,
-          t.launchOverhead, t.busyTime, t.l2HitRate, t.requestedBytes,
-          t.offChipBytes, t.bandwidth.effectiveBps, t.bandwidth.latency,
-          t.counters.valuBusy, t.counters.memUnitStalled,
-          r.power.gpu.cuDynamic, r.power.gpu.uncoreDynamic,
-          r.power.gpu.leakage, r.power.mem.background,
-          r.power.mem.activatePrecharge, r.power.mem.readWrite,
-          r.power.mem.termination, r.power.mem.phy, r.power.other,
-          r.cardEnergy, r.gpuEnergy, r.memEnergy})
-        out.push_back(std::bit_cast<uint64_t>(x));
-    return out;
-}
-
 } // namespace
 
 TEST(SweepDeterminism, OracleSearchIsThreadCountInvariant)
@@ -117,11 +98,10 @@ TEST(SweepDeterminism, SweepEvaluationBitIdenticalToDirectRuns)
     ASSERT_EQ(results.size(), configs.size());
     const KernelPhase phase = kernel.phase(0);
     for (size_t i = 0; i < configs.size(); i += 17) {
-        const KernelResult direct =
-            device().run(kernel, phase, configs[i]);
-        EXPECT_EQ(results[i].time(), direct.time());
-        EXPECT_EQ(results[i].cardEnergy, direct.cardEnergy);
-        EXPECT_EQ(results[i].ed2(), direct.ed2());
+        EXPECT_EQ(firstBitDifference(
+                      results[i], device().run(kernel, phase, configs[i])),
+                  ""sv)
+            << configs[i].str();
     }
 }
 
@@ -289,16 +269,18 @@ TEST(SweepDeterminism, PartialFillsThenEvaluateMatchAFreshSweep)
         ASSERT_EQ(all.size(), expected.size());
         const KernelPhase phase = kernel.phase(1);
         for (uint32_t slot = 0; slot < n; ++slot) {
-            const auto want = bits(expected[slot]);
-            ASSERT_EQ(bits(all[slot]), want) << "slot " << slot;
-            ASSERT_EQ(bits(dev.run(kernel, phase, sweep.configs()[slot])),
-                      want)
+            ASSERT_EQ(firstBitDifference(all[slot], expected[slot]), ""sv)
+                << "slot " << slot;
+            ASSERT_EQ(firstBitDifference(
+                          dev.run(kernel, phase, sweep.configs()[slot]),
+                          expected[slot]),
+                      ""sv)
                 << "slot " << slot;
         }
         for (size_t i = 0; i < a.size(); ++i)
-            EXPECT_EQ(bits(first.results[i]), bits(all[a[i]]));
+            EXPECT_EQ(firstBitDifference(first.results[i], all[a[i]]), ""sv);
         for (size_t i = 0; i < b.size(); ++i)
-            EXPECT_EQ(bits(second.results[i]), bits(all[b[i]]));
+            EXPECT_EQ(firstBitDifference(second.results[i], all[b[i]]), ""sv);
     }
 }
 
@@ -307,22 +289,31 @@ TEST(SweepDeterminism, EvaluateRunsOnlyTheSlotsTheEntryLacks)
     const auto suite = miniSuite();
     const KernelProfile &kernel = suite.front().kernels.front();
     const ConfigSweep sweep(device());
+    const size_t n = sweep.configs().size();
+    std::vector<uint32_t> all(n);
+    std::iota(all.begin(), all.end(), uint32_t{0});
 
-    // A sentinel no model run produces: if evaluate() recomputed the
-    // present slot, the sentinel would be overwritten.
-    KernelResult sentinel;
-    sentinel.cardEnergy = -1.0;
-    sweep.restore(kernel.id(), 0, {5}, {sentinel});
+    size_t computed = 0;
+    sweep.fill(kernel, 0, {5}, &computed);
+    EXPECT_EQ(computed, 1u);
     EXPECT_EQ(sweep.cachePoints(), 1u);
 
-    const std::vector<KernelResult> &all = sweep.evaluate(kernel, 0);
-    EXPECT_EQ(all[5].cardEnergy, -1.0);
-    EXPECT_EQ(bits(all[6]),
-              bits(device().run(kernel, 0, sweep.configs()[6])));
+    // Completing the entry runs every slot but the one it holds...
+    sweep.fill(kernel, 0, all, &computed);
+    EXPECT_EQ(computed, n - 1);
+    EXPECT_EQ(sweep.cachePoints(), n);
+    EXPECT_EQ(sweep.cacheMisses(), 2u);
 
-    // The restored flag travels with the point.
-    const SweepEntry slice = sweep.fill(kernel, 0, {4, 5});
-    EXPECT_EQ(slice.restored, (std::vector<char>{0, 1}));
+    // ...and evaluate() of the complete entry runs nothing.
+    const std::vector<KernelResult> &results = sweep.evaluate(kernel, 0);
+    EXPECT_EQ(sweep.cacheMisses(), 2u);
+    EXPECT_EQ(sweep.cacheHits(), 1u);
+    for (const uint32_t slot : {4u, 5u, 6u})
+        EXPECT_EQ(firstBitDifference(
+                      results[slot],
+                      device().run(kernel, 0, sweep.configs()[slot])),
+                  ""sv)
+            << "slot " << slot;
 }
 
 TEST(SweepDeterminism, ConcurrentFillsAndEvaluatesOnSharedKeys)
@@ -373,8 +364,9 @@ TEST(SweepDeterminism, ConcurrentFillsAndEvaluatesOnSharedKeys)
             const std::vector<KernelResult> &want =
                 serial.evaluate(kernel, it);
             for (size_t i = 0; i < entry.slots.size(); ++i)
-                ASSERT_EQ(bits(entry.results[i]),
-                          bits(want[entry.slots[i]]));
+                ASSERT_EQ(firstBitDifference(entry.results[i],
+                                             want[entry.slots[i]]),
+                          ""sv);
         }
         // References handed out by evaluate() stayed valid through
         // every later merge.
@@ -383,7 +375,7 @@ TEST(SweepDeterminism, ConcurrentFillsAndEvaluatesOnSharedKeys)
                 serial.evaluate(kernel, it);
             ASSERT_EQ(lattice->size(), want.size());
             for (size_t i = 0; i < want.size(); ++i)
-                ASSERT_EQ(bits((*lattice)[i]), bits(want[i]));
+                ASSERT_EQ(firstBitDifference((*lattice)[i], want[i]), ""sv);
         }
     }
     EXPECT_EQ(sweep.cachePoints(), static_cast<size_t>(kKeys) * n);

@@ -27,14 +27,9 @@
  *                     HARMONIA_JOBS; default 1).
  *   --no-batching     Disable evaluate micro-batching (one lattice
  *                     run per request; results are identical).
- *   --no-cache        Disable the cross-request result cache.
- *   --cache-file PATH Durable point-cache snapshot: load previously
- *                     evaluated lattice points from PATH at startup
- *                     (warm start) and write the caches back on
- *                     drain, crash-safely. Absent/corrupt/stale
- *                     files degrade to a logged cold start.
- *                     Responses are byte-identical either way.
- *                     Ignored under --no-cache.
+ *   --no-cache        Disable the cross-request point cache (every
+ *                     evaluate computes its points; results are
+ *                     identical).
  *   --coalesce-us N   Coalescing window in microseconds: -1 =
  *                     adaptive (default), 0 = none, N > 0 = fixed.
  *   --max-configs N   Per-request config-list cap (default 1024).
@@ -72,8 +67,7 @@ usage(int status)
                  "--stdio) [--device NAME]\n"
                  "                 [--list-devices] [--jobs N] "
                  "[--no-batching] [--no-cache]\n"
-                 "                 [--cache-file PATH] [--coalesce-us N]\n"
-                 "                 (--coalesce-us: -1 = adaptive "
+                 "                 [--coalesce-us N] (-1 = adaptive "
                  "(default), 0 = none)\n"
                  "                 [--max-configs N] [--max-sessions N]\n"
                  "                 [--max-connections N] "
@@ -135,12 +129,6 @@ main(int argc, char **argv)
             service.batching = false;
         } else if (arg == "--no-cache") {
             service.cache = false;
-        } else if (arg == "--cache-file") {
-            if (i + 1 >= argc) {
-                std::cerr << "harmoniad: --cache-file needs a value\n";
-                usage(2);
-            }
-            service.cacheFile = argv[++i];
         } else if (arg == "--coalesce-us") {
             // Any negative value selects the adaptive window.
             server.coalesceMicros = std::max(-1, intArg(i, arg));
