@@ -5,12 +5,10 @@
  * best configuration under each objective, and where Harmonia's
  * online decision lands relative to the exhaustive optimum.
  *
- * Usage: explore_design_space [AppName [KernelName]] [--jobs N]
+ * Usage: explore_design_space [AppName [KernelName]]
  */
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -21,30 +19,19 @@ using namespace harmonia;
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> positional;
-    SweepOptions sweepOpt;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            sweepOpt.jobs = std::max(1, std::atoi(argv[++i]));
-        else
-            positional.push_back(argv[i]);
-    }
-    const std::string appName =
-        !positional.empty() ? positional[0] : "CoMD";
+    const std::string appName = argc > 1 ? argv[1] : "CoMD";
     Device device;
     const Suite fullSuite = Suite::standard();
     const Application app = fullSuite.app(appName).value();
-    const KernelProfile &kernel = positional.size() > 1
-        ? app.kernel(positional[1])
-        : app.kernels.front();
+    const KernelProfile &kernel =
+        argc > 2 ? app.kernel(argv[2]) : app.kernels.front();
 
     // The sweep engine owns the canonical enumeration and evaluates
-    // all 448 points in parallel; every analysis below reads from its
-    // memoized result vector.
-    ConfigSweep sweep(device.gpu(), sweepOpt);
+    // all 448 points in one lattice run; every analysis below reads
+    // from its memoized result vector.
+    ConfigSweep sweep(device.gpu());
     std::cout << "Exploring " << sweep.configs().size()
-              << " configurations for " << kernel.id() << " (jobs="
-              << sweepOpt.jobs << ")\n\n";
+              << " configurations for " << kernel.id() << "\n\n";
 
     const ConfigSpace &space = device.space();
     const auto &results = sweep.evaluate(kernel, 0);

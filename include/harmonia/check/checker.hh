@@ -2,13 +2,15 @@
  * @file
  * Model checker: drives the invariant registry over every
  * (application x kernel x iteration x lattice config) point of a
- * workload suite, reusing the parallel, memoized ConfigSweep engine so the
- * sweep cost is shared with any campaign evaluating the same device.
+ * workload suite. Each (kernel, iteration) is one task: a full
+ * lattice run into the task's own result vector, then the invariants
+ * over it. Tasks of an application fan out over a ThreadPool; nothing
+ * is memoized, since no point is read twice.
  *
- * Determinism: invocations are visited in suite order, each sweep is
- * bit-identical for any thread count (see sweep.hh), and invariants
- * run serially over the finished result vector, so the report —
- * including the order of its diagnostics — is independent of --jobs.
+ * Determinism: each task writes only its own report slot, and the
+ * slots are merged in suite order (kernel-major, then iteration), so
+ * the report — including the order of its diagnostics — is
+ * independent of --jobs.
  */
 
 #ifndef HARMONIA_CHECK_CHECKER_HH
@@ -18,7 +20,7 @@
 #include <vector>
 
 #include "harmonia/check/invariants.hh"
-#include "harmonia/core/sweep.hh"
+#include "harmonia/sim/gpu_device.hh"
 #include "harmonia/workloads/app.hh"
 
 namespace harmonia
@@ -27,7 +29,7 @@ namespace harmonia
 /** Knobs of a checker run. */
 struct CheckOptions
 {
-    /** Worker threads for the underlying config sweeps. */
+    /** Worker threads over (kernel, iteration) invocations. */
     int jobs = 1;
 
     /** Cap on iterations checked per kernel; <= 0 checks every
@@ -78,11 +80,11 @@ class ModelChecker
     CheckReport checkInvocation(const KernelProfile &profile,
                                 int iteration) const;
 
-    /** Check every (kernel, iteration) of one application. */
+    /** Check every (kernel, iteration) of one application, fanned
+     * out over options().jobs workers and merged in visiting order. */
     CheckReport checkApplication(const Application &app) const;
 
-    /** Check a whole suite, in order; memoized sweeps are dropped
-     * between applications to bound memory. */
+    /** Check a whole suite, application by application. */
     CheckReport checkSuite(const std::vector<Application> &suite) const;
 
   private:
@@ -90,7 +92,7 @@ class ModelChecker
     CheckOptions options_;
     std::vector<Invariant> invariants_;
     SensitivityPredictor predictor_;
-    ConfigSweep sweep_;
+    std::vector<HardwareConfig> configs_; ///< Canonical lattice order.
 };
 
 } // namespace harmonia

@@ -2,15 +2,20 @@
  * @file
  * Fixed-size worker thread pool with a chunked parallel-for.
  *
- * The simulator's heavy loops (design-space sweeps, campaign cells,
- * training-data collection) are embarrassingly parallel: independent
- * evaluations of a const device model whose results land in
- * pre-assigned output slots. ThreadPool provides exactly that shape —
+ * The simulator's heavy loops (campaign cells, training-data
+ * collection, sensitivity sweeps, the model checker) are
+ * embarrassingly parallel over independent tasks — one (kernel,
+ * iteration) invocation or one campaign cell each — evaluated against
+ * a const device model, with results landing in pre-assigned output
+ * slots. A single lattice run is never split across workers: it is
+ * too short for the hand-off to pay. ThreadPool provides exactly that
+ * shape —
  * parallelFor(count, chunk, body) invokes body(i) for every index in
  * [0, count) exactly once, with dynamic chunk scheduling for load
  * balance. Because each index owns its output slot, results are
  * bit-identical regardless of thread count or scheduling; the
- * determinism tests in tests/test_sweep_determinism.cpp pin this down.
+ * determinism tests in tests/test_sweep_determinism.cpp and
+ * tests/test_invariants.cpp pin this down.
  *
  * numThreads == 1 is an explicit serial fallback: no worker threads
  * are created and the body runs inline on the calling thread in

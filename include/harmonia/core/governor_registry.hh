@@ -34,7 +34,6 @@
 #include "harmonia/core/governor.hh"
 #include "harmonia/core/harmonia_governor.hh"
 #include "harmonia/core/oracle.hh"
-#include "harmonia/core/sweep.hh"
 
 namespace harmonia
 {
@@ -56,9 +55,6 @@ struct GovernorSpec
 
     /** Options for the Harmonia-family governors. */
     HarmoniaOptions harmonia{};
-
-    /** Sweep options for search-based governors (oracle). */
-    SweepOptions sweep{};
 
     /** Objective for the oracle. */
     OracleObjective objective = OracleObjective::MinEd2;

@@ -8,11 +8,11 @@
  * impractical to deploy; here it serves as the upper bound Harmonia is
  * compared against (Harmonia lands within ~3% on average).
  *
- * The exhaustive replay runs on the ConfigSweep engine: the search
- * parallelizes across configurations (SweepOptions::jobs) and repeated
- * searches of the same invocation are served from the sweep's memo
- * cache. The argmax reduction always walks the canonical enumeration
- * order, so parallel and serial searches pick bit-identical configs.
+ * The exhaustive replay runs on the ConfigSweep engine: each search is
+ * one lattice run, and repeated searches of the same invocation are
+ * served from the sweep's memo cache. The argmax reduction always
+ * walks the canonical enumeration order, so ties break the same way
+ * on every run.
  */
 
 #ifndef HARMONIA_CORE_ORACLE_HH
@@ -48,12 +48,10 @@ class OracleGovernor : public Governor
      * @param device The device model to profile against (the oracle
      *        gets to "replay" each iteration on every configuration).
      * @param objective The optimization target.
-     * @param sweep Sweep options (jobs = parallel search width).
      */
     explicit OracleGovernor(const GpuDevice &device,
                             OracleObjective objective =
-                                OracleObjective::MinEd2,
-                            SweepOptions sweep = {});
+                                OracleObjective::MinEd2);
 
     std::string name() const override;
 
@@ -82,15 +80,14 @@ class OracleGovernor : public Governor
 /**
  * Standalone exhaustive search on an existing sweep engine: best
  * configuration for one kernel invocation under an objective. The
- * reduction is a serial walk of sweep.configs() order, so the result
- * does not depend on the sweep's thread count.
+ * reduction is a serial walk of sweep.configs() order.
  */
 HardwareConfig bestConfigFor(const ConfigSweep &sweep,
                              const KernelProfile &profile, int iteration,
                              OracleObjective objective);
 
 /**
- * Convenience overload building a throwaway serial sweep. Used by the
+ * Convenience overload building a throwaway sweep. Used by the
  * oracle-adjacent analyses (Figure 6 metric tradeoffs) that only need
  * one search per invocation.
  */

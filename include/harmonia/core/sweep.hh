@@ -1,7 +1,6 @@
 /**
  * @file
- * Parallel design-space sweep engine and the store of evaluated
- * points.
+ * Design-space sweep engine and the store of evaluated points.
  *
  * Every paper artifact replays kernels across the device's tunable
  * lattice (8x8x7 = 448 points on the HD7970; docs/DEVICES.md lists
@@ -9,8 +8,9 @@
  * ground-truth sweeps (Section 4.1), predictor training, and the
  * Figure 10-18 campaign. ConfigSweep owns that enumeration in exactly
  * one place (the canonical mem-major order of
- * ConfigSpace::allConfigs()) and evaluates a kernel invocation with a
- * ThreadPool.
+ * ConfigSpace::allConfigs()) and evaluates one kernel invocation per
+ * lattice run, on the calling thread. Callers that want parallelism
+ * fan out over invocations; the store is safe to share between them.
  *
  * The memo is the one store of evaluated points. Each (kernel,
  * iteration) has one SweepEntry: sorted lattice slots and their
@@ -25,10 +25,10 @@
  * Determinism: the device model is const and purely functional, and
  * runLattice is bitwise identical to per-config run() over any subset
  * of the lattice, so an entry's results do not depend on which calls
- * filled which slots. Any randomness a sweep consumer needs must come
- * from sweepSubstream(seed, taskIndex), whose stream depends only on
- * the task index — never on which worker ran the task or in what
- * order. Parallel sweeps are therefore bit-identical to serial ones
+ * filled which slots or on which threads made them. Any randomness a
+ * sweep consumer needs must come from sweepSubstream(seed,
+ * taskIndex), whose stream depends only on the task index — never on
+ * which worker ran the task or in what order
  * (tests/test_sweep_determinism.cpp).
  */
 
@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -46,21 +45,10 @@
 #include <vector>
 
 #include "harmonia/common/rng.hh"
-#include "harmonia/common/thread_pool.hh"
 #include "harmonia/sim/gpu_device.hh"
 
 namespace harmonia
 {
-
-/** Options shared by all sweep-driven layers. */
-struct SweepOptions
-{
-    /** Worker threads (incl. the caller); 1 = strictly serial. */
-    int jobs = 1;
-
-    /** Base seed for per-task RNG substreams. */
-    uint64_t rngSeed = 0x4841524d4f4e4941ull; // "HARMONIA"
-};
 
 namespace detail
 {
@@ -170,24 +158,22 @@ struct SweepEntry
  * @p taskIndex depends only on (@p baseSeed, @p taskIndex). Tasks may
  * be executed by any worker in any order and still draw identical
  * variates, which is what keeps randomized workloads reproducible
- * under parallel sweeps. Streams are decorrelated by running the
+ * under parallel task loops. Streams are decorrelated by running the
  * task index through an extra splitmix64 round before seeding.
  */
 Rng sweepSubstream(uint64_t baseSeed, uint64_t taskIndex);
 
 /**
- * The design-space sweep engine: canonical enumeration, parallel
- * evaluation of one kernel invocation over the lattice or a slice of
- * it, and the per-device store of every point evaluated so far.
+ * The design-space sweep engine: canonical enumeration, evaluation of
+ * one kernel invocation over the lattice or a slice of it, and the
+ * per-device store of every point evaluated so far.
  */
 class ConfigSweep
 {
   public:
-    explicit ConfigSweep(const GpuDevice &device,
-                         SweepOptions options = {});
+    explicit ConfigSweep(const GpuDevice &device);
 
     const GpuDevice &device() const { return device_; }
-    const SweepOptions &options() const { return options_; }
 
     /**
      * The canonical enumeration of the design space (mem-major, 448
@@ -204,7 +190,7 @@ class ConfigSweep
 
     /**
      * Evaluate @p profile's iteration @p iteration at every
-     * configuration, in parallel: runs the slots its entry lacks and
+     * configuration: runs the slots its entry lacks and
      * returns the complete entry's results (index i is configs()[i]).
      * A complete entry is never modified again, so the returned
      * reference stays valid until clearCache().
@@ -233,15 +219,6 @@ class ConfigSweep
                                   int iteration,
                                   const std::vector<uint32_t> &slots) const;
 
-    /** RNG substream for task @p taskIndex under options().rngSeed. */
-    Rng rngFor(uint64_t taskIndex) const
-    {
-        return sweepSubstream(options_.rngSeed, taskIndex);
-    }
-
-    /** The pool driving this sweep (shared with cooperating layers). */
-    ThreadPool &pool() const { return *pool_; }
-
     /** Cache statistics: evaluate()/fill() calls that ran nothing /
      * that ran points, and the store's (kernel, iteration) entries. */
     size_t cacheHits() const;
@@ -257,9 +234,7 @@ class ConfigSweep
 
   private:
     const GpuDevice &device_;
-    SweepOptions options_;
     std::vector<HardwareConfig> configs_;
-    std::shared_ptr<ThreadPool> pool_;
 
     using Store = std::unordered_map<detail::SweepKey, SweepEntry,
                                      detail::SweepKeyHash,

@@ -52,7 +52,8 @@ namespace harmonia::serve
 /** Service configuration (daemon flags map onto this). */
 struct ServiceOptions
 {
-    /** Worker threads for lattice runs and sweeps (1 = serial). */
+    /** Worker threads for predictor training (1 = serial); a lattice
+     * run never splits across threads. */
     int jobs = 1;
 
     /** Fuse concurrent same-invocation evaluates into one lattice
@@ -74,9 +75,6 @@ struct ServiceOptions
 
     /** Concurrent governor sessions. */
     size_t maxSessions = 256;
-
-    /** Sweep RNG seed (forwarded to SweepOptions). */
-    uint64_t rngSeed = 0x4841524d4f4e4941ull;
 
     /**
      * Registry name of the device backing requests that carry no

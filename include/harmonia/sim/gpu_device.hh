@@ -104,15 +104,13 @@ class GpuDevice
      * have room for configs.size() results. Bitwise identical to
      * calling run() per configuration (tests/test_factored_engine.cpp
      * and tests/test_simd_equivalence.cpp pin this).
-     *
-     * When @p pool is non-null, table construction and the per-config
-     * combine run on it; each index writes only its own slot, so
-     * results are scheduling-independent.
+     * Runs on the calling thread: callers parallelize across
+     * invocations, never inside one.
      * @throws ConfigError when a config is off the lattice.
      */
     void runLattice(const KernelProfile &profile, const KernelPhase &phase,
                     const std::vector<HardwareConfig> &configs,
-                    KernelResult *out, ThreadPool *pool = nullptr) const;
+                    KernelResult *out) const;
 
   private:
     /**

@@ -192,8 +192,6 @@ struct TimingAxisTables
     }
 };
 
-class ThreadPool;
-
 /** Complete timing result of one kernel invocation. */
 struct KernelTiming
 {
@@ -260,20 +258,17 @@ class TimingEngine
      * Build the per-axis lookup tables for @p prep over the cells
      * @p demand touches: axis entries for its touched values, plane
      * entries for its touched pairs, and bandwidth for its requested
-     * cells only. When @p pool is non-null the bandwidth slabs (one
-     * per touched memory frequency) are resolved in parallel; each
-     * slab writes only its own slots, so results are
-     * scheduling-independent. The bandwidth bisection runs
-     * lane-parallel and is bitwise identical to the scalar solver
-     * behind run() (see MemorySystem::resolveSlabLanesWithCrossingCap).
+     * cells only. The bandwidth slabs (one per touched memory
+     * frequency) resolve in one serial multi-slab call whose
+     * bisection runs lane-parallel in SIMD packs, bitwise identical to
+     * the scalar solver behind run() (see
+     * MemorySystem::resolveSlabLanesWithCrossingCap).
      */
     TimingAxisTables buildAxisTables(const PreparedKernel &prep,
-                                     const LatticeDemand &demand,
-                                     ThreadPool *pool = nullptr) const;
+                                     const LatticeDemand &demand) const;
 
     /** buildAxisTables() over the full lattice. */
-    TimingAxisTables buildAxisTables(const PreparedKernel &prep,
-                                     ThreadPool *pool = nullptr) const;
+    TimingAxisTables buildAxisTables(const PreparedKernel &prep) const;
 
   private:
     /** The per-config arithmetic of run(); the lattice kernel

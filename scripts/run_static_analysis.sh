@@ -16,8 +16,9 @@
 #   asan       ASan+UBSan Debug build; tier-1 ctest suite, the
 #              SIMD-vs-naive equivalence suites, and
 #              `harmonia_exp --run fig10` with --jobs 4
-#   tsan       TSan build; the thread-pool and sweep-determinism
-#              tests, which exercise every lock in the library
+#   tsan       TSan build; the thread-pool, sweep-determinism and
+#              invariant-checker tests, which exercise every lock in
+#              the library and the checker's fan-out over invocations
 #   model      check_model: the 11-invariant physics check across
 #              every (app x 448-config) point of the suite, through
 #              the SIMD lattice kernels (the scalar backend is the
@@ -115,13 +116,14 @@ if want asan; then
 fi
 
 if want tsan; then
-    note "TSan (thread pool + sweep determinism)"
+    note "TSan (thread pool + sweep determinism + checker fan-out)"
     configure_and_build build-tsan \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DHARMONIA_TSAN=ON || FAILED=1
     if [ "$FAILED" -eq 0 ]; then
         ./build-tsan/tests/test_thread_pool > /dev/null || FAILED=1
         ./build-tsan/tests/test_sweep_determinism > /dev/null || FAILED=1
+        ./build-tsan/tests/test_invariants > /dev/null || FAILED=1
         echo "TSan runs clean"
     fi
 fi

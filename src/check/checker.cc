@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "harmonia/common/error.hh"
+#include "harmonia/common/thread_pool.hh"
 
 namespace harmonia
 {
@@ -39,7 +40,7 @@ ModelChecker::ModelChecker(const GpuDevice &device, CheckOptions options)
     : device_(device), options_(std::move(options)),
       invariants_(selectInvariants(options_.invariantIds)),
       predictor_(SensitivityPredictor::paperTable3()),
-      sweep_(device, SweepOptions{.jobs = options_.jobs})
+      configs_(device.space().allConfigs())
 {
     fatalIf(options_.relTol < 0.0,
             "ModelChecker: negative tolerance ", options_.relTol);
@@ -49,12 +50,12 @@ CheckReport
 ModelChecker::checkInvocation(const KernelProfile &profile,
                               int iteration) const
 {
-    const std::vector<KernelResult> &results =
-        sweep_.evaluate(profile, iteration);
+    std::vector<KernelResult> results(configs_.size());
+    device_.runLattice(profile, profile.phase(iteration), configs_,
+                       results.data());
 
-    InvariantContext ctx{device_,          profile, iteration,
-                         sweep_.configs(), results, predictor_,
-                         options_.relTol};
+    InvariantContext ctx{device_, profile,    iteration,     configs_,
+                         results, predictor_, options_.relTol};
     CheckReport report;
     report.invocations = 1;
     report.points = results.size();
@@ -72,10 +73,20 @@ ModelChecker::checkApplication(const Application &app) const
         iterations =
             std::min(iterations, options_.maxIterationsPerKernel);
 
+    // One task per (kernel, iteration), each reporting into its own
+    // slot; merging the slots in visiting order keeps the report,
+    // diagnostics included, independent of the worker count.
+    const auto perKernel = static_cast<size_t>(iterations);
+    std::vector<CheckReport> parts(app.kernels.size() * perKernel);
+    ThreadPool pool(options_.jobs);
+    pool.parallelFor(parts.size(), 1, [&](size_t t) {
+        parts[t] = checkInvocation(app.kernels[t / perKernel],
+                                   static_cast<int>(t % perKernel));
+    });
+
     CheckReport report;
-    for (const KernelProfile &kernel : app.kernels)
-        for (int it = 0; it < iterations; ++it)
-            report.merge(checkInvocation(kernel, it));
+    for (CheckReport &part : parts)
+        report.merge(std::move(part));
     return report;
 }
 
@@ -83,10 +94,8 @@ CheckReport
 ModelChecker::checkSuite(const std::vector<Application> &suite) const
 {
     CheckReport report;
-    for (const Application &app : suite) {
+    for (const Application &app : suite)
         report.merge(checkApplication(app));
-        sweep_.clearCache();
-    }
     return report;
 }
 

@@ -94,7 +94,7 @@ GovernorRegistry::GovernorRegistry()
         if (Status s = requireDevice(spec); !s.ok())
             return s;
         return std::unique_ptr<Governor>(std::make_unique<OracleGovernor>(
-            *spec.device, spec.objective, spec.sweep));
+            *spec.device, spec.objective));
     });
 }
 

@@ -82,9 +82,8 @@ bestConfigFor(const GpuDevice &device, const KernelProfile &profile,
 }
 
 OracleGovernor::OracleGovernor(const GpuDevice &device,
-                               OracleObjective objective,
-                               SweepOptions sweep)
-    : sweep_(device, sweep), objective_(objective)
+                               OracleObjective objective)
+    : sweep_(device), objective_(objective)
 {
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "harmonia/common/error.hh"
+#include "harmonia/common/thread_pool.hh"
 
 namespace harmonia
 {

@@ -1,6 +1,7 @@
 #include "harmonia/core/sweep.hh"
 
 #include <algorithm>
+#include <mutex>
 #include <numeric>
 
 #include "harmonia/common/error.hh"
@@ -48,10 +49,8 @@ SweepEntry::bytes() const
            results.capacity() * sizeof(KernelResult);
 }
 
-ConfigSweep::ConfigSweep(const GpuDevice &device, SweepOptions options)
-    : device_(device), options_(options),
-      configs_(device.space().allConfigs()),
-      pool_(std::make_shared<ThreadPool>(options.jobs))
+ConfigSweep::ConfigSweep(const GpuDevice &device)
+    : device_(device), configs_(device.space().allConfigs())
 {
     fatalIf(configs_.empty(), "ConfigSweep: empty configuration space");
     // Lattice membership is validated once here, for the whole
@@ -84,18 +83,18 @@ ConfigSweep::run(const KernelProfile &profile, int iteration,
                  const std::vector<uint32_t> &slots) const
 {
     // Each slot writes only its own result, so the values are
-    // independent of scheduling and of which call ran them.
+    // independent of which call ran them.
     std::vector<KernelResult> results(slots.size());
     if (slots.size() == configs_.size()) {
         device_.runLattice(profile, profile.phase(iteration), configs_,
-                           results.data(), pool_.get());
+                           results.data());
     } else {
         std::vector<HardwareConfig> configs;
         configs.reserve(slots.size());
         for (const uint32_t slot : slots)
             configs.push_back(configs_[slot]);
         device_.runLattice(profile, profile.phase(iteration), configs,
-                           results.data(), pool_.get());
+                           results.data());
     }
     return results;
 }

@@ -71,7 +71,6 @@ class ExpContext
     const GpuDevice &device() const { return device_; }
     const ExpOptions &options() const { return options_; }
     int jobs() const { return options_.jobs; }
-    uint64_t seed() const { return options_.seed; }
     std::ostream &out() { return out_; }
     ArtifactWriter &artifacts() { return artifacts_; }
 

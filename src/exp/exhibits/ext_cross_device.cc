@@ -60,8 +60,7 @@ class ExtCrossDevice final : public Experiment
 
         for (const std::string &name : deviceNames()) {
             const GpuDevice device = makeDevice(name).value();
-            const SweepOptions sweepOpt{ctx.jobs(), ctx.seed()};
-            const ConfigSweep sweep(device, sweepOpt);
+            const ConfigSweep sweep(device);
 
             // Landscape: where the full-lattice oracle lands for each
             // probe, and how much ED^2 it recovers over running flat
@@ -91,8 +90,7 @@ class ExtCrossDevice final : public Experiment
             Runtime runtime(device);
             for (const Application &app : probes) {
                 BaselineGovernor base(device.space());
-                OracleGovernor oracle(device, OracleObjective::MinEd2,
-                                      sweepOpt);
+                OracleGovernor oracle(device, OracleObjective::MinEd2);
                 const AppRunResult b = runtime.run(app, base);
                 const AppRunResult o = runtime.run(app, oracle);
                 headroom.row()

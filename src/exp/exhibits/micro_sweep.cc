@@ -1,28 +1,27 @@
 /**
  * @file
  * Evaluation-path throughput microbenchmark: naive per-config
- * evaluation vs the factored (SIMD-batched) lattice path, at 1 and 4
- * worker threads, on full lattices and on governor slices.
+ * evaluation vs the factored (SIMD-batched) lattice path, single
+ * threaded, on full lattices and on governor slices.
  *
  * Drives GpuDevice::runLattice (and, for the naive rows, per-config
- * GpuDevice::run under the same thread pool) straight into a reused
- * result buffer, so the measurement isolates the evaluation kernels
- * from ConfigSweep's memoization layer — whose per-lattice result
- * allocation is cache-feature overhead, not evaluation work, and
- * whose cost would otherwise dominate run-to-run noise.
+ * GpuDevice::run) straight into a reused result buffer, so the
+ * measurement isolates the evaluation kernels from ConfigSweep's
+ * memoization layer — whose per-lattice result allocation is
+ * cache-feature overhead, not evaluation work, and whose cost would
+ * otherwise dominate run-to-run noise.
  *
  * The sweep table reports kernel-invocation lattices per second (one
  * lattice = one (kernel, iteration) evaluated at every configuration
  * of the device's lattice) and the per-config rate, and prints the
- * single-thread factored/naive speedup. The slice table times the
- * shape of a harmoniad evaluate — 8 configs around one centre, the
- * candidates a governor weighs at a kernel boundary — through one
- * runLattice call against 8 run() calls, single-threaded, after
- * checking that both paths produce the same bits (the exhibit fails
- * if they differ). `--bench-reps N` controls how many full-suite
- * passes each variant runs (default 6); the measurements land in the
- * micro_sweep, micro_sweep_slices and micro_sweep_summary artifacts
- * under `--out`.
+ * factored/naive speedup. The slice table times the shape of a
+ * harmoniad evaluate — 8 configs around one centre, the candidates a
+ * governor weighs at a kernel boundary — through one runLattice call
+ * against 8 run() calls, after checking that both paths produce the
+ * same bits (the exhibit fails if they differ). `--bench-reps N`
+ * controls how many full-suite passes each variant runs (default 6);
+ * the measurements land in the micro_sweep, micro_sweep_slices and
+ * micro_sweep_summary artifacts under `--out`.
  */
 
 #include <algorithm>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "harmonia/common/error.hh"
-#include "harmonia/common/thread_pool.hh"
 #include "harmonia/core/sweep.hh"
 #include "exp/context.hh"
 #include "exp/experiment.hh"
@@ -46,7 +44,6 @@ namespace
 struct Measurement
 {
     std::string path; // "naive" | "factored"
-    int jobs = 1;
     int reps = 1;
     size_t lattices = 0;
     size_t configs = 0;
@@ -62,31 +59,27 @@ struct Measurement
  * the factored lattice path.
  */
 Measurement
-measure(ExpContext &ctx, const std::string &path, int jobs, int reps)
+measure(ExpContext &ctx, const std::string &path, int reps)
 {
     const GpuDevice &dev = ctx.device();
     const std::vector<HardwareConfig> configs = dev.space().allConfigs();
     const std::vector<Application> &apps = ctx.suite();
-    ThreadPool pool(jobs);
     std::vector<KernelResult> out(configs.size());
 
     Measurement m;
     m.path = path;
-    m.jobs = jobs;
     m.reps = reps;
 
     const auto start = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r) {
         for (const Application &app : apps) {
             for (const KernelProfile &k : app.kernels) {
+                const KernelPhase phase = k.phase(r);
                 if (path == "naive") {
-                    const KernelPhase phase = k.phase(r);
-                    pool.parallelFor(configs.size(), 16, [&](size_t i) {
+                    for (size_t i = 0; i < configs.size(); ++i)
                         out[i] = dev.run(k, phase, configs[i]);
-                    });
                 } else {
-                    dev.runLattice(k, k.phase(r), configs, out.data(),
-                                   jobs > 1 ? &pool : nullptr);
+                    dev.runLattice(k, phase, configs, out.data());
                 }
                 ++m.lattices;
             }
@@ -271,23 +264,17 @@ class MicroSweep final : public Experiment
         // Per path: one warm-up pass so first-touch allocation and
         // page faults don't land in a timed region, then the fastest
         // of several interleaved timings.
-        std::vector<Measurement> runs;
-        for (const int jobs : {1, 4}) {
-            for (const std::string &path : paths)
-                measure(ctx, path, jobs, 1);
-            for (const Measurement &m :
-                 fastestInterleaved(paths, [&](const std::string &path) {
-                     return measure(ctx, path, jobs, reps);
-                 }))
-                runs.push_back(m);
-        }
+        for (const std::string &path : paths)
+            measure(ctx, path, 1);
+        const std::vector<Measurement> runs =
+            fastestInterleaved(paths, [&](const std::string &path) {
+                return measure(ctx, path, reps);
+            });
 
-        TextTable table(
-            {"path", "jobs", "lattices/s", "configs/s", "sec"});
+        TextTable table({"path", "lattices/s", "configs/s", "sec"});
         for (const Measurement &m : runs) {
             table.row()
                 .cell(m.path)
-                .cell(std::to_string(m.jobs))
                 .cell(formatNum(m.latticesPerSec(), 1))
                 .cell(formatNum(m.configsPerSec(), 0))
                 .cell(formatNum(m.seconds, 3));
@@ -298,8 +285,8 @@ class MicroSweep final : public Experiment
                      "-config lattices)",
                  "micro_sweep");
 
-        // Governor slices, single-threaded. The bitwise check doubles
-        // as the warm-up pass.
+        // Governor slices. The bitwise check doubles as the warm-up
+        // pass.
         const int walks = reps * kSliceWalksPerRep;
         const std::vector<std::vector<HardwareConfig>> slices =
             governorSlices(ctx, walks);
@@ -309,12 +296,10 @@ class MicroSweep final : public Experiment
                 return measureSlices(ctx, path, slices, walks);
             });
 
-        TextTable sliceTable({"path", "jobs", "slices/s", "us/slice",
-                              "sec"});
+        TextTable sliceTable({"path", "slices/s", "us/slice", "sec"});
         for (const Measurement &m : sliceRuns) {
             sliceTable.row()
                 .cell(m.path)
-                .cell(std::to_string(m.jobs))
                 .cell(formatNum(m.latticesPerSec(), 1))
                 .cell(formatNum(1e6 / m.latticesPerSec(), 2))
                 .cell(formatNum(m.seconds, 3));
@@ -325,21 +310,13 @@ class MicroSweep final : public Experiment
                      std::to_string(kSlice) + " run() calls)",
                  "micro_sweep_slices");
 
-        double naive1 = 0.0, factored1 = 0.0;
-        for (const Measurement &m : runs) {
-            if (m.jobs != 1)
-                continue;
-            if (m.path == "naive")
-                naive1 = m.latticesPerSec();
-            else
-                factored1 = m.latticesPerSec();
-        }
-        const double factoredSpeedup1 =
-            naive1 > 0.0 ? factored1 / naive1 : 0.0;
+        // runs and sliceRuns follow `paths`: [0] naive, [1] factored.
+        const double factoredSpeedup =
+            runs[1].latticesPerSec() / runs[0].latticesPerSec();
         const double sliceRatio =
             sliceRuns[1].seconds / sliceRuns[0].seconds;
         ctx.out() << "\nsingle-thread factored speedup: "
-                  << formatNum(factoredSpeedup1, 2) << "x\n"
+                  << formatNum(factoredSpeedup, 2) << "x\n"
                   << "governor slice time, factored / naive: "
                   << formatNum(sliceRatio, 2) << "x\n";
 
@@ -348,7 +325,7 @@ class MicroSweep final : public Experiment
             static_cast<long long>(latticeSize));
         summary.row().cell("reps per variant").numInt(reps);
         summary.row().cell("single-thread factored speedup").num(
-            factoredSpeedup1, 3);
+            factoredSpeedup, 3);
         summary.row().cell("slice time factored / naive").num(
             sliceRatio, 3);
         ctx.emit(summary, "micro_sweep summary", "micro_sweep_summary");

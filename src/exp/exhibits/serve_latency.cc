@@ -11,8 +11,7 @@
  * byte-identical responses; the difference is purely how often the
  * lattice evaluator's per-invocation hoist is paid. Reports requests/s,
  * the service-side p50/p99 evaluate latency, the batched/unbatched
- * speedup at each thread count, and the result-cache hit economics of
- * a repeated stream.
+ * speedup, and the result-cache hit economics of a repeated stream.
  *
  * The second half measures the real transport: an in-process harmoniad
  * reactor on an ephemeral TCP port, driven by N closed-loop loopback
@@ -100,7 +99,6 @@ makeWindow(const ConfigSweep &sweep, const std::string &kernelId,
 struct LoadResult
 {
     std::string mode;
-    int jobs = 1;
     size_t requests = 0;
     double seconds = 0.0;
     uint64_t latticeRuns = 0;
@@ -115,13 +113,11 @@ struct LoadResult
 
 /** Drive @p windows of the client load pattern through one Service. */
 LoadResult
-drive(ExpContext &ctx, bool batching, int jobs, int windows)
+drive(ExpContext &ctx, bool batching, int windows)
 {
     ServiceOptions opt;
-    opt.jobs = jobs;
     opt.batching = batching;
     opt.cache = false; // Isolate the batching effect from caching.
-    opt.rngSeed = ctx.seed();
     Service service(opt);
 
     const std::vector<Application> &apps = ctx.suite();
@@ -140,7 +136,6 @@ drive(ExpContext &ctx, bool batching, int jobs, int windows)
 
     LoadResult r;
     r.mode = batching ? "batched" : "unbatched";
-    r.jobs = jobs;
 
     const auto start = std::chrono::steady_clock::now();
     for (const auto &[kernelId, iter] : invocations) {
@@ -249,10 +244,8 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
     using Clock = std::chrono::steady_clock;
 
     ServiceOptions opt;
-    opt.jobs = 4;
     opt.batching = true;
     opt.cache = false;
-    opt.rngSeed = ctx.seed();
     Service service(opt);
 
     serve::ServerOptions sopt;
@@ -385,20 +378,17 @@ class ServeLatency final : public Experiment
                        " concurrent evaluate requests, micro-batched "
                        "vs one lattice run per request.");
 
-        std::vector<LoadResult> runs;
-        for (const int jobs : {1, 4}) {
-            for (const bool batching : {false, true}) {
-                drive(ctx, batching, jobs, 2); // Warm-up.
-                runs.push_back(drive(ctx, batching, jobs, windows));
-            }
+        std::vector<LoadResult> runs; // [0] unbatched, [1] batched.
+        for (const bool batching : {false, true}) {
+            drive(ctx, batching, 2); // Warm-up.
+            runs.push_back(drive(ctx, batching, windows));
         }
 
-        TextTable table({"mode", "jobs", "requests", "lattice runs",
-                         "req/s", "p50 (us)", "p99 (us)"});
+        TextTable table({"mode", "requests", "lattice runs", "req/s",
+                         "p50 (us)", "p99 (us)"});
         for (const LoadResult &r : runs) {
             table.row()
                 .cell(r.mode)
-                .cell(std::to_string(r.jobs))
                 .numInt(static_cast<long long>(r.requests))
                 .numInt(static_cast<long long>(r.latticeRuns))
                 .cell(formatNum(r.requestsPerSec(), 0))
@@ -408,25 +398,14 @@ class ServeLatency final : public Experiment
         ctx.emit(table, "Evaluate throughput: micro-batched vs not",
                  "serve_latency");
 
-        double speedup1 = 0.0, speedup4 = 0.0;
-        for (const LoadResult &r : runs) {
-            if (!(r.mode == "batched"))
-                continue;
-            for (const LoadResult &u : runs) {
-                if (u.mode == "unbatched" && u.jobs == r.jobs &&
-                    u.requestsPerSec() > 0.0) {
-                    (r.jobs == 1 ? speedup1 : speedup4) =
-                        r.requestsPerSec() / u.requestsPerSec();
-                }
-            }
-        }
+        const double speedup =
+            runs[0].requestsPerSec() > 0.0
+                ? runs[1].requestsPerSec() / runs[0].requestsPerSec()
+                : 0.0;
 
         // Cache economics: the same stream replayed against a caching
         // service — the second pass is served from memoized points.
-        ServiceOptions copt;
-        copt.jobs = 4;
-        copt.rngSeed = ctx.seed();
-        Service cached(copt);
+        Service cached(ServiceOptions{});
         for (int pass = 0; pass < 2; ++pass) {
             for (int w = 0; w < windows; ++w) {
                 const std::vector<Application> &apps = ctx.suite();
@@ -444,15 +423,14 @@ class ServeLatency final : public Experiment
         const double hitRate =
             totalPoints > 0.0 ? cachedPoints / totalPoints : 0.0;
 
-        ctx.out() << "\nmicro-batch speedup: "
-                  << formatNum(speedup1, 2) << "x at 1 job, "
-                  << formatNum(speedup4, 2) << "x at 4 jobs\n"
+        ctx.out() << "\nmicro-batch speedup: " << formatNum(speedup, 2)
+                  << "x\n"
                   << "replayed-stream cache hit rate: "
                   << formatPct(hitRate, 1) << '\n';
 
-        // The real transport: TCP fan-in through the reactor at
-        // --jobs 4, closed-loop clients, fixed total request count so
-        // every row does the same work.
+        // The real transport: TCP fan-in through the reactor,
+        // closed-loop clients, fixed total request count so every row
+        // does the same work.
         const int fanInRequests = 256;
         std::vector<FanInResult> fanRuns;
         for (const int clients : {1, 16, 64, 128})
@@ -477,7 +455,7 @@ class ServeLatency final : public Experiment
                           : "-");
         }
         ctx.emit(fanTable,
-                 "TCP fan-in: N closed-loop clients vs one (jobs 4)",
+                 "TCP fan-in: N closed-loop clients vs one",
                  "serve_tcp_fanin");
 
         double fanSpeedup64 = 0.0;
@@ -491,8 +469,7 @@ class ServeLatency final : public Experiment
         TextTable summary({"metric", "value"});
         summary.row().cell("clients per window").numInt(kClients);
         summary.row().cell("windows per mode").numInt(windows);
-        summary.row().cell("speedup at 1 job").num(speedup1, 3);
-        summary.row().cell("speedup at 4 jobs").num(speedup4, 3);
+        summary.row().cell("micro-batch speedup").num(speedup, 3);
         summary.row().cell("replay cache hit rate").num(hitRate, 4);
         summary.row()
             .cell("tcp fan-in speedup at 64 clients")

@@ -119,9 +119,7 @@ struct Service::EvalGroup
  */
 struct Service::DeviceState
 {
-    DeviceState(GpuDevice d, const ServiceOptions &opt)
-        : device(std::move(d)),
-          sweep(device, SweepOptions{opt.jobs, opt.rngSeed})
+    explicit DeviceState(GpuDevice d) : device(std::move(d)), sweep(device)
     {
     }
 
@@ -147,8 +145,7 @@ Service::Service(ServiceOptions options) : options_(std::move(options))
     Result<GpuDevice> gpu = makeDevice(name);
     // value() raises ConfigError on an unregistered name — the one
     // construction-time failure; request-path errors stay Status.
-    auto state =
-        std::make_unique<DeviceState>(std::move(gpu).value(), options_);
+    auto state = std::make_unique<DeviceState>(std::move(gpu).value());
     defaultDevice_ = state.get();
     const std::string canonical = state->device.name();
     devices_.emplace(canonical, std::move(state));
@@ -187,8 +184,8 @@ Service::resolveDevice(const std::string &name)
     if (it != devices_.end())
         return it->second.get();
     try {
-        auto state = std::make_unique<DeviceState>(
-            profile.value().makeDevice(), options_);
+        auto state =
+            std::make_unique<DeviceState>(profile.value().makeDevice());
         DeviceState *raw = state.get();
         devices_.emplace(key, std::move(state));
         return raw;
@@ -407,8 +404,6 @@ Service::buildGovernor(DeviceState &dev, const std::string &name)
     GovernorSpec spec;
     spec.device = &dev.device;
     spec.predictor = dev.predictor ? &*dev.predictor : nullptr;
-    spec.sweep.jobs = options_.jobs;
-    spec.sweep.rngSeed = options_.rngSeed;
 
     Result<std::unique_ptr<Governor>> governor =
         makeGovernor(name, spec);

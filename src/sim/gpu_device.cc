@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/check.hh"
-#include "harmonia/common/thread_pool.hh"
 #include "sim/lattice_evaluator.hh"
 
 namespace harmonia
@@ -199,7 +198,7 @@ void
 GpuDevice::runLattice(const KernelProfile &profile,
                       const KernelPhase &phase,
                       const std::vector<HardwareConfig> &configs,
-                      KernelResult *out, ThreadPool *pool) const
+                      KernelResult *out) const
 {
     // Sweeps almost always pass the full lattice in canonical
     // allConfigs() order (memory frequency major, then CU count, then
@@ -230,31 +229,24 @@ GpuDevice::runLattice(const KernelProfile &profile,
                                    lanes.data(), lanes.data() + n,
                                    lanes.data() + 2 * n);
     }
-    const LatticeEvaluator eval(*this, profile, phase, demand, pool);
+    const LatticeEvaluator eval(*this, profile, phase, demand);
 
-    // Batched SIMD combine, one lane block per task. Each block writes
-    // only its own result window, so pool scheduling cannot affect the
-    // output.
+    if (!canonical) {
+        eval.evaluateBatchAtInto(lanes.data(), lanes.data() + n,
+                                 lanes.data() + 2 * n, n, out);
+        return;
+    }
+
+    // Batched SIMD combine, one lane block at a time. Odometer walk
+    // instead of three divisions per lane: the canonical order
+    // increments cf fastest, then cu, then the memory frequency.
     const size_t nCu = demand.cuValues.size();
     const size_t nCf = demand.computeFreqValues.size();
     constexpr size_t kChunk = LatticeEvaluator::kBatchChunk;
-    const size_t nChunks = (n + kChunk - 1) / kChunk;
-    auto runChunk = [&](size_t chunk) {
-        const size_t begin = chunk * kChunk;
+    size_t cuIdx[kChunk], cfIdx[kChunk], memIdx[kChunk];
+    size_t cf = 0, cu = 0, m = 0;
+    for (size_t begin = 0; begin < n; begin += kChunk) {
         const size_t len = std::min(kChunk, n - begin);
-        if (!canonical) {
-            eval.evaluateBatchAtInto(&lanes[begin], &lanes[n + begin],
-                                     &lanes[2 * n + begin], len,
-                                     out + begin);
-            return;
-        }
-        // Odometer walk instead of three divisions per lane: the
-        // canonical order increments cf fastest, then cu, then the
-        // memory frequency.
-        size_t cuIdx[kChunk], cfIdx[kChunk], memIdx[kChunk];
-        size_t cf = begin % nCf;
-        size_t cu = begin / nCf % nCu;
-        size_t m = begin / (nCu * nCf);
         for (size_t l = 0; l < len; ++l) {
             cuIdx[l] = cu;
             cfIdx[l] = cf;
@@ -268,12 +260,7 @@ GpuDevice::runLattice(const KernelProfile &profile,
             }
         }
         eval.evaluateBatchAtInto(cuIdx, cfIdx, memIdx, len, out + begin);
-    };
-    if (pool != nullptr && pool->numThreads() > 1 && nChunks > 1)
-        pool->parallelFor(nChunks, 1, runChunk);
-    else
-        for (size_t c = 0; c < nChunks; ++c)
-            runChunk(c);
+    }
 }
 
 } // namespace harmonia

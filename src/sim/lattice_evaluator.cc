@@ -5,7 +5,6 @@
 
 #include "common/check.hh"
 #include "common/simd.hh"
-#include "harmonia/common/thread_pool.hh"
 
 namespace harmonia
 {
@@ -13,10 +12,9 @@ namespace harmonia
 LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
                                    const KernelProfile &profile,
                                    const KernelPhase &phase,
-                                   const LatticeDemand &demand,
-                                   ThreadPool *pool)
+                                   const LatticeDemand &demand)
     : device_(device), prep_(device.engine().prepare(profile, phase)),
-      timing_(device.engine().buildAxisTables(prep_, demand, pool))
+      timing_(device.engine().buildAxisTables(prep_, demand))
 {
     const size_t nCu = timing_.cuValues.size();
     const size_t nCf = timing_.computeFreqValues.size();

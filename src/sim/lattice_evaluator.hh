@@ -50,8 +50,6 @@
 namespace harmonia
 {
 
-class ThreadPool;
-
 /**
  * One (profile, phase) invocation, prepared for repeated evaluation
  * across the configuration lattice. Holds a reference to the device;
@@ -61,19 +59,16 @@ class LatticeEvaluator
 {
   public:
     /** Lane-block size of the batched path: evaluateBatchAtInto()
-     * processes lanes in chunks of this many configs, so batch
-     * drivers get good parallel grain by chunking at the same size. */
+     * processes lanes in chunks of this many configs, and batch
+     * drivers walk their configs in blocks of the same size. */
     static constexpr size_t kBatchChunk = 64;
 
     /**
      * Hoist the config-invariant and axis-separable work for
-     * (@p profile, @p phase) over the cells @p demand touches. When
-     * @p pool is non-null the bandwidth slabs are resolved in parallel
-     * (deterministically: each slab writes only its own slots).
+     * (@p profile, @p phase) over the cells @p demand touches.
      */
     LatticeEvaluator(const GpuDevice &device, const KernelProfile &profile,
-                     const KernelPhase &phase, const LatticeDemand &demand,
-                     ThreadPool *pool = nullptr);
+                     const KernelPhase &phase, const LatticeDemand &demand);
 
     // The power planes point into planes_.
     LatticeEvaluator(const LatticeEvaluator &) = delete;

@@ -5,7 +5,6 @@
 
 #include "common/check.hh"
 #include "harmonia/common/error.hh"
-#include "harmonia/common/thread_pool.hh"
 #include "common/units.hh"
 
 namespace harmonia
@@ -179,16 +178,14 @@ TimingEngine::prepare(const KernelProfile &profile,
 }
 
 TimingAxisTables
-TimingEngine::buildAxisTables(const PreparedKernel &prep,
-                              ThreadPool *pool) const
+TimingEngine::buildAxisTables(const PreparedKernel &prep) const
 {
-    return buildAxisTables(prep, LatticeDemand::full(space_), pool);
+    return buildAxisTables(prep, LatticeDemand::full(space_));
 }
 
 TimingAxisTables
 TimingEngine::buildAxisTables(const PreparedKernel &prep,
-                              const LatticeDemand &demand,
-                              ThreadPool *pool) const
+                              const LatticeDemand &demand) const
 {
     const KernelPhase &phase = prep.phase;
 
@@ -266,8 +263,7 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
 
     // Lane buffers for every slab, allocated once up front and sized
     // by the requested cells: slab m stages into its own window
-    // [laneBegin[m], laneBegin[m + 1]), so the parallel path stays
-    // write-disjoint.
+    // [laneBegin[m], laneBegin[m + 1]).
     std::vector<size_t> laneBegin(nMem + 1, 0);
     for (size_t m = 0; m < nMem; ++m) {
         size_t requested = 0;
@@ -354,34 +350,21 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
         }
     };
 
+    // Stage every slab first and resolve them in one multi-slab call,
+    // so the bisection packs of all memory frequencies pipeline
+    // against each other (bitwise identical to per-slab calls; see
+    // resolveSlabLanesWithCrossingCap).
     std::vector<MemorySystem::SlabLaneRequest> reqs(nMem);
     for (size_t m = 0; m < nMem; ++m) {
         reqs[m].memFreqMhz = t.memFreqValues[m];
         reqs[m].outstanding = &laneOutstandingBuf[laneBegin[m]];
         reqs[m].crossingCaps = &laneCapBuf[laneBegin[m]];
         reqs[m].out = &laneResultBuf[laneBegin[m]];
+        reqs[m].lanes = stageLanes(m);
     }
-
-    if (pool != nullptr && pool->numThreads() > 1) {
-        // One slab per task, each resolved on its own.
-        pool->parallelFor(nMem, 1, [&](size_t m) {
-            reqs[m].lanes = stageLanes(m);
-            memsys_.resolveSlabLanesWithCrossingCap(&reqs[m], 1,
-                                                    memDemand);
-            scatterSlab(m, reqs[m].lanes);
-        });
-    } else {
-        // Serial: stage every slab first and resolve them in one
-        // multi-slab call, so the bisection packs of all memory
-        // frequencies pipeline against each other (bitwise identical
-        // to the per-slab calls; see resolveSlabLanesWithCrossingCap).
-        for (size_t m = 0; m < nMem; ++m)
-            reqs[m].lanes = stageLanes(m);
-        memsys_.resolveSlabLanesWithCrossingCap(reqs.data(), nMem,
-                                                memDemand);
-        for (size_t m = 0; m < nMem; ++m)
-            scatterSlab(m, reqs[m].lanes);
-    }
+    memsys_.resolveSlabLanesWithCrossingCap(reqs.data(), nMem, memDemand);
+    for (size_t m = 0; m < nMem; ++m)
+        scatterSlab(m, reqs[m].lanes);
     return t;
 }
 

@@ -46,7 +46,7 @@ TEST(ConfigSpace, SweepEnumerationMatchesCanonicalOrder)
     // The sweep layer is the single owner of design-space enumeration;
     // it must expose exactly the 448 lattice points in space order.
     const GpuDevice device;
-    const ConfigSweep sweep(device, {});
+    const ConfigSweep sweep(device);
     const auto canonical = device.space().allConfigs();
     ASSERT_EQ(sweep.configs().size(), 448u);
     ASSERT_EQ(sweep.configs().size(), canonical.size());

@@ -76,7 +76,7 @@ TEST(CrossDevice, ScalarAndSimdAgreeOffTheDefaultLattice)
     const GpuDevice device = makeDevice("ampere-ga100").value();
     const KernelProfile k = makeDeviceMemory().kernels.front();
 
-    const ConfigSweep simd(device, SweepOptions{.jobs = 1});
+    const ConfigSweep simd(device);
     const std::vector<KernelResult> &a = simd.evaluate(k, 0);
     ASSERT_EQ(a.size(), simd.configs().size());
     for (size_t i = 0; i < a.size(); ++i) {

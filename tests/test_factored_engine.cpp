@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "harmonia/common/error.hh"
-#include "harmonia/common/thread_pool.hh"
 #include "harmonia/core/sweep.hh"
 #include "harmonia/sim/device_registry.hh"
 #include "harmonia/sim/gpu_device.hh"
@@ -79,15 +78,12 @@ TEST(FactoredEngine, FullSuiteBitwiseIdenticalToNaive)
     }
 }
 
-// Same guarantee through the sweep engine with a thread pool: the
-// factored batch path must be scheduling-independent and bit-equal to
-// per-config run().
+// Same guarantee through the sweep engine: the factored batch path
+// must be bit-equal to per-config run().
 TEST(FactoredEngine, SweepFactoredMatchesNaiveSweep)
 {
     const GpuDevice &dev = device();
-    SweepOptions opts;
-    opts.jobs = 4;
-    const ConfigSweep factored(dev, opts);
+    const ConfigSweep factored(dev);
 
     for (const Application &app : {makeDeviceMemory(), makeSort(),
                                    makeXsbench()}) {
@@ -237,31 +233,6 @@ TEST(FactoredEngine, AxisTablesMatchDirectModelCalls)
                          direct.bandwidth.effectiveBps);
         EXPECT_SAME_BITS(tabled.latency, direct.bandwidth.latency);
         EXPECT_EQ(tabled.limiter, direct.bandwidth.limiter) << ctx;
-    }
-}
-
-// Table construction with a pool must be bit-identical to serial
-// construction (each bandwidth row writes only its own slots).
-TEST(FactoredEngine, ParallelTableBuildMatchesSerial)
-{
-    const TimingEngine &eng = device().engine();
-    const KernelProfile k = makeStreamcluster().kernels.front();
-    const PreparedKernel prep = eng.prepare(k, k.phase(0));
-
-    const TimingAxisTables serial = eng.buildAxisTables(prep);
-    ThreadPool pool(4);
-    const TimingAxisTables parallel = eng.buildAxisTables(prep, &pool);
-
-    ASSERT_EQ(serial.bandwidthBps.size(), parallel.bandwidthBps.size());
-    for (size_t i = 0; i < serial.bandwidthBps.size(); ++i) {
-        const std::string ctx = "slot " + std::to_string(i);
-        EXPECT_SAME_BITS(serial.bandwidthBps[i],
-                         parallel.bandwidthBps[i]);
-        EXPECT_SAME_BITS(serial.bandwidthLatency[i],
-                         parallel.bandwidthLatency[i]);
-        EXPECT_EQ(serial.bandwidthLimiter[i],
-                  parallel.bandwidthLimiter[i])
-            << ctx;
     }
 }
 

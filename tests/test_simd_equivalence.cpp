@@ -19,7 +19,6 @@
  *    count) row on either side of the crossing-cap dedup boundary, a
  *    kernel with zero outstanding requests, and sizes around the lane
  *    block;
- *  - scheduling independence of the chunked parallel SIMD path;
  *  - the batched crossing-cap bandwidth resolvers against the
  *    single-lane resolveWithCrossingCap(), including lanes placed
  *    exactly on the saturation thresholds the batch dedup rules key
@@ -35,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "harmonia/common/thread_pool.hh"
 #include "harmonia/core/sweep.hh"
 #include "harmonia/dvfs/tunables.hh"
 #include "harmonia/memsys/memory_system.hh"
@@ -81,18 +79,17 @@ bits(double x)
     EXPECT_EQ(bits(a), bits(b)) << #a " differs from " #b " at " << ctx
 
 /**
- * Run @p configs through @p dev's runLattice (on @p pool, when given)
- * and require results bitwise identical to per-config run().
+ * Run @p configs through @p dev's runLattice and require results
+ * bitwise identical to per-config run().
  */
 void
 expectLatticeMatchesNaive(const GpuDevice &dev, const KernelProfile &k,
                           const KernelPhase &phase,
                           const std::vector<HardwareConfig> &configs,
-                          const std::string &ctxBase,
-                          ThreadPool *pool = nullptr)
+                          const std::string &ctxBase)
 {
     std::vector<KernelResult> simd(configs.size());
-    dev.runLattice(k, phase, configs, simd.data(), pool);
+    dev.runLattice(k, phase, configs, simd.data());
     for (size_t i = 0; i < configs.size(); ++i)
         EXPECT_EQ(firstBitDifference(simd[i], dev.run(k, phase, configs[i])),
                   ""sv)
@@ -273,25 +270,6 @@ TEST(SimdEquivalence, SinglePointAndDuplicateBatches)
     }
 }
 
-// Scheduling independence: the chunked SIMD path under a thread pool
-// (per-slab pooled table build included) and the serial path must
-// both produce the same bytes as per-config run().
-TEST(SimdEquivalence, ParallelSimdMatchesSerial)
-{
-    const std::vector<HardwareConfig> configs =
-        device().space().allConfigs();
-    const Application app = makeXsbench();
-    ThreadPool pool(4);
-
-    for (const KernelProfile &k : app.kernels) {
-        const KernelPhase phase = k.phase(0);
-        expectLatticeMatchesNaive(device(), k, phase, configs,
-                                  k.id() + " pooled", &pool);
-        expectLatticeMatchesNaive(device(), k, phase, configs,
-                                  k.id() + " serial");
-    }
-}
-
 // The batched crossing-cap solvers, lane by lane: the scalar lane
 // batch and the vector (single-slab) batch vs the single-lane call,
 // over a grid of demand levels and crossing caps that includes every
@@ -373,7 +351,7 @@ TEST(SimdEquivalence, LaneResolverMatchesPerLaneCalls)
 
 // The cross-slab resolver: staging all memory frequencies' lane
 // batches into one interleaved bisection pass must reproduce the
-// per-slab calls (what the pooled table build issues) and the
+// per-slab calls and the
 // single-lane resolveWithCrossingCap() bit for bit, including slabs
 // whose lane counts leave partial packs.
 TEST(SimdEquivalence, SlabResolverMatchesPerSlabCalls)

@@ -1,13 +1,15 @@
 /**
  * @file
- * Determinism harness for the parallel sweep engine.
+ * Determinism harness for the sweep engine and the layers that fan
+ * out over invocations.
  *
  * Parallelizing the RNG-seeded model is only safe if results are
  * provably bit-identical to the serial path. These property tests pin
- * that down for every layer ported onto the sweep engine: oracle
- * search, sensitivity ground truth, training, and the full campaign,
- * each compared across 1, 2, and 8 worker threads with exact
- * (bitwise) double equality. Also covers the sweep store: its hit
+ * that down for every layer that runs tasks on a thread pool:
+ * sensitivity ground truth, training, and the full campaign, each
+ * compared across 1, 2, and 8 worker threads with exact (bitwise)
+ * double equality. Sweep results are checked against direct run()
+ * calls. Also covers the sweep store: its hit
  * accounting, partial fills that run only the slots an entry lacks,
  * concurrent fills and evaluates on shared keys, and the per-task RNG
  * substream scheme.
@@ -68,31 +70,11 @@ constexpr int kJobVariants[] = {2, 8};
 
 } // namespace
 
-TEST(SweepDeterminism, OracleSearchIsThreadCountInvariant)
-{
-    const auto suite = miniSuite();
-    ConfigSweep serial(device(), {.jobs = 1});
-    for (int jobs : kJobVariants) {
-        ConfigSweep parallel(device(), {.jobs = jobs});
-        for (const auto &app : suite) {
-            for (const auto &kernel : app.kernels) {
-                for (OracleObjective obj :
-                     {OracleObjective::MinEd2, OracleObjective::MaxPerf,
-                      OracleObjective::MinEnergy}) {
-                    EXPECT_EQ(bestConfigFor(serial, kernel, 0, obj),
-                              bestConfigFor(parallel, kernel, 0, obj))
-                        << kernel.id() << " jobs=" << jobs;
-                }
-            }
-        }
-    }
-}
-
 TEST(SweepDeterminism, SweepEvaluationBitIdenticalToDirectRuns)
 {
     const auto suite = miniSuite();
     const KernelProfile &kernel = suite.front().kernels.front();
-    ConfigSweep sweep(device(), {.jobs = 8});
+    ConfigSweep sweep(device());
     const auto &results = sweep.evaluate(kernel, 0);
     const auto &configs = sweep.configs();
     ASSERT_EQ(results.size(), configs.size());
@@ -108,18 +90,16 @@ TEST(SweepDeterminism, SweepEvaluationBitIdenticalToDirectRuns)
 TEST(SweepDeterminism, SensitivitiesMatchDirectPathExactly)
 {
     const auto suite = miniSuite();
-    for (int jobs : {1, 2, 8}) {
-        ConfigSweep sweep(device(), {.jobs = jobs});
-        for (const auto &app : suite) {
-            const KernelProfile &kernel = app.kernels.front();
-            const SensitivityVector direct =
-                measureSensitivities(device(), kernel, 0);
-            const SensitivityVector viaSweep =
-                measureSensitivities(sweep, kernel, 0);
-            EXPECT_EQ(direct.cuCount, viaSweep.cuCount);
-            EXPECT_EQ(direct.computeFreq, viaSweep.computeFreq);
-            EXPECT_EQ(direct.memBandwidth, viaSweep.memBandwidth);
-        }
+    ConfigSweep sweep(device());
+    for (const auto &app : suite) {
+        const KernelProfile &kernel = app.kernels.front();
+        const SensitivityVector direct =
+            measureSensitivities(device(), kernel, 0);
+        const SensitivityVector viaSweep =
+            measureSensitivities(sweep, kernel, 0);
+        EXPECT_EQ(direct.cuCount, viaSweep.cuCount);
+        EXPECT_EQ(direct.computeFreq, viaSweep.computeFreq);
+        EXPECT_EQ(direct.memBandwidth, viaSweep.memBandwidth);
     }
 }
 
@@ -200,7 +180,7 @@ TEST(SweepDeterminism, CacheHitAccountingOnRepeatedRuns)
 {
     const auto suite = miniSuite();
     const KernelProfile &kernel = suite.front().kernels.front();
-    ConfigSweep sweep(device(), {.jobs = 4});
+    ConfigSweep sweep(device());
     EXPECT_EQ(sweep.cacheHits(), 0u);
     EXPECT_EQ(sweep.cacheMisses(), 0u);
 
@@ -240,7 +220,7 @@ TEST(SweepDeterminism, PartialFillsThenEvaluateMatchAFreshSweep)
     for (const char *name : {"hd7970", "ampere-ga100"}) {
         SCOPED_TRACE(name);
         const GpuDevice dev = makeDevice(name).value();
-        ConfigSweep sweep(dev, {.jobs = 2});
+        ConfigSweep sweep(dev);
         const auto n = static_cast<uint32_t>(sweep.configs().size());
 
         // Two overlapping slices, as two kernel-boundary requests ask.
@@ -263,7 +243,7 @@ TEST(SweepDeterminism, PartialFillsThenEvaluateMatchAFreshSweep)
         EXPECT_EQ(computed, 0u);
         EXPECT_EQ(sweep.cacheHits(), 1u);
 
-        const ConfigSweep fresh(dev, {.jobs = 2});
+        const ConfigSweep fresh(dev);
         const std::vector<KernelResult> &expected =
             fresh.evaluate(kernel, 1);
         ASSERT_EQ(all.size(), expected.size());
@@ -320,8 +300,9 @@ TEST(SweepDeterminism, ConcurrentFillsAndEvaluatesOnSharedKeys)
 {
     const auto suite = miniSuite();
     const KernelProfile &kernel = suite.front().kernels.front();
-    // One worker per call: the only concurrency is on the store.
-    const ConfigSweep sweep(device(), {.jobs = 1});
+    // Each call runs its lattice on its caller's thread: the only
+    // concurrency is on the store.
+    const ConfigSweep sweep(device());
     const auto n = static_cast<uint32_t>(sweep.configs().size());
     constexpr int kThreads = 4;
     constexpr int kKeys = 3;
@@ -358,7 +339,7 @@ TEST(SweepDeterminism, ConcurrentFillsAndEvaluatesOnSharedKeys)
     for (std::thread &th : threads)
         th.join();
 
-    const ConfigSweep serial(device(), {.jobs = 1});
+    const ConfigSweep serial(device());
     for (const Seen &s : seen) {
         for (const auto &[it, entry] : s.fills) {
             const std::vector<KernelResult> &want =

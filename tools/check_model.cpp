@@ -13,7 +13,8 @@
  *                   default hd7970 (see --list-devices). The sweep
  *                   covers that device's full lattice.
  *   --list-devices  Print the registered device names and exit.
- *   --jobs N        Worker threads for the sweeps (or HARMONIA_JOBS).
+ *   --jobs N        Workers over (kernel, iteration) invocations (or
+ *                   HARMONIA_JOBS); each runs its lattice serially.
  *   --iterations N  Cap iterations checked per kernel (default: all).
  *   --app NAME      Restrict to one application (repeatable).
  *   --invariant ID  Run only the named invariant (repeatable).
@@ -54,7 +55,8 @@ usage(int status)
     std::cout
         << "usage: check_model [--device NAME] [--jobs N] "
            "[--iterations N] [--app NAME]... [--invariant ID]... "
-           "[--max-report N] [--list] [--list-devices]\n";
+           "[--max-report N] [--list] [--list-devices]\n"
+           "  --jobs N  workers over (kernel, iteration) invocations\n";
     std::exit(status);
 }
 

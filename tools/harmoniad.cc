@@ -23,7 +23,7 @@
  *                     Requests carrying an explicit "device" field
  *                     still select their own profile per request.
  *   --list-devices    Print the registered device names and exit.
- *   --jobs N          Worker threads for lattice runs (or
+ *   --jobs N          Worker threads for predictor training (or
  *                     HARMONIA_JOBS; default 1).
  *   --no-batching     Disable evaluate micro-batching (one lattice
  *                     run per request; results are identical).
@@ -41,7 +41,6 @@
  *   --max-write-buf BYTES  Per-connection cap on buffered unsent
  *                     response bytes before the connection is shed
  *                     (default 8388608).
- *   --seed N          Sweep RNG seed.
  *
  * Exit status 0 after a clean drain (SIGTERM/SIGINT, a `shutdown`
  * request, or --stdio EOF); the final metrics snapshot is printed to
@@ -72,7 +71,7 @@ usage(int status)
                  "                 [--max-configs N] [--max-sessions N]\n"
                  "                 [--max-connections N] "
                  "[--idle-timeout-ms N]\n"
-                 "                 [--max-write-buf BYTES] [--seed N]\n";
+                 "                 [--max-write-buf BYTES]\n";
     std::exit(status);
 }
 
@@ -145,12 +144,6 @@ main(int argc, char **argv)
         } else if (arg == "--max-write-buf") {
             server.maxWriteBufferBytes =
                 static_cast<size_t>(std::max(1, intArg(i, arg)));
-        } else if (arg == "--seed") {
-            if (i + 1 >= argc) {
-                std::cerr << "harmoniad: --seed needs a value\n";
-                usage(2);
-            }
-            service.rngSeed = std::strtoull(argv[++i], nullptr, 0);
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
