@@ -28,13 +28,13 @@ main(int argc, char **argv)
 
     // The sweep engine owns the canonical enumeration and evaluates
     // all 448 points in one lattice run; every analysis below reads
-    // from its memoized result vector.
+    // that one result vector.
     ConfigSweep sweep(device.gpu());
     std::cout << "Exploring " << sweep.configs().size()
               << " configurations for " << kernel.id() << "\n\n";
 
     const ConfigSpace &space = device.space();
-    const auto &results = sweep.evaluate(kernel, 0);
+    const std::vector<KernelResult> results = sweep.evaluate(kernel, 0);
     const auto &configs = sweep.configs();
     const KernelResult &maxRun =
         results[sweep.indexOf(space.maxConfig())];
@@ -64,15 +64,14 @@ main(int argc, char **argv)
     }
     curve.print(std::cout, "Per-memory-configuration optima");
 
-    // Objective winners (served from the sweep's memo cache).
+    // Objective winners, searched in the same result vector.
     TextTable winners({"objective", "config", "time (us)",
                        "energy (mJ)", "ED2 vs max-config"});
     for (OracleObjective obj :
          {OracleObjective::MaxPerf, OracleObjective::MinEd2,
           OracleObjective::MinEd, OracleObjective::MinEnergy}) {
-        const HardwareConfig cfg =
-            bestConfigFor(sweep, kernel, 0, obj);
-        const KernelResult r = sweep.at(kernel, 0, cfg);
+        const HardwareConfig cfg = bestConfigFor(configs, results, obj);
+        const KernelResult &r = results[sweep.indexOf(cfg)];
         winners.row()
             .cell(oracleObjectiveName(obj))
             .cell(cfg.str())

@@ -4,8 +4,7 @@
  * (application x kernel x iteration x lattice config) point of a
  * workload suite. Each (kernel, iteration) is one task: a full
  * lattice run into the task's own result vector, then the invariants
- * over it. Tasks of an application fan out over a ThreadPool; nothing
- * is memoized, since no point is read twice.
+ * over it. Tasks of an application fan out over a ThreadPool.
  *
  * Determinism: each task writes only its own report slot, and the
  * slots are merged in suite order (kernel-major, then iteration), so

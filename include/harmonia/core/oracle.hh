@@ -9,10 +9,10 @@
  * compared against (Harmonia lands within ~3% on average).
  *
  * The exhaustive replay runs on the ConfigSweep engine: each search is
- * one lattice run, and repeated searches of the same invocation are
- * served from the sweep's memo cache. The argmax reduction always
- * walks the canonical enumeration order, so ties break the same way
- * on every run.
+ * one lattice run, and the governor remembers its answer per (kernel,
+ * iteration), so a repeated decision searches nothing. The argmax
+ * reduction always walks the canonical enumeration order, so ties
+ * break the same way on every run.
  */
 
 #ifndef HARMONIA_CORE_ORACLE_HH
@@ -20,6 +20,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "harmonia/core/governor.hh"
 #include "harmonia/core/sweep.hh"
@@ -39,6 +40,10 @@ enum class OracleObjective
 
 /** Printable objective name. */
 const char *oracleObjectiveName(OracleObjective objective);
+
+/** @p result's score under @p objective; lower is better. */
+double objectiveScore(const KernelResult &result,
+                      OracleObjective objective);
 
 /** Exhaustive-search oracle. */
 class OracleGovernor : public Governor
@@ -65,12 +70,7 @@ class OracleGovernor : public Governor
     /** Number of exhaustive searches performed (for tests). */
     size_t searches() const { return searches_; }
 
-    /** The sweep engine backing the searches (for cache stats). */
-    const ConfigSweep &sweep() const { return sweep_; }
-
   private:
-    double score(const KernelResult &result) const;
-
     ConfigSweep sweep_;
     OracleObjective objective_;
     std::map<std::string, HardwareConfig> cache_;
@@ -78,18 +78,20 @@ class OracleGovernor : public Governor
 };
 
 /**
- * Standalone exhaustive search on an existing sweep engine: best
- * configuration for one kernel invocation under an objective. The
- * reduction is a serial walk of sweep.configs() order.
+ * Exhaustive search over an evaluated lattice: the best of @p configs
+ * (a ConfigSweep's canonical enumeration, so its last entry is the
+ * maximum configuration) under @p objective, where @p lattice[i] is
+ * the result at @p configs[i]. The reduction is a serial walk of
+ * configs order.
  */
-HardwareConfig bestConfigFor(const ConfigSweep &sweep,
-                             const KernelProfile &profile, int iteration,
+HardwareConfig bestConfigFor(const std::vector<HardwareConfig> &configs,
+                             const std::vector<KernelResult> &lattice,
                              OracleObjective objective);
 
 /**
- * Convenience overload building a throwaway sweep. Used by the
- * oracle-adjacent analyses (Figure 6 metric tradeoffs) that only need
- * one search per invocation.
+ * Convenience overload that evaluates one invocation's lattice on a
+ * throwaway sweep. Used by the oracle-adjacent analyses (Figure 6
+ * metric tradeoffs) that only need one search per invocation.
  */
 HardwareConfig bestConfigFor(const GpuDevice &device,
                              const KernelProfile &profile, int iteration,

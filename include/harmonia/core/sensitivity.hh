@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "harmonia/core/sweep.hh"
 #include "harmonia/sim/gpu_device.hh"
 #include "harmonia/workloads/app.hh"
 
@@ -82,32 +81,6 @@ double measureTunableSensitivity(const GpuDevice &device,
 
 /** Measure all three sensitivities of one kernel invocation. */
 SensitivityVector measureSensitivities(const GpuDevice &device,
-                                       const KernelProfile &profile,
-                                       int iteration);
-
-/**
- * The reduced operating point measureTunableSensitivity() compares
- * against: @p tunable snapped up to roughly half its maximum (on the
- * HD7970: 16 CUs, 500 MHz core, 775 MHz memory) with everything else
- * at maximum. Exposed so sweep-backed measurement uses the exact same
- * lattice point as the direct path.
- */
-HardwareConfig sensitivityReducedConfig(const ConfigSpace &space,
-                                        Tunable tunable);
-
-/**
- * Sweep-backed ground-truth measurement: identical arithmetic to the
- * device overloads, but both operating points are read from the
- * sweep's memoized 448-point evaluation, so the measurement shares
- * cache (and parallelism) with any oracle search of the same
- * invocation and is bit-identical to the serial direct path.
- */
-double measureTunableSensitivity(const ConfigSweep &sweep,
-                                 const KernelProfile &profile,
-                                 int iteration, Tunable tunable);
-
-/** All three sensitivities via the sweep engine. */
-SensitivityVector measureSensitivities(const ConfigSweep &sweep,
                                        const KernelProfile &profile,
                                        int iteration);
 

@@ -111,9 +111,11 @@ class ServiceMetrics
     /** Record one line that never parsed into a verb. */
     void recordMalformed() { ++malformedLines_; }
 
-    /** Micro-batcher accounting (evaluate verb only). */
+    /** Micro-batcher accounting (evaluate verb only): @p duplicates
+     * counts the points a fused group asked for beyond the distinct
+     * ones it computed. */
     void recordEvaluate(uint64_t latticeRuns, uint64_t coalesced,
-                        uint64_t pointsComputed, uint64_t pointsCached);
+                        uint64_t pointsComputed, uint64_t duplicates);
 
     /**
      * One evaluate group whose members arrived over @p connections
@@ -132,8 +134,6 @@ class ServiceMetrics
     uint64_t malformedLines() const { return malformedLines_; }
     uint64_t latticeRuns() const { return latticeRuns_; }
     uint64_t coalescedRequests() const { return coalescedRequests_; }
-    uint64_t pointsComputed() const { return pointsComputed_; }
-    uint64_t pointsFromCache() const { return pointsFromCache_; }
     uint64_t crossConnRuns() const { return crossConnRuns_; }
     uint64_t crossConnRequests() const { return crossConnRequests_; }
     uint64_t maxConnectionsFused() const { return maxConnectionsFused_; }
@@ -152,11 +152,12 @@ class ServiceMetrics
     uint64_t malformedLines_ = 0;
 
     // Evaluate micro-batching: how many runLattice invocations served
-    // how many requests, and where the lattice points came from.
+    // how many requests, the distinct points they computed, and the
+    // repeats within a group that the union saved.
     uint64_t latticeRuns_ = 0;
     uint64_t coalescedRequests_ = 0; ///< Requests sharing a lattice run.
     uint64_t pointsComputed_ = 0;
-    uint64_t pointsFromCache_ = 0;
+    uint64_t duplicatePoints_ = 0;
 
     // Cross-connection fusion: evaluate groups whose members arrived
     // over more than one transport connection — the widened coalescing

@@ -5,12 +5,12 @@
  * request lines from every connection into the Service in coalescing
  * windows.
  *
- * Threading model: all socket I/O, request parsing, and response
- * routing happen on one thread; compute parallelism lives entirely
- * below Service::processBatch (the sweep worker pool). This keeps
- * per-connection response ordering trivially correct and makes the
- * daemon's observable behaviour a pure function of the request
- * streams.
+ * Threading model: all socket I/O, request parsing, model evaluation
+ * and response routing happen on one thread; a lattice run never
+ * splits, and harmoniad --jobs reaches only predictor training, which
+ * fans out inside Service::processBatch. This keeps per-connection
+ * response ordering trivially correct and makes the daemon's
+ * observable behaviour a pure function of the request streams.
  *
  * Micro-batching: when a request line arrives, the loop holds it for
  * an adaptive window — scaled from an EWMA of recent batch service

@@ -1,8 +1,11 @@
 /**
  * @file
  * The harmoniad evaluation service: protocol semantics, micro-batch
- * coalescing, result caching, and governor sessions — everything the
- * daemon does except socket I/O (src/serve/server.hh owns that).
+ * coalescing and governor sessions — everything the daemon does
+ * except socket I/O (src/serve/server.hh owns that). It keeps no
+ * evaluated points: every evaluate group and sweep runs the lattice
+ * evaluator for what it asks, so memory does not grow with the
+ * (kernel, iteration) keys a client walks.
  *
  * The service is driven in *batches*: the server hands it every
  * request line that arrived within one coalescing window, and the
@@ -18,9 +21,9 @@
  *
  * Determinism: responses depend only on the request stream, never on
  * batch boundaries or worker count — runLattice is bitwise identical
- * to per-config run() calls, every cache is value-transparent, and
- * governor sessions advance in request input order. The `stats` verb
- * is the one exception (it reports wall-clock latencies).
+ * to per-config run() calls, and governor sessions advance in
+ * request input order. The `stats` verb is the one exception (it
+ * reports wall-clock latencies).
  *
  * Failure containment: every request error — malformed JSON, unknown
  * verb or kernel, off-lattice config, oversized batch — becomes a
@@ -60,11 +63,6 @@ struct ServiceOptions
      * run. Off = one runLattice per request (the comparison baseline
      * for the serve_latency exhibit; results are identical). */
     bool batching = true;
-
-    /** Reuse computed lattice points across requests. Off = every
-     * evaluate group computes its points and keeps none (the
-     * serve_latency exhibit uses this to isolate batching). */
-    bool cache = true;
 
     /** Per-request config-list cap (448 distinct points exist;
      * duplicates count). */
@@ -166,9 +164,12 @@ class Service
                             const EvaluateParams &p) const;
     void runEvaluates(std::vector<Pending> &pending);
     void runEvalGroup(EvalGroup &group, std::vector<Pending> &pending);
+    /** @p points[i] is the result at lattice slot @p slots[i]
+     * (sorted, unique, covering every config of @p p). */
     JsonValue evaluateResultJson(const DeviceState &dev,
                                  const EvaluateParams &p,
-                                 const SweepEntry &points);
+                                 const std::vector<uint32_t> &slots,
+                                 const std::vector<KernelResult> &points);
     Result<JsonValue> runGovern(const GovernParams &p);
     Result<JsonValue> runSweep(const SweepParams &p);
     Result<std::unique_ptr<Governor>>

@@ -17,8 +17,10 @@
 #              SIMD-vs-naive equivalence suites, and
 #              `harmonia_exp --run fig10` with --jobs 4
 #   tsan       TSan build; the thread-pool, sweep-determinism and
-#              invariant-checker tests, which exercise every lock in
-#              the library and the checker's fan-out over invocations
+#              invariant-checker tests, which exercise the thread
+#              pool (the library's one lock) under every layer that
+#              fans out over invocations: sensitivity sweeps,
+#              training, the campaign and the checker
 #   model      check_model: the 11-invariant physics check across
 #              every (app x 448-config) point of the suite, through
 #              the SIMD lattice kernels (the scalar backend is the

@@ -5,6 +5,9 @@
 # load across 16 concurrent connections so the reactor's
 # cross-connection micro-batching path is exercised — assert zero
 # error replies, then verify the daemon drains cleanly on SIGTERM.
+# A last stage starts a fresh daemon and walks 1,000 new (kernel,
+# iteration) keys through it, requiring its resident memory to stay
+# flat: the daemon keeps no evaluated points.
 # Used by ctest (serve_smoke) and the CI smoke stage.
 #
 # usage: serve_smoke.sh /path/to/harmoniad /path/to/harmonia_client
@@ -96,6 +99,36 @@ fi
 
 # Graceful SIGTERM drain: daemon must exit 0 and report its shutdown
 # stats line.
+drain_daemon
+
+# Memory stage: a fresh daemon, warmed with 20 requests, then 1,000
+# evaluates of 128 configs that each name a new iteration (--kernels 1
+# --group 1). Nothing may accumulate per key, so VmRSS must grow by
+# less than 8 MB. The walk is paced (--rate): an unpaced burst
+# parks megabytes in socket receive and send buffers, which is not
+# what this stage measures.
+SOCK="$WORK/rss.sock"
+DAEMON_LOG="$WORK/rss.log"
+"$HARMONIAD" --socket "$SOCK" 2>"$DAEMON_LOG" &
+DAEMON_PID=$!
+wait_for_socket
+vm_rss_kb() {
+    sed -n 's/^VmRSS:[[:space:]]*\([0-9][0-9]*\) kB$/\1/p' \
+        "/proc/$DAEMON_PID/status"
+}
+"$CLIENT" --socket "$SOCK" --requests 20 --mix evaluate --configs 128 \
+    --kernels 1 --group 1 --quiet
+RSS_BEFORE=$(vm_rss_kb)
+"$CLIENT" --socket "$SOCK" --requests 1000 --mix evaluate --configs 128 \
+    --kernels 1 --group 1 --rate 1000 --quiet
+RSS_AFTER=$(vm_rss_kb)
+RSS_GROWTH=$((RSS_AFTER - RSS_BEFORE))
+echo "serve_smoke: daemon VmRSS ${RSS_BEFORE} kB -> ${RSS_AFTER} kB" \
+    "over a 1000-key walk (+${RSS_GROWTH} kB)"
+if [ "$RSS_GROWTH" -ge 8192 ]; then
+    echo "serve_smoke: daemon memory grew ${RSS_GROWTH} kB (limit 8192)" >&2
+    exit 1
+fi
 drain_daemon
 
 echo "serve_smoke: OK"

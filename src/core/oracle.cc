@@ -19,9 +19,6 @@ oracleObjectiveName(OracleObjective objective)
     return "unknown";
 }
 
-namespace
-{
-
 double
 objectiveScore(const KernelResult &result, OracleObjective objective)
 {
@@ -34,17 +31,15 @@ objectiveScore(const KernelResult &result, OracleObjective objective)
     panic("objectiveScore: bad objective");
 }
 
-} // namespace
-
 HardwareConfig
-bestConfigFor(const ConfigSweep &sweep, const KernelProfile &profile,
-              int iteration, OracleObjective objective)
+bestConfigFor(const std::vector<HardwareConfig> &configs,
+              const std::vector<KernelResult> &lattice,
+              OracleObjective objective)
 {
-    const auto &results = sweep.evaluate(profile, iteration);
-    const auto &configs = sweep.configs();
-
+    panicIf(configs.empty() || lattice.size() != configs.size(),
+            "bestConfigFor: lattice does not match its configs");
     double best = std::numeric_limits<double>::infinity();
-    HardwareConfig bestCfg = sweep.device().space().maxConfig();
+    HardwareConfig bestCfg = configs.back(); // The maximum config.
     // Near-ties on pure performance resolve toward the *maximum*
     // configuration: a performance-first policy has no reason to give
     // up any hardware resource, which is exactly the naive baseline
@@ -52,7 +47,7 @@ bestConfigFor(const ConfigSweep &sweep, const KernelProfile &profile,
     const bool preferBig = objective == OracleObjective::MaxPerf;
     for (size_t i = 0; i < configs.size(); ++i) {
         const HardwareConfig &cfg = configs[i];
-        const double s = objectiveScore(results[i], objective);
+        const double s = objectiveScore(lattice[i], objective);
         const bool better =
             preferBig ? s < best * (1.0 - 1e-6) : s < best;
         if (better) {
@@ -77,8 +72,9 @@ HardwareConfig
 bestConfigFor(const GpuDevice &device, const KernelProfile &profile,
               int iteration, OracleObjective objective)
 {
-    ConfigSweep sweep(device);
-    return bestConfigFor(sweep, profile, iteration, objective);
+    const ConfigSweep sweep(device);
+    return bestConfigFor(sweep.configs(), sweep.evaluate(profile, iteration),
+                         objective);
 }
 
 OracleGovernor::OracleGovernor(const GpuDevice &device,
@@ -93,12 +89,6 @@ OracleGovernor::name() const
     return std::string("Oracle(") + oracleObjectiveName(objective_) + ")";
 }
 
-double
-OracleGovernor::score(const KernelResult &result) const
-{
-    return objectiveScore(result, objective_);
-}
-
 HardwareConfig
 OracleGovernor::decide(const KernelProfile &profile, int iteration)
 {
@@ -108,8 +98,8 @@ OracleGovernor::decide(const KernelProfile &profile, int iteration)
     if (it != cache_.end())
         return it->second;
     ++searches_;
-    const HardwareConfig best =
-        bestConfigFor(sweep_, profile, iteration, objective_);
+    const HardwareConfig best = bestConfigFor(
+        sweep_.configs(), sweep_.evaluate(profile, iteration), objective_);
     cache_.emplace(key, best);
     return best;
 }

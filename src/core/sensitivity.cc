@@ -33,27 +33,16 @@ binOf(double sensitivity)
 namespace
 {
 
-/** Shared normalization of the two-point finite difference. */
-double
-normalizedSensitivity(double tMax, double tRed,
-                      const HardwareConfig &maxCfg,
-                      const HardwareConfig &reduced, Tunable tunable)
-{
-    panicIf(tMax <= 0.0 || tRed <= 0.0,
-            "measureTunableSensitivity: non-positive execution time");
-    const double xRatio = static_cast<double>(maxCfg.get(tunable)) /
-                          static_cast<double>(reduced.get(tunable));
-    return (tRed / tMax - 1.0) / (xRatio - 1.0);
-}
-
-} // namespace
-
+/**
+ * The reduced operating point measureTunableSensitivity() compares
+ * against: @p tunable snapped up to roughly half its maximum (on the
+ * HD7970: 16 CUs, 500 MHz core, 775 MHz memory) with everything else
+ * at maximum.
+ */
 HardwareConfig
-sensitivityReducedConfig(const ConfigSpace &space, Tunable tunable)
+reducedConfig(const ConfigSpace &space, Tunable tunable)
 {
-    // Reduce the tunable to roughly half its maximum, snapped up to
-    // the lattice. Lattice-generic so device variants measure the
-    // same way.
+    // Lattice-generic so device variants measure the same way.
     HardwareConfig reduced = space.maxConfig();
     const int maxV = space.maxValue(tunable);
     const int minV = space.minValue(tunable);
@@ -67,6 +56,8 @@ sensitivityReducedConfig(const ConfigSpace &space, Tunable tunable)
     return reduced;
 }
 
+} // namespace
+
 double
 measureTunableSensitivity(const GpuDevice &device,
                           const KernelProfile &profile, int iteration,
@@ -74,29 +65,16 @@ measureTunableSensitivity(const GpuDevice &device,
 {
     const ConfigSpace &space = device.space();
     const HardwareConfig maxCfg = space.maxConfig();
-    const HardwareConfig reduced =
-        sensitivityReducedConfig(space, tunable);
+    const HardwareConfig reduced = reducedConfig(space, tunable);
 
     const KernelPhase phase = profile.phase(iteration);
     const double tMax = device.run(profile, phase, maxCfg).time();
     const double tRed = device.run(profile, phase, reduced).time();
-    return normalizedSensitivity(tMax, tRed, maxCfg, reduced, tunable);
-}
-
-double
-measureTunableSensitivity(const ConfigSweep &sweep,
-                          const KernelProfile &profile, int iteration,
-                          Tunable tunable)
-{
-    const ConfigSpace &space = sweep.device().space();
-    const HardwareConfig maxCfg = space.maxConfig();
-    const HardwareConfig reduced =
-        sensitivityReducedConfig(space, tunable);
-
-    const auto &results = sweep.evaluate(profile, iteration);
-    const double tMax = results[sweep.indexOf(maxCfg)].time();
-    const double tRed = results[sweep.indexOf(reduced)].time();
-    return normalizedSensitivity(tMax, tRed, maxCfg, reduced, tunable);
+    panicIf(tMax <= 0.0 || tRed <= 0.0,
+            "measureTunableSensitivity: non-positive execution time");
+    const double xRatio = static_cast<double>(maxCfg.get(tunable)) /
+                          static_cast<double>(reduced.get(tunable));
+    return (tRed / tMax - 1.0) / (xRatio - 1.0);
 }
 
 double
@@ -152,22 +130,6 @@ measureSensitivities(const GpuDevice &device, const KernelProfile &profile,
                                                 iteration,
                                                 Tunable::ComputeFreq);
     out.memBandwidth = measureTunableSensitivity(device, profile,
-                                                 iteration,
-                                                 Tunable::MemFreq);
-    return out;
-}
-
-SensitivityVector
-measureSensitivities(const ConfigSweep &sweep,
-                     const KernelProfile &profile, int iteration)
-{
-    SensitivityVector out;
-    out.cuCount = measureTunableSensitivity(sweep, profile, iteration,
-                                            Tunable::CuCount);
-    out.computeFreq = measureTunableSensitivity(sweep, profile,
-                                                iteration,
-                                                Tunable::ComputeFreq);
-    out.memBandwidth = measureTunableSensitivity(sweep, profile,
                                                  iteration,
                                                  Tunable::MemFreq);
     return out;

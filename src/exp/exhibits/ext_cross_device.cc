@@ -67,13 +67,13 @@ class ExtCrossDevice final : public Experiment
             // out at the maximum configuration.
             for (const Application &app : probes) {
                 const KernelProfile &kernel = app.kernels.front();
-                const std::vector<KernelResult> &lattice =
+                const std::vector<KernelResult> lattice =
                     sweep.evaluate(kernel, 0);
                 const HardwareConfig max = device.space().maxConfig();
                 const double maxEd2 =
                     lattice[sweep.indexOf(max)].ed2();
                 const HardwareConfig best = bestConfigFor(
-                    sweep, kernel, 0, OracleObjective::MinEd2);
+                    sweep.configs(), lattice, OracleObjective::MinEd2);
                 const double bestEd2 =
                     lattice[sweep.indexOf(best)].ed2();
                 landscape.row()

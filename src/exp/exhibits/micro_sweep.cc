@@ -7,8 +7,7 @@
  * Drives GpuDevice::runLattice (and, for the naive rows, per-config
  * GpuDevice::run) straight into a reused result buffer, so the
  * measurement isolates the evaluation kernels from ConfigSweep's
- * memoization layer — whose per-lattice result allocation is
- * cache-feature overhead, not evaluation work, and whose cost would
+ * per-call result allocation, which is not evaluation work and would
  * otherwise dominate run-to-run noise.
  *
  * The sweep table reports kernel-invocation lattices per second (one

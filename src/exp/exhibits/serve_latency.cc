@@ -10,8 +10,8 @@
  * and once disabled (one run per request). Both paths produce
  * byte-identical responses; the difference is purely how often the
  * lattice evaluator's per-invocation hoist is paid. Reports requests/s,
- * the service-side p50/p99 evaluate latency, the batched/unbatched
- * speedup, and the result-cache hit economics of a repeated stream.
+ * the service-side p50/p99 evaluate latency, and the batched/unbatched
+ * speedup.
  *
  * The second half measures the real transport: an in-process harmoniad
  * reactor on an ephemeral TCP port, driven by N closed-loop loopback
@@ -117,7 +117,6 @@ drive(ExpContext &ctx, bool batching, int windows)
 {
     ServiceOptions opt;
     opt.batching = batching;
-    opt.cache = false; // Isolate the batching effect from caching.
     Service service(opt);
 
     const std::vector<Application> &apps = ctx.suite();
@@ -243,10 +242,7 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
 {
     using Clock = std::chrono::steady_clock;
 
-    ServiceOptions opt;
-    opt.batching = true;
-    opt.cache = false;
-    Service service(opt);
+    Service service(ServiceOptions{});
 
     serve::ServerOptions sopt;
     sopt.tcpBind = "127.0.0.1:0";
@@ -403,30 +399,8 @@ class ServeLatency final : public Experiment
                 ? runs[1].requestsPerSec() / runs[0].requestsPerSec()
                 : 0.0;
 
-        // Cache economics: the same stream replayed against a caching
-        // service — the second pass is served from memoized points.
-        Service cached(ServiceOptions{});
-        for (int pass = 0; pass < 2; ++pass) {
-            for (int w = 0; w < windows; ++w) {
-                const std::vector<Application> &apps = ctx.suite();
-                const KernelProfile &k =
-                    apps[w % apps.size()].kernels.front();
-                cached.processBatch(
-                    makeWindow(cached.sweep(), k.id(), w, kClients));
-            }
-        }
-        const double cachedPoints =
-            static_cast<double>(cached.metrics().pointsFromCache());
-        const double totalPoints =
-            cachedPoints +
-            static_cast<double>(cached.metrics().pointsComputed());
-        const double hitRate =
-            totalPoints > 0.0 ? cachedPoints / totalPoints : 0.0;
-
         ctx.out() << "\nmicro-batch speedup: " << formatNum(speedup, 2)
-                  << "x\n"
-                  << "replayed-stream cache hit rate: "
-                  << formatPct(hitRate, 1) << '\n';
+                  << "x\n";
 
         // The real transport: TCP fan-in through the reactor,
         // closed-loop clients, fixed total request count so every row
@@ -470,7 +444,6 @@ class ServeLatency final : public Experiment
         summary.row().cell("clients per window").numInt(kClients);
         summary.row().cell("windows per mode").numInt(windows);
         summary.row().cell("micro-batch speedup").num(speedup, 3);
-        summary.row().cell("replay cache hit rate").num(hitRate, 4);
         summary.row()
             .cell("tcp fan-in speedup at 64 clients")
             .num(fanSpeedup64, 3);

@@ -75,12 +75,12 @@ ServiceMetrics::record(Verb verb, bool ok, double micros)
 void
 ServiceMetrics::recordEvaluate(uint64_t latticeRuns, uint64_t coalesced,
                                uint64_t pointsComputed,
-                               uint64_t pointsCached)
+                               uint64_t duplicates)
 {
     latticeRuns_ += latticeRuns;
     coalescedRequests_ += coalesced;
     pointsComputed_ += pointsComputed;
-    pointsFromCache_ += pointsCached;
+    duplicatePoints_ += duplicates;
 }
 
 void
@@ -136,8 +136,10 @@ ServiceMetrics::toJson() const
               JsonValue(static_cast<int64_t>(coalescedRequests_))},
              {"points_computed",
               JsonValue(static_cast<int64_t>(pointsComputed_))},
+             // The key predates the removal of the point store; it
+             // now counts within-group duplicates.
              {"points_from_cache",
-              JsonValue(static_cast<int64_t>(pointsFromCache_))},
+              JsonValue(static_cast<int64_t>(duplicatePoints_))},
              {"cross_connection_runs",
               JsonValue(static_cast<int64_t>(crossConnRuns_))},
              {"cross_connection_requests",

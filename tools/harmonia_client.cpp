@@ -33,9 +33,8 @@
  *                    (repeatable). One name sends the whole stream to
  *                    that device; several deal cohorts across them
  *                    round-robin — a mixed-device replay that
- *                    exercises the daemon's per-device cache
- *                    partitioning (visible under "devices" in
- *                    --stats). Configs are drawn from each named
+ *                    exercises the daemon's per-device state
+ *                    (visible under "devices" in --stats). Configs are drawn from each named
  *                    device's own lattice. Default: no device field
  *                    (the daemon's default device).
  *   --governor NAME  Governor for govern requests (default baseline —
@@ -183,7 +182,7 @@ makeRequest(const ClientOptions &opt, Workload &w, uint64_t &rng,
     // iteration) with different config subsets, so ones that arrive
     // within a coalescing window fuse into a single lattice run.
     // Cohorts deal round-robin across the --device list: adjacent
-    // cohorts hit different per-device caches.
+    // cohorts hit different devices.
     const int cohort = index / std::max(1, opt.group);
     const DeviceLattice &device =
         w.devices[static_cast<size_t>(cohort) % w.devices.size()];

@@ -25,11 +25,6 @@
  *   --list-devices    Print the registered device names and exit.
  *   --jobs N          Worker threads for predictor training (or
  *                     HARMONIA_JOBS; default 1).
- *   --no-batching     Disable evaluate micro-batching (one lattice
- *                     run per request; results are identical).
- *   --no-cache        Disable the cross-request point cache (every
- *                     evaluate computes its points; results are
- *                     identical).
  *   --coalesce-us N   Coalescing window in microseconds: -1 =
  *                     adaptive (default), 0 = none, N > 0 = fixed.
  *   --max-configs N   Per-request config-list cap (default 1024).
@@ -64,8 +59,7 @@ usage(int status)
 {
     std::cout << "usage: harmoniad (--socket PATH | --tcp HOST:PORT | "
                  "--stdio) [--device NAME]\n"
-                 "                 [--list-devices] [--jobs N] "
-                 "[--no-batching] [--no-cache]\n"
+                 "                 [--list-devices] [--jobs N]\n"
                  "                 [--coalesce-us N] (-1 = adaptive "
                  "(default), 0 = none)\n"
                  "                 [--max-configs N] [--max-sessions N]\n"
@@ -124,10 +118,6 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--jobs") {
             service.jobs = std::max(1, intArg(i, arg));
-        } else if (arg == "--no-batching") {
-            service.batching = false;
-        } else if (arg == "--no-cache") {
-            service.cache = false;
         } else if (arg == "--coalesce-us") {
             // Any negative value selects the adaptive window.
             server.coalesceMicros = std::max(-1, intArg(i, arg));
