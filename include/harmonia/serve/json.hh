@@ -130,6 +130,76 @@ Result<JsonValue> parseJson(std::string_view text);
 /** JSON string escaping of @p s, without surrounding quotes. */
 std::string jsonEscape(std::string_view s);
 
+/**
+ * Append-only compact JSON writer: builds the bytes JsonValue::dump()
+ * would produce for the same document, without building the tree.
+ * It is the one JSON encoder of the serving layer: dump()/dumpTo()
+ * and jsonEscape() go through it too, so every value has one wire
+ * form. Commas are inserted automatically; the caller keeps
+ * begin/end calls balanced and precedes every object member with
+ * key().
+ *
+ *   JsonWriter w;
+ *   w.beginObject().key("points").integer(8).key("results");
+ *   w.beginArray() ... .endArray().endObject();
+ *   std::string doc = w.take();
+ */
+class JsonWriter
+{
+  public:
+    /** Write after @p prefix, with room for @p sizeHint more bytes. */
+    explicit JsonWriter(std::string prefix = {}, size_t sizeHint = 0);
+
+    JsonWriter &beginObject();
+    JsonWriter &endObject();
+    JsonWriter &beginArray();
+    JsonWriter &endArray();
+
+    /** An object member's key; the member's value follows. */
+    JsonWriter &key(std::string_view k);
+
+    JsonWriter &null();
+    JsonWriter &boolean(bool b);
+    JsonWriter &integer(int64_t i);
+    /** Shortest round-trip form (std::to_chars). */
+    JsonWriter &number(double d);
+    JsonWriter &string(std::string_view s);
+
+    /** A whole tree, serialized as JsonValue::dump() would. */
+    JsonWriter &value(const JsonValue &v);
+
+    /** The prefix plus everything written; the writer is spent. */
+    std::string take();
+
+  private:
+    /** Room for @p n more bytes at the write position. */
+    char *room(size_t n)
+    {
+        if (n > buf_.size() - len_)
+            grow(n);
+        return buf_.data() + len_;
+    }
+    void grow(size_t n);
+    void put(char c)
+    {
+        *room(1) = c;
+        ++len_;
+    }
+    void put(std::string_view s);
+    /** @p s quoted and escaped. */
+    void quoted(std::string_view s);
+    /** Separate this element from the previous one at its level. */
+    void element()
+    {
+        if (comma_)
+            put(',');
+    }
+
+    std::string buf_; ///< [0, len_) is written; the rest is room.
+    size_t len_ = 0;
+    bool comma_ = false; ///< An element precedes at this level.
+};
+
 } // namespace harmonia::serve
 
 #endif // HARMONIA_SERVE_JSON_HH

@@ -102,9 +102,19 @@ Result<Request> parseRequest(const std::string &line, JsonValue *idOut);
 /** Serialize a config as {"cu":..,"compute_mhz":..,"mem_mhz":..}. */
 JsonValue configToJson(const HardwareConfig &cfg);
 
+/** Write @p cfg as configToJson(@p cfg) serializes. */
+void writeConfig(JsonWriter &w, const HardwareConfig &cfg);
+
+/**
+ * Open a success envelope, up to and including the `result` key:
+ * `{"schema":..,"id":..,"verb":..,"ok":true,"result":`. The caller
+ * writes the result value and closes the envelope with endObject().
+ */
+void beginResultResponse(JsonWriter &w, const JsonValue &id, Verb verb);
+
 /** Success envelope: schema/id/verb/ok/result. */
 std::string makeResultResponse(const JsonValue &id, Verb verb,
-                               JsonValue result);
+                               const JsonValue &result);
 
 /** Error envelope: schema/id/ok:false/error{code,message}. */
 std::string makeErrorResponse(const JsonValue &id, const Status &status);

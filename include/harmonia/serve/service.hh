@@ -93,6 +93,17 @@ struct GovernorSession
     uint64_t steps = 0; ///< decide/run/observe cycles executed.
 };
 
+/**
+ * The success reply to evaluate request @p id, written straight to
+ * bytes (no JsonValue tree). @p points[i] is the result at lattice
+ * slot @p slots[i] of @p sweep (sorted, unique, covering every config
+ * of @p p).
+ */
+std::string evaluateResponse(const JsonValue &id, const EvaluateParams &p,
+                             const ConfigSweep &sweep,
+                             const std::vector<uint32_t> &slots,
+                             const std::vector<KernelResult> &points);
+
 /** The in-process service behind harmoniad. */
 class Service
 {
@@ -164,14 +175,10 @@ class Service
                             const EvaluateParams &p) const;
     void runEvaluates(std::vector<Pending> &pending);
     void runEvalGroup(EvalGroup &group, std::vector<Pending> &pending);
-    /** @p points[i] is the result at lattice slot @p slots[i]
-     * (sorted, unique, covering every config of @p p). */
-    JsonValue evaluateResultJson(const DeviceState &dev,
-                                 const EvaluateParams &p,
-                                 const std::vector<uint32_t> &slots,
-                                 const std::vector<KernelResult> &points);
     Result<JsonValue> runGovern(const GovernParams &p);
-    Result<JsonValue> runSweep(const SweepParams &p);
+    /** The whole success reply to sweep request @p id. */
+    Result<std::string> runSweep(const JsonValue &id,
+                                 const SweepParams &p);
     Result<std::unique_ptr<Governor>>
     buildGovernor(DeviceState &dev, const std::string &name);
     Status ensureTraining(DeviceState &dev);

@@ -1,14 +1,60 @@
 #include "artifact.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "common/csv.hh"
 #include "harmonia/common/error.hh"
 
 namespace harmonia::exp
 {
+
+namespace
+{
+
+/**
+ * Replace @p path's contents with @p bytes. The file is opened without
+ * O_TRUNC, overwritten and then cut to length: truncating a file whose
+ * blocks are allocated can cost tens of milliseconds on filesystems
+ * that discard freed blocks, and every re-run of an exhibit rewrites
+ * files that already exist.
+ */
+void
+replaceFile(const std::string &path, const std::string &bytes)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC,
+                          0666);
+    fatalIf(fd < 0, "ArtifactWriter: cannot write ", path, ": ",
+            std::strerror(errno));
+    const auto fail = [&](const char *what) {
+        const int err = errno;
+        ::close(fd);
+        fatal("ArtifactWriter: ", what, " failed for ", path, ": ",
+              std::strerror(err));
+    };
+    size_t done = 0;
+    while (done < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            fail("write");
+        done += static_cast<size_t>(n);
+    }
+    if (::ftruncate(fd, static_cast<off_t>(bytes.size())) != 0)
+        fail("ftruncate");
+    fatalIf(::close(fd) != 0, "ArtifactWriter: close failed for ", path,
+            ": ", std::strerror(errno));
+}
+
+} // namespace
 
 ArtifactWriter::ArtifactWriter(std::string dir, ArtifactFormats formats)
     : dir_(std::move(dir)), formats_(formats)
@@ -70,8 +116,7 @@ ArtifactWriter::writeJson(const std::string &path,
                           const std::string &title,
                           const TextTable &table)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "ArtifactWriter: cannot write ", path);
+    std::ostringstream out;
     out << "{\n"
         << "  \"schema\": \"harmonia.exhibit-table/1\",\n"
         << "  \"exhibit\": \"" << jsonEscape(stem) << "\",\n"
@@ -90,14 +135,13 @@ ArtifactWriter::writeJson(const std::string &path,
         out << ']';
     }
     out << (rows.empty() ? "]" : "\n  ]") << "\n}\n";
-    fatalIf(!out, "ArtifactWriter: write failed for ", path);
+    replaceFile(path, out.str());
 }
 
 void
 ArtifactWriter::writeCsv(const std::string &path, const TextTable &table)
 {
-    std::ofstream out(path);
-    fatalIf(!out, "ArtifactWriter: cannot write ", path);
+    std::ostringstream out;
     CsvWriter csv(out, table.headers());
     for (const auto &row : table.data()) {
         csv.row();
@@ -105,7 +149,7 @@ ArtifactWriter::writeCsv(const std::string &path, const TextTable &table)
             csv.field(cell);
     }
     csv.finish();
-    fatalIf(!out, "ArtifactWriter: write failed for ", path);
+    replaceFile(path, out.str());
 }
 
 } // namespace harmonia::exp

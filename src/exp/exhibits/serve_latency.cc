@@ -13,16 +13,22 @@
  * the service-side p50/p99 evaluate latency, and the batched/unbatched
  * speedup.
  *
- * The second half measures the real transport: an in-process harmoniad
+ * A stage split follows: one governor-style 8-config evaluate taken
+ * apart in process into request parse, lattice run and reply encode,
+ * next to Service::processBatch for the same line. On a 4-core host
+ * (Release build) the request costs 5.3–6.1 µs: 1.5–2.1 µs parse,
+ * 1.0–1.2 µs lattice run, 2.0–2.3 µs encode (most of it the
+ * shortest-form formatting of 56 doubles).
+ *
+ * The last part measures the real transport: an in-process harmoniad
  * reactor on an ephemeral TCP port, driven by N closed-loop loopback
  * clients (1/16/64/128). Concurrent clients' same-(kernel, iteration)
  * requests land in one coalescing window, fuse into shared lattice
  * runs across connections, and the table reports the end-to-end
  * client-side throughput and p50/p99 against the single-connection
- * baseline. On a 4-core host (Release build) one client sees a
- * ~0.1 ms p50 at 8–10k req/s — service time plus a few-microsecond
- * coalescing window — and 64 clients reach 2.3–3.2x that throughput
- * (23–25k req/s) by fusing their requests into shared lattice runs.
+ * baseline. On the same host one client sees a p50 of 0.016–0.018 ms
+ * at 51–57k req/s, and 64 clients reach 2.5–2.9x that throughput
+ * (132–149k req/s) by fusing their requests into shared lattice runs.
  */
 
 #include <algorithm>
@@ -43,6 +49,7 @@
 
 #include "exp/context.hh"
 #include "exp/experiment.hh"
+#include "harmonia/common/error.hh"
 #include "harmonia/serve/server.hh"
 #include "harmonia/serve/service.hh"
 
@@ -67,6 +74,27 @@ constexpr int kClients = 16;
  * just a handful of points. */
 constexpr int kConfigsPerClient = 4;
 
+/** One evaluate request line with id @p id for lattice slots
+ * [@p begin, @p begin + @p count) (wrapping) of @p sweep. */
+std::string
+makeRequest(const ConfigSweep &sweep, const std::string &kernelId,
+            int iteration, int id, size_t begin, size_t count)
+{
+    const std::vector<HardwareConfig> &configs = sweep.configs();
+    JsonValue cfgs = JsonValue::array();
+    for (size_t i = begin; i < begin + count; ++i)
+        cfgs.push(serve::configToJson(configs[i % configs.size()]));
+    const JsonValue req = JsonValue::object({
+        {"schema", JsonValue(serve::kRequestSchema)},
+        {"id", JsonValue(id)},
+        {"verb", JsonValue("evaluate")},
+        {"kernel", JsonValue(kernelId)},
+        {"iteration", JsonValue(iteration)},
+        {"configs", std::move(cfgs)},
+    });
+    return req.dump();
+}
+
 /** One window of evaluate request lines: @p clients requests against
  * the same (kernel, iteration), each holding a disjoint slice of the
  * 448-point lattice. */
@@ -74,26 +102,100 @@ std::vector<std::string>
 makeWindow(const ConfigSweep &sweep, const std::string &kernelId,
            int iteration, int clients)
 {
-    const std::vector<HardwareConfig> &configs = sweep.configs();
     std::vector<std::string> lines;
     lines.reserve(clients);
-    for (int c = 0; c < clients; ++c) {
-        JsonValue cfgs = JsonValue::array();
-        const size_t begin = c * kConfigsPerClient;
-        const size_t end = begin + kConfigsPerClient;
-        for (size_t i = begin; i < end; ++i)
-            cfgs.push(serve::configToJson(configs[i % configs.size()]));
-        JsonValue req = JsonValue::object({
-            {"schema", JsonValue(serve::kRequestSchema)},
-            {"id", JsonValue(static_cast<int64_t>(c))},
-            {"verb", JsonValue("evaluate")},
-            {"kernel", JsonValue(kernelId)},
-            {"iteration", JsonValue(iteration)},
-            {"configs", std::move(cfgs)},
-        });
-        lines.push_back(req.dump());
-    }
+    for (int c = 0; c < clients; ++c)
+        lines.push_back(makeRequest(sweep, kernelId, iteration, c,
+                                    c * kConfigsPerClient,
+                                    kConfigsPerClient));
     return lines;
+}
+
+/** Lattice points in the stage-split request: a governor slice. */
+constexpr size_t kSliceConfigs = 8;
+
+/** Microseconds per call of @p fn: the best of 5 timed loops of
+ * @p calls calls each. */
+template <typename Fn>
+double
+microsPerCall(int calls, Fn &&fn)
+{
+    double best = 0.0;
+    for (int trial = 0; trial < 5; ++trial) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int i = 0; i < calls; ++i)
+            fn();
+        const double us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count() /
+                          calls;
+        if (trial == 0 || us < best)
+            best = us;
+    }
+    return best;
+}
+
+/** One 8-config evaluate split into its stages, in µs per request. */
+struct StageSplit
+{
+    double parseUs = 0.0;
+    double latticeUs = 0.0;
+    double encodeUs = 0.0;
+    double requestUs = 0.0; ///< Service::processBatch, whole request.
+    size_t responseBytes = 0;
+};
+
+/**
+ * Time each stage of one governor-slice evaluate on its own: parsing
+ * the request line, the lattice run over its sorted unique slots, and
+ * encoding the reply; then the whole request through processBatch.
+ * The staged reply must equal processBatch's byte for byte.
+ */
+StageSplit
+splitStages(ExpContext &ctx, int calls)
+{
+    Service service;
+    const ConfigSweep &sweep = service.sweep();
+    const KernelProfile &kernel = ctx.suite().front().kernels.front();
+    const std::vector<std::string> lines{
+        makeRequest(sweep, kernel.id(), 3, 7, 100, kSliceConfigs)};
+
+    Result<serve::Request> parsed = serve::parseRequest(lines[0], nullptr);
+    fatalIf(!parsed.ok(), "serve_latency: ", parsed.status().str());
+    const serve::Request &req = parsed.value();
+    std::vector<uint32_t> slots;
+    for (const HardwareConfig &cfg : req.evaluate.configs)
+        slots.push_back(static_cast<uint32_t>(sweep.indexOf(cfg)));
+    std::sort(slots.begin(), slots.end());
+    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+    const std::vector<KernelResult> points =
+        sweep.run(kernel, req.evaluate.iteration, slots);
+    const std::string staged =
+        serve::evaluateResponse(req.id, req.evaluate, sweep, slots, points);
+    fatalIf(staged != service.processBatch(lines).front(),
+            "serve_latency: staged reply differs from processBatch");
+
+    size_t sink = 0; // Keeps every timed call observable.
+    StageSplit r;
+    r.responseBytes = staged.size();
+    r.parseUs = microsPerCall(calls, [&] {
+        sink += serve::parseRequest(lines[0], nullptr)
+                    .value()
+                    .evaluate.configs.size();
+    });
+    r.latticeUs = microsPerCall(calls, [&] {
+        sink += sweep.run(kernel, req.evaluate.iteration, slots).size();
+    });
+    r.encodeUs = microsPerCall(calls, [&] {
+        sink += serve::evaluateResponse(req.id, req.evaluate, sweep,
+                                        slots, points)
+                    .size();
+    });
+    r.requestUs = microsPerCall(calls, [&] {
+        sink += service.processBatch(lines).front().size();
+    });
+    fatalIf(sink == 0, "serve_latency: empty stage results");
+    return r;
 }
 
 struct LoadResult
@@ -401,6 +503,33 @@ class ServeLatency final : public Experiment
 
         ctx.out() << "\nmicro-batch speedup: " << formatNum(speedup, 2)
                   << "x\n";
+
+        // One request, stage by stage (a timing artifact: its values
+        // vary run to run).
+        const StageSplit split =
+            splitStages(ctx, std::max(200, ctx.options().benchReps * 1000));
+        const double stageSum =
+            split.parseUs + split.latticeUs + split.encodeUs;
+        TextTable stageTable({"stage", "us per request",
+                              "share of request"});
+        const auto stageRow = [&](const std::string &stage, double us) {
+            stageTable.row()
+                .cell(stage)
+                .cell(formatNum(us, 2))
+                .cell(formatNum(100.0 * us / split.requestUs, 0) + "%");
+        };
+        stageRow("parse request", split.parseUs);
+        stageRow("lattice run", split.latticeUs);
+        stageRow("encode reply", split.encodeUs);
+        stageRow("rest (validate, group, bookkeeping)",
+                 split.requestUs - stageSum);
+        stageRow("processBatch (whole request)", split.requestUs);
+        ctx.emit(stageTable,
+                 "One " + std::to_string(kSliceConfigs) +
+                     "-config evaluate, stage by stage (" +
+                     std::to_string(split.responseBytes) +
+                     "-byte reply)",
+                 "serve_stages");
 
         // The real transport: TCP fan-in through the reactor,
         // closed-loop clients, fixed total request count so every row

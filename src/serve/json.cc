@@ -1,8 +1,10 @@
 #include "harmonia/serve/json.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace harmonia::serve
 {
@@ -58,91 +60,202 @@ JsonValue::push(JsonValue value)
 std::string
 jsonEscape(std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    std::string out = JsonWriter({}, s.size() + 2).string(s).take();
+    return out.substr(1, out.size() - 2);
 }
 
-namespace
+JsonWriter::JsonWriter(std::string prefix, size_t sizeHint)
+    : buf_(std::move(prefix)), len_(buf_.size())
 {
+    buf_.resize(len_ + sizeHint);
+}
 
 void
-dumpDouble(std::string &out, double d)
+JsonWriter::grow(size_t n)
 {
+    buf_.resize(std::max({2 * buf_.size(), len_ + n, size_t{256}}));
+}
+
+void
+JsonWriter::put(std::string_view s)
+{
+    if (s.empty())
+        return;
+    std::memcpy(room(s.size()), s.data(), s.size());
+    len_ += s.size();
+}
+
+void
+JsonWriter::quoted(std::string_view s)
+{
+    put('"');
+    // Copy runs of plain bytes in one put; only the (rare) bytes that
+    // need an escape go one at a time.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (static_cast<unsigned char>(c) >= 0x20 && c != '"' &&
+            c != '\\')
+            continue;
+        put(s.substr(run, i - run));
+        run = i + 1;
+        switch (c) {
+          case '"': put("\\\""); break;
+          case '\\': put("\\\\"); break;
+          case '\n': put("\\n"); break;
+          case '\r': put("\\r"); break;
+          case '\t': put("\\t"); break;
+          case '\b': put("\\b"); break;
+          case '\f': put("\\f"); break;
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(c)));
+            put(buf);
+          }
+        }
+    }
+    put(s.substr(run));
+    put('"');
+}
+
+JsonWriter &
+JsonWriter::beginObject()
+{
+    element();
+    put('{');
+    comma_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endObject()
+{
+    put('}');
+    comma_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::beginArray()
+{
+    element();
+    put('[');
+    comma_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endArray()
+{
+    put(']');
+    comma_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    element();
+    quoted(k);
+    put(':');
+    comma_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::null()
+{
+    element();
+    put("null");
+    comma_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::boolean(bool b)
+{
+    element();
+    put(b ? "true" : "false");
+    comma_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::integer(int64_t i)
+{
+    element();
+    constexpr size_t kMax = 24;
+    char *at = room(kMax);
+    len_ = static_cast<size_t>(std::to_chars(at, at + kMax, i).ptr -
+                               buf_.data());
+    comma_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double d)
+{
+    element();
     // Shortest round-trip representation; deterministic for a given
     // libc++/libstdc++ (the determinism gate compares within one
     // build, never across toolchains).
-    char buf[32];
-    const auto res =
-        std::to_chars(buf, buf + sizeof(buf), d);
-    out.append(buf, res.ptr);
+    constexpr size_t kMax = 32;
+    char *at = room(kMax);
+    len_ = static_cast<size_t>(std::to_chars(at, at + kMax, d).ptr -
+                               buf_.data());
+    comma_ = true;
+    return *this;
 }
 
-} // namespace
+JsonWriter &
+JsonWriter::string(std::string_view s)
+{
+    element();
+    quoted(s);
+    comma_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(const JsonValue &v)
+{
+    if (v.isNull())
+        return null();
+    if (v.isBool())
+        return boolean(v.asBool());
+    if (v.isInt())
+        return integer(v.asInt());
+    if (v.isDouble())
+        return number(v.asDouble());
+    if (v.isString())
+        return string(v.asString());
+    if (v.isArray()) {
+        beginArray();
+        for (const JsonValue &e : v.asArray())
+            value(e);
+        return endArray();
+    }
+    beginObject();
+    for (const auto &[k, e] : v.asObject()) {
+        key(k);
+        value(e);
+    }
+    return endObject();
+}
+
+std::string
+JsonWriter::take()
+{
+    buf_.resize(len_);
+    return std::move(buf_);
+}
 
 void
 JsonValue::dumpTo(std::string &out) const
 {
-    if (isNull()) {
-        out += "null";
-    } else if (isBool()) {
-        out += asBool() ? "true" : "false";
-    } else if (isInt()) {
-        char buf[24];
-        const auto res = std::to_chars(buf, buf + sizeof(buf),
-                                       std::get<int64_t>(value_));
-        out.append(buf, res.ptr);
-    } else if (isDouble()) {
-        dumpDouble(out, std::get<double>(value_));
-    } else if (isString()) {
-        out += '"';
-        out += jsonEscape(asString());
-        out += '"';
-    } else if (isArray()) {
-        out += '[';
-        bool first = true;
-        for (const JsonValue &v : asArray()) {
-            if (!first)
-                out += ',';
-            first = false;
-            v.dumpTo(out);
-        }
-        out += ']';
-    } else {
-        out += '{';
-        bool first = true;
-        for (const auto &[k, v] : asObject()) {
-            if (!first)
-                out += ',';
-            first = false;
-            out += '"';
-            out += jsonEscape(k);
-            out += "\":";
-            v.dumpTo(out);
-        }
-        out += '}';
-    }
+    out = JsonWriter(std::move(out)).value(*this).take();
 }
 
 std::string

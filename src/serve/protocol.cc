@@ -280,33 +280,62 @@ configToJson(const HardwareConfig &cfg)
     });
 }
 
-std::string
-makeResultResponse(const JsonValue &id, Verb verb, JsonValue result)
+void
+writeConfig(JsonWriter &w, const HardwareConfig &cfg)
 {
-    JsonValue resp = JsonValue::object({
-        {"schema", JsonValue(kResponseSchema)},
-        {"id", id},
-        {"verb", JsonValue(verbName(verb))},
-        {"ok", JsonValue(true)},
-        {"result", std::move(result)},
-    });
-    return resp.dump();
+    w.beginObject()
+        .key("cu")
+        .integer(cfg.cuCount)
+        .key("compute_mhz")
+        .integer(cfg.computeFreqMhz)
+        .key("mem_mhz")
+        .integer(cfg.memFreqMhz)
+        .endObject();
+}
+
+void
+beginResultResponse(JsonWriter &w, const JsonValue &id, Verb verb)
+{
+    w.beginObject()
+        .key("schema")
+        .string(kResponseSchema)
+        .key("id")
+        .value(id)
+        .key("verb")
+        .string(verbName(verb))
+        .key("ok")
+        .boolean(true)
+        .key("result");
+}
+
+std::string
+makeResultResponse(const JsonValue &id, Verb verb, const JsonValue &result)
+{
+    JsonWriter w;
+    beginResultResponse(w, id, verb);
+    return w.value(result).endObject().take();
 }
 
 std::string
 makeErrorResponse(const JsonValue &id, const Status &status)
 {
-    JsonValue resp = JsonValue::object({
-        {"schema", JsonValue(kResponseSchema)},
-        {"id", id},
-        {"ok", JsonValue(false)},
-        {"error",
-         JsonValue::object({
-             {"code", JsonValue(statusCodeName(status.code()))},
-             {"message", JsonValue(status.message())},
-         })},
-    });
-    return resp.dump();
+    return JsonWriter()
+        .beginObject()
+        .key("schema")
+        .string(kResponseSchema)
+        .key("id")
+        .value(id)
+        .key("ok")
+        .boolean(false)
+        .key("error")
+        .beginObject()
+        .key("code")
+        .string(statusCodeName(status.code()))
+        .key("message")
+        .string(status.message())
+        .endObject()
+        .endObject()
+        .take();
 }
 
 } // namespace harmonia::serve

@@ -41,42 +41,82 @@ parseObjective(const std::string &name)
         "\" (want min_ed2, min_ed, min_energy, or max_performance)");
 }
 
-JsonValue
-kernelResultJson(const HardwareConfig &cfg, const KernelResult &r)
+/** The success reply carrying @p tree, or its error. */
+Result<std::string>
+treeReply(const JsonValue &id, Verb verb, const Result<JsonValue> &tree)
 {
-    return JsonValue::object({
-        {"config", configToJson(cfg)},
-        {"time_s", JsonValue(r.time())},
-        {"power_w", JsonValue(r.power.total())},
-        {"card_energy_j", JsonValue(r.cardEnergy)},
-        {"gpu_energy_j", JsonValue(r.gpuEnergy)},
-        {"mem_energy_j", JsonValue(r.memEnergy)},
-        {"ed2", JsonValue(r.ed2())},
-    });
+    if (!tree.ok())
+        return tree.status();
+    return makeResultResponse(id, verb, tree.value());
 }
 
-/** An evaluate result around its encoded @p results. */
-JsonValue
-evaluateEnvelope(const EvaluateParams &p, const std::string &device,
-                 JsonValue results)
+/**
+ * Open one result row: the config and its metrics. The caller may add
+ * members (a sweep row's `score`) and closes the row with endObject().
+ */
+void
+beginKernelResult(JsonWriter &w, const HardwareConfig &cfg,
+                  const KernelResult &r)
 {
-    const int64_t count =
-        static_cast<int64_t>(results.asArray().size());
-    JsonValue out = JsonValue::object({
-        {"kernel", JsonValue(p.kernel)},
-        {"iteration", JsonValue(p.iteration)},
-        {"points", JsonValue(count)},
-        {"results", std::move(results)},
-    });
+    w.beginObject().key("config");
+    writeConfig(w, cfg);
+    w.key("time_s")
+        .number(r.time())
+        .key("power_w")
+        .number(r.power.total())
+        .key("card_energy_j")
+        .number(r.cardEnergy)
+        .key("gpu_energy_j")
+        .number(r.gpuEnergy)
+        .key("mem_energy_j")
+        .number(r.memEnergy)
+        .key("ed2")
+        .number(r.ed2());
+}
+
+} // namespace
+
+std::string
+evaluateResponse(const JsonValue &id, const EvaluateParams &p,
+                 const ConfigSweep &sweep,
+                 const std::vector<uint32_t> &slots,
+                 const std::vector<KernelResult> &points)
+{
+    const std::vector<HardwareConfig> &lattice = sweep.configs();
+    const size_t count =
+        p.fullLattice ? lattice.size() : p.configs.size();
+    JsonWriter w({}, 256 + 256 * count);
+    beginResultResponse(w, id, Verb::Evaluate);
+    w.beginObject()
+        .key("kernel")
+        .string(p.kernel)
+        .key("iteration")
+        .integer(p.iteration)
+        .key("points")
+        .integer(static_cast<int64_t>(count))
+        .key("results")
+        .beginArray();
+    auto row = [&](const HardwareConfig &cfg, size_t slot) {
+        const auto it = std::lower_bound(slots.begin(), slots.end(),
+                                         static_cast<uint32_t>(slot));
+        beginKernelResult(w, cfg, points[it - slots.begin()]);
+        w.endObject();
+    };
+    if (p.fullLattice) {
+        for (size_t i = 0; i < lattice.size(); ++i)
+            row(lattice[i], i);
+    } else {
+        for (const HardwareConfig &cfg : p.configs)
+            row(cfg, sweep.indexOf(cfg));
+    }
+    w.endArray();
     // Only requests that selected a device echo it back: device-less
     // request streams keep byte-identical responses across the
     // introduction of the registry.
     if (!p.device.empty())
-        out.set("device", JsonValue(device));
-    return out;
+        w.key("device").string(sweep.device().name());
+    return w.endObject().endObject().take();
 }
-
-} // namespace
 
 /** One request line moving through processBatch. */
 struct Service::Pending
@@ -214,29 +254,6 @@ Service::validateEvaluate(const DeviceState &dev,
     return Status::okStatus();
 }
 
-JsonValue
-Service::evaluateResultJson(const DeviceState &dev,
-                            const EvaluateParams &p,
-                            const std::vector<uint32_t> &slots,
-                            const std::vector<KernelResult> &points)
-{
-    JsonValue results = JsonValue::array();
-    auto push = [&](const HardwareConfig &cfg, size_t slot) {
-        const auto it = std::lower_bound(slots.begin(), slots.end(),
-                                         static_cast<uint32_t>(slot));
-        results.push(kernelResultJson(cfg, points[it - slots.begin()]));
-    };
-    if (p.fullLattice) {
-        const auto &configs = dev.sweep.configs();
-        for (size_t i = 0; i < configs.size(); ++i)
-            push(configs[i], i);
-    } else {
-        for (const HardwareConfig &cfg : p.configs)
-            push(cfg, dev.sweep.indexOf(cfg));
-    }
-    return evaluateEnvelope(p, dev.device.name(), std::move(results));
-}
-
 void
 Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
 {
@@ -271,9 +288,8 @@ Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
 
     for (const size_t idx : group.members) {
         Pending &p = pending[idx];
-        p.response = makeResultResponse(
-            p.id, Verb::Evaluate,
-            evaluateResultJson(dev, p.req.evaluate, slots, points));
+        p.response =
+            evaluateResponse(p.id, p.req.evaluate, dev.sweep, slots, points);
         p.done = true;
     }
 
@@ -511,8 +527,8 @@ Service::runGovern(const GovernParams &p)
     return out;
 }
 
-Result<JsonValue>
-Service::runSweep(const SweepParams &p)
+Result<std::string>
+Service::runSweep(const JsonValue &id, const SweepParams &p)
 {
     const KernelProfile *profile = findKernel(p.kernel);
     if (!profile)
@@ -539,22 +555,26 @@ Service::runSweep(const SweepParams &p)
         return objectiveScore(results[idx], objective.value());
     };
 
-    const HardwareConfig best =
-        bestConfigFor(configs, results, objective.value());
-    const size_t bestIdx = sweep.indexOf(best);
+    JsonWriter w;
+    const auto row = [&](size_t idx) {
+        beginKernelResult(w, configs[idx], results[idx]);
+        w.key("score").number(score(idx)).endObject();
+    };
 
-    JsonValue bestJson = kernelResultJson(best, results[bestIdx]);
-    bestJson.set("score", JsonValue(score(bestIdx)));
-
-    JsonValue out = JsonValue::object({
-        {"kernel", JsonValue(p.kernel)},
-        {"iteration", JsonValue(p.iteration)},
-        {"objective", JsonValue(p.objective)},
-        {"points", JsonValue(static_cast<int64_t>(results.size()))},
-        {"best", std::move(bestJson)},
-    });
+    beginResultResponse(w, id, Verb::Sweep);
+    w.beginObject()
+        .key("kernel")
+        .string(p.kernel)
+        .key("iteration")
+        .integer(p.iteration)
+        .key("objective")
+        .string(p.objective)
+        .key("points")
+        .integer(static_cast<int64_t>(results.size()))
+        .key("best");
+    row(sweep.indexOf(bestConfigFor(configs, results, objective.value())));
     if (!p.device.empty())
-        out.set("device", JsonValue(dev.device.name()));
+        w.key("device").string(dev.device.name());
 
     if (p.top > 0) {
         // Rank by objective score; ties break on canonical lattice
@@ -566,16 +586,12 @@ Service::runSweep(const SweepParams &p)
             [&](size_t a, size_t b) { return score(a) < score(b); });
         const size_t n =
             std::min(static_cast<size_t>(p.top), order.size());
-        JsonValue top = JsonValue::array();
-        for (size_t i = 0; i < n; ++i) {
-            const size_t idx = order[i];
-            JsonValue row = kernelResultJson(configs[idx], results[idx]);
-            row.set("score", JsonValue(score(idx)));
-            top.push(std::move(row));
-        }
-        out.set("top", std::move(top));
+        w.key("top").beginArray();
+        for (size_t i = 0; i < n; ++i)
+            row(order[i]);
+        w.endArray();
     }
-    return out;
+    return w.endObject().endObject().take();
 }
 
 JsonValue
@@ -673,42 +689,39 @@ Service::processBatch(const std::vector<std::string> &lines,
         if (!p.parsed || p.done)
             continue;
         const auto start = Clock::now();
-        Result<JsonValue> result = JsonValue();
-        switch (p.req.verb) {
-          case Verb::Govern:
-            try {
-                result = runGovern(p.req.govern);
-            } catch (...) {
-                result = statusFromCurrentException();
+        const Verb verb = p.req.verb;
+        Result<std::string> reply = std::string();
+        try {
+            switch (verb) {
+              case Verb::Govern:
+                reply = treeReply(p.id, verb, runGovern(p.req.govern));
+                break;
+              case Verb::Sweep:
+                reply = runSweep(p.id, p.req.sweep);
+                break;
+              case Verb::Stats:
+                reply = makeResultResponse(p.id, verb, statsJson());
+                break;
+              case Verb::Ping:
+                reply = makeResultResponse(
+                    p.id, verb,
+                    JsonValue::object({{"pong", JsonValue(true)}}));
+                break;
+              case Verb::Shutdown:
+                shutdownRequested_ = true;
+                reply = makeResultResponse(
+                    p.id, verb,
+                    JsonValue::object({{"draining", JsonValue(true)}}));
+                break;
+              case Verb::Evaluate:
+                break; // Handled above.
             }
-            break;
-          case Verb::Sweep:
-            try {
-                result = runSweep(p.req.sweep);
-            } catch (...) {
-                result = statusFromCurrentException();
-            }
-            break;
-          case Verb::Stats:
-            result = statsJson();
-            break;
-          case Verb::Ping:
-            result = JsonValue::object({{"pong", JsonValue(true)}});
-            break;
-          case Verb::Shutdown:
-            shutdownRequested_ = true;
-            result = JsonValue::object({{"draining", JsonValue(true)}});
-            break;
-          case Verb::Evaluate:
-            break; // Handled above.
+        } catch (...) {
+            reply = statusFromCurrentException();
         }
-        if (result.ok()) {
-            p.response = makeResultResponse(p.id, p.req.verb,
-                                            std::move(result.value()));
-        } else {
-            p.response = makeErrorResponse(p.id, result.status());
-        }
-        metrics_.record(p.req.verb, result.ok(), microsSince(start));
+        p.response = reply.ok() ? std::move(reply.value())
+                                : makeErrorResponse(p.id, reply.status());
+        metrics_.record(verb, reply.ok(), microsSince(start));
         p.done = true;
     }
 

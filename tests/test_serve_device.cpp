@@ -6,11 +6,15 @@
  * one device for life, and the `stats` devices section must expose
  * per-device cache partitioning. Device-less streams stay
  * byte-identical to the pre-registry protocol (no `device` member is
- * ever added to their responses).
+ * ever added to their responses). On every device, each double in a
+ * reply carries the exact bits of GpuDevice::run().
  */
 
 #include "harmonia/serve/service.hh"
 
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "harmonia/common/error.hh"
 #include "harmonia/serve/json.hh"
 #include "harmonia/serve/protocol.hh"
+#include "harmonia/sim/device_registry.hh"
 #include "harmonia/workloads/suite.hh"
 
 using namespace harmonia;
@@ -241,6 +246,103 @@ TEST(ServeDevice, ExplicitDefaultNameKeepsResponsesByteIdentical)
     lines.push_back(sweep.dump());
 
     EXPECT_EQ(a.processBatch(lines), b.processBatch(lines));
+}
+
+/** Bit-exact double comparison (parsed wire value vs model value). */
+::testing::AssertionResult
+sameBits(const char *field, const JsonValue *wire, double model)
+{
+    if (!wire || !wire->isNumber())
+        return ::testing::AssertionFailure() << field << " missing";
+    const double got = wire->asDouble();
+    if (std::bit_cast<uint64_t>(got) == std::bit_cast<uint64_t>(model))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << field << ": wire " << got << " != run() " << model;
+}
+
+TEST(ServeDevice, RepliesCarryTheExactBitsOfRun)
+{
+    // Random suite kernels x random on-lattice slices (duplicates
+    // allowed) on every device profile: each reply must parse back to
+    // run()'s bits, and the bytes must equal the tree serializer's
+    // dump of the parsed reply.
+    std::vector<KernelProfile> kernels;
+    for (const Application &app : standardSuite())
+        for (const KernelProfile &k : app.kernels)
+            kernels.push_back(k);
+
+    std::mt19937_64 rng(0x5eedu);
+    Service service(ServiceOptions{});
+    for (const char *name : {"hd7970", "hbm-stacked", "ampere-ga100"}) {
+        SCOPED_TRACE(name);
+        const GpuDevice gpu = makeDevice(name).value();
+        const ConfigSweep lattice(gpu);
+        const std::vector<HardwareConfig> &configs = lattice.configs();
+        for (int trial = 0; trial < 12; ++trial) {
+            const KernelProfile &kernel = kernels[rng() % kernels.size()];
+            const int iteration = static_cast<int>(rng() % 10);
+            std::vector<HardwareConfig> slice(1 + rng() % 12);
+            for (HardwareConfig &cfg : slice)
+                cfg = configs[rng() % configs.size()];
+            if (slice.size() > 2)
+                slice.back() = slice.front();
+
+            JsonValue req = request("evaluate");
+            req.set("kernel", JsonValue(kernel.id()));
+            req.set("iteration", JsonValue(iteration));
+            req.set("device", JsonValue(name));
+            JsonValue list = JsonValue::array();
+            for (const HardwareConfig &cfg : slice)
+                list.push(configToJson(cfg));
+            req.set("configs", std::move(list));
+
+            const std::string reply =
+                service.processBatch({req.dump()}).front();
+            Result<JsonValue> doc = parseJson(reply);
+            ASSERT_TRUE(doc.ok()) << reply;
+            EXPECT_EQ(doc.value().dump(), reply);
+            ASSERT_TRUE(isOk(doc.value())) << reply;
+
+            const JsonValue &results =
+                *doc.value().find("result")->find("results");
+            ASSERT_EQ(results.asArray().size(), slice.size());
+            for (size_t i = 0; i < slice.size(); ++i) {
+                const JsonValue &row = results.asArray()[i];
+                EXPECT_EQ(*row.find("config"), configToJson(slice[i]));
+                const KernelResult want =
+                    gpu.run(kernel, iteration, slice[i]);
+                EXPECT_TRUE(sameBits("time_s", row.find("time_s"),
+                                     want.time()));
+                EXPECT_TRUE(sameBits("power_w", row.find("power_w"),
+                                     want.power.total()));
+                EXPECT_TRUE(sameBits("card_energy_j",
+                                     row.find("card_energy_j"),
+                                     want.cardEnergy));
+                EXPECT_TRUE(sameBits("gpu_energy_j",
+                                     row.find("gpu_energy_j"),
+                                     want.gpuEnergy));
+                EXPECT_TRUE(sameBits("mem_energy_j",
+                                     row.find("mem_energy_j"),
+                                     want.memEnergy));
+                EXPECT_TRUE(
+                    sameBits("ed2", row.find("ed2"), want.ed2()));
+            }
+        }
+
+        // Sweep rows are written by the same writer.
+        JsonValue sweep = request("sweep");
+        sweep.set("kernel",
+                  JsonValue(kernels[rng() % kernels.size()].id()));
+        sweep.set("device", JsonValue(name));
+        sweep.set("top", JsonValue(5));
+        const std::string reply =
+            service.processBatch({sweep.dump()}).front();
+        Result<JsonValue> doc = parseJson(reply);
+        ASSERT_TRUE(doc.ok()) << reply;
+        EXPECT_TRUE(isOk(doc.value())) << reply;
+        EXPECT_EQ(doc.value().dump(), reply);
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "harmonia/serve/json.hh"
 
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -131,6 +132,62 @@ TEST(ServeJson, DumpIsDeterministic)
     const std::string once = parsed(text).dump();
     EXPECT_EQ(once, text);
     EXPECT_EQ(parsed(once).dump(), once);
+}
+
+TEST(ServeJson, WriterMatchesTheTreeDump)
+{
+    // Every value kind, nesting, empty containers and every escape,
+    // written directly and as a tree: the same bytes.
+    const std::string odd = std::string("q\"b\\n\nr\rt\tb\bf\f") +
+                            '\x01' + "\x1f" + "\xc3\xa9";
+    JsonValue tree = JsonValue::object({
+        {"null", JsonValue()},
+        {"flags", JsonValue::array({JsonValue(true), JsonValue(false)})},
+        {"ints", JsonValue::array({JsonValue(int64_t{0}),
+                                   JsonValue(int64_t{-17}),
+                                   JsonValue(INT64_MIN)})},
+        {"doubles", JsonValue::array({JsonValue(0.1), JsonValue(1e300),
+                                      JsonValue(5e-324),
+                                      JsonValue(-2.5e-7),
+                                      JsonValue(8.0)})},
+        {odd, JsonValue(odd)},
+        {"empty", JsonValue::object({{"o", JsonValue::object()},
+                                     {"a", JsonValue::array()}})},
+    });
+
+    JsonWriter w;
+    w.beginObject().key("null").null();
+    w.key("flags").beginArray().boolean(true).boolean(false).endArray();
+    w.key("ints").beginArray().integer(0).integer(-17).integer(INT64_MIN);
+    w.endArray().key("doubles").beginArray().number(0.1).number(1e300);
+    w.number(5e-324).number(-2.5e-7).number(8.0).endArray();
+    w.key(odd).string(odd);
+    w.key("empty").beginObject().key("o").beginObject().endObject();
+    w.key("a").beginArray().endArray().endObject().endObject();
+    EXPECT_EQ(w.take(), tree.dump());
+
+    // A tree handed to the writer mid-document lands in place.
+    EXPECT_EQ(JsonWriter().beginArray().value(tree).integer(1).endArray()
+                  .take(),
+              "[" + tree.dump() + ",1]");
+    EXPECT_EQ(jsonEscape("\x01"), "\\u0001");
+}
+
+TEST(ServeJson, WriterKeepsItsPrefixAndGrowsPastTheHint)
+{
+    JsonValue big = JsonValue::array();
+    JsonWriter w("row: ", 1);
+    w.beginArray();
+    for (int i = 0; i < 2000; ++i) {
+        big.push(JsonValue(i * 0.37));
+        w.number(i * 0.37);
+    }
+    EXPECT_EQ(w.endArray().take(), "row: " + big.dump());
+
+    // dumpTo appends after what the string already holds.
+    std::string out = "x=";
+    JsonValue::object({{"k", JsonValue("v")}}).dumpTo(out);
+    EXPECT_EQ(out, "x={\"k\":\"v\"}");
 }
 
 TEST(ServeJson, EqualityIsStructural)
