@@ -1,7 +1,7 @@
 /**
  * @file
  * Service-side metrics for harmoniad: per-verb request/error counts
- * and latency distributions, plus micro-batcher and cache counters.
+ * and latency distributions, plus evaluate point counters.
  *
  * The daemon exports a snapshot through the `stats` verb and prints
  * one on graceful shutdown, so a load test (tools/harmonia_client)
@@ -11,8 +11,8 @@
  * load, percentile error bounded by the bucket width.
  *
  * All members are updated from the service's single processing
- * thread; worker-pool parallelism lives below runLattice and never
- * touches metrics, so no synchronization is needed here.
+ * thread; training parallelism never touches metrics, so no
+ * synchronization is needed here.
  */
 
 #ifndef HARMONIA_SERVE_METRICS_HH
@@ -111,32 +111,11 @@ class ServiceMetrics
     /** Record one line that never parsed into a verb. */
     void recordMalformed() { ++malformedLines_; }
 
-    /** Micro-batcher accounting (evaluate verb only): @p duplicates
-     * counts the points a fused group asked for beyond the distinct
-     * ones it computed. */
-    void recordEvaluate(uint64_t latticeRuns, uint64_t coalesced,
-                        uint64_t pointsComputed, uint64_t duplicates);
+    /** One evaluate's lattice run: the @p pointsComputed distinct
+     * points it ran, and the @p duplicates it named more than once. */
+    void recordEvaluate(uint64_t pointsComputed, uint64_t duplicates);
 
-    /**
-     * One evaluate group whose members arrived over @p connections
-     * distinct transport connections (so @p requests requests were
-     * fused across the connection boundary). Only called with
-     * connections >= 2: single-connection fusion is already covered by
-     * recordEvaluate's coalesced counter.
-     */
-    void recordCrossConnectionFusion(uint64_t connections,
-                                     uint64_t requests);
-
-    const VerbMetrics &verb(Verb v) const
-    {
-        return verbs_[static_cast<int>(v)];
-    }
     uint64_t malformedLines() const { return malformedLines_; }
-    uint64_t latticeRuns() const { return latticeRuns_; }
-    uint64_t coalescedRequests() const { return coalescedRequests_; }
-    uint64_t crossConnRuns() const { return crossConnRuns_; }
-    uint64_t crossConnRequests() const { return crossConnRequests_; }
-    uint64_t maxConnectionsFused() const { return maxConnectionsFused_; }
 
     /** Reactor counters (mutated directly by the transport layer). */
     TransportMetrics &transport() { return transport_; }
@@ -151,20 +130,12 @@ class ServiceMetrics
     VerbMetrics verbs_[kVerbCount];
     uint64_t malformedLines_ = 0;
 
-    // Evaluate micro-batching: how many runLattice invocations served
-    // how many requests, the distinct points they computed, and the
-    // repeats within a group that the union saved.
+    // Evaluate lattice runs (one per successful evaluate), the
+    // distinct points they computed, and the in-request repeats each
+    // computed once.
     uint64_t latticeRuns_ = 0;
-    uint64_t coalescedRequests_ = 0; ///< Requests sharing a lattice run.
     uint64_t pointsComputed_ = 0;
     uint64_t duplicatePoints_ = 0;
-
-    // Cross-connection fusion: evaluate groups whose members arrived
-    // over more than one transport connection — the widened coalescing
-    // window the TCP reactor exists to exploit.
-    uint64_t crossConnRuns_ = 0;
-    uint64_t crossConnRequests_ = 0;
-    uint64_t maxConnectionsFused_ = 0;
 
     TransportMetrics transport_;
 };

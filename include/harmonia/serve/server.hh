@@ -1,29 +1,22 @@
 /**
  * @file
  * harmoniad's I/O front-end: a single-threaded ppoll() reactor over a
- * Unix-domain listener, a TCP listener, or stdin/stdout, feeding
- * request lines from every connection into the Service in coalescing
- * windows.
+ * Unix-domain listener, a TCP listener, or stdin/stdout. Each request
+ * line is handed to Service::processLine as soon as a wake-up has read
+ * it, in arrival order; its reply is queued on its own connection.
  *
  * Threading model: all socket I/O, request parsing, model evaluation
  * and response routing happen on one thread; a lattice run never
  * splits, and harmoniad --jobs reaches only predictor training, which
- * fans out inside Service::processBatch. This keeps per-connection
+ * fans out inside Service::processLine. This keeps per-connection
  * response ordering trivially correct and makes the daemon's
  * observable behaviour a pure function of the request streams.
  *
- * Micro-batching: when a request line arrives, the loop holds it for
- * an adaptive window — scaled from an EWMA of recent batch service
- * times, capped at a few milliseconds — so that concurrent clients'
- * requests land in the same Service batch and coalesce into shared
- * lattice runs. The window spans *connections*: lines read from N
- * sockets in one wake-up form one batch, so same-(kernel, iteration)
- * evaluates from different clients fuse into a single lattice run
- * (the `stats` verb reports the cross-connection fusion counters).
- * An idle loop blocks in ppoll() indefinitely; the window only ever
- * delays work that is already queued behind other work. The sleep
- * ends on the window's deadline to the microsecond (ns timeout, 1 ns
- * timer slack), so a few-microsecond window costs a few microseconds.
+ * Reads are bounded: one wake-up reads at most a fixed budget from
+ * each connection, and a connection with unsent replies is not read
+ * from until they are flushed. A client that pipelines thousands of
+ * requests is therefore served at the pace it reads its replies,
+ * instead of piling them all into its write buffer at once.
  *
  * Containment: every connection is non-blocking with its own read
  * and write buffers. Partial writes are parked and re-armed with
@@ -32,18 +25,18 @@
  * shed; a connection idle past the (optional) idle timeout is
  * evicted; a malformed or oversized line earns a structured error
  * reply on that connection only. No client behaviour can stall
- * another connection's replies beyond the shared coalescing window.
+ * another connection's replies beyond the requests one wake-up has
+ * already read.
  *
  * Shutdown: SIGTERM/SIGINT (via a self-pipe) or a `shutdown` request
- * stop the listeners, drain every buffered request and response,
- * print the metrics snapshot to stderr, and exit 0.
+ * stop the listeners, answer every request already read, flush every
+ * buffered response, print the metrics snapshot to stderr, and exit 0.
  */
 
 #ifndef HARMONIA_SERVE_SERVER_HH
 #define HARMONIA_SERVE_SERVER_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,12 +67,6 @@ struct ServerOptions
      * stdio transport over pipes inside one process). */
     int stdioReadFd = 0;
     int stdioWriteFd = 1;
-
-    /**
-     * Fixed coalescing window in microseconds; <0 selects the
-     * adaptive policy, 0 disables coalescing (process immediately).
-     */
-    int coalesceMicros = -1;
 
     /** Max simultaneous client connections (across both listeners).
      * Further connects get one resource_exhausted reply, then close. */
@@ -119,10 +106,7 @@ class Server
      */
     Status start();
 
-    /**
-     * Serve until EOF/SIGTERM/shutdown-verb; 0 on clean drain. Sets
-     * the calling thread's timer slack to 1 ns for precise wake-ups.
-     */
+    /** Serve until EOF/SIGTERM/shutdown-verb; 0 on clean drain. */
     int run();
 
     /** Bound TCP port after start() (0 when no TCP listener). */
@@ -134,7 +118,6 @@ class Server
     {
         int fd = -1;    ///< Read side.
         int outFd = -1; ///< Write side (== fd except in stdio mode).
-        uint64_t id = 0;///< Origin id for cross-connection stats.
         bool tcp = false;   ///< Accepted from the TCP listener.
         bool stdio = false; ///< The stdio pair (exempt from eviction).
         std::string inBuf;
@@ -145,13 +128,6 @@ class Server
         bool oversized = false; ///< Discarding until next newline.
 
         size_t unsentBytes() const { return outBuf.size() - outOff; }
-    };
-
-    /** A complete request line awaiting the next batch. */
-    struct PendingLine
-    {
-        size_t conn;
-        std::string line;
     };
 
     /** Why a connection is being closed (selects the counter). */
@@ -168,12 +144,11 @@ class Server
     void acceptClients(int listenFd, bool tcp);
     size_t allocConnSlot();
     void closeConn(Conn &conn, CloseReason reason);
-    void readConn(size_t idx);
+    void readConn(Conn &conn);
+    void serveLine(Conn &conn, const std::string &line);
     void flushConn(Conn &conn);
     void enforceWriteCap(Conn &conn);
     void evictIdle(long long nowUs);
-    int currentWindowMicros() const;
-    void processPending();
     void closeFinished();
 
     Service &service_;
@@ -184,12 +159,7 @@ class Server
     int tcpPort_ = 0;
     int signalFd_ = -1; ///< Read end of the self-pipe.
     bool stopRequested_ = false;
-    uint64_t nextConnId_ = 1;
     std::vector<std::unique_ptr<Conn>> conns_;
-    std::vector<PendingLine> pending_;
-    double serviceEwmaMicros_ = 0.0;
-    bool windowOpen_ = false;
-    long long windowDeadlineMicros_ = 0; ///< Monotonic clock stamp.
 };
 
 } // namespace harmonia::serve

@@ -1,34 +1,28 @@
 /**
  * @file
- * The harmoniad evaluation service: protocol semantics, micro-batch
- * coalescing and governor sessions — everything the daemon does
- * except socket I/O (src/serve/server.hh owns that). It keeps no
- * evaluated points: every evaluate group and sweep runs the lattice
- * evaluator for what it asks, so memory does not grow with the
- * (kernel, iteration) keys a client walks.
+ * The harmoniad evaluation service: protocol semantics and governor
+ * sessions — everything the daemon does except socket I/O
+ * (src/serve/server.hh owns that). It keeps no evaluated points:
+ * every evaluate and sweep runs the lattice evaluator for what it
+ * asks, so memory does not grow with the (kernel, iteration) keys a
+ * client walks.
  *
- * The service is driven in *batches*: the server hands it every
- * request line that arrived within one coalescing window, and the
- * service returns one response line per request, in input order. The
- * batch boundary is where the micro-batcher gets its leverage:
- * concurrent `evaluate` requests for the same (kernel, iteration) are
- * fused into a single GpuDevice::runLattice invocation over the
- * deduplicated union of their configurations. The lattice evaluator
- * builds only what the requested points read, so fusing saves the
- * config-invariant bundle, the axis entries the requests share and
- * every point they have in common: each is computed once per group
- * instead of once per request.
+ * The service answers one request line at a time (processLine), in
+ * the order the server reads them. An `evaluate` runs the sorted,
+ * deduplicated slots it names in one GpuDevice::runLattice call; the
+ * lattice evaluator builds only what those points read, so a
+ * governor-style 8-config slice costs a few microseconds.
  *
  * Determinism: responses depend only on the request stream, never on
- * batch boundaries or worker count — runLattice is bitwise identical
- * to per-config run() calls, and governor sessions advance in
- * request input order. The `stats` verb is the one exception (it
- * reports wall-clock latencies).
+ * how the transport cut it or on worker count — runLattice is bitwise
+ * identical to per-config run() calls, and governor sessions advance
+ * in request order. The `stats` verb is the one exception (it reports
+ * wall-clock latencies).
  *
  * Failure containment: every request error — malformed JSON, unknown
- * verb or kernel, off-lattice config, oversized batch — becomes a
+ * verb or kernel, off-lattice config, oversized line — becomes a
  * structured error response. The service never throws across
- * processBatch(); an escaped internal exception is translated into an
+ * processLine(); an escaped internal exception is translated into an
  * `internal` error reply for the offending request.
  */
 
@@ -58,11 +52,6 @@ struct ServiceOptions
     /** Worker threads for predictor training (1 = serial); a lattice
      * run never splits across threads. */
     int jobs = 1;
-
-    /** Fuse concurrent same-invocation evaluates into one lattice
-     * run. Off = one runLattice per request (the comparison baseline
-     * for the serve_latency exhibit; results are identical). */
-    bool batching = true;
 
     /** Per-request config-list cap (448 distinct points exist;
      * duplicates count). */
@@ -127,27 +116,8 @@ class Service
     /** Devices instantiated so far (default + every one requested). */
     size_t deviceCount() const { return devices_.size(); }
 
-    /**
-     * Process one coalescing window's worth of request lines and
-     * return exactly lines.size() response lines (no trailing
-     * newlines), responses[i] answering lines[i].
-     */
-    std::vector<std::string>
-    processBatch(const std::vector<std::string> &lines);
-
-    /**
-     * Same, with per-line connection origins (origins[i] is an opaque
-     * transport connection id for lines[i]; must match lines.size()).
-     * Origins never influence any response — they only feed the
-     * cross-connection fusion counters in the `stats` snapshot, so the
-     * reactor can report how wide the coalescing window actually is
-     * across its TCP/unix fan-in.
-     */
-    std::vector<std::string>
-    processBatch(const std::vector<std::string> &lines,
-                 const std::vector<uint64_t> &origins);
-
-    /** Single-request convenience (a batch of one). */
+    /** Answer one request line: its response line, without the
+     * trailing newline. */
     std::string processLine(const std::string &line);
 
     /** True once a `shutdown` request has been accepted. */
@@ -157,8 +127,6 @@ class Service
     JsonValue statsJson() const;
 
   private:
-    struct Pending;
-    struct EvalGroup;
     struct DeviceState;
 
     const KernelProfile *findKernel(const std::string &id) const;
@@ -173,8 +141,9 @@ class Service
 
     Status validateEvaluate(const DeviceState &dev,
                             const EvaluateParams &p) const;
-    void runEvaluates(std::vector<Pending> &pending);
-    void runEvalGroup(EvalGroup &group, std::vector<Pending> &pending);
+    /** The whole success reply to evaluate request @p id. */
+    Result<std::string> runEvaluate(const JsonValue &id,
+                                    const EvaluateParams &p);
     Result<JsonValue> runGovern(const GovernParams &p);
     /** The whole success reply to sweep request @p id. */
     Result<std::string> runSweep(const JsonValue &id,

@@ -2,12 +2,13 @@
 # End-to-end smoke test for the serving stack: start harmoniad on a
 # Unix socket plus a TCP listener, drive ~100 mixed-verb requests
 # through harmonia_client on each transport — the TCP stage fans the
-# load across 16 concurrent connections so the reactor's
-# cross-connection micro-batching path is exercised — assert zero
-# error replies, then verify the daemon drains cleanly on SIGTERM.
-# A last stage starts a fresh daemon and walks 1,000 new (kernel,
-# iteration) keys through it, requiring its resident memory to stay
-# flat: the daemon keeps no evaluated points.
+# load across 16 concurrent connections, so the reactor serves many
+# connections in one wake-up — assert zero error replies, then verify
+# the daemon drains cleanly on SIGTERM. A memory stage starts a fresh
+# daemon and walks 1,000 new (kernel, iteration) keys through it,
+# requiring its resident memory to stay flat: the daemon keeps no
+# evaluated points. A pipelining stage sends 20,000 evaluates from one
+# unpaced client, which must be served, not shed.
 # Used by ctest (serve_smoke) and the CI smoke stage.
 #
 # usage: serve_smoke.sh /path/to/harmoniad /path/to/harmonia_client
@@ -78,15 +79,15 @@ wait_for_socket
 "$CLIENT" --socket "$SOCK" --requests 100 --mix mixed --configs 8 \
     --kernels 4 --stats
 
-# A second, pure-evaluate burst exercises the micro-batcher. The fixed
-# seed makes the request set reproducible.
+# A second, pure-evaluate burst, sent all at once. The fixed seed makes
+# the request set reproducible.
 "$CLIENT" --socket "$SOCK" --requests 40 --mix evaluate --configs 16 \
     --kernels 2 --seed 7 --quiet
 
 # TCP stage: the same daemon over its TCP listener, with the load
-# fanned across 16 concurrent connections — consecutive requests of
-# one coalescing cohort arrive on different sockets, so zero error
-# replies here covers the cross-connection fusion path end to end.
+# fanned across 16 concurrent connections — consecutive requests
+# arrive on different sockets, so zero error replies here covers
+# per-connection reply routing end to end.
 TCP_PORT=$(sed -n 's/.*listening on tcp [0-9.]*:\([0-9][0-9]*\).*/\1/p' \
     "$DAEMON_LOG" | head -n 1)
 if [ -z "$TCP_PORT" ]; then
@@ -102,8 +103,8 @@ fi
 drain_daemon
 
 # Memory stage: a fresh daemon, warmed with 20 requests, then 1,000
-# evaluates of 128 configs that each name a new iteration (--kernels 1
-# --group 1). Nothing may accumulate per key, so VmRSS must grow by
+# evaluates of 128 configs that each name a new iteration (--kernels
+# 1). Nothing may accumulate per key, so VmRSS must grow by
 # less than 8 MB. The walk is paced (--rate): an unpaced burst
 # parks megabytes in socket receive and send buffers, which is not
 # what this stage measures.
@@ -117,10 +118,10 @@ vm_rss_kb() {
         "/proc/$DAEMON_PID/status"
 }
 "$CLIENT" --socket "$SOCK" --requests 20 --mix evaluate --configs 128 \
-    --kernels 1 --group 1 --quiet
+    --kernels 1 --quiet
 RSS_BEFORE=$(vm_rss_kb)
 "$CLIENT" --socket "$SOCK" --requests 1000 --mix evaluate --configs 128 \
-    --kernels 1 --group 1 --rate 1000 --quiet
+    --kernels 1 --rate 1000 --quiet
 RSS_AFTER=$(vm_rss_kb)
 RSS_GROWTH=$((RSS_AFTER - RSS_BEFORE))
 echo "serve_smoke: daemon VmRSS ${RSS_BEFORE} kB -> ${RSS_AFTER} kB" \
@@ -129,6 +130,22 @@ if [ "$RSS_GROWTH" -ge 8192 ]; then
     echo "serve_smoke: daemon memory grew ${RSS_GROWTH} kB (limit 8192)" >&2
     exit 1
 fi
+drain_daemon
+
+# Pipelining stage: a fresh daemon and one client that sends 20,000
+# 8-config evaluates unpaced (--rate 0) on one connection while it
+# reads its replies. The daemon reads a bounded amount per wake-up and
+# waits for a connection's replies to drain before reading more from
+# it, so the client is served at the pace it reads; it is never shed
+# at the write-buffer cap. Any error reply or a closed connection
+# makes the client exit non-zero.
+SOCK="$WORK/pipeline.sock"
+DAEMON_LOG="$WORK/pipeline.log"
+"$HARMONIAD" --socket "$SOCK" 2>"$DAEMON_LOG" &
+DAEMON_PID=$!
+wait_for_socket
+"$CLIENT" --socket "$SOCK" --requests 20000 --rate 0 --mix evaluate \
+    --configs 8 --quiet
 drain_daemon
 
 echo "serve_smoke: OK"

@@ -1,34 +1,20 @@
 /**
  * @file
- * Serving-stack latency/throughput exhibit: the harmoniad micro-batcher
- * measured in-process.
+ * Serving-stack latency/throughput exhibit: where one request's time
+ * goes, and what the reactor delivers to many clients.
  *
- * Replays the load pattern tools/harmonia_client generates — windows
- * of concurrent `evaluate` requests that target the same (kernel,
- * iteration) with disjoint config slices — through Service twice: once
- * with micro-batching enabled (one factored lattice run per window)
- * and once disabled (one run per request). Both paths produce
- * byte-identical responses; the difference is purely how often the
- * lattice evaluator's per-invocation hoist is paid. Reports requests/s,
- * the service-side p50/p99 evaluate latency, and the batched/unbatched
- * speedup.
- *
- * A stage split follows: one governor-style 8-config evaluate taken
+ * A stage split first: one governor-style 8-config evaluate taken
  * apart in process into request parse, lattice run and reply encode,
- * next to Service::processBatch for the same line. On a 4-core host
+ * next to Service::processLine for the same line. On a 4-core host
  * (Release build) the request costs 5.3–6.1 µs: 1.5–2.1 µs parse,
  * 1.0–1.2 µs lattice run, 2.0–2.3 µs encode (most of it the
  * shortest-form formatting of 56 doubles).
  *
- * The last part measures the real transport: an in-process harmoniad
- * reactor on an ephemeral TCP port, driven by N closed-loop loopback
- * clients (1/16/64/128). Concurrent clients' same-(kernel, iteration)
- * requests land in one coalescing window, fuse into shared lattice
- * runs across connections, and the table reports the end-to-end
- * client-side throughput and p50/p99 against the single-connection
- * baseline. On the same host one client sees a p50 of 0.016–0.018 ms
- * at 51–57k req/s, and 64 clients reach 2.5–2.9x that throughput
- * (132–149k req/s) by fusing their requests into shared lattice runs.
+ * Then the real transport: an in-process harmoniad reactor on an
+ * ephemeral TCP port, driven by N closed-loop loopback clients
+ * (1/16/64/128), each sending its own 8-config evaluates. The table
+ * reports end-to-end client-side req/s and p50/p99, and each row's
+ * req/s against one client's.
  */
 
 #include <algorithm>
@@ -61,18 +47,10 @@ namespace
 using serve::JsonValue;
 using serve::Service;
 using serve::ServiceOptions;
-using serve::Verb;
 
-/** Requests per window (concurrent clients the batcher can fuse). */
-constexpr int kClients = 16;
-
-/** Lattice points per request — a governor-style candidate set (the
- * current config plus its lattice neighbours). Small lists are where
- * batching pays: unbatched, each request re-pays the lattice
- * evaluator's per-invocation work (the config-invariant bundle, the
- * axis entries it shares with the other requests, the run setup) for
- * just a handful of points. */
-constexpr int kConfigsPerClient = 4;
+/** Lattice points per request: a governor slice (the current
+ * config plus its lattice neighbours). */
+constexpr size_t kSliceConfigs = 8;
 
 /** One evaluate request line with id @p id for lattice slots
  * [@p begin, @p begin + @p count) (wrapping) of @p sweep. */
@@ -94,25 +72,6 @@ makeRequest(const ConfigSweep &sweep, const std::string &kernelId,
     });
     return req.dump();
 }
-
-/** One window of evaluate request lines: @p clients requests against
- * the same (kernel, iteration), each holding a disjoint slice of the
- * 448-point lattice. */
-std::vector<std::string>
-makeWindow(const ConfigSweep &sweep, const std::string &kernelId,
-           int iteration, int clients)
-{
-    std::vector<std::string> lines;
-    lines.reserve(clients);
-    for (int c = 0; c < clients; ++c)
-        lines.push_back(makeRequest(sweep, kernelId, iteration, c,
-                                    c * kConfigsPerClient,
-                                    kConfigsPerClient));
-    return lines;
-}
-
-/** Lattice points in the stage-split request: a governor slice. */
-constexpr size_t kSliceConfigs = 8;
 
 /** Microseconds per call of @p fn: the best of 5 timed loops of
  * @p calls calls each. */
@@ -141,15 +100,15 @@ struct StageSplit
     double parseUs = 0.0;
     double latticeUs = 0.0;
     double encodeUs = 0.0;
-    double requestUs = 0.0; ///< Service::processBatch, whole request.
+    double requestUs = 0.0; ///< Service::processLine, whole request.
     size_t responseBytes = 0;
 };
 
 /**
  * Time each stage of one governor-slice evaluate on its own: parsing
  * the request line, the lattice run over its sorted unique slots, and
- * encoding the reply; then the whole request through processBatch.
- * The staged reply must equal processBatch's byte for byte.
+ * encoding the reply; then the whole request through processLine.
+ * The staged reply must equal processLine's byte for byte.
  */
 StageSplit
 splitStages(ExpContext &ctx, int calls)
@@ -157,10 +116,10 @@ splitStages(ExpContext &ctx, int calls)
     Service service;
     const ConfigSweep &sweep = service.sweep();
     const KernelProfile &kernel = ctx.suite().front().kernels.front();
-    const std::vector<std::string> lines{
-        makeRequest(sweep, kernel.id(), 3, 7, 100, kSliceConfigs)};
+    const std::string line =
+        makeRequest(sweep, kernel.id(), 3, 7, 100, kSliceConfigs);
 
-    Result<serve::Request> parsed = serve::parseRequest(lines[0], nullptr);
+    Result<serve::Request> parsed = serve::parseRequest(line, nullptr);
     fatalIf(!parsed.ok(), "serve_latency: ", parsed.status().str());
     const serve::Request &req = parsed.value();
     std::vector<uint32_t> slots;
@@ -172,14 +131,14 @@ splitStages(ExpContext &ctx, int calls)
         sweep.run(kernel, req.evaluate.iteration, slots);
     const std::string staged =
         serve::evaluateResponse(req.id, req.evaluate, sweep, slots, points);
-    fatalIf(staged != service.processBatch(lines).front(),
-            "serve_latency: staged reply differs from processBatch");
+    fatalIf(staged != service.processLine(line),
+            "serve_latency: staged reply differs from processLine");
 
     size_t sink = 0; // Keeps every timed call observable.
     StageSplit r;
     r.responseBytes = staged.size();
     r.parseUs = microsPerCall(calls, [&] {
-        sink += serve::parseRequest(lines[0], nullptr)
+        sink += serve::parseRequest(line, nullptr)
                     .value()
                     .evaluate.configs.size();
     });
@@ -192,65 +151,9 @@ splitStages(ExpContext &ctx, int calls)
                     .size();
     });
     r.requestUs = microsPerCall(calls, [&] {
-        sink += service.processBatch(lines).front().size();
+        sink += service.processLine(line).size();
     });
     fatalIf(sink == 0, "serve_latency: empty stage results");
-    return r;
-}
-
-struct LoadResult
-{
-    std::string mode;
-    size_t requests = 0;
-    double seconds = 0.0;
-    uint64_t latticeRuns = 0;
-    double p50Us = 0.0;
-    double p99Us = 0.0;
-
-    double requestsPerSec() const
-    {
-        return seconds > 0.0 ? requests / seconds : 0.0;
-    }
-};
-
-/** Drive @p windows of the client load pattern through one Service. */
-LoadResult
-drive(ExpContext &ctx, bool batching, int windows)
-{
-    ServiceOptions opt;
-    opt.batching = batching;
-    Service service(opt);
-
-    const std::vector<Application> &apps = ctx.suite();
-    std::vector<std::pair<std::string, int>> invocations;
-    int iteration = 0;
-    while (static_cast<int>(invocations.size()) < windows) {
-        for (const Application &app : apps) {
-            for (const KernelProfile &k : app.kernels) {
-                if (static_cast<int>(invocations.size()) >= windows)
-                    break;
-                invocations.emplace_back(k.id(), iteration);
-            }
-        }
-        ++iteration;
-    }
-
-    LoadResult r;
-    r.mode = batching ? "batched" : "unbatched";
-
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto &[kernelId, iter] : invocations) {
-        const std::vector<std::string> lines =
-            makeWindow(service.sweep(), kernelId, iter, kClients);
-        r.requests += service.processBatch(lines).size();
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    r.seconds = std::chrono::duration<double>(stop - start).count();
-    r.latticeRuns = service.metrics().latticeRuns();
-    const serve::LatencyStats &lat =
-        service.metrics().verb(Verb::Evaluate).latency;
-    r.p50Us = lat.percentileMicros(50.0);
-    r.p99Us = lat.percentileMicros(99.0);
     return r;
 }
 
@@ -262,8 +165,6 @@ struct FanInResult
     double seconds = 0.0;
     double p50Ms = 0.0;
     double p99Ms = 0.0;
-    uint64_t latticeRuns = 0;
-    uint64_t crossConnRuns = 0;
 
     double requestsPerSec() const
     {
@@ -333,11 +234,9 @@ readLine(int fd, std::string &carry, std::string &line)
 /**
  * Drive @p totalRequests closed-loop evaluate requests through an
  * in-process TCP reactor from @p clients concurrent connections.
- * Every round, all clients request the same (kernel, iteration) with
- * disjoint config slices — the daemon's cross-connection micro-batcher
- * fuses each round into shared lattice runs. Latency is end-to-end
- * client-side (send to reply-parsed); one unmeasured warm-up round
- * seeds the adaptive window.
+ * Every round, each client sends one 8-config slice of its own
+ * kernel. Latency is end-to-end client-side (send to reply-parsed);
+ * one unmeasured warm-up round comes first.
  */
 FanInResult
 fanIn(ExpContext &ctx, int clients, int totalRequests)
@@ -394,16 +293,15 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
     for (int round = -1; transportOk && round < rounds; ++round) {
         if (round == 0)
             measureStart = Clock::now();
-        const std::string &kernelId =
-            kernelIds[static_cast<size_t>(round + 1) %
-                      kernelIds.size()];
-        const std::vector<std::string> lines = makeWindow(
-            service.sweep(), kernelId, round + 1, clients);
         for (int c = 0; c < clients && transportOk; ++c) {
+            const std::string line = makeRequest(
+                service.sweep(),
+                kernelIds[static_cast<size_t>(c) % kernelIds.size()],
+                round + 1, c, static_cast<size_t>(c) * kSliceConfigs,
+                kSliceConfigs);
             sentAt[static_cast<size_t>(c)] = Clock::now();
-            transportOk = sendAll(fds[static_cast<size_t>(c)],
-                                  lines[static_cast<size_t>(c)] +
-                                      "\n");
+            transportOk =
+                sendAll(fds[static_cast<size_t>(c)], line + "\n");
         }
         for (int c = 0; c < clients && transportOk; ++c) {
             std::string reply;
@@ -450,8 +348,6 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
     };
     r.p50Ms = pct(50.0);
     r.p99Ms = pct(99.0);
-    r.latticeRuns = service.metrics().latticeRuns();
-    r.crossConnRuns = service.metrics().crossConnRuns();
     return r;
 }
 
@@ -461,48 +357,19 @@ class ServeLatency final : public Experiment
     std::string name() const override { return "serve_latency"; }
     std::string description() const override
     {
-        return "harmoniad micro-batcher throughput/latency vs the "
-               "batching-disabled path";
+        return "harmoniad request stages and TCP fan-in "
+               "throughput/latency";
     }
     std::string tier() const override { return "bench"; }
     int order() const override { return 280; }
 
     void run(ExpContext &ctx) const override
     {
-        const int windows = std::max(8, ctx.options().benchReps * 8);
         ctx.banner("serve_latency",
-                   "Serving-stack load test: windows of " +
-                       std::to_string(kClients) +
-                       " concurrent evaluate requests, micro-batched "
-                       "vs one lattice run per request.");
-
-        std::vector<LoadResult> runs; // [0] unbatched, [1] batched.
-        for (const bool batching : {false, true}) {
-            drive(ctx, batching, 2); // Warm-up.
-            runs.push_back(drive(ctx, batching, windows));
-        }
-
-        TextTable table({"mode", "requests", "lattice runs", "req/s",
-                         "p50 (us)", "p99 (us)"});
-        for (const LoadResult &r : runs) {
-            table.row()
-                .cell(r.mode)
-                .numInt(static_cast<long long>(r.requests))
-                .numInt(static_cast<long long>(r.latticeRuns))
-                .cell(formatNum(r.requestsPerSec(), 0))
-                .cell(formatNum(r.p50Us, 1))
-                .cell(formatNum(r.p99Us, 1));
-        }
-        ctx.emit(table, "Evaluate throughput: micro-batched vs not",
-                 "serve_latency");
-
-        const double speedup =
-            runs[0].requestsPerSec() > 0.0
-                ? runs[1].requestsPerSec() / runs[0].requestsPerSec()
-                : 0.0;
-
-        ctx.out() << "\nmicro-batch speedup: " << formatNum(speedup, 2)
-                  << "x\n";
+                   "Serving stack: one " +
+                       std::to_string(kSliceConfigs) +
+                       "-config evaluate stage by stage, then N "
+                       "closed-loop TCP clients.");
 
         // One request, stage by stage (a timing artifact: its values
         // vary run to run).
@@ -521,9 +388,9 @@ class ServeLatency final : public Experiment
         stageRow("parse request", split.parseUs);
         stageRow("lattice run", split.latticeUs);
         stageRow("encode reply", split.encodeUs);
-        stageRow("rest (validate, group, bookkeeping)",
+        stageRow("rest (validate, dedup, bookkeeping)",
                  split.requestUs - stageSum);
-        stageRow("processBatch (whole request)", split.requestUs);
+        stageRow("processLine (whole request)", split.requestUs);
         ctx.emit(stageTable,
                  "One " + std::to_string(kSliceConfigs) +
                      "-config evaluate, stage by stage (" +
@@ -541,8 +408,7 @@ class ServeLatency final : public Experiment
 
         const double base = fanRuns.front().requestsPerSec();
         TextTable fanTable({"clients", "requests", "req/s",
-                            "p50 (ms)", "p99 (ms)", "lattice runs",
-                            "x-conn runs", "speedup"});
+                            "p50 (ms)", "p99 (ms)", "vs 1 client"});
         for (const FanInResult &r : fanRuns) {
             fanTable.row()
                 .numInt(r.clients)
@@ -550,8 +416,6 @@ class ServeLatency final : public Experiment
                 .cell(formatNum(r.requestsPerSec(), 0))
                 .cell(formatNum(r.p50Ms, 3))
                 .cell(formatNum(r.p99Ms, 3))
-                .numInt(static_cast<long long>(r.latticeRuns))
-                .numInt(static_cast<long long>(r.crossConnRuns))
                 .cell(base > 0.0
                           ? formatNum(r.requestsPerSec() / base, 2) +
                                 "x"
@@ -570,9 +434,6 @@ class ServeLatency final : public Experiment
                   << formatNum(fanSpeedup64, 2) << "x\n";
 
         TextTable summary({"metric", "value"});
-        summary.row().cell("clients per window").numInt(kClients);
-        summary.row().cell("windows per mode").numInt(windows);
-        summary.row().cell("micro-batch speedup").num(speedup, 3);
         summary.row()
             .cell("tcp fan-in speedup at 64 clients")
             .num(fanSpeedup64, 3);

@@ -4,7 +4,7 @@
  * source contracts"). Four families:
  *
  *  - determinism: the repo's headline guarantee is bitwise-identical
- *    output across thread counts, batching modes, transports, and the
+ *    output across thread counts, transports, and the
  *    scalar/SIMD lattice paths. Ambient randomness and unordered-
  *    container iteration order are the two classic ways an edit
  *    breaks that silently.
@@ -636,10 +636,11 @@ class ServeNoThrow : public LintRule
 HARMONIA_REGISTER_LINT_RULE(ServeNoThrow)
 
 /**
- * The reactor waits out coalescing windows of a few microseconds.
- * poll() and epoll_wait() take their timeout in whole milliseconds,
- * so a wait through them rounds every window up to 1 ms — the
- * latency floor harmoniad once had. select() goes with them: it is
+ * The reactor keeps its deadlines to the microsecond. poll() and
+ * epoll_wait() take their timeout in whole milliseconds, so a timed
+ * wait through them rounds up to 1 ms — the latency floor harmoniad
+ * once had, when it waited out a coalescing window that way.
+ * select() goes with them: it is
  * capped at FD_SETSIZE descriptors, and the reactor has exactly one
  * wait, ppoll(). The load client (tools/harmonia_client.cpp) is not
  * the reactor and stays out of scope.
@@ -682,7 +683,7 @@ class ServePreciseTimeout : public LintRule
                         std::string(tok) +
                             "(): the reactor waits only in ppoll(); "
                             "millisecond timeouts round its "
-                            "microsecond coalescing window up to 1 ms",
+                            "microsecond deadlines up to 1 ms",
                         "wait with ppoll() and a timespec from "
                         "wakeTimeout() (src/serve/wake.hh)"));
                     break;

@@ -73,24 +73,11 @@ ServiceMetrics::record(Verb verb, bool ok, double micros)
 }
 
 void
-ServiceMetrics::recordEvaluate(uint64_t latticeRuns, uint64_t coalesced,
-                               uint64_t pointsComputed,
-                               uint64_t duplicates)
+ServiceMetrics::recordEvaluate(uint64_t pointsComputed, uint64_t duplicates)
 {
-    latticeRuns_ += latticeRuns;
-    coalescedRequests_ += coalesced;
+    ++latticeRuns_;
     pointsComputed_ += pointsComputed;
     duplicatePoints_ += duplicates;
-}
-
-void
-ServiceMetrics::recordCrossConnectionFusion(uint64_t connections,
-                                            uint64_t requests)
-{
-    ++crossConnRuns_;
-    crossConnRequests_ += requests;
-    if (connections > maxConnectionsFused_)
-        maxConnectionsFused_ = connections;
 }
 
 JsonValue
@@ -128,24 +115,19 @@ ServiceMetrics::toJson() const
         {"verbs", std::move(verbs)},
         {"malformed_lines",
          JsonValue(static_cast<int64_t>(malformedLines_))},
+        // The block and its keys predate the removal of the point store
+        // and of request fusion; they stay for perfbench, which reads
+        // them. `points_from_cache` counts in-request duplicates, and
+        // no request shares a lattice run any more.
         {"batching",
          JsonValue::object({
              {"lattice_runs",
               JsonValue(static_cast<int64_t>(latticeRuns_))},
-             {"coalesced_requests",
-              JsonValue(static_cast<int64_t>(coalescedRequests_))},
+             {"coalesced_requests", JsonValue(int64_t{0})},
              {"points_computed",
               JsonValue(static_cast<int64_t>(pointsComputed_))},
-             // The key predates the removal of the point store; it
-             // now counts within-group duplicates.
              {"points_from_cache",
               JsonValue(static_cast<int64_t>(duplicatePoints_))},
-             {"cross_connection_runs",
-              JsonValue(static_cast<int64_t>(crossConnRuns_))},
-             {"cross_connection_requests",
-              JsonValue(static_cast<int64_t>(crossConnRequests_))},
-             {"max_connections_fused",
-              JsonValue(static_cast<int64_t>(maxConnectionsFused_))},
          })},
         {"transport", transport_.toJson()},
     });

@@ -15,7 +15,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -56,8 +55,13 @@ nowMicros()
         .count();
 }
 
-/** The hard cap on the adaptive coalescing window. */
-constexpr int kMaxWindowMicros = 2000;
+/**
+ * Bytes one wake-up reads from one connection, in kReadChunkBytes
+ * reads. Bounding it keeps the replies one wake-up queues for a
+ * pipelining client to what this much request text asks for.
+ */
+constexpr size_t kReadChunkBytes = 4096;
+constexpr size_t kReadBudgetBytes = 16 * kReadChunkBytes;
 
 /** Re-check period while draining toward shutdown. */
 constexpr long long kDrainTickMicros = 10000;
@@ -231,7 +235,6 @@ Server::start()
         conn->fd = options_.stdioReadFd;
         conn->outFd = options_.stdioWriteFd;
         conn->stdio = true;
-        conn->id = 0;
         conn->lastActivityMicros = nowMicros();
         setNonBlocking(conn->fd);
         conns_.push_back(std::move(conn));
@@ -264,11 +267,6 @@ Server::allocConnSlot()
     for (size_t i = 0; i < conns_.size(); ++i) {
         Conn &conn = *conns_[i];
         if (conn.fd >= 0 || conn.stdio || conn.unsentBytes() != 0)
-            continue;
-        const bool referenced = std::any_of(
-            pending_.begin(), pending_.end(),
-            [&](const PendingLine &p) { return p.conn == i; });
-        if (referenced)
             continue;
         conn = Conn{};
         return i;
@@ -350,20 +348,26 @@ Server::acceptClients(int listenFd, bool tcp)
         conn.fd = fd;
         conn.outFd = fd;
         conn.tcp = tcp;
-        conn.id = nextConnId_++;
         conn.lastActivityMicros = nowMicros();
         service_.metricsMut().transport().onAccept();
     }
 }
 
 void
-Server::readConn(size_t idx)
+Server::serveLine(Conn &conn, const std::string &line)
 {
-    Conn &conn = *conns_[idx];
+    conn.outBuf += service_.processLine(line);
+    conn.outBuf += '\n';
+}
+
+void
+Server::readConn(Conn &conn)
+{
     if (conn.fd < 0)
         return;
-    char buf[4096];
-    while (true) {
+    char buf[kReadChunkBytes];
+    size_t budget = kReadBudgetBytes;
+    while (budget > 0) {
         const ssize_t n = read(conn.fd, buf, sizeof(buf));
         if (n < 0) {
             if (errno == EINTR)
@@ -377,6 +381,7 @@ Server::readConn(size_t idx)
             conn.eof = true;
             break;
         }
+        budget -= std::min(budget, static_cast<size_t>(n));
         conn.inBuf.append(buf, static_cast<size_t>(n));
         conn.lastActivityMicros = nowMicros();
         // A single line larger than the request cap would otherwise
@@ -399,6 +404,16 @@ Server::readConn(size_t idx)
 
     size_t start = 0;
     while (true) {
+        // A peer whose replies pile up past the write cap even after a
+        // flush is shed now, before they grow any further.
+        if (!conn.stdio &&
+            conn.unsentBytes() > options_.maxWriteBufferBytes) {
+            flushConn(conn);
+            if (conn.unsentBytes() > options_.maxWriteBufferBytes) {
+                closeConn(conn, CloseReason::BackpressureShed);
+                return;
+            }
+        }
         const size_t nl = conn.inBuf.find('\n', start);
         if (nl == std::string::npos)
             break;
@@ -410,17 +425,18 @@ Server::readConn(size_t idx)
             conn.oversized = false; // Resynchronized; drop the tail.
             continue;
         }
-        if (line.empty())
-            continue;
-        pending_.push_back(PendingLine{idx, std::move(line)});
+        if (!line.empty())
+            serveLine(conn, line);
     }
     conn.inBuf.erase(0, start);
 
     // A final unterminated line at EOF still counts as a request.
     if (conn.eof && !conn.inBuf.empty() && !conn.oversized) {
-        pending_.push_back(PendingLine{idx, std::move(conn.inBuf)});
+        serveLine(conn, conn.inBuf);
         conn.inBuf.clear();
     }
+    flushConn(conn);
+    enforceWriteCap(conn);
 }
 
 void
@@ -485,72 +501,12 @@ Server::evictIdle(long long nowUs)
     }
 }
 
-int
-Server::currentWindowMicros() const
-{
-    if (options_.coalesceMicros >= 0)
-        return options_.coalesceMicros;
-    // Adaptive: hold new arrivals for a fraction of the recent batch
-    // service time — long enough that requests racing a lattice run
-    // join the next batch, short enough to be invisible next to one.
-    const int window = static_cast<int>(serviceEwmaMicros_ / 8.0);
-    return std::min(kMaxWindowMicros, std::max(0, window));
-}
-
-void
-Server::processPending()
-{
-    if (pending_.empty())
-        return;
-    std::vector<PendingLine> batch;
-    batch.swap(pending_);
-    windowOpen_ = false;
-
-    std::vector<std::string> lines;
-    std::vector<uint64_t> origins;
-    lines.reserve(batch.size());
-    origins.reserve(batch.size());
-    for (PendingLine &p : batch) {
-        lines.push_back(std::move(p.line));
-        origins.push_back(conns_[p.conn]->id);
-    }
-
-    const long long start = nowMicros();
-    const std::vector<std::string> responses =
-        service_.processBatch(lines, origins);
-    const double elapsed = static_cast<double>(nowMicros() - start);
-    serviceEwmaMicros_ = serviceEwmaMicros_ == 0.0
-                             ? elapsed
-                             : 0.75 * serviceEwmaMicros_ +
-                                   0.25 * elapsed;
-
-    for (size_t i = 0; i < batch.size(); ++i) {
-        Conn &conn = *conns_[batch[i].conn];
-        if (conn.outFd < 0)
-            continue; // Shed or evicted while its request was queued.
-        conn.outBuf += responses[i];
-        conn.outBuf += '\n';
-    }
-    for (const auto &conn : conns_) {
-        flushConn(*conn);
-        enforceWriteCap(*conn);
-    }
-}
-
 void
 Server::closeFinished()
 {
     for (const auto &conn : conns_) {
-        if (conn->fd >= 0 && conn->eof && conn->unsentBytes() == 0) {
-            const bool pendingInput = std::any_of(
-                pending_.begin(), pending_.end(),
-                [&](const PendingLine &p) {
-                    return conns_[p.conn].get() == conn.get();
-                });
-            if (pendingInput)
-                continue;
+        if (conn->fd >= 0 && conn->eof && conn->unsentBytes() == 0)
             closeConn(*conn, CloseReason::Disconnect);
-        }
     }
 }
 
@@ -561,26 +517,21 @@ Server::run()
         std::cerr << "harmoniad: " << s.message() << '\n';
         return 1;
     }
-    // The adaptive window is a few microseconds; the default 50 us
-    // timer slack would stretch every wake-up well past it.
-    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
-
     while (true) {
         // Drain condition: stop was requested (signal, shutdown verb,
-        // or stdio EOF) and every buffered request and response has
-        // been dealt with.
+        // or stdio EOF) and every response to a request already read
+        // has been flushed.
         const bool draining =
             stopRequested_ || service_.shutdownRequested() ||
             (options_.stdio && conns_.front()->eof);
         if (draining) {
-            processPending();
             for (const auto &conn : conns_)
                 flushConn(*conn);
             const bool flushed = std::all_of(
                 conns_.begin(), conns_.end(), [](const auto &c) {
                     return c->outFd < 0 || c->unsentBytes() == 0;
                 });
-            if (pending_.empty() && flushed)
+            if (flushed)
                 break;
         }
 
@@ -604,9 +555,11 @@ Server::run()
             Conn &conn = *conns_[i];
             if (conn.fd < 0 && conn.outFd < 0)
                 continue;
-            const bool wantIn =
-                conn.fd >= 0 && !conn.eof && !draining;
+            // A connection with unsent replies is not read from: its
+            // peer must take what it asked for before it asks again.
             const bool wantOut = conn.unsentBytes() > 0;
+            const bool wantIn =
+                conn.fd >= 0 && !conn.eof && !draining && !wantOut;
             if (conn.fd == conn.outFd) {
                 const short events =
                     static_cast<short>((wantIn ? POLLIN : 0) |
@@ -628,19 +581,11 @@ Server::run()
             }
         }
 
-        // Sleep until the earliest of: coalescing-window expiry, the
-        // nearest idle-eviction deadline, or (while draining) a short
-        // re-check tick. Idle with none of those: block indefinitely.
-        // ppoll() takes the deadline to the microsecond; a
-        // millisecond timeout would round every window up to 1 ms.
+        // Sleep until the nearest idle-eviction deadline or (while
+        // draining) a short re-check tick. Idle with neither: block
+        // indefinitely. ppoll() takes the deadline to the microsecond.
         const long long pollStart = nowMicros();
         long long wakeAtUs = -1;
-        auto considerWake = [&](long long t) {
-            if (wakeAtUs < 0 || t < wakeAtUs)
-                wakeAtUs = t;
-        };
-        if (windowOpen_)
-            considerWake(windowDeadlineMicros_);
         if (options_.idleTimeoutMillis > 0) {
             const long long limitUs =
                 static_cast<long long>(options_.idleTimeoutMillis) *
@@ -648,7 +593,9 @@ Server::run()
             for (const auto &conn : conns_) {
                 if (conn->stdio || conn->fd < 0)
                     continue;
-                considerWake(conn->lastActivityMicros + limitUs);
+                const long long t = conn->lastActivityMicros + limitUs;
+                if (wakeAtUs < 0 || t < wakeAtUs)
+                    wakeAtUs = t;
             }
         }
         timespec timeout{};
@@ -686,22 +633,11 @@ Server::run()
                     enforceWriteCap(*conns_[ci]);
                 }
                 if (revents & (POLLIN | POLLHUP | POLLERR))
-                    readConn(ci);
+                    readConn(*conns_[ci]);
             }
         }
 
         evictIdle(nowMicros());
-
-        if (!pending_.empty() && !windowOpen_) {
-            windowOpen_ = true;
-            windowDeadlineMicros_ =
-                nowMicros() + currentWindowMicros();
-        }
-        if (windowOpen_ &&
-            (nowMicros() >= windowDeadlineMicros_ || draining ||
-             stopRequested_))
-            processPending();
-
         closeFinished();
     }
 

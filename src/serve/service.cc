@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <tuple>
 
 #include "harmonia/core/governor_registry.hh"
 #include "harmonia/core/oracle.hh"
@@ -117,26 +116,6 @@ evaluateResponse(const JsonValue &id, const EvaluateParams &p,
         w.key("device").string(sweep.device().name());
     return w.endObject().endObject().take();
 }
-
-/** One request line moving through processBatch. */
-struct Service::Pending
-{
-    JsonValue id;
-    Request req;
-    uint64_t origin = 0; ///< Transport connection id (stats only).
-    bool parsed = false;
-    bool done = false;
-    std::string response;
-};
-
-/** Evaluate requests fused into one lattice run. */
-struct Service::EvalGroup
-{
-    DeviceState *dev = nullptr;
-    const KernelProfile *profile = nullptr;
-    int iteration = 0;
-    std::vector<size_t> members; ///< Indices into the pending vector.
-};
 
 /**
  * Everything the service holds per device: the model, its sweep
@@ -254,128 +233,36 @@ Service::validateEvaluate(const DeviceState &dev,
     return Status::okStatus();
 }
 
-void
-Service::runEvalGroup(EvalGroup &group, std::vector<Pending> &pending)
+Result<std::string>
+Service::runEvaluate(const JsonValue &id, const EvaluateParams &p)
 {
-    const auto start = Clock::now();
-    DeviceState &dev = *group.dev;
-    const KernelProfile &profile = *group.profile;
-    const int iteration = group.iteration;
-    const auto latticeSize =
-        static_cast<uint32_t>(dev.sweep.configs().size());
+    Result<DeviceState *> devResult = resolveDevice(p.device);
+    if (!devResult.ok())
+        return devResult.status();
+    DeviceState &dev = *devResult.value();
+    ++dev.requests;
+    if (const Status valid = validateEvaluate(dev, p); !valid.ok())
+        return valid;
 
-    // Every point the group asks for, duplicates included (a
-    // full-lattice request asks for each slot once), then their sorted
-    // union: one lattice run computes it, and nothing is kept.
+    // Every point the request asks for, duplicates included, then
+    // their sorted union: one lattice run computes it, and nothing is
+    // kept.
     std::vector<uint32_t> slots;
-    for (const size_t idx : group.members) {
-        const EvaluateParams &p = pending[idx].req.evaluate;
-        if (p.fullLattice) {
-            for (uint32_t slot = 0; slot < latticeSize; ++slot)
-                slots.push_back(slot);
-        } else {
-            for (const HardwareConfig &cfg : p.configs)
-                slots.push_back(
-                    static_cast<uint32_t>(dev.sweep.indexOf(cfg)));
-        }
+    if (p.fullLattice) {
+        slots.resize(dev.sweep.configs().size());
+        std::iota(slots.begin(), slots.end(), uint32_t{0});
+    } else {
+        for (const HardwareConfig &cfg : p.configs)
+            slots.push_back(static_cast<uint32_t>(dev.sweep.indexOf(cfg)));
     }
     const size_t requested = slots.size();
     std::sort(slots.begin(), slots.end());
     slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
 
     const std::vector<KernelResult> points =
-        dev.sweep.run(profile, iteration, slots);
-
-    for (const size_t idx : group.members) {
-        Pending &p = pending[idx];
-        p.response =
-            evaluateResponse(p.id, p.req.evaluate, dev.sweep, slots, points);
-        p.done = true;
-    }
-
-    const double elapsed = microsSince(start);
-    for (size_t i = 0; i < group.members.size(); ++i)
-        metrics_.record(Verb::Evaluate, true, elapsed);
-    metrics_.recordEvaluate(
-        1, group.members.size() > 1 ? group.members.size() : 0,
-        slots.size(), requested - slots.size());
-
-    // Fan-in accounting: how many distinct transport connections fed
-    // this fused group. Purely observational (stats verb).
-    if (group.members.size() > 1) {
-        std::vector<uint64_t> origins;
-        origins.reserve(group.members.size());
-        for (const size_t idx : group.members)
-            origins.push_back(pending[idx].origin);
-        std::sort(origins.begin(), origins.end());
-        origins.erase(std::unique(origins.begin(), origins.end()),
-                      origins.end());
-        if (origins.size() > 1)
-            metrics_.recordCrossConnectionFusion(
-                origins.size(), group.members.size());
-    }
-}
-
-void
-Service::runEvaluates(std::vector<Pending> &pending)
-{
-    // Group evaluate requests by (device, kernel, iteration). With
-    // batching disabled every request forms its own group, so each
-    // pays its own runLattice hoist — the comparison baseline.
-    std::vector<EvalGroup> groups;
-    std::map<std::tuple<std::string, std::string, int>, size_t>
-        groupIndex;
-    for (size_t i = 0; i < pending.size(); ++i) {
-        Pending &p = pending[i];
-        if (!p.parsed || p.done || p.req.verb != Verb::Evaluate)
-            continue;
-        Result<DeviceState *> dev = resolveDevice(p.req.evaluate.device);
-        if (!dev.ok()) {
-            p.response = makeErrorResponse(p.id, dev.status());
-            p.done = true;
-            metrics_.record(Verb::Evaluate, false, 0.0);
-            continue;
-        }
-        DeviceState &state = *dev.value();
-        ++state.requests;
-        const Status valid = validateEvaluate(state, p.req.evaluate);
-        if (!valid.ok()) {
-            p.response = makeErrorResponse(p.id, valid);
-            p.done = true;
-            metrics_.record(Verb::Evaluate, false, 0.0);
-            continue;
-        }
-        const KernelProfile *profile = findKernel(p.req.evaluate.kernel);
-        if (options_.batching) {
-            const std::tuple<std::string, std::string, int> key{
-                state.device.name(), p.req.evaluate.kernel,
-                p.req.evaluate.iteration};
-            const auto it = groupIndex.find(key);
-            if (it != groupIndex.end()) {
-                groups[it->second].members.push_back(i);
-                continue;
-            }
-            groupIndex.emplace(key, groups.size());
-        }
-        groups.push_back(EvalGroup{&state, profile,
-                                   p.req.evaluate.iteration, {i}});
-    }
-
-    for (EvalGroup &group : groups) {
-        try {
-            runEvalGroup(group, pending);
-        } catch (...) {
-            const Status status = statusFromCurrentException();
-            for (const size_t idx : group.members) {
-                Pending &p = pending[idx];
-                if (p.done)
-                    continue;
-                p.response = makeErrorResponse(p.id, status);
-                p.done = true;
-                metrics_.record(Verb::Evaluate, false, 0.0);
-            }
-        }
-    }
+        dev.sweep.run(*findKernel(p.kernel), p.iteration, slots);
+    metrics_.recordEvaluate(slots.size(), requested - slots.size());
+    return evaluateResponse(id, p, dev.sweep, slots, points);
 }
 
 Status
@@ -400,6 +287,9 @@ Service::buildGovernor(DeviceState &dev, const std::string &name)
     GovernorSpec spec;
     spec.device = &dev.device;
     spec.predictor = dev.predictor ? &*dev.predictor : nullptr;
+    // Coarse-grain targets come from this device's own axes; the
+    // defaults are hd7970 MHz, off-lattice on other parts.
+    spec.harmonia = harmoniaOptionsFor(dev.device.space());
 
     Result<std::unique_ptr<Governor>> governor =
         makeGovernor(name, spec);
@@ -606,7 +496,6 @@ Service::statsJson() const
          JsonValue(static_cast<int64_t>(sessions_.size()))},
         {"trained", JsonValue(defaultDevice_->predictor.has_value())},
         {"jobs", JsonValue(options_.jobs)},
-        {"batching", JsonValue(options_.batching)},
     });
 
     // Per-device breakdown: every registered name, plus live counters
@@ -641,101 +530,57 @@ Service::statsJson() const
     return out;
 }
 
-std::vector<std::string>
-Service::processBatch(const std::vector<std::string> &lines)
-{
-    return processBatch(lines, {});
-}
-
-std::vector<std::string>
-Service::processBatch(const std::vector<std::string> &lines,
-                      const std::vector<uint64_t> &origins)
-{
-    std::vector<Pending> pending(lines.size());
-
-    for (size_t i = 0; i < lines.size(); ++i) {
-        Pending &p = pending[i];
-        if (i < origins.size())
-            p.origin = origins[i];
-        if (lines[i].size() > options_.maxRequestBytes) {
-            p.response = makeErrorResponse(
-                p.id, Status::resourceExhausted(
-                          "request line exceeds " +
-                          std::to_string(options_.maxRequestBytes) +
-                          " bytes"));
-            p.done = true;
-            metrics_.recordMalformed();
-            continue;
-        }
-        Result<Request> req = parseRequest(lines[i], &p.id);
-        if (!req.ok()) {
-            p.response = makeErrorResponse(p.id, req.status());
-            p.done = true;
-            metrics_.recordMalformed();
-            continue;
-        }
-        p.req = std::move(req.value());
-        p.parsed = true;
-    }
-
-    // Evaluate requests first: the micro-batcher fuses them across
-    // the whole window. They share no state with the other verbs, so
-    // reordering cannot change any response.
-    runEvaluates(pending);
-
-    // Everything else runs serially in input order (govern sessions
-    // are stateful; their evolution must follow the request stream).
-    for (Pending &p : pending) {
-        if (!p.parsed || p.done)
-            continue;
-        const auto start = Clock::now();
-        const Verb verb = p.req.verb;
-        Result<std::string> reply = std::string();
-        try {
-            switch (verb) {
-              case Verb::Govern:
-                reply = treeReply(p.id, verb, runGovern(p.req.govern));
-                break;
-              case Verb::Sweep:
-                reply = runSweep(p.id, p.req.sweep);
-                break;
-              case Verb::Stats:
-                reply = makeResultResponse(p.id, verb, statsJson());
-                break;
-              case Verb::Ping:
-                reply = makeResultResponse(
-                    p.id, verb,
-                    JsonValue::object({{"pong", JsonValue(true)}}));
-                break;
-              case Verb::Shutdown:
-                shutdownRequested_ = true;
-                reply = makeResultResponse(
-                    p.id, verb,
-                    JsonValue::object({{"draining", JsonValue(true)}}));
-                break;
-              case Verb::Evaluate:
-                break; // Handled above.
-            }
-        } catch (...) {
-            reply = statusFromCurrentException();
-        }
-        p.response = reply.ok() ? std::move(reply.value())
-                                : makeErrorResponse(p.id, reply.status());
-        metrics_.record(verb, reply.ok(), microsSince(start));
-        p.done = true;
-    }
-
-    std::vector<std::string> responses;
-    responses.reserve(pending.size());
-    for (Pending &p : pending)
-        responses.push_back(std::move(p.response));
-    return responses;
-}
-
 std::string
 Service::processLine(const std::string &line)
 {
-    return processBatch({line}).front();
+    JsonValue id;
+    if (line.size() > options_.maxRequestBytes) {
+        metrics_.recordMalformed();
+        return makeErrorResponse(
+            id, Status::resourceExhausted(
+                    "request line exceeds " +
+                    std::to_string(options_.maxRequestBytes) + " bytes"));
+    }
+    Result<Request> parsed = parseRequest(line, &id);
+    if (!parsed.ok()) {
+        metrics_.recordMalformed();
+        return makeErrorResponse(id, parsed.status());
+    }
+    const Request &req = parsed.value();
+
+    const auto start = Clock::now();
+    Result<std::string> reply = std::string();
+    try {
+        switch (req.verb) {
+          case Verb::Evaluate:
+            reply = runEvaluate(id, req.evaluate);
+            break;
+          case Verb::Govern:
+            reply = treeReply(id, req.verb, runGovern(req.govern));
+            break;
+          case Verb::Sweep:
+            reply = runSweep(id, req.sweep);
+            break;
+          case Verb::Stats:
+            reply = makeResultResponse(id, req.verb, statsJson());
+            break;
+          case Verb::Ping:
+            reply = makeResultResponse(
+                id, req.verb, JsonValue::object({{"pong", JsonValue(true)}}));
+            break;
+          case Verb::Shutdown:
+            shutdownRequested_ = true;
+            reply = makeResultResponse(
+                id, req.verb,
+                JsonValue::object({{"draining", JsonValue(true)}}));
+            break;
+        }
+    } catch (...) {
+        reply = statusFromCurrentException();
+    }
+    metrics_.record(req.verb, reply.ok(), microsSince(start));
+    return reply.ok() ? std::move(reply.value())
+                      : makeErrorResponse(id, reply.status());
 }
 
 } // namespace harmonia::serve

@@ -1,8 +1,8 @@
 /**
  * @file
  * The reactor's sleep bound: how long one ppoll() pass of
- * harmoniad's event loop may block, at the precision of the
- * coalescing window it is waiting out.
+ * harmoniad's event loop may block, to the microsecond of the
+ * deadline it is waiting for.
  *
  * Serve-internal (not part of the facade); split out of server.cc so
  * the deadline arithmetic can be unit-tested without a socket.
@@ -19,8 +19,8 @@ namespace harmonia::serve
 /**
  * The ppoll() timeout for one reactor pass that starts at @p nowUs.
  *
- * @param wakeAtUs the earliest deadline (coalescing-window expiry or
- *        idle eviction) on the same monotonic clock, or <0 for none.
+ * @param wakeAtUs the earliest idle-eviction deadline on the same
+ *        monotonic clock, or <0 for none.
  * @param draining the loop is draining toward shutdown; it re-checks
  *        on a fixed 10 ms tick regardless of deadlines.
  * @param storage receives the timeout when one applies.

@@ -322,7 +322,7 @@ TEST(LintRules, ServeNoThrowCoversServingTools)
 }
 
 // A millisecond-granularity wait in the serving layer rounds the
-// reactor's microsecond coalescing window up to 1 ms.
+// reactor's microsecond deadlines up to 1 ms.
 TEST(LintRules, ServePreciseTimeoutFires)
 {
     const Project p =

@@ -2,10 +2,10 @@
  * @file
  * Serving determinism: an identical request stream must yield
  * byte-identical response bodies regardless of worker count (--jobs 1
- * vs --jobs 8), micro-batching on/off, and how the stream is cut into
- * coalescing windows. This is the wire-level corollary of the factored
- * evaluator's bitwise guarantee (tests/test_sweep_determinism.cpp):
- * nothing about scheduling may leak into what a client observes.
+ * vs --jobs 8) and of how the transport cuts the stream into reads.
+ * This is the wire-level corollary of the factored evaluator's bitwise
+ * guarantee (tests/test_sweep_determinism.cpp): nothing about
+ * scheduling may leak into what a client observes.
  *
  * The `stats` verb is deliberately absent from the stream — it reports
  * wall-clock latencies and is the protocol's one sanctioned source of
@@ -14,8 +14,8 @@
  * The transport tests extend the contract through the reactor: the
  * same stream pushed through a real Server over stdio pipes, a
  * Unix-domain socket, and TCP must come back byte-identical to the
- * in-process Service replay — transport framing, coalescing windows,
- * and connection plumbing leak nothing.
+ * in-process Service replay — transport framing, read boundaries and
+ * connection plumbing leak nothing.
  */
 
 #include "harmonia/serve/service.hh"
@@ -68,7 +68,7 @@ requestStream(const ConfigSweep &sweep)
     };
 
     // Overlapping evaluate slices against a few (kernel, iteration)
-    // invocations — the coalescer's dedup path.
+    // invocations.
     for (int r = 0; r < 12; ++r) {
         const std::string &kid = kernelIds[(r / 4) % kernelIds.size()];
         JsonValue cfgs = JsonValue::array();
@@ -98,8 +98,8 @@ requestStream(const ConfigSweep &sweep)
         }
     }
 
-    // One full sweep (memoizes the lattice) then a full-lattice
-    // evaluate that must be served from the same memo.
+    // One full sweep, then a full-lattice evaluate of the same
+    // invocation.
     push(JsonValue::object({
         {"schema", JsonValue(kRequestSchema)},
         {"verb", JsonValue("sweep")},
@@ -128,28 +128,16 @@ requestStream(const ConfigSweep &sweep)
     return lines;
 }
 
-/** Run @p lines through a fresh service, cut into windows of
- * @p windowSize requests. */
+/** Answer requestStream() line by line in a fresh service. */
 std::vector<std::string>
-replay(int jobs, bool batching, size_t windowSize)
+replay(int jobs)
 {
     ServiceOptions opt;
     opt.jobs = jobs;
-    opt.batching = batching;
     Service service(opt);
-    const std::vector<std::string> lines =
-        requestStream(service.sweep());
-
     std::vector<std::string> responses;
-    for (size_t begin = 0; begin < lines.size();
-         begin += windowSize) {
-        const size_t end =
-            std::min(begin + windowSize, lines.size());
-        const std::vector<std::string> window(
-            lines.begin() + begin, lines.begin() + end);
-        for (std::string &r : service.processBatch(window))
-            responses.push_back(std::move(r));
-    }
+    for (const std::string &line : requestStream(service.sweep()))
+        responses.push_back(service.processLine(line));
     return responses;
 }
 
@@ -232,15 +220,16 @@ connectTcp(int port)
 /**
  * Push requestStream() through a real reactor over @p mode ("stdio",
  * "unix", or "tcp") on one connection and return the response lines in
- * request order. The server runs on a thread inside this process; the
- * test plays the client.
+ * request order. The stream goes out in writes of @p chunkBytes (0 =
+ * one write), so the reactor's reads cut lines at arbitrary points.
+ * The server runs on a thread inside this process; the test plays the
+ * client.
  */
 std::vector<std::string>
-transportReplay(const std::string &mode, bool batching)
+transportReplay(const std::string &mode, size_t chunkBytes = 0)
 {
     ServiceOptions opt;
     opt.jobs = 2;
-    opt.batching = batching;
     Service service(opt);
     const std::vector<std::string> lines =
         requestStream(service.sweep());
@@ -289,7 +278,9 @@ transportReplay(const std::string &mode, bool batching)
             all += l;
             all += '\n';
         }
-        sendAll(wfd, all);
+        const size_t chunk = chunkBytes == 0 ? all.size() : chunkBytes;
+        for (size_t off = 0; off < all.size(); off += chunk)
+            sendAll(wfd, all.substr(off, chunk));
         if (mode == "stdio")
             close(wfd); // EOF doubles as the shutdown request.
 
@@ -327,10 +318,9 @@ transportReplay(const std::string &mode, bool batching)
 // all return the bytes the in-process Service replay produces.
 TEST(ServeDeterminism, ResponsesIndependentOfTransport)
 {
-    const std::vector<std::string> base = replay(2, true, 1000);
+    const std::vector<std::string> base = replay(2);
     for (const char *mode : {"stdio", "unix", "tcp"}) {
-        const std::vector<std::string> got =
-            transportReplay(mode, true);
+        const std::vector<std::string> got = transportReplay(mode);
         ASSERT_EQ(base.size(), got.size()) << "transport " << mode;
         for (size_t i = 0; i < base.size(); ++i)
             EXPECT_EQ(base[i], got[i])
@@ -338,43 +328,32 @@ TEST(ServeDeterminism, ResponsesIndependentOfTransport)
     }
 }
 
-// ... and the batching toggle stays invisible through a real socket.
-TEST(ServeDeterminism, TcpResponsesIndependentOfBatching)
+// ... and so must the points where the reactor's reads cut the
+// stream: writes of a few bytes split lines across reads and wake-ups.
+TEST(ServeDeterminism, ResponsesIndependentOfReadBoundaries)
 {
-    EXPECT_EQ(transportReplay("tcp", true),
-              transportReplay("tcp", false));
+    const std::vector<std::string> base = replay(2);
+    for (const size_t chunk : {size_t{1}, size_t{7}, size_t{4093}}) {
+        const std::vector<std::string> got = transportReplay("unix", chunk);
+        ASSERT_EQ(base.size(), got.size()) << "chunk " << chunk;
+        for (size_t i = 0; i < base.size(); ++i)
+            EXPECT_EQ(base[i], got[i])
+                << "chunk " << chunk << ", response " << i;
+    }
 }
 
 TEST(ServeDeterminism, ResponsesIndependentOfWorkerCount)
 {
-    const std::vector<std::string> serial = replay(1, true, 8);
-    const std::vector<std::string> parallel = replay(8, true, 8);
+    const std::vector<std::string> serial = replay(1);
+    const std::vector<std::string> parallel = replay(8);
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]) << "response " << i;
 }
 
-TEST(ServeDeterminism, ResponsesIndependentOfBatching)
-{
-    const std::vector<std::string> batched = replay(4, true, 8);
-    const std::vector<std::string> unbatched = replay(4, false, 8);
-    ASSERT_EQ(batched.size(), unbatched.size());
-    for (size_t i = 0; i < batched.size(); ++i)
-        EXPECT_EQ(batched[i], unbatched[i]) << "response " << i;
-}
-
-TEST(ServeDeterminism, ResponsesIndependentOfWindowBoundaries)
-{
-    const std::vector<std::string> one = replay(2, true, 1);
-    const std::vector<std::string> big = replay(2, true, 1000);
-    ASSERT_EQ(one.size(), big.size());
-    for (size_t i = 0; i < one.size(); ++i)
-        EXPECT_EQ(one[i], big[i]) << "response " << i;
-}
-
 TEST(ServeDeterminism, RepeatRunsAreByteIdentical)
 {
-    EXPECT_EQ(replay(8, true, 8), replay(8, true, 8));
+    EXPECT_EQ(replay(8), replay(8));
 }
 
 } // namespace

@@ -7,7 +7,9 @@
  * per-device cache partitioning. Device-less streams stay
  * byte-identical to the pre-registry protocol (no `device` member is
  * ever added to their responses). On every device, each double in a
- * reply carries the exact bits of GpuDevice::run().
+ * reply carries the exact bits of GpuDevice::run(), every
+ * predictor-driven governor steps, and an evaluate computes a config
+ * it names twice only once.
  */
 
 #include "harmonia/serve/service.hh"
@@ -48,15 +50,13 @@ request(const char *verb)
     });
 }
 
-/** Process one request line and parse the one response. */
+/** Process one request line and parse the response. */
 JsonValue
 roundTrip(Service &service, const JsonValue &req)
 {
-    const std::vector<std::string> responses =
-        service.processBatch({req.dump()});
-    EXPECT_EQ(responses.size(), 1u);
-    Result<JsonValue> doc = parseJson(responses.front());
-    EXPECT_TRUE(doc.ok()) << responses.front();
+    const std::string response = service.processLine(req.dump());
+    Result<JsonValue> doc = parseJson(response);
+    EXPECT_TRUE(doc.ok()) << response;
     return doc.ok() ? doc.value() : JsonValue();
 }
 
@@ -245,7 +245,8 @@ TEST(ServeDevice, ExplicitDefaultNameKeepsResponsesByteIdentical)
     sweep.set("top", JsonValue(3));
     lines.push_back(sweep.dump());
 
-    EXPECT_EQ(a.processBatch(lines), b.processBatch(lines));
+    for (const std::string &line : lines)
+        EXPECT_EQ(a.processLine(line), b.processLine(line));
 }
 
 /** Bit-exact double comparison (parsed wire value vs model value). */
@@ -297,8 +298,7 @@ TEST(ServeDevice, RepliesCarryTheExactBitsOfRun)
                 list.push(configToJson(cfg));
             req.set("configs", std::move(list));
 
-            const std::string reply =
-                service.processBatch({req.dump()}).front();
+            const std::string reply = service.processLine(req.dump());
             Result<JsonValue> doc = parseJson(reply);
             ASSERT_TRUE(doc.ok()) << reply;
             EXPECT_EQ(doc.value().dump(), reply);
@@ -336,13 +336,73 @@ TEST(ServeDevice, RepliesCarryTheExactBitsOfRun)
                   JsonValue(kernels[rng() % kernels.size()].id()));
         sweep.set("device", JsonValue(name));
         sweep.set("top", JsonValue(5));
-        const std::string reply =
-            service.processBatch({sweep.dump()}).front();
+        const std::string reply = service.processLine(sweep.dump());
         Result<JsonValue> doc = parseJson(reply);
         ASSERT_TRUE(doc.ok()) << reply;
         EXPECT_TRUE(isOk(doc.value())) << reply;
         EXPECT_EQ(doc.value().dump(), reply);
     }
+}
+
+// Every predictor-driven governor steps on every device: the
+// coarse-grain targets come from the session's own lattice, not from
+// hd7970's MHz.
+TEST(ServeDevice, HarmoniaFamilyGovernsEveryDevice)
+{
+    Service service(ServiceOptions{});
+    for (const char *device : {"hd7970", "hbm-stacked", "ampere-ga100"}) {
+        for (const char *governor :
+             {"harmonia", "cg", "fg+cg", "freq-only"}) {
+            SCOPED_TRACE(std::string(governor) + " on " + device);
+            for (int iteration = 0; iteration < 3; ++iteration) {
+                JsonValue step = request("govern");
+                step.set("session", JsonValue(std::string(governor) +
+                                              "@" + device));
+                step.set("governor", JsonValue(governor));
+                step.set("device", JsonValue(device));
+                step.set("kernel", JsonValue(firstKernelId()));
+                step.set("iteration", JsonValue(iteration));
+                const JsonValue resp = roundTrip(service, step);
+                ASSERT_TRUE(isOk(resp)) << resp.dump();
+                EXPECT_EQ(resp.find("result")->find("steps")->asInt(),
+                          iteration + 1);
+            }
+        }
+    }
+}
+
+// An evaluate runs the sorted union of the slots it names: a config
+// named three times is computed once, and the repeats are counted
+// under `points_from_cache` (a key that predates the removal of the
+// point store, kept for perfbench). Nothing is kept between requests.
+// The suite keeps its historical name, so the test id stays stable.
+TEST(PointCache, RepeatedConfigIsComputedOnceAndCountedAsColdHit)
+{
+    Service service(ServiceOptions{});
+    const std::vector<HardwareConfig> &lattice =
+        service.sweep().configs();
+    JsonValue req = request("evaluate");
+    req.set("kernel", JsonValue(firstKernelId()));
+    req.set("configs",
+            JsonValue::array({configToJson(lattice[3]),
+                              configToJson(lattice[40]),
+                              configToJson(lattice[3]),
+                              configToJson(lattice[3])}));
+    const auto counters = [&] {
+        const JsonValue stats = roundTrip(service, request("stats"));
+        const JsonValue *b =
+            stats.find("result")->find("metrics")->find("batching");
+        return std::vector<int64_t>{
+            b->find("lattice_runs")->asInt(),
+            b->find("points_computed")->asInt(),
+            b->find("points_from_cache")->asInt(),
+            b->find("coalesced_requests")->asInt()};
+    };
+
+    ASSERT_TRUE(isOk(roundTrip(service, req)));
+    EXPECT_EQ(counters(), (std::vector<int64_t>{1, 2, 2, 0}));
+    ASSERT_TRUE(isOk(roundTrip(service, req)));
+    EXPECT_EQ(counters(), (std::vector<int64_t>{2, 4, 4, 0}));
 }
 
 } // namespace

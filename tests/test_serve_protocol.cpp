@@ -5,7 +5,7 @@
  * error reply — correct code, echoed id — and leave the service
  * serving. Covers the six cases the wire contract calls out: malformed
  * JSON, unknown verb, unknown kernel, off-lattice config, oversized
- * batch, and shutdown arriving mid-batch.
+ * config list, and shutdown arriving mid-stream.
  */
 
 #include "harmonia/serve/service.hh"
@@ -196,10 +196,10 @@ TEST_F(ServeProtocolTest, ShutdownMidBatchStillAnswersEveryRequest)
         evaluateLine(3, kKernel, JsonValue::array({onLattice()})),
         pingLine(4),
     };
-    const std::vector<std::string> replies =
-        service_.processBatch(lines);
-    ASSERT_EQ(replies.size(), lines.size());
-    // Every in-flight request gets a reply, in input order, and the
+    std::vector<std::string> replies;
+    for (const std::string &line : lines)
+        replies.push_back(service_.processLine(line));
+    // Every request already read gets a reply, in input order, and the
     // drain flag is raised for the server loop to act on.
     for (size_t i = 0; i < replies.size(); ++i) {
         EXPECT_TRUE(isOk(replies[i])) << replies[i];
@@ -211,15 +211,15 @@ TEST_F(ServeProtocolTest, ShutdownMidBatchStillAnswersEveryRequest)
 
 TEST_F(ServeProtocolTest, ErrorsDoNotPoisonTheBatch)
 {
-    // One bad line in a window must not affect its neighbours.
+    // One bad line in a stream must not affect its neighbours.
     const std::vector<std::string> lines = {
         evaluateLine(1, kKernel, JsonValue::array({onLattice()})),
         "garbage{",
         evaluateLine(3, kKernel, JsonValue::array({onLattice()})),
     };
-    const std::vector<std::string> replies =
-        service_.processBatch(lines);
-    ASSERT_EQ(replies.size(), 3u);
+    std::vector<std::string> replies;
+    for (const std::string &line : lines)
+        replies.push_back(service_.processLine(line));
     EXPECT_TRUE(isOk(replies[0]));
     EXPECT_EQ(errorCode(replies[1]), "invalid_argument");
     EXPECT_TRUE(isOk(replies[2]));

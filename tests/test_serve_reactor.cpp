@@ -9,16 +9,15 @@
  *    whole-line I/O, on both the Unix-domain and TCP transports;
  *  - idle-timeout eviction: a silent connection is closed, counted,
  *    and the listener keeps accepting;
- *  - abrupt disconnect mid-batch: a client that vanishes while its
- *    request is queued in an open coalescing window costs nothing but
- *    a disconnect tick — co-batched clients get their replies;
+ *  - abrupt disconnect mid-request: a client that vanishes before its
+ *    reply is written costs nothing but a disconnect tick — other
+ *    clients get their replies;
  *  - write backpressure: a client that requests megabytes and never
  *    reads is shed at the buffer cap, alone;
  *  - --max-connections: connects past the cap get one structured
  *    resource_exhausted reply, existing connections keep working;
- *  - wake-up precision: the reactor sleeps exactly to its coalescing
- *    deadline (wakeTimeout), so the adaptive window adds no
- *    millisecond floor to a lone client's cached round trip.
+ *  - wake-up precision: the reactor sleeps exactly to its next
+ *    deadline (wakeTimeout), never rounded to whole milliseconds.
  *
  * The transport counters these paths tick are asserted through the
  * public `stats` verb, the same way an operator would see them.
@@ -26,7 +25,6 @@
 
 #include "harmonia/serve/server.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -35,7 +33,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -159,23 +156,6 @@ evaluateAllLine(const std::string &id, const std::string &kernel)
            "\",\"id\":\"" + id +
            "\",\"verb\":\"evaluate\",\"kernel\":\"" + kernel +
            "\",\"iteration\":0,\"configs\":\"all\"}\n";
-}
-
-/** A governor-style evaluate: eight on-lattice configs of one key. */
-std::string
-evaluateSliceLine(const std::string &id, const std::string &kernel)
-{
-    std::string configs;
-    for (int i = 0; i < 8; ++i) {
-        configs += std::string(i == 0 ? "" : ",") + "{\"cu\":" +
-                   std::to_string(4 + 4 * i) + ",\"compute_mhz\":" +
-                   std::to_string(300 + 100 * i) + ",\"mem_mhz\":" +
-                   std::to_string(475 + 150 * (i % 7)) + "}";
-    }
-    return std::string("{\"schema\":\"") + kRequestSchema +
-           "\",\"id\":\"" + id +
-           "\",\"verb\":\"evaluate\",\"kernel\":\"" + kernel +
-           "\",\"iteration\":0,\"configs\":[" + configs + "]}\n";
 }
 
 /** One blocking request/response round trip on @p fd. */
@@ -379,14 +359,12 @@ TEST(ServeReactor, IdleTimeoutEvictsSilentConnection)
     close(fresh);
 }
 
-// A client that disconnects while its request sits in an open
-// coalescing window costs a disconnect tick and nothing else: the
-// co-batched client still gets its reply.
+// A client that sends a full-lattice request and disconnects before
+// its ~110 kB reply is written costs a disconnect tick and nothing
+// else: another client still gets its reply.
 TEST(ServeReactor, AbruptDisconnectMidBatchContained)
 {
-    ServerOptions sopt;
-    sopt.coalesceMicros = 100000; // A wide window the batch waits in.
-    Reactor reactor(sopt);
+    Reactor reactor(ServerOptions{});
     ASSERT_TRUE(reactor.ok());
 
     const std::string kernel = firstKernelId();
@@ -395,7 +373,7 @@ TEST(ServeReactor, AbruptDisconnectMidBatchContained)
     const int survivor = connectTcp(reactor.tcpPort());
     ASSERT_GE(survivor, 0);
 
-    // The ghost's request enters the window, then the ghost vanishes.
+    // The ghost's request is in flight when the ghost vanishes.
     ASSERT_TRUE(sendAll(ghost, evaluateAllLine("ghost", kernel)));
     close(ghost);
 
@@ -495,8 +473,8 @@ TEST(ServeReactor, MaxConnectionsRejectsWithStructuredError)
 
 // --- wake-up precision --------------------------------------------------
 
-// A coalescing window of a few microseconds sleeps for exactly that,
-// not for a millisecond.
+// A deadline a few microseconds away sleeps for exactly that, not for
+// a millisecond.
 TEST(ServeReactorWake, MicrosecondsLeftBecomeNanoseconds)
 {
     timespec ts{};
@@ -539,64 +517,6 @@ TEST(ServeReactorWake, SecondsSplitFromNanoseconds)
     ASSERT_EQ(wakeTimeout(0, 2500000, false, ts), &ts);
     EXPECT_EQ(ts.tv_sec, 2);
     EXPECT_EQ(ts.tv_nsec, 500000000);
-}
-
-/**
- * Median of 200 closed-loop round trips of one cached evaluate from a
- * lone Unix-socket client of a fresh reactor with @p sopt; <0 when a
- * request fails.
- */
-double
-medianCachedRoundTripMs(const ServerOptions &sopt)
-{
-    Reactor reactor(sopt);
-    const int fd = reactor.ok() ? connectUnix(reactor.socketPath()) : -1;
-    if (fd < 0)
-        return -1.0;
-    const std::string request = evaluateSliceLine("e", firstKernelId());
-    // The first request fills the cache and the service-time EWMA.
-    std::string reply;
-    bool ok = roundTrip(fd, request, reply) && replyOk(reply);
-    std::vector<double> ms;
-    for (int i = 0; ok && i < 200; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        ok = roundTrip(fd, request, reply) && replyOk(reply);
-        ms.push_back(std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count());
-    }
-    close(fd);
-    if (!ok)
-        return -1.0;
-    std::nth_element(ms.begin(), ms.begin() + 100, ms.end());
-    return ms[100];
-}
-
-// One client, the default adaptive window, one cached key. The window
-// is an eighth of the service time, so a round trip may exceed one
-// without a window (--coalesce-us 0) by that eighth and no more; 0.5
-// ms of slack on top covers noise. A reactor that rounded its sleep up
-// to whole milliseconds added >= 1 ms to every request, so on an
-// optimized build (~0.1 ms round trips) the bound separates the two
-// widely. Comparing against the no-window median keeps the test valid
-// on slow sanitizer builds too. The best of three attempts rides out a
-// burst of host load.
-TEST(ServeReactor, LoneClientHasNoMillisecondFloor)
-{
-    ServerOptions immediate;
-    immediate.coalesceMicros = 0;
-    double bestExcessMs = 1e9;
-    for (int attempt = 0; attempt < 3 && bestExcessMs >= 0.5;
-         ++attempt) {
-        const double adaptiveMs =
-            medianCachedRoundTripMs(ServerOptions{});
-        const double immediateMs = medianCachedRoundTripMs(immediate);
-        ASSERT_GE(adaptiveMs, 0.0);
-        ASSERT_GE(immediateMs, 0.0);
-        bestExcessMs = std::min(bestExcessMs,
-                                adaptiveMs - immediateMs * 9.0 / 8.0);
-    }
-    EXPECT_LT(bestExcessMs, 0.5);
 }
 
 } // namespace

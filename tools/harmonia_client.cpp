@@ -9,9 +9,9 @@
  * times follow the schedule regardless of response progress, like real
  * concurrent clients — and reports client-side latency percentiles,
  * throughput, and the error-reply count. Requests are dealt
- * round-robin across the connections, so consecutive requests of one
- * coalescing cohort (--group) arrive on *different* connections: the
- * fan-in pattern the daemon's cross-connection micro-batcher fuses.
+ * round-robin across the connections. Each request names its own
+ * (kernel, iteration): request i runs kernel i mod M at iteration
+ * i / M, like a governor stepping through M kernels.
  *
  * Usage:
  *   harmonia_client (--socket PATH | --tcp HOST:PORT) [options]
@@ -26,12 +26,9 @@
  *   --configs K      Lattice points per evaluate request (default 8).
  *   --kernels M      Distinct kernels to spread requests over
  *                    (default 4).
- *   --group G        Consecutive requests sharing one
- *                    (kernel, iteration) — the unit the daemon's
- *                    micro-batcher can coalesce (default 4).
  *   --device NAME    Tag requests with a registered device profile
  *                    (repeatable). One name sends the whole stream to
- *                    that device; several deal cohorts across them
+ *                    that device; several deal requests across them
  *                    round-robin — a mixed-device replay that
  *                    exercises the daemon's per-device state
  *                    (visible under "devices" in --stats). Configs are drawn from each named
@@ -46,11 +43,14 @@
  *   --quiet          Only print the summary line.
  *
  * Exit status: 0 when every request got an ok reply, 1 when any error
- * reply or transport failure occurred.
+ * reply or transport failure occurred (a daemon that closes the
+ * connection mid-stream is reported, not a SIGPIPE death), 2 on a
+ * usage error.
  */
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -85,7 +85,6 @@ struct ClientOptions
     std::string mix = "evaluate";
     int configsPerRequest = 8;
     int kernels = 4;
-    int group = 4;
     std::vector<std::string> devices; ///< Empty = no device field.
     std::string governor = "baseline";
     uint64_t seed = 1;
@@ -178,23 +177,17 @@ makeRequest(const ClientOptions &opt, Workload &w, uint64_t &rng,
         {"id", JsonValue(static_cast<int64_t>(index))},
     });
 
-    // Requests in the same cohort target the same (device, kernel,
-    // iteration) with different config subsets, so ones that arrive
-    // within a coalescing window fuse into a single lattice run.
-    // Cohorts deal round-robin across the --device list: adjacent
-    // cohorts hit different devices.
-    const int cohort = index / std::max(1, opt.group);
-    const DeviceLattice &device =
-        w.devices[static_cast<size_t>(cohort) % w.devices.size()];
-    const std::string &kernel =
-        w.kernelIds[static_cast<size_t>(cohort) % w.kernelIds.size()];
-    const int iteration =
-        cohort / static_cast<int>(w.kernelIds.size());
+    // Requests deal round-robin across the --device list and the
+    // kernels; each kernel's iteration advances once per pass.
+    const auto slot = static_cast<size_t>(index);
+    const DeviceLattice &device = w.devices[slot % w.devices.size()];
+    const std::string &kernel = w.kernelIds[slot % w.kernelIds.size()];
+    const int iteration = index / static_cast<int>(w.kernelIds.size());
     if (!device.name.empty())
         req.set("device", JsonValue(device.name));
 
     // Mixed traffic: mostly evaluates, a sprinkling of everything
-    // else — the pattern the coalescer sees in practice.
+    // else.
     int lane = 0; // evaluate
     if (opt.mix == "mixed") {
         const uint64_t roll = nextRand(rng) % 10;
@@ -273,8 +266,6 @@ parseArgs(int argc, char **argv)
                 std::max(1, std::atoi(value(i, arg).c_str()));
         else if (arg == "--kernels")
             opt.kernels = std::max(1, std::atoi(value(i, arg).c_str()));
-        else if (arg == "--group")
-            opt.group = std::max(1, std::atoi(value(i, arg).c_str()));
         else if (arg == "--device")
             opt.devices.push_back(value(i, arg));
         else if (arg == "--governor")
@@ -389,6 +380,9 @@ main(int argc, char **argv)
 {
     using Clock = std::chrono::steady_clock;
     const ClientOptions opt = parseArgs(argc, argv);
+    // A daemon that closes a connection mid-send must surface as a
+    // write() error with a reason, not as death by SIGPIPE.
+    std::signal(SIGPIPE, SIG_IGN);
 
     Workload workload;
     if (opt.devices.empty()) {
@@ -561,6 +555,10 @@ main(int argc, char **argv)
                           << (opt.requests - received)
                           << " response(s) outstanding\n";
                 return 1;
+            } else if (errno != EAGAIN && errno != EINTR) {
+                std::cerr << "harmonia_client: read(): "
+                          << std::strerror(errno) << '\n';
+                return 1;
             }
         }
     }
@@ -571,16 +569,22 @@ main(int argc, char **argv)
     const int fd0 = conns.front().fd;
     fcntl(fd0, F_SETFL, fcntl(fd0, F_GETFL, 0) & ~O_NONBLOCK);
 
+    bool roundTripsOk = true;
     auto roundTrip = [&](const std::string &line) -> std::string {
         std::string out = line + "\n";
         size_t off = 0;
         while (off < out.size()) {
             const ssize_t n = write(fd0, out.data() + off,
                                     out.size() - off);
-            if (n <= 0 && errno != EINTR)
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0) {
+                std::cerr << "harmonia_client: write(): "
+                          << std::strerror(errno) << '\n';
+                roundTripsOk = false;
                 return {};
-            if (n > 0)
-                off += static_cast<size_t>(n);
+            }
+            off += static_cast<size_t>(n);
         }
         std::string reply;
         char buf[8192];
@@ -629,5 +633,5 @@ main(int argc, char **argv)
               << (latenciesMs.empty() ? 0.0 : latenciesMs.back())
               << '\n';
 
-    return errors == 0 ? 0 : 1;
+    return errors == 0 && roundTripsOk ? 0 : 1;
 }

@@ -1,11 +1,12 @@
 /**
  * @file
- * harmoniad — the batched Harmonia evaluation daemon.
+ * harmoniad — the Harmonia evaluation daemon.
  *
  * Serves the harmonia.request/1 NDJSON protocol (docs/SERVING.md)
  * over a Unix-domain socket, a TCP listener, or stdin/stdout with
  * --stdio (the mode tests and CI pipelines use). Verbs: evaluate,
- * govern, sweep, stats, ping, shutdown.
+ * govern, sweep, stats, ping, shutdown. Each request line is answered
+ * as soon as it is read, in order, on the connection that sent it.
  *
  * Usage:
  *   harmoniad --socket PATH [options]
@@ -25,8 +26,6 @@
  *   --list-devices    Print the registered device names and exit.
  *   --jobs N          Worker threads for predictor training (or
  *                     HARMONIA_JOBS; default 1).
- *   --coalesce-us N   Coalescing window in microseconds: -1 =
- *                     adaptive (default), 0 = none, N > 0 = fixed.
  *   --max-configs N   Per-request config-list cap (default 1024).
  *   --max-sessions N  Concurrent governor-session cap (default 256).
  *   --max-connections N  Concurrent client connections (default 64);
@@ -60,8 +59,6 @@ usage(int status)
     std::cout << "usage: harmoniad (--socket PATH | --tcp HOST:PORT | "
                  "--stdio) [--device NAME]\n"
                  "                 [--list-devices] [--jobs N]\n"
-                 "                 [--coalesce-us N] (-1 = adaptive "
-                 "(default), 0 = none)\n"
                  "                 [--max-configs N] [--max-sessions N]\n"
                  "                 [--max-connections N] "
                  "[--idle-timeout-ms N]\n"
@@ -118,9 +115,6 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--jobs") {
             service.jobs = std::max(1, intArg(i, arg));
-        } else if (arg == "--coalesce-us") {
-            // Any negative value selects the adaptive window.
-            server.coalesceMicros = std::max(-1, intArg(i, arg));
         } else if (arg == "--max-configs") {
             service.maxConfigsPerRequest =
                 static_cast<size_t>(std::max(1, intArg(i, arg)));
