@@ -24,6 +24,7 @@
 #define HARMONIA_SERVE_JSON_HH
 
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -156,14 +157,35 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** An object member's key; the member's value follows. */
-    JsonWriter &key(std::string_view k);
+    JsonWriter &key(std::string_view k)
+    {
+        if (needsEscape(k)) {
+            element();
+            quoted(k);
+            put(':');
+        } else {
+            putPlain(k, true);
+        }
+        comma_ = false;
+        return *this;
+    }
 
     JsonWriter &null();
     JsonWriter &boolean(bool b);
     JsonWriter &integer(int64_t i);
     /** Shortest round-trip form (std::to_chars). */
     JsonWriter &number(double d);
-    JsonWriter &string(std::string_view s);
+    JsonWriter &string(std::string_view s)
+    {
+        if (needsEscape(s)) {
+            element();
+            quoted(s);
+        } else {
+            putPlain(s, false);
+        }
+        comma_ = true;
+        return *this;
+    }
 
     /** A whole tree, serialized as JsonValue::dump() would. */
     JsonWriter &value(const JsonValue &v);
@@ -188,6 +210,36 @@ class JsonWriter
     void put(std::string_view s);
     /** @p s quoted and escaped. */
     void quoted(std::string_view s);
+
+    /** True when @p s holds a byte that quoted() escapes. */
+    static constexpr bool needsEscape(std::string_view s)
+    {
+        for (const char c : s) {
+            if (static_cast<unsigned char>(c) < 0x20 || c == '"' ||
+                c == '\\')
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * The separating comma, @p s in quotes and (for a key) the colon,
+     * for an @p s with nothing to escape: one bounds check, one copy.
+     */
+    void putPlain(std::string_view s, bool colon)
+    {
+        char *at = room(s.size() + 4);
+        if (comma_)
+            *at++ = ',';
+        *at++ = '"';
+        if (!s.empty())
+            std::memcpy(at, s.data(), s.size());
+        at += s.size();
+        *at++ = '"';
+        if (colon)
+            *at++ = ':';
+        len_ = static_cast<size_t>(at - buf_.data());
+    }
     /** Separate this element from the previous one at its level. */
     void element()
     {

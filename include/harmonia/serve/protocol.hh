@@ -23,6 +23,7 @@
 #define HARMONIA_SERVE_PROTOCOL_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harmonia/common/status.hh"
@@ -97,7 +98,7 @@ struct Request
  * error reply carries; the partially-parsed id (when retrievable) is
  * written to @p idOut so the reply can still correlate.
  */
-Result<Request> parseRequest(const std::string &line, JsonValue *idOut);
+Result<Request> parseRequest(std::string_view line, JsonValue *idOut);
 
 /** Serialize a config as {"cu":..,"compute_mhz":..,"mem_mhz":..}. */
 JsonValue configToJson(const HardwareConfig &cfg);

@@ -31,14 +31,19 @@
  * Shutdown: SIGTERM/SIGINT (via a self-pipe) or a `shutdown` request
  * stop the listeners, answer every request already read, flush every
  * buffered response, print the metrics snapshot to stderr, and exit 0.
+ * A socket peer that stops reading cannot hold the drain: once its
+ * unsent replies have not shrunk for a second, it is shed (counted as
+ * a backpressure shed) and the drain goes on without it.
  */
 
 #ifndef HARMONIA_SERVE_SERVER_HH
 #define HARMONIA_SERVE_SERVER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harmonia/serve/service.hh"
@@ -126,6 +131,9 @@ class Server
         long long lastActivityMicros = 0;
         bool eof = false;
         bool oversized = false; ///< Discarding until next newline.
+        /** While draining: the fewest unsent bytes seen, and when. */
+        size_t drainUnsent = SIZE_MAX;
+        long long drainProgressMicros = 0;
 
         size_t unsentBytes() const { return outBuf.size() - outOff; }
     };
@@ -145,10 +153,13 @@ class Server
     size_t allocConnSlot();
     void closeConn(Conn &conn, CloseReason reason);
     void readConn(Conn &conn);
-    void serveLine(Conn &conn, const std::string &line);
+    void serveLine(Conn &conn, std::string_view line);
     void flushConn(Conn &conn);
     void enforceWriteCap(Conn &conn);
     void evictIdle(long long nowUs);
+    /** While draining, shed each connection whose unsent replies have
+     * not shrunk for kDrainStallMicros. */
+    void shedStalledDrains(long long nowUs);
     void closeFinished();
 
     Service &service_;

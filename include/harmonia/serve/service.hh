@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harmonia/core/governor.hh"
@@ -117,8 +118,8 @@ class Service
     size_t deviceCount() const { return devices_.size(); }
 
     /** Answer one request line: its response line, without the
-     * trailing newline. */
-    std::string processLine(const std::string &line);
+     * trailing newline. @p line is read in place and not kept. */
+    std::string processLine(std::string_view line);
 
     /** True once a `shutdown` request has been accepted. */
     bool shutdownRequested() const { return shutdownRequested_; }

@@ -3,12 +3,12 @@
  * Serving-stack latency/throughput exhibit: where one request's time
  * goes, and what the reactor delivers to many clients.
  *
- * A stage split first: one governor-style 8-config evaluate taken
- * apart in process into request parse, lattice run and reply encode,
- * next to Service::processLine for the same line. On a 4-core host
- * (Release build) the request costs 5.3–6.1 µs: 1.5–2.1 µs parse,
- * 1.0–1.2 µs lattice run, 2.0–2.3 µs encode (most of it the
- * shortest-form formatting of 56 doubles).
+ * A stage split first: governor-style 8-config evaluates taken apart
+ * in process into request parse, lattice run and reply encode, next
+ * to Service::processLine, timed interleaved over a rotation of 512
+ * distinct (kernel, iteration, slice) requests; the table is the
+ * median round. Figures for a 4-core host are in docs/SERVING.md
+ * ("Parsing").
  *
  * Then the real transport: an in-process harmoniad reactor on an
  * ephemeral TCP port, driven by N closed-loop loopback clients
@@ -73,88 +73,112 @@ makeRequest(const ConfigSweep &sweep, const std::string &kernelId,
     return req.dump();
 }
 
-/** Microseconds per call of @p fn: the best of 5 timed loops of
- * @p calls calls each. */
-template <typename Fn>
-double
-microsPerCall(int calls, Fn &&fn)
-{
-    double best = 0.0;
-    for (int trial = 0; trial < 5; ++trial) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < calls; ++i)
-            fn();
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - start)
-                              .count() /
-                          calls;
-        if (trial == 0 || us < best)
-            best = us;
-    }
-    return best;
-}
+/** Distinct governor-slice evaluates in one timing round. */
+constexpr size_t kRotation = 512;
 
-/** One 8-config evaluate split into its stages, in µs per request. */
+/** One round's per-request µs of each stage, averaged over the
+ * rotation. */
 struct StageSplit
 {
     double parseUs = 0.0;
     double latticeUs = 0.0;
     double encodeUs = 0.0;
     double requestUs = 0.0; ///< Service::processLine, whole request.
-    size_t responseBytes = 0;
 };
 
 /**
- * Time each stage of one governor-slice evaluate on its own: parsing
- * the request line, the lattice run over its sorted unique slots, and
- * encoding the reply; then the whole request through processLine.
- * The staged reply must equal processLine's byte for byte.
+ * Time the stages of @p rounds rounds over kRotation distinct
+ * (kernel, iteration, slice) evaluates, and return the median round
+ * (by whole-request time). Within a round, each step runs one request
+ * through Service::processLine and another, half a rotation away,
+ * stage by stage: parse the line, run the lattice over its sorted
+ * unique slots, encode the reply. Either way a request was last
+ * touched half a round earlier, so the stage sum and the whole
+ * request are comparable; no row is clamped. Every staged reply must
+ * equal processLine's byte for byte.
  */
 StageSplit
-splitStages(ExpContext &ctx, int calls)
+splitStages(ExpContext &ctx, int rounds, size_t &responseBytes)
 {
+    using Clock = std::chrono::steady_clock;
+    const auto micros = [](Clock::time_point a, Clock::time_point b) {
+        return std::chrono::duration<double, std::micro>(b - a).count();
+    };
+
     Service service;
     const ConfigSweep &sweep = service.sweep();
-    const KernelProfile &kernel = ctx.suite().front().kernels.front();
-    const std::string line =
-        makeRequest(sweep, kernel.id(), 3, 7, 100, kSliceConfigs);
+    std::vector<const KernelProfile *> kernels;
+    for (const Application &app : ctx.suite())
+        for (const KernelProfile &k : app.kernels)
+            kernels.push_back(&k);
+    std::vector<std::string> lines;
+    std::vector<const KernelProfile *> lineKernel;
+    for (size_t i = 0; i < kRotation; ++i) {
+        const KernelProfile *kernel = kernels[i % kernels.size()];
+        lineKernel.push_back(kernel);
+        lines.push_back(makeRequest(
+            sweep, kernel->id(), static_cast<int>(i / kernels.size() % 8),
+            static_cast<int>(i), i * 61 % sweep.configs().size(),
+            kSliceConfigs));
+    }
 
-    Result<serve::Request> parsed = serve::parseRequest(line, nullptr);
-    fatalIf(!parsed.ok(), "serve_latency: ", parsed.status().str());
-    const serve::Request &req = parsed.value();
-    std::vector<uint32_t> slots;
-    for (const HardwareConfig &cfg : req.evaluate.configs)
-        slots.push_back(static_cast<uint32_t>(sweep.indexOf(cfg)));
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    const std::vector<KernelResult> points =
-        sweep.run(kernel, req.evaluate.iteration, slots);
-    const std::string staged =
-        serve::evaluateResponse(req.id, req.evaluate, sweep, slots, points);
-    fatalIf(staged != service.processLine(line),
-            "serve_latency: staged reply differs from processLine");
+    StageSplit round;
+    // One request stage by stage, adding its µs to `round`.
+    const auto staged = [&](size_t i) {
+        const auto t0 = Clock::now();
+        Result<serve::Request> parsed =
+            serve::parseRequest(lines[i], nullptr);
+        const auto t1 = Clock::now();
+        fatalIf(!parsed.ok(), "serve_latency: ", parsed.status().str());
+        const serve::Request &req = parsed.value();
+        std::vector<uint32_t> slots;
+        for (const HardwareConfig &cfg : req.evaluate.configs)
+            slots.push_back(static_cast<uint32_t>(sweep.indexOf(cfg)));
+        std::sort(slots.begin(), slots.end());
+        slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+        const auto t2 = Clock::now();
+        const std::vector<KernelResult> points =
+            sweep.run(*lineKernel[i], req.evaluate.iteration, slots);
+        const auto t3 = Clock::now();
+        std::string reply = serve::evaluateResponse(
+            req.id, req.evaluate, sweep, slots, points);
+        const auto t4 = Clock::now();
+        round.parseUs += micros(t0, t1);
+        round.latticeUs += micros(t2, t3);
+        round.encodeUs += micros(t3, t4);
+        return reply;
+    };
+
+    responseBytes = 0;
+    for (size_t i = 0; i < kRotation; ++i) {
+        const std::string reply = staged(i);
+        fatalIf(reply != service.processLine(lines[i]),
+                "serve_latency: staged reply differs from processLine");
+        responseBytes += reply.size();
+    }
+    responseBytes /= kRotation;
 
     size_t sink = 0; // Keeps every timed call observable.
-    StageSplit r;
-    r.responseBytes = staged.size();
-    r.parseUs = microsPerCall(calls, [&] {
-        sink += serve::parseRequest(line, nullptr)
-                    .value()
-                    .evaluate.configs.size();
-    });
-    r.latticeUs = microsPerCall(calls, [&] {
-        sink += sweep.run(kernel, req.evaluate.iteration, slots).size();
-    });
-    r.encodeUs = microsPerCall(calls, [&] {
-        sink += serve::evaluateResponse(req.id, req.evaluate, sweep,
-                                        slots, points)
-                    .size();
-    });
-    r.requestUs = microsPerCall(calls, [&] {
-        sink += service.processLine(line).size();
-    });
+    std::vector<StageSplit> done;
+    for (int r = 0; r < rounds; ++r) {
+        round = StageSplit{};
+        for (size_t k = 0; k < kRotation; ++k) {
+            const auto t0 = Clock::now();
+            sink += service.processLine(lines[k]).size();
+            round.requestUs += micros(t0, Clock::now());
+            sink += staged((k + kRotation / 2) % kRotation).size();
+        }
+        for (double *us : {&round.parseUs, &round.latticeUs,
+                           &round.encodeUs, &round.requestUs})
+            *us /= kRotation;
+        done.push_back(round);
+    }
     fatalIf(sink == 0, "serve_latency: empty stage results");
-    return r;
+    std::sort(done.begin(), done.end(),
+              [](const StageSplit &a, const StageSplit &b) {
+                  return a.requestUs < b.requestUs;
+              });
+    return done[done.size() / 2];
 }
 
 /** One TCP fan-in measurement: N closed-loop clients. */
@@ -368,13 +392,14 @@ class ServeLatency final : public Experiment
         ctx.banner("serve_latency",
                    "Serving stack: one " +
                        std::to_string(kSliceConfigs) +
-                       "-config evaluate stage by stage, then N "
+                       "-config evaluates stage by stage, then N "
                        "closed-loop TCP clients.");
 
-        // One request, stage by stage (a timing artifact: its values
-        // vary run to run).
-        const StageSplit split =
-            splitStages(ctx, std::max(200, ctx.options().benchReps * 1000));
+        // The stages of a rotation of distinct requests (a timing
+        // artifact: its values vary run to run).
+        size_t responseBytes = 0;
+        const StageSplit split = splitStages(
+            ctx, 2 * ctx.options().benchReps + 1, responseBytes);
         const double stageSum =
             split.parseUs + split.latticeUs + split.encodeUs;
         TextTable stageTable({"stage", "us per request",
@@ -392,10 +417,10 @@ class ServeLatency final : public Experiment
                  split.requestUs - stageSum);
         stageRow("processLine (whole request)", split.requestUs);
         ctx.emit(stageTable,
-                 "One " + std::to_string(kSliceConfigs) +
-                     "-config evaluate, stage by stage (" +
-                     std::to_string(split.responseBytes) +
-                     "-byte reply)",
+                 std::to_string(kRotation) + " distinct " +
+                     std::to_string(kSliceConfigs) +
+                     "-config evaluates, stage by stage, median round (" +
+                     std::to_string(responseBytes) + "-byte replies)",
                  "serve_stages");
 
         // The real transport: TCP fan-in through the reactor,

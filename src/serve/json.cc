@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
+
+#include "serve/json_parse.hh"
 
 namespace harmonia::serve
 {
@@ -155,16 +156,6 @@ JsonWriter::endArray()
 }
 
 JsonWriter &
-JsonWriter::key(std::string_view k)
-{
-    element();
-    quoted(k);
-    put(':');
-    comma_ = false;
-    return *this;
-}
-
-JsonWriter &
 JsonWriter::null()
 {
     element();
@@ -205,15 +196,6 @@ JsonWriter::number(double d)
     char *at = room(kMax);
     len_ = static_cast<size_t>(std::to_chars(at, at + kMax, d).ptr -
                                buf_.data());
-    comma_ = true;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::string(std::string_view s)
-{
-    element();
-    quoted(s);
     comma_ = true;
     return *this;
 }
@@ -267,258 +249,97 @@ JsonValue::dump() const
 }
 
 // ---------------------------------------------------------------------
-// Parser: recursive descent over a string_view with explicit depth cap.
+// Parsing: the tokenizer (serve/json_parse.hh) feeding a tree builder.
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-constexpr int kMaxDepth = 64;
-
-struct Parser
+std::string
+tokenText(const JsonToken &t)
 {
-    std::string_view text;
-    size_t pos = 0;
+    return t.escaped ? decodeJsonString(t.text) : std::string(t.text);
+}
 
-    Status error(const std::string &what) const
+/** Sink that builds the JsonValue tree of the document it is fed. */
+class TreeBuilder
+{
+  public:
+    void beginObject() { open(JsonValue::object()); }
+    void beginArray() { open(JsonValue::array()); }
+    void endObject() { open_.pop_back(); }
+    void endArray() { open_.pop_back(); }
+
+    void key(const JsonToken &k)
     {
-        return Status::invalidArgument(
-            "json: " + what + " at offset " + std::to_string(pos));
+        open_.back()->asObject().emplace_back(tokenText(k), JsonValue());
     }
 
-    bool atEnd() const { return pos >= text.size(); }
-    char current() const { return text[pos]; }
-
-    void skipWs()
+    void value(const JsonToken &v)
     {
-        while (!atEnd() && (text[pos] == ' ' || text[pos] == '\t' ||
-                            text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool consume(char c)
-    {
-        if (atEnd() || text[pos] != c)
-            return false;
-        ++pos;
-        return true;
-    }
-
-    bool consumeWord(std::string_view w)
-    {
-        if (text.substr(pos, w.size()) != w)
-            return false;
-        pos += w.size();
-        return true;
-    }
-
-    Result<JsonValue> parseValue(int depth)
-    {
-        if (depth > kMaxDepth)
-            return error("nesting too deep");
-        skipWs();
-        if (atEnd())
-            return error("unexpected end of input");
-        const char c = current();
-        if (c == '{')
-            return parseObject(depth);
-        if (c == '[')
-            return parseArray(depth);
-        if (c == '"')
-            return parseString();
-        if (c == 't') {
-            if (consumeWord("true"))
-                return JsonValue(true);
-            return error("bad literal");
-        }
-        if (c == 'f') {
-            if (consumeWord("false"))
-                return JsonValue(false);
-            return error("bad literal");
-        }
-        if (c == 'n') {
-            if (consumeWord("null"))
-                return JsonValue(nullptr);
-            return error("bad literal");
-        }
-        return parseNumber();
-    }
-
-    Result<JsonValue> parseObject(int depth)
-    {
-        ++pos; // '{'
-        JsonValue::Object obj;
-        skipWs();
-        if (consume('}'))
-            return JsonValue(std::move(obj));
-        while (true) {
-            skipWs();
-            if (atEnd() || current() != '"')
-                return error("expected object key");
-            Result<JsonValue> key = parseString();
-            if (!key.ok())
-                return key.status();
-            skipWs();
-            if (!consume(':'))
-                return error("expected ':'");
-            Result<JsonValue> value = parseValue(depth + 1);
-            if (!value.ok())
-                return value.status();
-            obj.emplace_back(key.value().asString(),
-                             std::move(value.value()));
-            skipWs();
-            if (consume(','))
-                continue;
-            if (consume('}'))
-                return JsonValue(std::move(obj));
-            return error("expected ',' or '}'");
+        JsonValue *at = slot();
+        switch (v.kind) {
+          case JsonKind::Bool: *at = JsonValue(v.boolean); break;
+          case JsonKind::Int: *at = JsonValue(v.integer); break;
+          case JsonKind::Double: *at = JsonValue(v.number); break;
+          case JsonKind::String: *at = JsonValue(tokenText(v)); break;
+          default: *at = JsonValue(); break;
         }
     }
 
-    Result<JsonValue> parseArray(int depth)
+    JsonValue root;
+
+  private:
+    /** Where the next value goes. A container on the open stack only
+     * grows while it is the innermost one, so the pointers below it
+     * stay valid. */
+    JsonValue *slot()
     {
-        ++pos; // '['
-        JsonValue::Array arr;
-        skipWs();
-        if (consume(']'))
-            return JsonValue(std::move(arr));
-        while (true) {
-            Result<JsonValue> value = parseValue(depth + 1);
-            if (!value.ok())
-                return value.status();
-            arr.push_back(std::move(value.value()));
-            skipWs();
-            if (consume(','))
-                continue;
-            if (consume(']'))
-                return JsonValue(std::move(arr));
-            return error("expected ',' or ']'");
-        }
+        if (open_.empty())
+            return &root;
+        JsonValue &top = *open_.back();
+        if (top.isArray())
+            return &top.asArray().emplace_back();
+        return &top.asObject().back().second;
     }
 
-    Result<JsonValue> parseString()
+    void open(JsonValue container)
     {
-        ++pos; // '"'
-        std::string out;
-        while (true) {
-            if (atEnd())
-                return error("unterminated string");
-            char c = text[pos++];
-            if (c == '"')
-                return JsonValue(std::move(out));
-            if (c == '\\') {
-                if (atEnd())
-                    return error("unterminated escape");
-                const char e = text[pos++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                    if (pos + 4 > text.size())
-                        return error("bad \\u escape");
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = text[pos + i];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return error("bad \\u escape");
-                    }
-                    pos += 4;
-                    // UTF-8 encode the BMP code point (surrogate
-                    // pairs are passed through as two 3-byte
-                    // sequences; the protocol never emits them).
-                    if (code < 0x80) {
-                        out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        out += static_cast<char>(0xc0 | (code >> 6));
-                        out += static_cast<char>(0x80 | (code & 0x3f));
-                    } else {
-                        out += static_cast<char>(0xe0 | (code >> 12));
-                        out += static_cast<char>(0x80 |
-                                                 ((code >> 6) & 0x3f));
-                        out += static_cast<char>(0x80 | (code & 0x3f));
-                    }
-                    break;
-                  }
-                  default:
-                    return error("bad escape");
-                }
-                continue;
-            }
-            out += c;
-        }
+        JsonValue *at = slot();
+        *at = std::move(container);
+        open_.push_back(at);
     }
 
-    Result<JsonValue> parseNumber()
-    {
-        const size_t start = pos;
-        if (consume('-')) {
-        }
-        while (!atEnd() && current() >= '0' && current() <= '9')
-            ++pos;
-        bool isFloat = false;
-        if (!atEnd() && current() == '.') {
-            isFloat = true;
-            ++pos;
-            while (!atEnd() && current() >= '0' && current() <= '9')
-                ++pos;
-        }
-        if (!atEnd() && (current() == 'e' || current() == 'E')) {
-            isFloat = true;
-            ++pos;
-            if (!atEnd() && (current() == '+' || current() == '-'))
-                ++pos;
-            while (!atEnd() && current() >= '0' && current() <= '9')
-                ++pos;
-        }
-        const std::string_view tok = text.substr(start, pos - start);
-        if (tok.empty() || tok == "-")
-            return error("bad number");
-        if (!isFloat) {
-            int64_t v = 0;
-            const auto res = std::from_chars(tok.data(),
-                                             tok.data() + tok.size(), v);
-            if (res.ec == std::errc() &&
-                res.ptr == tok.data() + tok.size())
-                return JsonValue(v);
-            // Fall through to double on overflow.
-        }
-        double d = 0.0;
-        const auto res =
-            std::from_chars(tok.data(), tok.data() + tok.size(), d);
-        if (res.ec != std::errc() || res.ptr != tok.data() + tok.size())
-            return error("bad number");
-        if (!std::isfinite(d))
-            return error("non-finite number");
-        return JsonValue(d);
-    }
+    std::vector<JsonValue *> open_;
+};
+
+/** Sink for a scan that only decodes one string. */
+struct NoSink
+{
 };
 
 } // namespace
 
+std::string
+decodeJsonString(std::string_view text)
+{
+    NoSink sink;
+    JsonParser<NoSink> scanner(
+        std::string_view(text.data() - 1, text.size() + 2), sink);
+    JsonToken t;
+    std::string out;
+    out.reserve(text.size());
+    scanner.scanString(t, &out);
+    return out;
+}
+
 Result<JsonValue>
 parseJson(std::string_view text)
 {
-    Parser p{text};
-    Result<JsonValue> value = p.parseValue(0);
-    if (!value.ok())
-        return value;
-    p.skipWs();
-    if (!p.atEnd())
-        return p.error("trailing data");
-    return value;
+    TreeBuilder tree;
+    if (Status s = parseJsonInto(text, tree); !s.ok())
+        return s;
+    return std::move(tree.root);
 }
 
 } // namespace harmonia::serve

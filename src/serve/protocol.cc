@@ -1,197 +1,342 @@
 #include "harmonia/serve/protocol.hh"
 
+#include <tuple>
+#include <utility>
+
+#include "serve/json_parse.hh"
+
 namespace harmonia::serve
 {
 
 namespace
 {
 
-/** Look up a string member; empty optional when absent. */
-Result<std::string>
-stringMember(const JsonValue &obj, const char *key,
-             const std::string &fallback, bool required)
+/** One member's first occurrence, as the syntax pass saw it. */
+struct Field
 {
-    const JsonValue *v = obj.find(key);
-    if (!v) {
+    bool seen = false;
+    JsonToken token; ///< kind is Array/Object for a container.
+};
+
+/** @p f's string; decoded into @p bytes when it holds an escape. */
+std::string_view
+textOf(const Field &f, std::string &bytes)
+{
+    if (!f.token.escaped)
+        return f.token.text;
+    bytes = decodeJsonString(f.token.text);
+    return bytes;
+}
+
+/**
+ * Tokenizer sink for one request line: records the first occurrence
+ * of each top-level member a verb reads, and the cu/compute_mhz/mem_mhz
+ * of each config in the first `configs` array. Nothing is allocated
+ * for members it does not read, and nothing is decoded unless it holds
+ * an escape.
+ */
+class RequestReader
+{
+  public:
+    void beginObject() { open(JsonKind::Object); }
+    void beginArray() { open(JsonKind::Array); }
+    void endObject() { close(); }
+    void endArray() { close(); }
+
+    void key(const JsonToken &k)
+    {
+        if (depth_ != 1 && !(depth_ == 3 && inElement_))
+            return;
+        if (k.escaped)
+            claimKey(decodeJsonString(k.text));
+        else
+            claimKey(k.text);
+    }
+
+    void value(const JsonToken &v)
+    {
+        if (depth_ == 0)
+            rootKind = v.kind;
+        else if (depth_ == 1 && pending_)
+            std::exchange(pending_, nullptr)->token = v;
+        else if (depth_ == 2 && inConfigs_)
+            element(false);
+        else if (depth_ == 3 && inElement_ && pendingCfg_)
+            std::exchange(pendingCfg_, nullptr)->token = v;
+    }
+
+    JsonKind rootKind = JsonKind::Null;
+    Field id, schema, verb, kernel, device, iteration, configs, session,
+        governor, end, reset, objective, top;
+
+    /** Elements of the first `configs` array. */
+    size_t configCount = 0;
+    /** Its configs up to the first bad element. */
+    std::vector<HardwareConfig> configList;
+    /** The first bad element's error. */
+    Status configError;
+
+  private:
+    Field *member(std::string_view name)
+    {
+        static constexpr std::pair<std::string_view, Field RequestReader::*>
+            kMembers[] = {{"id", &RequestReader::id},
+                          {"schema", &RequestReader::schema},
+                          {"verb", &RequestReader::verb},
+                          {"kernel", &RequestReader::kernel},
+                          {"device", &RequestReader::device},
+                          {"iteration", &RequestReader::iteration},
+                          {"configs", &RequestReader::configs},
+                          {"session", &RequestReader::session},
+                          {"governor", &RequestReader::governor},
+                          {"end", &RequestReader::end},
+                          {"reset", &RequestReader::reset},
+                          {"objective", &RequestReader::objective},
+                          {"top", &RequestReader::top}};
+        for (const auto &[known, field] : kMembers) {
+            if (known == name)
+                return &(this->*field);
+        }
+        return nullptr;
+    }
+
+    Field *configMember(std::string_view name)
+    {
+        if (name == "cu")
+            return &cu_;
+        if (name == "compute_mhz")
+            return &compute_;
+        if (name == "mem_mhz")
+            return &mem_;
+        return nullptr;
+    }
+
+    /** @p f if this is its first occurrence, else nullptr. */
+    static Field *claim(Field *f)
+    {
+        if (!f || f->seen)
+            return nullptr;
+        f->seen = true;
+        return f;
+    }
+
+    void claimKey(std::string_view name)
+    {
+        if (depth_ == 1)
+            pending_ = claim(member(name));
+        else
+            pendingCfg_ = claim(configMember(name));
+    }
+
+    void open(JsonKind kind)
+    {
+        if (depth_ == 0) {
+            rootKind = kind;
+        } else if (depth_ == 1 && pending_) {
+            pending_->token.kind = kind;
+            inConfigs_ = pending_ == &configs && kind == JsonKind::Array;
+            if (inConfigs_)
+                configList.reserve(8); // A governor slice.
+            pending_ = nullptr;
+        } else if (depth_ == 2 && inConfigs_) {
+            element(kind == JsonKind::Object);
+        } else if (depth_ == 3 && inElement_ && pendingCfg_) {
+            pendingCfg_->token.kind = kind;
+            pendingCfg_ = nullptr;
+        }
+        ++depth_;
+    }
+
+    void close()
+    {
+        --depth_;
+        if (depth_ == 2 && inElement_) {
+            inElement_ = false;
+            if (configError.ok())
+                finishConfig();
+        } else if (depth_ == 1) {
+            inConfigs_ = false;
+        }
+    }
+
+    void element(bool isObject)
+    {
+        ++configCount;
+        if (isObject) {
+            inElement_ = true;
+            cu_.seen = compute_.seen = mem_.seen = false;
+        } else if (configError.ok()) {
+            configError = Status::invalidArgument(
+                "config must be an object with cu/compute_mhz/mem_mhz");
+        }
+    }
+
+    void finishConfig();
+
+    int depth_ = 0; ///< Containers open around the cursor.
+    Field *pending_ = nullptr;    ///< Top-level member awaiting its value.
+    Field *pendingCfg_ = nullptr; ///< Config member awaiting its value.
+    bool inConfigs_ = false; ///< Inside the first `configs` array.
+    bool inElement_ = false; ///< Inside one of its object elements.
+    Field cu_, compute_, mem_;
+};
+
+/** OK when @p f is a string, or absent and not @p required. */
+Status
+checkString(const Field &f, const char *key, bool required)
+{
+    if (!f.seen) {
         if (required)
             return Status::invalidArgument(std::string("missing \"") +
                                            key + "\"");
-        return fallback;
+        return Status::okStatus();
     }
-    if (!v->isString())
+    if (f.token.kind != JsonKind::String)
         return Status::invalidArgument(std::string("\"") + key +
                                        "\" must be a string");
-    return v->asString();
+    return Status::okStatus();
 }
 
-Result<int>
-intMember(const JsonValue &obj, const char *key, int fallback)
+/** checkString, then the string into @p out; absent leaves it be. */
+Status
+stringField(const Field &f, const char *key, bool required,
+            std::string &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    if (!v->isInt())
-        return Status::invalidArgument(std::string("\"") + key +
-                                       "\" must be an integer");
-    const int64_t raw = v->asInt();
-    if (raw < -(1ll << 31) || raw >= (1ll << 31))
-        return Status::invalidArgument(std::string("\"") + key +
-                                       "\" out of range");
-    return static_cast<int>(raw);
-}
-
-Result<bool>
-boolMember(const JsonValue &obj, const char *key, bool fallback)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    if (!v->isBool())
-        return Status::invalidArgument(std::string("\"") + key +
-                                       "\" must be a boolean");
-    return v->asBool();
-}
-
-Result<HardwareConfig>
-parseConfig(const JsonValue &v)
-{
-    if (!v.isObject())
-        return Status::invalidArgument(
-            "config must be an object with cu/compute_mhz/mem_mhz");
-    HardwareConfig cfg;
-    const Result<int> cu = intMember(v, "cu", cfg.cuCount);
-    if (!cu.ok())
-        return cu.status();
-    const Result<int> compute =
-        intMember(v, "compute_mhz", cfg.computeFreqMhz);
-    if (!compute.ok())
-        return compute.status();
-    const Result<int> mem = intMember(v, "mem_mhz", cfg.memFreqMhz);
-    if (!mem.ok())
-        return mem.status();
-    cfg.cuCount = cu.value();
-    cfg.computeFreqMhz = compute.value();
-    cfg.memFreqMhz = mem.value();
-    return cfg;
+    Status s = checkString(f, key, required);
+    if (s.ok() && f.seen) {
+        if (f.token.escaped)
+            out = decodeJsonString(f.token.text);
+        else
+            out.assign(f.token.text);
+    }
+    return s;
 }
 
 Status
-parseEvaluate(const JsonValue &obj, EvaluateParams &out)
+intField(const Field &f, const char *key, int &out)
 {
-    Result<std::string> kernel = stringMember(obj, "kernel", "", true);
-    if (!kernel.ok())
-        return kernel.status();
-    out.kernel = std::move(kernel.value());
+    if (!f.seen)
+        return Status::okStatus();
+    if (f.token.kind != JsonKind::Int)
+        return Status::invalidArgument(std::string("\"") + key +
+                                       "\" must be an integer");
+    const int64_t raw = f.token.integer;
+    if (raw < -(1ll << 31) || raw >= (1ll << 31))
+        return Status::invalidArgument(std::string("\"") + key +
+                                       "\" out of range");
+    out = static_cast<int>(raw);
+    return Status::okStatus();
+}
 
-    Result<std::string> device = stringMember(obj, "device", "", false);
-    if (!device.ok())
-        return device.status();
-    out.device = std::move(device.value());
+Status
+boolField(const Field &f, const char *key, bool &out)
+{
+    if (!f.seen)
+        return Status::okStatus();
+    if (f.token.kind != JsonKind::Bool)
+        return Status::invalidArgument(std::string("\"") + key +
+                                       "\" must be a boolean");
+    out = f.token.boolean;
+    return Status::okStatus();
+}
 
-    const Result<int> iteration = intMember(obj, "iteration", 0);
-    if (!iteration.ok())
-        return iteration.status();
-    out.iteration = iteration.value();
+void
+RequestReader::finishConfig()
+{
+    HardwareConfig cfg;
+    for (const auto &[field, key, out] :
+         {std::tuple{&cu_, "cu", &cfg.cuCount},
+          {&compute_, "compute_mhz", &cfg.computeFreqMhz},
+          {&mem_, "mem_mhz", &cfg.memFreqMhz}}) {
+        if (Status s = intField(*field, key, *out); !s.ok()) {
+            configError = std::move(s);
+            return;
+        }
+    }
+    configList.push_back(cfg);
+}
 
-    const JsonValue *configs = obj.find("configs");
-    if (!configs)
+Status
+parseEvaluate(RequestReader &r, EvaluateParams &out)
+{
+    if (Status s = stringField(r.kernel, "kernel", true, out.kernel);
+        !s.ok())
+        return s;
+    if (Status s = stringField(r.device, "device", false, out.device);
+        !s.ok())
+        return s;
+    if (Status s = intField(r.iteration, "iteration", out.iteration);
+        !s.ok())
+        return s;
+
+    const Field &configs = r.configs;
+    if (!configs.seen)
         return Status::invalidArgument("missing \"configs\"");
-    if (configs->isString()) {
-        if (configs->asString() != "all")
+    if (configs.token.kind == JsonKind::String) {
+        std::string bytes;
+        if (textOf(configs, bytes) != "all")
             return Status::invalidArgument(
                 "\"configs\" must be \"all\" or an array of configs");
         out.fullLattice = true;
         return Status::okStatus();
     }
-    if (!configs->isArray())
+    if (configs.token.kind != JsonKind::Array)
         return Status::invalidArgument(
             "\"configs\" must be \"all\" or an array of configs");
-    if (configs->asArray().empty())
+    if (r.configCount == 0)
         return Status::invalidArgument("\"configs\" must be non-empty");
-    out.configs.reserve(configs->asArray().size());
-    for (const JsonValue &v : configs->asArray()) {
-        Result<HardwareConfig> cfg = parseConfig(v);
-        if (!cfg.ok())
-            return cfg.status();
-        out.configs.push_back(cfg.value());
-    }
+    if (!r.configError.ok())
+        return r.configError;
+    out.configs = std::move(r.configList);
     return Status::okStatus();
 }
 
 Status
-parseGovern(const JsonValue &obj, GovernParams &out)
+parseGovern(const RequestReader &r, GovernParams &out)
 {
-    Result<std::string> session = stringMember(obj, "session", "", true);
-    if (!session.ok())
-        return session.status();
-    out.session = std::move(session.value());
+    if (Status s = stringField(r.session, "session", true, out.session);
+        !s.ok())
+        return s;
     if (out.session.empty())
         return Status::invalidArgument("\"session\" must be non-empty");
-
-    Result<std::string> governor =
-        stringMember(obj, "governor", out.governor, false);
-    if (!governor.ok())
-        return governor.status();
-    out.governor = std::move(governor.value());
-
-    Result<std::string> device = stringMember(obj, "device", "", false);
-    if (!device.ok())
-        return device.status();
-    out.device = std::move(device.value());
-
-    const Result<bool> end = boolMember(obj, "end", false);
-    if (!end.ok())
-        return end.status();
-    out.end = end.value();
-
-    const Result<bool> reset = boolMember(obj, "reset", false);
-    if (!reset.ok())
-        return reset.status();
-    out.reset = reset.value();
-
-    Result<std::string> kernel =
-        stringMember(obj, "kernel", "", !out.end && !out.reset);
-    if (!kernel.ok())
-        return kernel.status();
-    out.kernel = std::move(kernel.value());
-
-    const Result<int> iteration = intMember(obj, "iteration", 0);
-    if (!iteration.ok())
-        return iteration.status();
-    out.iteration = iteration.value();
-    return Status::okStatus();
+    if (Status s =
+            stringField(r.governor, "governor", false, out.governor);
+        !s.ok())
+        return s;
+    if (Status s = stringField(r.device, "device", false, out.device);
+        !s.ok())
+        return s;
+    if (Status s = boolField(r.end, "end", out.end); !s.ok())
+        return s;
+    if (Status s = boolField(r.reset, "reset", out.reset); !s.ok())
+        return s;
+    if (Status s = stringField(r.kernel, "kernel", !out.end && !out.reset,
+                               out.kernel);
+        !s.ok())
+        return s;
+    return intField(r.iteration, "iteration", out.iteration);
 }
 
 Status
-parseSweep(const JsonValue &obj, SweepParams &out)
+parseSweep(const RequestReader &r, SweepParams &out)
 {
-    Result<std::string> kernel = stringMember(obj, "kernel", "", true);
-    if (!kernel.ok())
-        return kernel.status();
-    out.kernel = std::move(kernel.value());
-
-    Result<std::string> device = stringMember(obj, "device", "", false);
-    if (!device.ok())
-        return device.status();
-    out.device = std::move(device.value());
-
-    const Result<int> iteration = intMember(obj, "iteration", 0);
-    if (!iteration.ok())
-        return iteration.status();
-    out.iteration = iteration.value();
-
-    Result<std::string> objective =
-        stringMember(obj, "objective", out.objective, false);
-    if (!objective.ok())
-        return objective.status();
-    out.objective = std::move(objective.value());
-
-    const Result<int> top = intMember(obj, "top", 0);
-    if (!top.ok())
-        return top.status();
-    if (top.value() < 0)
+    if (Status s = stringField(r.kernel, "kernel", true, out.kernel);
+        !s.ok())
+        return s;
+    if (Status s = stringField(r.device, "device", false, out.device);
+        !s.ok())
+        return s;
+    if (Status s = intField(r.iteration, "iteration", out.iteration);
+        !s.ok())
+        return s;
+    if (Status s =
+            stringField(r.objective, "objective", false, out.objective);
+        !s.ok())
+        return s;
+    if (Status s = intField(r.top, "top", out.top); !s.ok())
+        return s;
+    if (out.top < 0)
         return Status::invalidArgument("\"top\" must be >= 0");
-    out.top = top.value();
     return Status::okStatus();
 }
 
@@ -212,57 +357,70 @@ verbName(Verb verb)
 }
 
 Result<Request>
-parseRequest(const std::string &line, JsonValue *idOut)
+parseRequest(std::string_view line, JsonValue *idOut)
 {
-    Result<JsonValue> doc = parseJson(line);
-    if (!doc.ok())
-        return doc.status();
-    const JsonValue &obj = doc.value();
-    if (!obj.isObject())
+    // The whole line passes the syntax check before any member is
+    // read, so a syntax error anywhere wins over every semantic one.
+    RequestReader r;
+    if (Status s = parseJsonInto(line, r); !s.ok())
+        return s;
+    if (r.rootKind != JsonKind::Object)
         return Status::invalidArgument("request must be a JSON object");
 
     Request req;
-    if (const JsonValue *id = obj.find("id")) {
-        if (!id->isString() && !id->isInt() && !id->isNull())
+    if (r.id.seen) {
+        switch (r.id.token.kind) {
+          case JsonKind::String: {
+            std::string bytes;
+            req.id = JsonValue(std::string(textOf(r.id, bytes)));
+            break;
+          }
+          case JsonKind::Int:
+            req.id = JsonValue(r.id.token.integer);
+            break;
+          case JsonKind::Null:
+            break;
+          default:
             return Status::invalidArgument(
                 "\"id\" must be a string or integer");
-        req.id = *id;
+        }
         if (idOut)
-            *idOut = *id;
+            *idOut = req.id;
     }
 
-    const Result<std::string> schema =
-        stringMember(obj, "schema", "", true);
-    if (!schema.ok())
-        return schema.status();
-    if (schema.value() != kRequestSchema)
+    if (Status s = checkString(r.schema, "schema", true); !s.ok())
+        return s;
+    std::string schemaBytes;
+    const std::string_view schema = textOf(r.schema, schemaBytes);
+    if (schema != kRequestSchema)
         return Status::invalidArgument(
-            "unsupported schema \"" + schema.value() + "\" (want " +
+            "unsupported schema \"" + std::string(schema) + "\" (want " +
             kRequestSchema + ")");
 
-    const Result<std::string> verb = stringMember(obj, "verb", "", true);
-    if (!verb.ok())
-        return verb.status();
+    if (Status s = checkString(r.verb, "verb", true); !s.ok())
+        return s;
+    std::string verbBytes;
+    const std::string_view verb = textOf(r.verb, verbBytes);
 
     Status params = Status::okStatus();
-    if (verb.value() == "evaluate") {
+    if (verb == "evaluate") {
         req.verb = Verb::Evaluate;
-        params = parseEvaluate(obj, req.evaluate);
-    } else if (verb.value() == "govern") {
+        params = parseEvaluate(r, req.evaluate);
+    } else if (verb == "govern") {
         req.verb = Verb::Govern;
-        params = parseGovern(obj, req.govern);
-    } else if (verb.value() == "sweep") {
+        params = parseGovern(r, req.govern);
+    } else if (verb == "sweep") {
         req.verb = Verb::Sweep;
-        params = parseSweep(obj, req.sweep);
-    } else if (verb.value() == "stats") {
+        params = parseSweep(r, req.sweep);
+    } else if (verb == "stats") {
         req.verb = Verb::Stats;
-    } else if (verb.value() == "ping") {
+    } else if (verb == "ping") {
         req.verb = Verb::Ping;
-    } else if (verb.value() == "shutdown") {
+    } else if (verb == "shutdown") {
         req.verb = Verb::Shutdown;
     } else {
-        return Status::invalidArgument("unknown verb \"" + verb.value() +
-                                       "\"");
+        return Status::invalidArgument("unknown verb \"" +
+                                       std::string(verb) + "\"");
     }
     if (!params.ok())
         return Status(params.code(), std::string(verbName(req.verb)) +

@@ -66,6 +66,11 @@ constexpr size_t kReadBudgetBytes = 16 * kReadChunkBytes;
 /** Re-check period while draining toward shutdown. */
 constexpr long long kDrainTickMicros = 10000;
 
+/** A drain closes a connection whose unsent replies have not shrunk
+ * for this long: its peer has stopped reading and would hold the exit
+ * forever. */
+constexpr long long kDrainStallMicros = 1000000;
+
 /** Compact a partially-flushed write buffer once the sent prefix
  * dominates; keeps flushing O(bytes) instead of O(bytes^2). */
 constexpr size_t kCompactThresholdBytes = 1u << 20;
@@ -354,7 +359,7 @@ Server::acceptClients(int listenFd, bool tcp)
 }
 
 void
-Server::serveLine(Conn &conn, const std::string &line)
+Server::serveLine(Conn &conn, std::string_view line)
 {
     conn.outBuf += service_.processLine(line);
     conn.outBuf += '\n';
@@ -417,9 +422,10 @@ Server::readConn(Conn &conn)
         const size_t nl = conn.inBuf.find('\n', start);
         if (nl == std::string::npos)
             break;
-        std::string line = conn.inBuf.substr(start, nl - start);
+        // Served where it sits in the read buffer, not copied out.
+        std::string_view line(conn.inBuf.data() + start, nl - start);
         if (!line.empty() && line.back() == '\r')
-            line.pop_back();
+            line.remove_suffix(1);
         start = nl + 1;
         if (conn.oversized) {
             conn.oversized = false; // Resynchronized; drop the tail.
@@ -502,6 +508,21 @@ Server::evictIdle(long long nowUs)
 }
 
 void
+Server::shedStalledDrains(long long nowUs)
+{
+    for (const auto &conn : conns_) {
+        if (conn->stdio || conn->fd < 0 || conn->unsentBytes() == 0)
+            continue;
+        if (conn->unsentBytes() < conn->drainUnsent) {
+            conn->drainUnsent = conn->unsentBytes();
+            conn->drainProgressMicros = nowUs;
+        } else if (nowUs - conn->drainProgressMicros >= kDrainStallMicros) {
+            closeConn(*conn, CloseReason::BackpressureShed);
+        }
+    }
+}
+
+void
 Server::closeFinished()
 {
     for (const auto &conn : conns_) {
@@ -527,6 +548,7 @@ Server::run()
         if (draining) {
             for (const auto &conn : conns_)
                 flushConn(*conn);
+            shedStalledDrains(nowMicros());
             const bool flushed = std::all_of(
                 conns_.begin(), conns_.end(), [](const auto &c) {
                     return c->outFd < 0 || c->unsentBytes() == 0;

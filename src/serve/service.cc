@@ -531,7 +531,7 @@ Service::statsJson() const
 }
 
 std::string
-Service::processLine(const std::string &line)
+Service::processLine(std::string_view line)
 {
     JsonValue id;
     if (line.size() > options_.maxRequestBytes) {

@@ -284,4 +284,115 @@ TEST_F(ServeProtocolTest, GovernSessionLifecycle)
     expectStillServing();
 }
 
+// The `id` may be a string, an integer or null (docs/SERVING.md, "Wire
+// protocol"). Any other value fails the request before its verb is
+// read, and the reply carries "id":null, since there is nothing it
+// could echo. These are the exact reply bytes.
+TEST_F(ServeProtocolTest, IdOtherThanStringIntegerOrNullIsRejected)
+{
+    const std::string want =
+        "{\"schema\":\"harmonia.response/1\",\"id\":null,\"ok\":false,"
+        "\"error\":{\"code\":\"invalid_argument\","
+        "\"message\":\"\\\"id\\\" must be a string or integer\"}}";
+    for (const char *id : {"1.5", "1e2", "-0.0", "9223372036854775808",
+                           "true", "false", "[1,2]", "[]",
+                           "{\"nested\":1}", "{}"}) {
+        const std::string line =
+            std::string("{\"schema\":\"harmonia.request/1\",\"id\":") +
+            id + ",\"verb\":\"ping\"}";
+        EXPECT_EQ(service_.processLine(line), want) << id;
+    }
+    expectStillServing();
+}
+
+TEST_F(ServeProtocolTest, StringIntegerAndNullIdsAreEchoed)
+{
+    for (const auto &[id, echoed] :
+         {std::pair<const char *, const char *>{"\"a\\u0062\"", "\"ab\""},
+          {"-9223372036854775808", "-9223372036854775808"},
+          {"null", "null"}}) {
+        const std::string line =
+            std::string("{\"schema\":\"harmonia.request/1\",\"id\":") +
+            id + ",\"verb\":\"ping\"}";
+        EXPECT_EQ(service_.processLine(line),
+                  std::string("{\"schema\":\"harmonia.response/1\",\"id\":") +
+                      echoed +
+                      ",\"verb\":\"ping\",\"ok\":true,"
+                      "\"result\":{\"pong\":true}}")
+            << id;
+    }
+}
+
+// The request reader's rules, pinned by whole reply bytes: a syntax
+// error anywhere beats every semantic error (and leaves the id
+// unread), the first of duplicate keys wins, escaped keys match their
+// plain spelling, and an int64 overflow reads as a double.
+TEST_F(ServeProtocolTest, ReaderPrecedenceRules)
+{
+    const auto error = [](const std::string &id, const std::string &msg) {
+        return "{\"schema\":\"harmonia.response/1\",\"id\":" + id +
+               ",\"ok\":false,\"error\":{\"code\":\"invalid_argument\","
+               "\"message\":\"" +
+               msg + "\"}}";
+    };
+    const std::string pong =
+        "{\"schema\":\"harmonia.response/1\",\"id\":5,\"verb\":\"ping\","
+        "\"ok\":true,\"result\":{\"pong\":true}}";
+
+    // Unknown verb, bad id and a trailing syntax error: the syntax
+    // error wins.
+    EXPECT_EQ(service_.processLine(
+                  "{\"id\":1.5,\"verb\":\"nope\",\"schema\":\"x\"} x"),
+              error("null", "json: trailing data at offset 38"));
+    EXPECT_EQ(service_.processLine("{\"id\":5,\"verb\":\"ping\",\"x\":[1,}"),
+              error("null", "json: bad number at offset 29"));
+    // First occurrence wins, for top-level members and config fields.
+    EXPECT_EQ(service_.processLine(
+                  "{\"id\":5,\"verb\":\"ping\",\"verb\":\"nope\","
+                  "\"schema\":\"harmonia.request/1\",\"id\":\"x\"}"),
+              pong);
+    EXPECT_EQ(service_.processLine(
+                  "{\"id\":5,\"schema\":\"harmonia.request/1\","
+                  "\"verb\":\"evaluate\",\"kernel\":\"" +
+                  kKernel +
+                  "\",\"configs\":[{\"cu\":\"4\",\"cu\":4}]}"),
+              error("5", "evaluate: \\\"cu\\\" must be an integer"));
+    // Escaped keys and values match.
+    EXPECT_EQ(service_.processLine(
+                  "{\"\\u0069d\":5,\"sch\\u0065ma\":\"harmonia.request/1\","
+                  "\"verb\":\"p\\u0069ng\"}"),
+              pong);
+    // An int64 overflow is a double, so not an integer.
+    EXPECT_EQ(service_.processLine(
+                  "{\"id\":5,\"schema\":\"harmonia.request/1\","
+                  "\"verb\":\"sweep\",\"kernel\":\"" +
+                  kKernel + "\",\"top\":9223372036854775808}"),
+              error("5", "sweep: \\\"top\\\" must be an integer"));
+    EXPECT_EQ(service_.processLine(
+                  "{\"id\":5,\"schema\":\"harmonia.request/1\","
+                  "\"verb\":\"sweep\",\"kernel\":\"" +
+                  kKernel + "\",\"top\":2147483648}"),
+              error("5", "sweep: \\\"top\\\" out of range"));
+    expectStillServing();
+}
+
+// Nesting is capped at 64: a value inside 64 containers below the
+// request object parses, one inside 65 is a syntax error.
+TEST_F(ServeProtocolTest, NestingCapIsSixtyFour)
+{
+    const auto nested = [](int levels) {
+        return "{\"schema\":\"harmonia.request/1\",\"id\":5,"
+               "\"verb\":\"ping\",\"pad\":" +
+               std::string(static_cast<size_t>(levels), '[') +
+               std::string(static_cast<size_t>(levels), ']') + "}";
+    };
+    EXPECT_TRUE(isOk(service_.processLine(nested(64))));
+    const std::string deep = service_.processLine(nested(65));
+    EXPECT_EQ(errorCode(deep), "invalid_argument");
+    EXPECT_NE(deep.find("json: nesting too deep at offset 122"),
+              std::string::npos)
+        << deep;
+}
+
 } // namespace
+

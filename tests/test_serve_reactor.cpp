@@ -16,6 +16,8 @@
  *    reads is shed at the buffer cap, alone;
  *  - --max-connections: connects past the cap get one structured
  *    resource_exhausted reply, existing connections keep working;
+ *  - a bounded drain: a peer that never reads its replies is shed
+ *    after a second without progress, so shutdown still completes;
  *  - wake-up precision: the reactor sleeps exactly to its next
  *    deadline (wakeTimeout), never rounded to whole milliseconds.
  *
@@ -25,6 +27,7 @@
 
 #include "harmonia/serve/server.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -469,6 +472,72 @@ TEST(ServeReactor, MaxConnectionsRejectsWithStructuredError)
     EXPECT_GE(transportCounter(b, "rejected"), 1);
     close(a);
     close(b);
+}
+
+// A peer that writes requests and never reads its replies cannot hold
+// a drain. Once its unsent replies have not shrunk for the drain grace
+// (1 s), it is shed and counted, and run() returns; a well-behaved
+// client in the same drain still gets every reply.
+TEST(ServeReactor, DrainShedsAPeerThatNeverReads)
+{
+    Service service(ServiceOptions{});
+    ServerOptions sopt;
+    sopt.socketPath = "/tmp/harmonia_reactor_" + std::to_string(getpid()) +
+                      "_drain.sock";
+    Server server(service, sopt);
+    std::ostringstream log;
+    std::streambuf *cerrBuf = std::cerr.rdbuf(log.rdbuf());
+    ASSERT_TRUE(server.start().ok());
+    std::atomic<bool> returned{false};
+    std::thread reactor([&] {
+        server.run();
+        returned = true;
+    });
+
+    // ~400 kB of pings, never read. The writer blocks once the daemon
+    // stops reading (its replies are unsent), so it has its own thread.
+    const int hog = connectUnix(sopt.socketPath);
+    ASSERT_GE(hog, 0);
+    std::string burst;
+    for (int i = 0; burst.size() < 400000; ++i)
+        burst += pingLine("h" + std::to_string(i));
+    std::thread writer([&] { sendAll(hog, burst); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    const int polite = connectUnix(sopt.socketPath);
+    ASSERT_GE(polite, 0);
+    std::string requests;
+    for (int i = 0; i < 5; ++i)
+        requests += pingLine("p" + std::to_string(i));
+    requests += std::string("{\"schema\":\"") + kRequestSchema +
+                "\",\"id\":\"bye\",\"verb\":\"shutdown\"}\n";
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(sendAll(polite, requests));
+    std::string carry, line;
+    for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE(readLine(polite, carry, line)) << "reply " << i;
+        EXPECT_TRUE(replyOk(line)) << line;
+    }
+
+    // Grace plus slack; past it, unblock the drain by hand so a
+    // failure cannot hang the suite.
+    while (!returned && std::chrono::steady_clock::now() - start <
+                            std::chrono::seconds(3))
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_TRUE(returned.load()) << "drain still running";
+    shutdown(hog, SHUT_RDWR);
+    reactor.join();
+    writer.join();
+    close(hog);
+    close(polite);
+    std::cerr.rdbuf(cerrBuf);
+
+    EXPECT_LT(seconds, 3.0);
+    EXPECT_GE(seconds, 0.9); // The grace was given.
+    EXPECT_EQ(service.metrics().transport().backpressureSheds, 1u);
 }
 
 // --- wake-up precision --------------------------------------------------
