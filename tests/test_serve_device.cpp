@@ -204,6 +204,148 @@ TEST(ServeDevice, StatsExposesPerDeviceCachePartitioning)
     EXPECT_EQ(hbm->find("lattice_points")->asInt(), 512);
 }
 
+/**
+ * Append "path kind" for @p v and, for an object, each member in
+ * order. A number's kind is `int` or `double` as it parses; arrays are
+ * leaves.
+ */
+void
+keyPaths(const JsonValue &v, const std::string &path,
+         std::vector<std::string> &out)
+{
+    const char *kind = v.isObject()   ? "object"
+                       : v.isArray()  ? "array"
+                       : v.isString() ? "string"
+                       : v.isBool()   ? "bool"
+                       : v.isInt()    ? "int"
+                       : v.isDouble() ? "double"
+                                      : "null";
+    if (!path.empty())
+        out.push_back(path + " " + kind);
+    if (!v.isObject())
+        return;
+    for (const auto &[key, member] : v.asObject())
+        keyPaths(member, path.empty() ? key : path + "." + key, out);
+}
+
+// `stats` is the one reply whose values are timings, so no golden
+// stream can pin it; its shape (every key path, in order, with its
+// kind) is pinned here instead. A latency figure is a double whose
+// shortest form may be integral, so it is listed as `number` and
+// matches either numeric kind.
+TEST(ServeDevice, StatsKeyPathsAndOrderAreFixed)
+{
+    Service service(ServiceOptions{});
+    JsonValue eval = request("evaluate");
+    eval.set("kernel", JsonValue(firstKernelId()));
+    eval.set("configs", JsonValue::array({configToJson(
+                            service.sweep().configs()[5])}));
+    ASSERT_TRUE(isOk(roundTrip(service, eval)));
+    for (const char *device : {"", "hbm-stacked"}) {
+        JsonValue step = request("govern");
+        step.set("session", JsonValue(std::string("s@") + device));
+        step.set("governor", JsonValue("baseline"));
+        if (*device)
+            step.set("device", JsonValue(device));
+        step.set("kernel", JsonValue(firstKernelId()));
+        ASSERT_TRUE(isOk(roundTrip(service, step)));
+    }
+    JsonValue sweep = request("sweep");
+    sweep.set("kernel", JsonValue(firstKernelId()));
+    ASSERT_TRUE(isOk(roundTrip(service, sweep)));
+    EXPECT_NE(service.processLine("{not json").find("\"ok\":false"),
+              std::string::npos);
+
+    const std::string reply = service.processLine(request("stats").dump());
+    Result<JsonValue> doc = parseJson(reply);
+    ASSERT_TRUE(doc.ok()) << reply;
+    std::vector<std::string> got;
+    keyPaths(doc.value(), "", got);
+
+    const std::vector<std::string> want = {
+        "schema string",
+        "id int",
+        "verb string",
+        "ok bool",
+        "result object",
+        "result.metrics object",
+        "result.metrics.verbs object",
+        "result.metrics.verbs.evaluate object",
+        "result.metrics.verbs.evaluate.requests int",
+        "result.metrics.verbs.evaluate.errors int",
+        "result.metrics.verbs.evaluate.latency object",
+        "result.metrics.verbs.evaluate.latency.count int",
+        "result.metrics.verbs.evaluate.latency.mean_us number",
+        "result.metrics.verbs.evaluate.latency.p50_us number",
+        "result.metrics.verbs.evaluate.latency.p90_us number",
+        "result.metrics.verbs.evaluate.latency.p99_us number",
+        "result.metrics.verbs.evaluate.latency.max_us number",
+        "result.metrics.verbs.govern object",
+        "result.metrics.verbs.govern.requests int",
+        "result.metrics.verbs.govern.errors int",
+        "result.metrics.verbs.govern.latency object",
+        "result.metrics.verbs.govern.latency.count int",
+        "result.metrics.verbs.govern.latency.mean_us number",
+        "result.metrics.verbs.govern.latency.p50_us number",
+        "result.metrics.verbs.govern.latency.p90_us number",
+        "result.metrics.verbs.govern.latency.p99_us number",
+        "result.metrics.verbs.govern.latency.max_us number",
+        "result.metrics.verbs.sweep object",
+        "result.metrics.verbs.sweep.requests int",
+        "result.metrics.verbs.sweep.errors int",
+        "result.metrics.verbs.sweep.latency object",
+        "result.metrics.verbs.sweep.latency.count int",
+        "result.metrics.verbs.sweep.latency.mean_us number",
+        "result.metrics.verbs.sweep.latency.p50_us number",
+        "result.metrics.verbs.sweep.latency.p90_us number",
+        "result.metrics.verbs.sweep.latency.p99_us number",
+        "result.metrics.verbs.sweep.latency.max_us number",
+        "result.metrics.malformed_lines int",
+        "result.metrics.batching object",
+        "result.metrics.batching.lattice_runs int",
+        "result.metrics.batching.coalesced_requests int",
+        "result.metrics.batching.points_computed int",
+        "result.metrics.batching.points_from_cache int",
+        "result.metrics.transport object",
+        "result.metrics.transport.accepted int",
+        "result.metrics.transport.rejected int",
+        "result.metrics.transport.disconnects int",
+        "result.metrics.transport.idle_timeouts int",
+        "result.metrics.transport.backpressure_sheds int",
+        "result.metrics.transport.active int",
+        "result.metrics.transport.peak int",
+        "result.sessions int",
+        "result.trained bool",
+        "result.jobs int",
+        "result.devices object",
+        "result.devices.registered array",
+        "result.devices.active object",
+        "result.devices.active.hbm-stacked object",
+        "result.devices.active.hbm-stacked.requests int",
+        "result.devices.active.hbm-stacked.sessions int",
+        "result.devices.active.hbm-stacked.lattice_points int",
+        "result.devices.active.hbm-stacked.trained bool",
+        "result.devices.active.hd7970 object",
+        "result.devices.active.hd7970.requests int",
+        "result.devices.active.hd7970.sessions int",
+        "result.devices.active.hd7970.lattice_points int",
+        "result.devices.active.hd7970.trained bool",
+    };
+    ASSERT_EQ(got.size(), want.size()) << reply;
+    for (size_t i = 0; i < want.size(); ++i) {
+        const std::string_view w = want[i];
+        const bool number = w.ends_with(" number");
+        const std::string_view path =
+            number ? w.substr(0, w.size() - 7) : w;
+        const bool match =
+            number ? got[i] == std::string(path) + " int" ||
+                         got[i] == std::string(path) + " double"
+                   : got[i] == w;
+        EXPECT_TRUE(match) << "at " << i << ": got \"" << got[i]
+                           << "\", want \"" << w << "\"";
+    }
+}
+
 TEST(ServeDevice, DefaultDeviceOptionRebasesDevicelessRequests)
 {
     ServiceOptions opt;
