@@ -11,7 +11,7 @@
  *                          suite x schemes Campaign, the sweep engine,
  *                          sensitivity analysis, and TextTable;
  *  - harmonia/serve.hh:    the harmoniad serving vocabulary (namespace
- *                          harmonia::serve): JsonValue, the
+ *                          harmonia::serve): JsonWriter, the
  *                          harmonia.request/1 protocol, Service and
  *                          the Server reactor (docs/SERVING.md);
  *  - harmonia/check.hh:    the 11-invariant model checker behind

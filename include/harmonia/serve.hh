@@ -1,10 +1,12 @@
 /**
  * @file
- * Public serving surface (namespace harmonia::serve): JsonValue and
- * the harmonia.request/1 envelope helpers for protocol clients, the
- * Service/ServiceOptions batched evaluation engine, and the
- * Server/ServerOptions poll() reactor behind the harmoniad daemon.
- * Protocol and operations are documented in docs/SERVING.md.
+ * Public serving surface (namespace harmonia::serve): the JsonWriter
+ * encoder and the harmonia.request/1 protocol helpers, the
+ * Service/ServiceOptions that answers one request line at a time, and
+ * the Server/ServerOptions ppoll() reactor behind the harmoniad
+ * daemon. Protocol clients that want a document tree include
+ * harmonia/serve/json_tree.hh and link harmonia_json_tree. Protocol
+ * and operations are documented in docs/SERVING.md.
  */
 
 #ifndef HARMONIA_SERVE_HH

@@ -1,23 +1,13 @@
 /**
  * @file
- * Minimal JSON value, parser, and serializer for the serving protocol.
- *
- * The daemon speaks newline-delimited JSON (docs/SERVING.md); the
- * container ships no JSON library, so this is a small, dependency-free
- * implementation with the properties the protocol needs:
- *
- *  - objects preserve insertion order, so serialization is
- *    deterministic (the determinism test byte-compares response
- *    streams across worker counts);
- *  - numbers round-trip exactly: doubles serialize via
- *    std::to_chars (shortest representation), integers stay integral;
- *  - parse errors come back as Status (never exceptions), because a
- *    malformed client line must turn into a structured error reply,
- *    not a daemon crash.
- *
- * This is intentionally not a general-purpose library: no comments,
- * no NaN/Inf literals (the model never produces them — the invariant
- * checker enforces finiteness), UTF-8 passthrough without validation.
+ * JsonWriter: every byte of JSON harmoniad and harmonia_exp write goes
+ * through it (docs/SERVING.md, "Encoding"). Members come out in the
+ * order they are written, and doubles take their shortest round-trip
+ * form (std::to_chars), so replies are deterministic and exact. No
+ * NaN/Inf literals (the invariant checker enforces finiteness); UTF-8
+ * passes through unvalidated. Requests are read by the tokenizer in
+ * src/serve/json_parse.hh; the JsonValue tree
+ * (harmonia/serve/json_tree.hh) is for clients and tests only.
  */
 
 #ifndef HARMONIA_SERVE_JSON_HH
@@ -25,120 +15,18 @@
 
 #include <cstdint>
 #include <cstring>
-#include <initializer_list>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <variant>
-#include <vector>
-
-#include "harmonia/common/status.hh"
 
 namespace harmonia::serve
 {
 
-/** One JSON value (null / bool / number / string / array / object). */
-class JsonValue
-{
-  public:
-    using Array = std::vector<JsonValue>;
-    /** Insertion-ordered key/value list (duplicate keys: first wins on
-     * lookup, all serialize). */
-    using Object = std::vector<std::pair<std::string, JsonValue>>;
-
-    JsonValue() : value_(nullptr) {}
-    JsonValue(std::nullptr_t) : value_(nullptr) {}
-    JsonValue(bool b) : value_(b) {}
-    JsonValue(double d) : value_(d) {}
-    JsonValue(int i) : value_(static_cast<int64_t>(i)) {}
-    JsonValue(long long i) : value_(static_cast<int64_t>(i)) {}
-    JsonValue(unsigned long long i)
-        : value_(static_cast<int64_t>(i))
-    {
-    }
-    JsonValue(int64_t i) : value_(i) {}
-    JsonValue(const char *s) : value_(std::string(s)) {}
-    JsonValue(std::string s) : value_(std::move(s)) {}
-    JsonValue(std::string_view s) : value_(std::string(s)) {}
-    JsonValue(Array a) : value_(std::move(a)) {}
-    JsonValue(Object o) : value_(std::move(o)) {}
-
-    /** Object builder: JsonValue::object({{"k", v}, ...}). */
-    static JsonValue object(Object entries = {})
-    {
-        return JsonValue(std::move(entries));
-    }
-
-    static JsonValue array(Array entries = {})
-    {
-        return JsonValue(std::move(entries));
-    }
-
-    bool isNull() const { return holds<std::nullptr_t>(); }
-    bool isBool() const { return holds<bool>(); }
-    bool isDouble() const { return holds<double>(); }
-    bool isInt() const { return holds<int64_t>(); }
-    bool isNumber() const { return isDouble() || isInt(); }
-    bool isString() const { return holds<std::string>(); }
-    bool isArray() const { return holds<Array>(); }
-    bool isObject() const { return holds<Object>(); }
-
-    bool asBool() const { return std::get<bool>(value_); }
-    int64_t asInt() const;   ///< isInt, or integral double.
-    double asDouble() const; ///< Any number.
-    const std::string &asString() const
-    {
-        return std::get<std::string>(value_);
-    }
-    const Array &asArray() const { return std::get<Array>(value_); }
-    const Object &asObject() const { return std::get<Object>(value_); }
-    Array &asArray() { return std::get<Array>(value_); }
-    Object &asObject() { return std::get<Object>(value_); }
-
-    /** Object member by key; nullptr when absent (or not an object). */
-    const JsonValue *find(std::string_view key) const;
-
-    /** Append/overwrite an object member (must be an object). */
-    void set(std::string key, JsonValue value);
-
-    /** Append an array element (must be an array). */
-    void push(JsonValue value);
-
-    /** Compact, deterministic serialization (no whitespace). */
-    std::string dump() const;
-    void dumpTo(std::string &out) const;
-
-    bool operator==(const JsonValue &other) const = default;
-
-  private:
-    template <typename T> bool holds() const
-    {
-        return std::holds_alternative<T>(value_);
-    }
-
-    std::variant<std::nullptr_t, bool, int64_t, double, std::string,
-                 Array, Object>
-        value_;
-};
-
 /**
- * Parse one JSON document from @p text. Trailing non-whitespace after
- * the document, malformed syntax, or excessive nesting (64 levels)
- * yield InvalidArgument with a position-annotated message.
- */
-Result<JsonValue> parseJson(std::string_view text);
-
-/** JSON string escaping of @p s, without surrounding quotes. */
-std::string jsonEscape(std::string_view s);
-
-/**
- * Append-only compact JSON writer: builds the bytes JsonValue::dump()
- * would produce for the same document, without building the tree.
- * It is the one JSON encoder of the serving layer: dump()/dumpTo()
- * and jsonEscape() go through it too, so every value has one wire
- * form. Commas are inserted automatically; the caller keeps
- * begin/end calls balanced and precedes every object member with
- * key().
+ * Append-only compact JSON writer, the one JSON encoder of the
+ * serving layer: the client-side tree's dump() goes through it too,
+ * so every value has one wire form. Commas are
+ * inserted automatically; the caller keeps begin/end calls balanced
+ * and precedes every object member with key().
  *
  *   JsonWriter w;
  *   w.beginObject().key("points").integer(8).key("results");
@@ -187,8 +75,14 @@ class JsonWriter
         return *this;
     }
 
-    /** A whole tree, serialized as JsonValue::dump() would. */
-    JsonWriter &value(const JsonValue &v);
+    /** A value already in wire form (e.g. a request's encoded id). */
+    JsonWriter &raw(std::string_view wire)
+    {
+        element();
+        put(wire);
+        comma_ = true;
+        return *this;
+    }
 
     /** The prefix plus everything written; the writer is spent. */
     std::string take();

@@ -46,8 +46,8 @@ class LatencyStats
      */
     double percentileMicros(double p) const;
 
-    /** {"count","mean_us","p50_us","p90_us","p99_us","max_us"}. */
-    JsonValue toJson() const;
+    /** Write {"count","mean_us","p50_us","p90_us","p99_us","max_us"}. */
+    void write(JsonWriter &w) const;
 
   private:
     static constexpr int kBuckets = 40; ///< 1us .. ~2^39us (~6 days).
@@ -98,7 +98,8 @@ struct TransportMetrics
             --active;
     }
 
-    JsonValue toJson() const;
+    /** Write the counters as one object, in declaration order. */
+    void write(JsonWriter &w) const;
 };
 
 /** The full service metric set. */
@@ -121,8 +122,8 @@ class ServiceMetrics
     TransportMetrics &transport() { return transport_; }
     const TransportMetrics &transport() const { return transport_; }
 
-    /** Snapshot for the `stats` verb / shutdown report. */
-    JsonValue toJson() const;
+    /** Write the snapshot for the `stats` verb / shutdown report. */
+    void write(JsonWriter &w) const;
 
   private:
     static constexpr int kVerbCount = 6;

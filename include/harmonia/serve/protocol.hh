@@ -9,7 +9,7 @@
  *
  *   evaluate  kernel profile x config list -> per-config results
  *   govern    stateful per-session governor loop (decide/run/observe)
- *   sweep     full 448-config lattice summary via the sweep cache
+ *   sweep     full-lattice summary: best config, optional top-N
  *   stats     service metrics snapshot
  *   ping      liveness probe
  *   shutdown  request a graceful drain-then-exit
@@ -86,7 +86,10 @@ struct SweepParams
 /** One parsed request line. */
 struct Request
 {
-    JsonValue id;       ///< Echoed verbatim (null when absent).
+    /** The id in wire form, echoed in the reply: `null` when absent,
+     * an integer, or a string re-encoded from its decoded bytes (so
+     * `"\u0041"` comes back as `"A"`). */
+    std::string id = "null";
     Verb verb = Verb::Ping;
     EvaluateParams evaluate;
     GovernParams govern;
@@ -95,30 +98,25 @@ struct Request
 
 /**
  * Parse one request line. On failure the Status message is what the
- * error reply carries; the partially-parsed id (when retrievable) is
+ * error reply carries; the id in wire form (when retrievable) is
  * written to @p idOut so the reply can still correlate.
  */
-Result<Request> parseRequest(std::string_view line, JsonValue *idOut);
+Result<Request> parseRequest(std::string_view line, std::string *idOut);
 
-/** Serialize a config as {"cu":..,"compute_mhz":..,"mem_mhz":..}. */
-JsonValue configToJson(const HardwareConfig &cfg);
-
-/** Write @p cfg as configToJson(@p cfg) serializes. */
+/** Write @p cfg as {"cu":..,"compute_mhz":..,"mem_mhz":..}. */
 void writeConfig(JsonWriter &w, const HardwareConfig &cfg);
 
 /**
- * Open a success envelope, up to and including the `result` key:
- * `{"schema":..,"id":..,"verb":..,"ok":true,"result":`. The caller
- * writes the result value and closes the envelope with endObject().
+ * Open a success envelope for the wire-form @p id, up to and including
+ * the `result` key: `{"schema":..,"id":..,"verb":..,"ok":true,"result":`.
+ * The caller writes the result value and closes the envelope with
+ * endObject().
  */
-void beginResultResponse(JsonWriter &w, const JsonValue &id, Verb verb);
+void beginResultResponse(JsonWriter &w, std::string_view id, Verb verb);
 
-/** Success envelope: schema/id/verb/ok/result. */
-std::string makeResultResponse(const JsonValue &id, Verb verb,
-                               const JsonValue &result);
-
-/** Error envelope: schema/id/ok:false/error{code,message}. */
-std::string makeErrorResponse(const JsonValue &id, const Status &status);
+/** Error envelope: schema/id/ok:false/error{code,message}, for the
+ * wire-form @p id (`"null"` when there is none). */
+std::string makeErrorResponse(std::string_view id, const Status &status);
 
 } // namespace harmonia::serve
 

@@ -84,12 +84,11 @@ struct GovernorSession
 };
 
 /**
- * The success reply to evaluate request @p id, written straight to
- * bytes (no JsonValue tree). @p points[i] is the result at lattice
- * slot @p slots[i] of @p sweep (sorted, unique, covering every config
- * of @p p).
+ * The success reply to evaluate request @p id (in wire form).
+ * @p points[i] is the result at lattice slot @p slots[i] of @p sweep
+ * (sorted, unique, covering every config of @p p).
  */
-std::string evaluateResponse(const JsonValue &id, const EvaluateParams &p,
+std::string evaluateResponse(std::string_view id, const EvaluateParams &p,
                              const ConfigSweep &sweep,
                              const std::vector<uint32_t> &slots,
                              const std::vector<KernelResult> &points);
@@ -114,9 +113,6 @@ class Service
     const ConfigSweep &sweep() const;
     size_t sessionCount() const { return sessions_.size(); }
 
-    /** Devices instantiated so far (default + every one requested). */
-    size_t deviceCount() const { return devices_.size(); }
-
     /** Answer one request line: its response line, without the
      * trailing newline. @p line is read in place and not kept. */
     std::string processLine(std::string_view line);
@@ -124,8 +120,8 @@ class Service
     /** True once a `shutdown` request has been accepted. */
     bool shutdownRequested() const { return shutdownRequested_; }
 
-    /** The `stats` verb payload (also printed on shutdown). */
-    JsonValue statsJson() const;
+    /** Write the `stats` verb payload (also printed on shutdown). */
+    void writeStats(JsonWriter &w) const;
 
   private:
     struct DeviceState;
@@ -143,11 +139,13 @@ class Service
     Status validateEvaluate(const DeviceState &dev,
                             const EvaluateParams &p) const;
     /** The whole success reply to evaluate request @p id. */
-    Result<std::string> runEvaluate(const JsonValue &id,
+    Result<std::string> runEvaluate(std::string_view id,
                                     const EvaluateParams &p);
-    Result<JsonValue> runGovern(const GovernParams &p);
+    /** The whole success reply to govern request @p id. */
+    Result<std::string> runGovern(std::string_view id,
+                                  const GovernParams &p);
     /** The whole success reply to sweep request @p id. */
-    Result<std::string> runSweep(const JsonValue &id,
+    Result<std::string> runSweep(std::string_view id,
                                  const SweepParams &p);
     Result<std::unique_ptr<Governor>>
     buildGovernor(DeviceState &dev, const std::string &name);

@@ -14,7 +14,8 @@
 #   tidy       clang-tidy with the repo .clang-tidy profile
 #              (skipped with a notice when clang-tidy is absent)
 #   asan       ASan+UBSan Debug build; tier-1 ctest suite, the
-#              request-reader mutation corpus, the SIMD-vs-naive
+#              request-reader mutation corpus, the JSON writer and
+#              tokenizer suite, the SIMD-vs-naive
 #              equivalence suites, and
 #              `harmonia_exp --run fig10` with --jobs 4
 #   tsan       TSan build; the thread-pool, sweep-determinism and
@@ -106,15 +107,19 @@ if want asan; then
     if [ "$FAILED" -eq 0 ]; then
         (cd build-asan && ctest -L tier1 -j "$JOBS" --output-on-failure \
             | tail -n 5) || FAILED=1
+        # The request reader under the sanitizers: 2,000 seeded
+        # mutations of the wire stream (truncations, bit flips, escaped
+        # keys, nesting at the depth cap), and the writer and tokenizer
+        # suite, which links the JsonValue tree library
+        # (harmonia_json_tree) on top of the serve library. Also in
+        # tier1 above; named here so the stage keeps them if the label
+        # changes.
+        ./build-asan/tests/test_serve_mutation > /dev/null || FAILED=1
+        ./build-asan/tests/test_serve_json > /dev/null || FAILED=1
         # The SIMD-vs-naive bitwise-equivalence suites under the
         # sanitizers: the batching, table reuse, and partial-pack tail
         # loads/stores in the lattice path are exactly the kind of
         # code ASan/UBSan exists for.
-        # The request reader under the sanitizers: 2,000 seeded
-        # mutations of the wire stream (truncations, bit flips, escaped
-        # keys, nesting at the depth cap). Also in tier1 above; named
-        # here so the stage keeps it if the label changes.
-        ./build-asan/tests/test_serve_mutation > /dev/null || FAILED=1
         ./build-asan/tests/test_factored_engine > /dev/null || FAILED=1
         ./build-asan/tests/test_simd_equivalence > /dev/null || FAILED=1
         ./build-asan/tests/test_simd_shim > /dev/null || FAILED=1

@@ -1,7 +1,6 @@
 #include "artifact.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -11,6 +10,7 @@
 
 #include "common/csv.hh"
 #include "harmonia/common/error.hh"
+#include "harmonia/serve/json.hh"
 
 namespace harmonia::exp
 {
@@ -54,6 +54,13 @@ replaceFile(const std::string &path, const std::string &bytes)
             ": ", std::strerror(errno));
 }
 
+/** @p s as a JSON string, quoted and escaped. */
+std::string
+quoted(const std::string &s)
+{
+    return serve::JsonWriter({}, s.size() + 4).string(s).take();
+}
+
 } // namespace
 
 ArtifactWriter::ArtifactWriter(std::string dir, ArtifactFormats formats)
@@ -64,31 +71,6 @@ ArtifactWriter::ArtifactWriter(std::string dir, ArtifactFormats formats)
     std::filesystem::create_directories(dir_, ec);
     fatalIf(static_cast<bool>(ec), "ArtifactWriter: cannot create '",
             dir_, "': ", ec.message());
-}
-
-std::string
-ArtifactWriter::jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 void
@@ -119,19 +101,18 @@ ArtifactWriter::writeJson(const std::string &path,
     std::ostringstream out;
     out << "{\n"
         << "  \"schema\": \"harmonia.exhibit-table/1\",\n"
-        << "  \"exhibit\": \"" << jsonEscape(stem) << "\",\n"
-        << "  \"title\": \"" << jsonEscape(title) << "\",\n"
+        << "  \"exhibit\": " << quoted(stem) << ",\n"
+        << "  \"title\": " << quoted(title) << ",\n"
         << "  \"columns\": [";
     const auto &headers = table.headers();
     for (size_t c = 0; c < headers.size(); ++c)
-        out << (c ? ", " : "") << '"' << jsonEscape(headers[c]) << '"';
+        out << (c ? ", " : "") << quoted(headers[c]);
     out << "],\n  \"rows\": [";
     const auto &rows = table.data();
     for (size_t r = 0; r < rows.size(); ++r) {
         out << (r ? ",\n    " : "\n    ") << '[';
         for (size_t c = 0; c < rows[r].size(); ++c)
-            out << (c ? ", " : "") << '"' << jsonEscape(rows[r][c])
-                << '"';
+            out << (c ? ", " : "") << quoted(rows[r][c]);
         out << ']';
     }
     out << (rows.empty() ? "]" : "\n  ]") << "\n}\n";

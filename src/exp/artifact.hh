@@ -63,9 +63,6 @@ class ArtifactWriter
     /** Paths of every file written so far, in emission order. */
     const std::vector<std::string> &written() const { return written_; }
 
-    /** JSON string escaping (exposed for tests). */
-    static std::string jsonEscape(const std::string &s);
-
   private:
     void writeJson(const std::string &path, const std::string &stem,
                    const std::string &title, const TextTable &table);

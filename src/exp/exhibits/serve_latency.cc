@@ -44,7 +44,6 @@ namespace harmonia::exp
 namespace
 {
 
-using serve::JsonValue;
 using serve::Service;
 using serve::ServiceOptions;
 
@@ -59,18 +58,16 @@ makeRequest(const ConfigSweep &sweep, const std::string &kernelId,
             int iteration, int id, size_t begin, size_t count)
 {
     const std::vector<HardwareConfig> &configs = sweep.configs();
-    JsonValue cfgs = JsonValue::array();
+    serve::JsonWriter w;
+    w.beginObject().key("schema").string(serve::kRequestSchema);
+    w.key("id").integer(id);
+    w.key("verb").string("evaluate");
+    w.key("kernel").string(kernelId);
+    w.key("iteration").integer(iteration);
+    w.key("configs").beginArray();
     for (size_t i = begin; i < begin + count; ++i)
-        cfgs.push(serve::configToJson(configs[i % configs.size()]));
-    const JsonValue req = JsonValue::object({
-        {"schema", JsonValue(serve::kRequestSchema)},
-        {"id", JsonValue(id)},
-        {"verb", JsonValue("evaluate")},
-        {"kernel", JsonValue(kernelId)},
-        {"iteration", JsonValue(iteration)},
-        {"configs", std::move(cfgs)},
-    });
-    return req.dump();
+        serve::writeConfig(w, configs[i % configs.size()]);
+    return w.endArray().endObject().take();
 }
 
 /** Distinct governor-slice evaluates in one timing round. */

@@ -694,6 +694,55 @@ class ServePreciseTimeout : public LintRule
 };
 HARMONIA_REGISTER_LINT_RULE(ServePreciseTimeout)
 
+/**
+ * harmoniad reads requests with parseRequest() and writes every reply
+ * with JsonWriter. The JsonValue tree, a second representation of the
+ * same bytes, lives in json_tree.{hh,cc} for the client and the tests;
+ * the serving library and the experiment driver stay off it.
+ */
+class ServeOneJson : public LintRule
+{
+  public:
+    std::string id() const override { return "serve-one-json"; }
+
+    std::string description() const override
+    {
+        return "src/serve/, include/harmonia/serve/ and src/exp/ name "
+               "no JsonValue/parseJson/TreeBuilder outside "
+               "json_tree.{hh,cc}";
+    }
+
+    void check(const Project &project,
+               std::vector<Diagnostic> &out) const override
+    {
+        for (const SourceFile &file : project.files()) {
+            const bool tree =
+                file.path() == "src/serve/json_tree.cc" ||
+                file.path() == "include/harmonia/serve/json_tree.hh";
+            if (tree || !(file.under("src/serve/") ||
+                          file.under("include/harmonia/serve/") ||
+                          file.under("src/exp/")))
+                continue;
+            const auto &lines = file.codeLines();
+            for (size_t ln = 0; ln < lines.size(); ++ln) {
+                for (std::string_view tok :
+                     {"JsonValue", "parseJson", "TreeBuilder"}) {
+                    if (!hasToken(lines[ln], tok))
+                        continue;
+                    out.push_back(makeDiagnostic(
+                        *this, file, static_cast<int>(ln + 1),
+                        std::string(tok) + ": the daemon keeps one JSON "
+                                           "representation",
+                        "write with JsonWriter and read with "
+                        "parseRequest()"));
+                    break;
+                }
+            }
+        }
+    }
+};
+HARMONIA_REGISTER_LINT_RULE(ServeOneJson)
+
 // --- hygiene -----------------------------------------------------------
 
 /**

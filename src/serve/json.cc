@@ -10,61 +10,6 @@
 namespace harmonia::serve
 {
 
-int64_t
-JsonValue::asInt() const
-{
-    if (isInt())
-        return std::get<int64_t>(value_);
-    const double d = std::get<double>(value_);
-    return static_cast<int64_t>(d);
-}
-
-double
-JsonValue::asDouble() const
-{
-    if (isInt())
-        return static_cast<double>(std::get<int64_t>(value_));
-    return std::get<double>(value_);
-}
-
-const JsonValue *
-JsonValue::find(std::string_view key) const
-{
-    if (!isObject())
-        return nullptr;
-    for (const auto &[k, v] : asObject()) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
-void
-JsonValue::set(std::string key, JsonValue value)
-{
-    Object &obj = asObject();
-    for (auto &[k, v] : obj) {
-        if (k == key) {
-            v = std::move(value);
-            return;
-        }
-    }
-    obj.emplace_back(std::move(key), std::move(value));
-}
-
-void
-JsonValue::push(JsonValue value)
-{
-    asArray().push_back(std::move(value));
-}
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out = JsonWriter({}, s.size() + 2).string(s).take();
-    return out.substr(1, out.size() - 2);
-}
-
 JsonWriter::JsonWriter(std::string prefix, size_t sizeHint)
     : buf_(std::move(prefix)), len_(buf_.size())
 {
@@ -200,33 +145,6 @@ JsonWriter::number(double d)
     return *this;
 }
 
-JsonWriter &
-JsonWriter::value(const JsonValue &v)
-{
-    if (v.isNull())
-        return null();
-    if (v.isBool())
-        return boolean(v.asBool());
-    if (v.isInt())
-        return integer(v.asInt());
-    if (v.isDouble())
-        return number(v.asDouble());
-    if (v.isString())
-        return string(v.asString());
-    if (v.isArray()) {
-        beginArray();
-        for (const JsonValue &e : v.asArray())
-            value(e);
-        return endArray();
-    }
-    beginObject();
-    for (const auto &[k, e] : v.asObject()) {
-        key(k);
-        value(e);
-    }
-    return endObject();
-}
-
 std::string
 JsonWriter::take()
 {
@@ -234,84 +152,8 @@ JsonWriter::take()
     return std::move(buf_);
 }
 
-void
-JsonValue::dumpTo(std::string &out) const
-{
-    out = JsonWriter(std::move(out)).value(*this).take();
-}
-
-std::string
-JsonValue::dump() const
-{
-    std::string out;
-    dumpTo(out);
-    return out;
-}
-
-// ---------------------------------------------------------------------
-// Parsing: the tokenizer (serve/json_parse.hh) feeding a tree builder.
-// ---------------------------------------------------------------------
-
 namespace
 {
-
-std::string
-tokenText(const JsonToken &t)
-{
-    return t.escaped ? decodeJsonString(t.text) : std::string(t.text);
-}
-
-/** Sink that builds the JsonValue tree of the document it is fed. */
-class TreeBuilder
-{
-  public:
-    void beginObject() { open(JsonValue::object()); }
-    void beginArray() { open(JsonValue::array()); }
-    void endObject() { open_.pop_back(); }
-    void endArray() { open_.pop_back(); }
-
-    void key(const JsonToken &k)
-    {
-        open_.back()->asObject().emplace_back(tokenText(k), JsonValue());
-    }
-
-    void value(const JsonToken &v)
-    {
-        JsonValue *at = slot();
-        switch (v.kind) {
-          case JsonKind::Bool: *at = JsonValue(v.boolean); break;
-          case JsonKind::Int: *at = JsonValue(v.integer); break;
-          case JsonKind::Double: *at = JsonValue(v.number); break;
-          case JsonKind::String: *at = JsonValue(tokenText(v)); break;
-          default: *at = JsonValue(); break;
-        }
-    }
-
-    JsonValue root;
-
-  private:
-    /** Where the next value goes. A container on the open stack only
-     * grows while it is the innermost one, so the pointers below it
-     * stay valid. */
-    JsonValue *slot()
-    {
-        if (open_.empty())
-            return &root;
-        JsonValue &top = *open_.back();
-        if (top.isArray())
-            return &top.asArray().emplace_back();
-        return &top.asObject().back().second;
-    }
-
-    void open(JsonValue container)
-    {
-        JsonValue *at = slot();
-        *at = std::move(container);
-        open_.push_back(at);
-    }
-
-    std::vector<JsonValue *> open_;
-};
 
 /** Sink for a scan that only decodes one string. */
 struct NoSink
@@ -331,15 +173,6 @@ decodeJsonString(std::string_view text)
     out.reserve(text.size());
     scanner.scanString(t, &out);
     return out;
-}
-
-Result<JsonValue>
-parseJson(std::string_view text)
-{
-    TreeBuilder tree;
-    if (Status s = parseJsonInto(text, tree); !s.ok())
-        return s;
-    return std::move(tree.root);
 }
 
 } // namespace harmonia::serve

@@ -6,8 +6,8 @@
  * builds nothing itself: it reports what it reads to a Sink, which
  * decides what to keep. Two sinks exist:
  *
- *  - the tree builder behind parseJson() (src/serve/json.cc), which
- *    makes a JsonValue for harmonia_client and the tests;
+ *  - the tree builder behind parseJson() (src/serve/json_tree.cc),
+ *    which makes a document tree for harmonia_client and the tests;
  *  - the request reader behind parseRequest() (src/serve/protocol.cc),
  *    which keeps only the spans of the members a request uses.
  *
@@ -29,7 +29,6 @@
 #define HARMONIA_SERVE_JSON_PARSE_HH
 
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -345,11 +344,11 @@ template <typename Sink> class JsonParser
             }
             // An int64 overflow reads as a double.
         }
+        // from_chars reports an overflow such as 1e999 as out of range,
+        // so every number that gets through is finite.
         const auto res = std::from_chars(tok.data(), end, t.number);
         if (res.ec != std::errc() || res.ptr != end)
             return fail("bad number");
-        if (!std::isfinite(t.number))
-            return fail("non-finite number");
         t.kind = JsonKind::Double;
         sink_.value(t);
         return true;

@@ -1,6 +1,8 @@
 #include "harmonia/serve/metrics.hh"
 
 #include <cmath>
+#include <initializer_list>
+#include <utility>
 
 namespace harmonia::serve
 {
@@ -49,17 +51,15 @@ LatencyStats::percentileMicros(double p) const
     return maxMicros_;
 }
 
-JsonValue
-LatencyStats::toJson() const
+void
+LatencyStats::write(JsonWriter &w) const
 {
-    return JsonValue::object({
-        {"count", JsonValue(static_cast<int64_t>(count_))},
-        {"mean_us", JsonValue(meanMicros())},
-        {"p50_us", JsonValue(percentileMicros(50.0))},
-        {"p90_us", JsonValue(percentileMicros(90.0))},
-        {"p99_us", JsonValue(percentileMicros(99.0))},
-        {"max_us", JsonValue(maxMicros_)},
-    });
+    w.beginObject().key("count").integer(static_cast<int64_t>(count_));
+    w.key("mean_us").number(meanMicros());
+    w.key("p50_us").number(percentileMicros(50.0));
+    w.key("p90_us").number(percentileMicros(90.0));
+    w.key("p99_us").number(percentileMicros(99.0));
+    w.key("max_us").number(maxMicros_).endObject();
 }
 
 void
@@ -80,57 +80,51 @@ ServiceMetrics::recordEvaluate(uint64_t pointsComputed, uint64_t duplicates)
     duplicatePoints_ += duplicates;
 }
 
-JsonValue
-TransportMetrics::toJson() const
+void
+TransportMetrics::write(JsonWriter &w) const
 {
-    return JsonValue::object({
-        {"accepted", JsonValue(static_cast<int64_t>(accepted))},
-        {"rejected", JsonValue(static_cast<int64_t>(rejected))},
-        {"disconnects", JsonValue(static_cast<int64_t>(disconnects))},
-        {"idle_timeouts",
-         JsonValue(static_cast<int64_t>(idleTimeouts))},
-        {"backpressure_sheds",
-         JsonValue(static_cast<int64_t>(backpressureSheds))},
-        {"active", JsonValue(static_cast<int64_t>(active))},
-        {"peak", JsonValue(static_cast<int64_t>(peak))},
-    });
+    w.beginObject();
+    for (const auto &[key, value] :
+         {std::pair<const char *, uint64_t>{"accepted", accepted},
+          {"rejected", rejected},
+          {"disconnects", disconnects},
+          {"idle_timeouts", idleTimeouts},
+          {"backpressure_sheds", backpressureSheds},
+          {"active", active},
+          {"peak", peak}})
+        w.key(key).integer(static_cast<int64_t>(value));
+    w.endObject();
 }
 
-JsonValue
-ServiceMetrics::toJson() const
+void
+ServiceMetrics::write(JsonWriter &w) const
 {
-    JsonValue verbs = JsonValue::object();
+    w.beginObject().key("verbs").beginObject();
     for (int i = 0; i < kVerbCount; ++i) {
         const VerbMetrics &m = verbs_[i];
         if (m.requests == 0)
             continue;
-        JsonValue entry = JsonValue::object({
-            {"requests", JsonValue(static_cast<int64_t>(m.requests))},
-            {"errors", JsonValue(static_cast<int64_t>(m.errors))},
-            {"latency", m.latency.toJson()},
-        });
-        verbs.set(verbName(static_cast<Verb>(i)), std::move(entry));
+        w.key(verbName(static_cast<Verb>(i))).beginObject();
+        w.key("requests").integer(static_cast<int64_t>(m.requests));
+        w.key("errors").integer(static_cast<int64_t>(m.errors));
+        m.latency.write(w.key("latency"));
+        w.endObject();
     }
-    return JsonValue::object({
-        {"verbs", std::move(verbs)},
-        {"malformed_lines",
-         JsonValue(static_cast<int64_t>(malformedLines_))},
-        // The block and its keys predate the removal of the point store
-        // and of request fusion; they stay for perfbench, which reads
-        // them. `points_from_cache` counts in-request duplicates, and
-        // no request shares a lattice run any more.
-        {"batching",
-         JsonValue::object({
-             {"lattice_runs",
-              JsonValue(static_cast<int64_t>(latticeRuns_))},
-             {"coalesced_requests", JsonValue(int64_t{0})},
-             {"points_computed",
-              JsonValue(static_cast<int64_t>(pointsComputed_))},
-             {"points_from_cache",
-              JsonValue(static_cast<int64_t>(duplicatePoints_))},
-         })},
-        {"transport", transport_.toJson()},
-    });
+    w.endObject();
+    w.key("malformed_lines").integer(static_cast<int64_t>(malformedLines_));
+    // The block and its keys predate the removal of the point store and
+    // of request fusion; they stay for perfbench, which reads them.
+    // `points_from_cache` counts in-request duplicates, and no request
+    // shares a lattice run any more.
+    w.key("batching").beginObject();
+    w.key("lattice_runs").integer(static_cast<int64_t>(latticeRuns_));
+    w.key("coalesced_requests").integer(0);
+    w.key("points_computed").integer(static_cast<int64_t>(pointsComputed_));
+    w.key("points_from_cache")
+        .integer(static_cast<int64_t>(duplicatePoints_));
+    w.endObject();
+    transport_.write(w.key("transport"));
+    w.endObject();
 }
 
 } // namespace harmonia::serve

@@ -357,7 +357,7 @@ verbName(Verb verb)
 }
 
 Result<Request>
-parseRequest(std::string_view line, JsonValue *idOut)
+parseRequest(std::string_view line, std::string *idOut)
 {
     // The whole line passes the syntax check before any member is
     // read, so a syntax error anywhere wins over every semantic one.
@@ -372,11 +372,11 @@ parseRequest(std::string_view line, JsonValue *idOut)
         switch (r.id.token.kind) {
           case JsonKind::String: {
             std::string bytes;
-            req.id = JsonValue(std::string(textOf(r.id, bytes)));
+            req.id = JsonWriter().string(textOf(r.id, bytes)).take();
             break;
           }
           case JsonKind::Int:
-            req.id = JsonValue(r.id.token.integer);
+            req.id = std::to_string(r.id.token.integer);
             break;
           case JsonKind::Null:
             break;
@@ -428,72 +428,35 @@ parseRequest(std::string_view line, JsonValue *idOut)
     return req;
 }
 
-JsonValue
-configToJson(const HardwareConfig &cfg)
-{
-    return JsonValue::object({
-        {"cu", JsonValue(cfg.cuCount)},
-        {"compute_mhz", JsonValue(cfg.computeFreqMhz)},
-        {"mem_mhz", JsonValue(cfg.memFreqMhz)},
-    });
-}
-
 void
 writeConfig(JsonWriter &w, const HardwareConfig &cfg)
 {
-    w.beginObject()
-        .key("cu")
-        .integer(cfg.cuCount)
-        .key("compute_mhz")
-        .integer(cfg.computeFreqMhz)
-        .key("mem_mhz")
-        .integer(cfg.memFreqMhz)
-        .endObject();
+    w.beginObject().key("cu").integer(cfg.cuCount);
+    w.key("compute_mhz").integer(cfg.computeFreqMhz);
+    w.key("mem_mhz").integer(cfg.memFreqMhz).endObject();
 }
 
 void
-beginResultResponse(JsonWriter &w, const JsonValue &id, Verb verb)
+beginResultResponse(JsonWriter &w, std::string_view id, Verb verb)
 {
-    w.beginObject()
-        .key("schema")
-        .string(kResponseSchema)
-        .key("id")
-        .value(id)
-        .key("verb")
-        .string(verbName(verb))
-        .key("ok")
-        .boolean(true)
-        .key("result");
+    w.beginObject().key("schema").string(kResponseSchema);
+    w.key("id").raw(id);
+    w.key("verb").string(verbName(verb));
+    w.key("ok").boolean(true);
+    w.key("result");
 }
 
 std::string
-makeResultResponse(const JsonValue &id, Verb verb, const JsonValue &result)
+makeErrorResponse(std::string_view id, const Status &status)
 {
     JsonWriter w;
-    beginResultResponse(w, id, verb);
-    return w.value(result).endObject().take();
-}
-
-std::string
-makeErrorResponse(const JsonValue &id, const Status &status)
-{
-    return JsonWriter()
-        .beginObject()
-        .key("schema")
-        .string(kResponseSchema)
-        .key("id")
-        .value(id)
-        .key("ok")
-        .boolean(false)
-        .key("error")
-        .beginObject()
-        .key("code")
-        .string(statusCodeName(status.code()))
-        .key("message")
-        .string(status.message())
-        .endObject()
-        .endObject()
-        .take();
+    w.beginObject().key("schema").string(kResponseSchema);
+    w.key("id").raw(id);
+    w.key("ok").boolean(false);
+    w.key("error").beginObject();
+    w.key("code").string(statusCodeName(status.code()));
+    w.key("message").string(status.message());
+    return w.endObject().endObject().take();
 }
 
 } // namespace harmonia::serve

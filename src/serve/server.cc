@@ -329,7 +329,7 @@ Server::acceptClients(int listenFd, bool tcp)
             // connection always has room for it in practice).
             const std::string reply =
                 makeErrorResponse(
-                    JsonValue(),
+                    "null",
                     Status::resourceExhausted(
                         "connection limit (" +
                         std::to_string(options_.maxConnections) +
@@ -396,7 +396,7 @@ Server::readConn(Conn &conn)
             conn.inBuf.find('\n') == std::string::npos &&
             conn.inBuf.size() > service_.options().maxRequestBytes) {
             conn.outBuf += makeErrorResponse(
-                JsonValue(),
+                "null",
                 Status::resourceExhausted(
                     "request line exceeds " +
                     std::to_string(service_.options().maxRequestBytes) +
@@ -663,8 +663,10 @@ Server::run()
         closeFinished();
     }
 
+    JsonWriter stats;
+    service_.writeStats(stats);
     std::cerr << "harmoniad: drained, shutting down\n"
-              << service_.statsJson().dump() << '\n';
+              << stats.take() << '\n';
     return 0;
 }
 

@@ -40,13 +40,16 @@ parseObjective(const std::string &name)
         "\" (want min_ed2, min_ed, min_energy, or max_performance)");
 }
 
-/** The success reply carrying @p tree, or its error. */
-Result<std::string>
-treeReply(const JsonValue &id, Verb verb, const Result<JsonValue> &tree)
+/** The success reply to @p id: its envelope around the result value
+ * @p body writes. */
+template <typename Body>
+std::string
+resultReply(std::string_view id, Verb verb, const Body &body)
 {
-    if (!tree.ok())
-        return tree.status();
-    return makeResultResponse(id, verb, tree.value());
+    JsonWriter w;
+    beginResultResponse(w, id, verb);
+    body(w);
+    return w.endObject().take();
 }
 
 /**
@@ -57,26 +60,19 @@ void
 beginKernelResult(JsonWriter &w, const HardwareConfig &cfg,
                   const KernelResult &r)
 {
-    w.beginObject().key("config");
-    writeConfig(w, cfg);
-    w.key("time_s")
-        .number(r.time())
-        .key("power_w")
-        .number(r.power.total())
-        .key("card_energy_j")
-        .number(r.cardEnergy)
-        .key("gpu_energy_j")
-        .number(r.gpuEnergy)
-        .key("mem_energy_j")
-        .number(r.memEnergy)
-        .key("ed2")
-        .number(r.ed2());
+    writeConfig(w.beginObject().key("config"), cfg);
+    w.key("time_s").number(r.time());
+    w.key("power_w").number(r.power.total());
+    w.key("card_energy_j").number(r.cardEnergy);
+    w.key("gpu_energy_j").number(r.gpuEnergy);
+    w.key("mem_energy_j").number(r.memEnergy);
+    w.key("ed2").number(r.ed2());
 }
 
 } // namespace
 
 std::string
-evaluateResponse(const JsonValue &id, const EvaluateParams &p,
+evaluateResponse(std::string_view id, const EvaluateParams &p,
                  const ConfigSweep &sweep,
                  const std::vector<uint32_t> &slots,
                  const std::vector<KernelResult> &points)
@@ -86,15 +82,10 @@ evaluateResponse(const JsonValue &id, const EvaluateParams &p,
         p.fullLattice ? lattice.size() : p.configs.size();
     JsonWriter w({}, 256 + 256 * count);
     beginResultResponse(w, id, Verb::Evaluate);
-    w.beginObject()
-        .key("kernel")
-        .string(p.kernel)
-        .key("iteration")
-        .integer(p.iteration)
-        .key("points")
-        .integer(static_cast<int64_t>(count))
-        .key("results")
-        .beginArray();
+    w.beginObject().key("kernel").string(p.kernel);
+    w.key("iteration").integer(p.iteration);
+    w.key("points").integer(static_cast<int64_t>(count));
+    w.key("results").beginArray();
     auto row = [&](const HardwareConfig &cfg, size_t slot) {
         const auto it = std::lower_bound(slots.begin(), slots.end(),
                                          static_cast<uint32_t>(slot));
@@ -234,7 +225,7 @@ Service::validateEvaluate(const DeviceState &dev,
 }
 
 Result<std::string>
-Service::runEvaluate(const JsonValue &id, const EvaluateParams &p)
+Service::runEvaluate(std::string_view id, const EvaluateParams &p)
 {
     Result<DeviceState *> devResult = resolveDevice(p.device);
     if (!devResult.ok())
@@ -307,28 +298,28 @@ Service::buildGovernor(DeviceState &dev, const std::string &name)
     return makeGovernor(name, spec);
 }
 
-Result<JsonValue>
-Service::runGovern(const GovernParams &p)
+Result<std::string>
+Service::runGovern(std::string_view id, const GovernParams &p)
 {
     if (p.end || p.reset) {
         const auto it = sessions_.find(p.session);
         if (it == sessions_.end())
             return Status::notFound("unknown session \"" + p.session +
                                     "\"");
-        if (p.end) {
-            const int64_t steps =
-                static_cast<int64_t>(it->second.steps);
+        const uint64_t steps = it->second.steps;
+        if (p.end)
             sessions_.erase(it);
-            return JsonValue::object({
-                {"session", JsonValue(p.session)},
-                {"ended", JsonValue(true)},
-                {"steps", JsonValue(steps)},
-            });
-        }
-        it->second.governor->reset();
-        return JsonValue::object({
-            {"session", JsonValue(p.session)},
-            {"reset", JsonValue(true)},
+        else
+            it->second.governor->reset();
+        return resultReply(id, Verb::Govern, [&](JsonWriter &w) {
+            w.beginObject().key("session").string(p.session);
+            if (p.end) {
+                w.key("ended").boolean(true);
+                w.key("steps").integer(static_cast<int64_t>(steps));
+            } else {
+                w.key("reset").boolean(true);
+            }
+            w.endObject();
         });
     }
 
@@ -400,25 +391,25 @@ Service::runGovern(const GovernParams &p)
     session.governor->observe(sample);
     ++session.steps;
 
-    JsonValue out = JsonValue::object({
-        {"session", JsonValue(p.session)},
-        {"governor", JsonValue(session.governor->name())},
-        {"kernel", JsonValue(p.kernel)},
-        {"iteration", JsonValue(p.iteration)},
-        {"config", configToJson(cfg)},
-        {"time_s", JsonValue(result.time())},
-        {"power_w", JsonValue(result.power.total())},
-        {"card_energy_j", JsonValue(result.cardEnergy)},
-        {"ed2", JsonValue(result.ed2())},
-        {"steps", JsonValue(static_cast<int64_t>(session.steps))},
+    return resultReply(id, Verb::Govern, [&](JsonWriter &w) {
+        w.beginObject().key("session").string(p.session);
+        w.key("governor").string(session.governor->name());
+        w.key("kernel").string(p.kernel);
+        w.key("iteration").integer(p.iteration);
+        writeConfig(w.key("config"), cfg);
+        w.key("time_s").number(result.time());
+        w.key("power_w").number(result.power.total());
+        w.key("card_energy_j").number(result.cardEnergy);
+        w.key("ed2").number(result.ed2());
+        w.key("steps").integer(static_cast<int64_t>(session.steps));
+        if (!p.device.empty())
+            w.key("device").string(session.deviceName);
+        w.endObject();
     });
-    if (!p.device.empty())
-        out.set("device", JsonValue(session.deviceName));
-    return out;
 }
 
 Result<std::string>
-Service::runSweep(const JsonValue &id, const SweepParams &p)
+Service::runSweep(std::string_view id, const SweepParams &p)
 {
     const KernelProfile *profile = findKernel(p.kernel);
     if (!profile)
@@ -452,16 +443,11 @@ Service::runSweep(const JsonValue &id, const SweepParams &p)
     };
 
     beginResultResponse(w, id, Verb::Sweep);
-    w.beginObject()
-        .key("kernel")
-        .string(p.kernel)
-        .key("iteration")
-        .integer(p.iteration)
-        .key("objective")
-        .string(p.objective)
-        .key("points")
-        .integer(static_cast<int64_t>(results.size()))
-        .key("best");
+    w.beginObject().key("kernel").string(p.kernel);
+    w.key("iteration").integer(p.iteration);
+    w.key("objective").string(p.objective);
+    w.key("points").integer(static_cast<int64_t>(results.size()));
+    w.key("best");
     row(sweep.indexOf(bestConfigFor(configs, results, objective.value())));
     if (!p.device.empty())
         w.key("device").string(dev.device.name());
@@ -484,56 +470,42 @@ Service::runSweep(const JsonValue &id, const SweepParams &p)
     return w.endObject().endObject().take();
 }
 
-JsonValue
-Service::statsJson() const
+void
+Service::writeStats(JsonWriter &w) const
 {
     // Top-level `trained` keeps its pre-registry meaning: it
     // describes the default device, so dashboards built against the
     // old schema read unchanged values on a device-less stream.
-    JsonValue out = JsonValue::object({
-        {"metrics", metrics_.toJson()},
-        {"sessions",
-         JsonValue(static_cast<int64_t>(sessions_.size()))},
-        {"trained", JsonValue(defaultDevice_->predictor.has_value())},
-        {"jobs", JsonValue(options_.jobs)},
-    });
+    metrics_.write(w.beginObject().key("metrics"));
+    w.key("sessions").integer(static_cast<int64_t>(sessions_.size()));
+    w.key("trained").boolean(defaultDevice_->predictor.has_value());
+    w.key("jobs").integer(options_.jobs);
 
     // Per-device breakdown: every registered name, plus live counters
     // for each state instantiated so far.
-    JsonValue registered = JsonValue::array();
+    w.key("devices").beginObject().key("registered").beginArray();
     for (const std::string &name : deviceNames())
-        registered.push(JsonValue(name));
-    JsonValue active = JsonValue::object();
+        w.string(name);
+    w.endArray().key("active").beginObject();
     for (const auto &[name, state] : devices_) {
-        int64_t boundSessions = 0;
-        for (const auto &[id, session] : sessions_) {
-            (void)id;
-            if (session.deviceName == name)
-                ++boundSessions;
-        }
-        active.set(
-            name,
-            JsonValue::object({
-                {"requests",
-                 JsonValue(static_cast<int64_t>(state->requests))},
-                {"sessions", JsonValue(boundSessions)},
-                {"lattice_points",
-                 JsonValue(static_cast<int64_t>(
-                     state->sweep.configs().size()))},
-                {"trained", JsonValue(state->predictor.has_value())},
-            }));
+        const auto boundSessions = std::count_if(
+            sessions_.begin(), sessions_.end(),
+            [&](const auto &s) { return s.second.deviceName == name; });
+        w.key(name).beginObject();
+        w.key("requests").integer(static_cast<int64_t>(state->requests));
+        w.key("sessions").integer(boundSessions);
+        w.key("lattice_points")
+            .integer(static_cast<int64_t>(state->sweep.configs().size()));
+        w.key("trained").boolean(state->predictor.has_value());
+        w.endObject();
     }
-    out.set("devices", JsonValue::object({
-                           {"registered", std::move(registered)},
-                           {"active", std::move(active)},
-                       }));
-    return out;
+    w.endObject().endObject().endObject();
 }
 
 std::string
 Service::processLine(std::string_view line)
 {
-    JsonValue id;
+    std::string id = "null";
     if (line.size() > options_.maxRequestBytes) {
         metrics_.recordMalformed();
         return makeErrorResponse(
@@ -556,23 +528,25 @@ Service::processLine(std::string_view line)
             reply = runEvaluate(id, req.evaluate);
             break;
           case Verb::Govern:
-            reply = treeReply(id, req.verb, runGovern(req.govern));
+            reply = runGovern(id, req.govern);
             break;
           case Verb::Sweep:
             reply = runSweep(id, req.sweep);
             break;
           case Verb::Stats:
-            reply = makeResultResponse(id, req.verb, statsJson());
+            reply = resultReply(id, req.verb,
+                                [&](JsonWriter &w) { writeStats(w); });
             break;
           case Verb::Ping:
-            reply = makeResultResponse(
-                id, req.verb, JsonValue::object({{"pong", JsonValue(true)}}));
+            reply = resultReply(id, req.verb, [](JsonWriter &w) {
+                w.beginObject().key("pong").boolean(true).endObject();
+            });
             break;
           case Verb::Shutdown:
             shutdownRequested_ = true;
-            reply = makeResultResponse(
-                id, req.verb,
-                JsonValue::object({{"draining", JsonValue(true)}}));
+            reply = resultReply(id, req.verb, [](JsonWriter &w) {
+                w.beginObject().key("draining").boolean(true).endObject();
+            });
             break;
         }
     } catch (...) {

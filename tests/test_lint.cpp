@@ -321,6 +321,49 @@ TEST(LintRules, ServeNoThrowCoversServingTools)
     EXPECT_EQ(diags[1].file, "tools/harmoniad.cc");
 }
 
+// The JsonValue tree stays out of the daemon and the experiment
+// driver: only json_tree.{hh,cc} may name it.
+TEST(LintRules, ServeOneJsonFires)
+{
+    const Project p =
+        ProjectBuilder()
+            .add("src/serve/reply.cc",
+                 "#include \"harmonia/serve/json.hh\"\n"
+                 "JsonValue f();\n")
+            .add("include/harmonia/serve/api.hh",
+                 "#ifndef A\n#define A\nauto g = parseJson;\n#endif\n")
+            .add("src/exp/exhibits/x.cc", "serve::TreeBuilder t;\n")
+            .build();
+    const auto diags = runRule("serve-one-json", p);
+    ASSERT_EQ(diags.size(), 3u);
+    EXPECT_EQ(diags[0].ruleId, "serve-one-json");
+    EXPECT_EQ(diags[0].file, "include/harmonia/serve/api.hh");
+    EXPECT_EQ(diags[0].line, 3);
+    EXPECT_EQ(diags[1].file, "src/exp/exhibits/x.cc");
+    EXPECT_EQ(diags[2].file, "src/serve/reply.cc");
+    EXPECT_EQ(diags[2].line, 2);
+}
+
+// The tree's own files, its users outside the daemon, comments,
+// strings and longer identifiers are all allowed.
+TEST(LintRules, ServeOneJsonAllowsTheTreeFilesAndOtherUsers)
+{
+    const Project p =
+        ProjectBuilder()
+            .add("src/serve/json_tree.cc",
+                 "Result<JsonValue> parseJson(std::string_view t);\n")
+            .add("include/harmonia/serve/json_tree.hh",
+                 "#ifndef T\n#define T\nclass JsonValue {};\n#endif\n")
+            .add("tools/harmonia_client.cpp", "JsonValue v;\n")
+            .add("tests/test_serve_json.cpp", "JsonValue v;\n")
+            .add("src/serve/protocol.cc",
+                 "// no JsonValue here\n"
+                 "const char *s = \"parseJson\";\n"
+                 "Status st = parseJsonInto(line, r);\n")
+            .build();
+    EXPECT_TRUE(runRule("serve-one-json", p).empty());
+}
+
 // A millisecond-granularity wait in the serving layer rounds the
 // reactor's microsecond deadlines up to 1 ms.
 TEST(LintRules, ServePreciseTimeoutFires)
@@ -421,7 +464,7 @@ TEST(LintRules, UsingNamespaceInHeaderFires)
 TEST(LintRegistry, CatalogIsCompleteSortedAndSearchable)
 {
     const auto rules = RuleRegistry::instance().all();
-    EXPECT_EQ(rules.size(), 11u);
+    EXPECT_EQ(rules.size(), 12u);
     EXPECT_TRUE(std::is_sorted(
         rules.begin(), rules.end(),
         [](const LintRule *a, const LintRule *b) {

@@ -37,7 +37,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harmonia/serve/json.hh"
+#include "harmonia/serve/json_tree.hh"
 #include "harmonia/serve/protocol.hh"
 #include "harmonia/serve/server.hh"
 #include "harmonia/workloads/suite.hh"
@@ -47,6 +47,15 @@ using namespace harmonia::serve;
 
 namespace
 {
+
+/** @p cfg as the tree a request carries. */
+JsonValue
+configTree(const HardwareConfig &cfg)
+{
+    return JsonValue::object({{"cu", JsonValue(cfg.cuCount)},
+                              {"compute_mhz", JsonValue(cfg.computeFreqMhz)},
+                              {"mem_mhz", JsonValue(cfg.memFreqMhz)}});
+}
 
 /** A mixed-verb stream (no `stats`): partial and full-lattice
  * evaluates with overlapping config slices, governor sessions, a
@@ -73,7 +82,7 @@ requestStream(const ConfigSweep &sweep)
         const std::string &kid = kernelIds[(r / 4) % kernelIds.size()];
         JsonValue cfgs = JsonValue::array();
         for (int i = 0; i < 6; ++i)
-            cfgs.push(configToJson(
+            cfgs.push(configTree(
                 configs[(r * 3 + i * 7) % configs.size()]));
         push(JsonValue::object({
             {"schema", JsonValue(kRequestSchema)},

@@ -23,7 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "harmonia/common/error.hh"
-#include "harmonia/serve/json.hh"
+#include "harmonia/serve/json_tree.hh"
 #include "harmonia/serve/protocol.hh"
 #include "harmonia/sim/device_registry.hh"
 #include "harmonia/workloads/suite.hh"
@@ -33,6 +33,15 @@ using namespace harmonia::serve;
 
 namespace
 {
+
+/** @p cfg as the tree a request carries. */
+JsonValue
+configTree(const HardwareConfig &cfg)
+{
+    return JsonValue::object({{"cu", JsonValue(cfg.cuCount)},
+                              {"compute_mhz", JsonValue(cfg.computeFreqMhz)},
+                              {"mem_mhz", JsonValue(cfg.memFreqMhz)}});
+}
 
 std::string
 firstKernelId()
@@ -238,7 +247,7 @@ TEST(ServeDevice, StatsKeyPathsAndOrderAreFixed)
     Service service(ServiceOptions{});
     JsonValue eval = request("evaluate");
     eval.set("kernel", JsonValue(firstKernelId()));
-    eval.set("configs", JsonValue::array({configToJson(
+    eval.set("configs", JsonValue::array({configTree(
                             service.sweep().configs()[5])}));
     ASSERT_TRUE(isOk(roundTrip(service, eval)));
     for (const char *device : {"", "hbm-stacked"}) {
@@ -437,7 +446,7 @@ TEST(ServeDevice, RepliesCarryTheExactBitsOfRun)
             req.set("device", JsonValue(name));
             JsonValue list = JsonValue::array();
             for (const HardwareConfig &cfg : slice)
-                list.push(configToJson(cfg));
+                list.push(configTree(cfg));
             req.set("configs", std::move(list));
 
             const std::string reply = service.processLine(req.dump());
@@ -451,7 +460,7 @@ TEST(ServeDevice, RepliesCarryTheExactBitsOfRun)
             ASSERT_EQ(results.asArray().size(), slice.size());
             for (size_t i = 0; i < slice.size(); ++i) {
                 const JsonValue &row = results.asArray()[i];
-                EXPECT_EQ(*row.find("config"), configToJson(slice[i]));
+                EXPECT_EQ(*row.find("config"), configTree(slice[i]));
                 const KernelResult want =
                     gpu.run(kernel, iteration, slice[i]);
                 EXPECT_TRUE(sameBits("time_s", row.find("time_s"),
@@ -526,10 +535,10 @@ TEST(PointCache, RepeatedConfigIsComputedOnceAndCountedAsColdHit)
     JsonValue req = request("evaluate");
     req.set("kernel", JsonValue(firstKernelId()));
     req.set("configs",
-            JsonValue::array({configToJson(lattice[3]),
-                              configToJson(lattice[40]),
-                              configToJson(lattice[3]),
-                              configToJson(lattice[3])}));
+            JsonValue::array({configTree(lattice[3]),
+                              configTree(lattice[40]),
+                              configTree(lattice[3]),
+                              configTree(lattice[3])}));
     const auto counters = [&] {
         const JsonValue stats = roundTrip(service, request("stats"));
         const JsonValue *b =

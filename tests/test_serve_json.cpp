@@ -6,7 +6,7 @@
  * depends on.
  */
 
-#include "harmonia/serve/json.hh"
+#include "harmonia/serve/json_tree.hh"
 
 #include <cstdint>
 #include <string>
@@ -88,7 +88,7 @@ TEST(ServeJson, StringEscapes)
     EXPECT_EQ(v.asString(), "line\n\ttab \"q\" A");
     // Control characters re-escape on dump.
     EXPECT_EQ(JsonValue(std::string("a\nb")).dump(), "\"a\\nb\"");
-    EXPECT_EQ(jsonEscape("x\"y\\z"), "x\\\"y\\\\z");
+    EXPECT_EQ(JsonWriter().string("x\"y\\z").take(), "\"x\\\"y\\\\z\"");
 }
 
 TEST(ServeJson, WhitespaceAndNesting)
@@ -167,10 +167,10 @@ TEST(ServeJson, WriterMatchesTheTreeDump)
     EXPECT_EQ(w.take(), tree.dump());
 
     // A tree handed to the writer mid-document lands in place.
-    EXPECT_EQ(JsonWriter().beginArray().value(tree).integer(1).endArray()
-                  .take(),
+    JsonWriter mid;
+    EXPECT_EQ(writeJson(mid.beginArray(), tree).integer(1).endArray().take(),
               "[" + tree.dump() + ",1]");
-    EXPECT_EQ(jsonEscape("\x01"), "\\u0001");
+    EXPECT_EQ(JsonWriter().string("\x01").take(), "\"\\u0001\"");
 }
 
 TEST(ServeJson, WriterKeepsItsPrefixAndGrowsPastTheHint)

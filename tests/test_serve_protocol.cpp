@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harmonia/serve/json.hh"
+#include "harmonia/serve/json_tree.hh"
 #include "harmonia/serve/protocol.hh"
 
 using namespace harmonia;

@@ -46,7 +46,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harmonia/serve/json.hh"
+#include "harmonia/serve/json_tree.hh"
 #include "harmonia/serve/protocol.hh"
 #include "harmonia/serve/service.hh"
 #include "harmonia/workloads/suite.hh"

@@ -68,6 +68,7 @@
 #include <unistd.h>
 
 #include "harmonia/harmonia.hh"
+#include "harmonia/serve/json_tree.hh"
 
 using namespace harmonia;
 using namespace harmonia::serve;
@@ -154,28 +155,24 @@ latticeFor(const std::string &name)
     return lattice;
 }
 
-JsonValue
-randomConfig(const DeviceLattice &w, uint64_t &rng)
+void
+writeRandomConfig(JsonWriter &w, const DeviceLattice &d, uint64_t &rng)
 {
-    return JsonValue::object({
-        {"cu", JsonValue(w.cuValues[nextRand(rng) %
-                                    w.cuValues.size()])},
-        {"compute_mhz",
-         JsonValue(
-             w.computeValues[nextRand(rng) % w.computeValues.size()])},
-        {"mem_mhz",
-         JsonValue(w.memValues[nextRand(rng) % w.memValues.size()])},
-    });
+    w.beginObject();
+    w.key("cu").integer(d.cuValues[nextRand(rng) % d.cuValues.size()]);
+    w.key("compute_mhz")
+        .integer(d.computeValues[nextRand(rng) % d.computeValues.size()]);
+    w.key("mem_mhz").integer(d.memValues[nextRand(rng) % d.memValues.size()]);
+    w.endObject();
 }
 
 std::string
 makeRequest(const ClientOptions &opt, Workload &w, uint64_t &rng,
             int index)
 {
-    JsonValue req = JsonValue::object({
-        {"schema", JsonValue(kRequestSchema)},
-        {"id", JsonValue(static_cast<int64_t>(index))},
-    });
+    JsonWriter req;
+    req.beginObject().key("schema").string(kRequestSchema);
+    req.key("id").integer(index);
 
     // Requests deal round-robin across the --device list and the
     // kernels; each kernel's iteration advances once per pass.
@@ -184,7 +181,7 @@ makeRequest(const ClientOptions &opt, Workload &w, uint64_t &rng,
     const std::string &kernel = w.kernelIds[slot % w.kernelIds.size()];
     const int iteration = index / static_cast<int>(w.kernelIds.size());
     if (!device.name.empty())
-        req.set("device", JsonValue(device.name));
+        req.key("device").string(device.name);
 
     // Mixed traffic: mostly evaluates, a sprinkling of everything
     // else.
@@ -195,34 +192,34 @@ makeRequest(const ClientOptions &opt, Workload &w, uint64_t &rng,
     }
 
     if (lane == 0) {
-        JsonValue configs = JsonValue::array();
+        req.key("verb").string("evaluate");
+        req.key("kernel").string(kernel);
+        req.key("iteration").integer(iteration);
+        req.key("configs").beginArray();
         for (int c = 0; c < opt.configsPerRequest; ++c)
-            configs.push(randomConfig(device, rng));
-        req.set("verb", JsonValue("evaluate"));
-        req.set("kernel", JsonValue(kernel));
-        req.set("iteration", JsonValue(iteration));
-        req.set("configs", std::move(configs));
+            writeRandomConfig(req, device, rng);
+        req.endArray();
     } else if (lane == 1) {
-        req.set("verb", JsonValue("sweep"));
-        req.set("kernel", JsonValue(kernel));
-        req.set("iteration", JsonValue(0));
-        req.set("objective", JsonValue("min_ed2"));
-        req.set("top", JsonValue(3));
+        req.key("verb").string("sweep");
+        req.key("kernel").string(kernel);
+        req.key("iteration").integer(0);
+        req.key("objective").string("min_ed2");
+        req.key("top").integer(3);
     } else if (lane == 2) {
-        req.set("verb", JsonValue("govern"));
+        req.key("verb").string("govern");
         // Sessions are device-bound: qualify the name so the same
         // slot on two devices never collides into a binding error.
         std::string session = "load-" + std::to_string(index % 4);
         if (!device.name.empty())
             session += "@" + device.name;
-        req.set("session", JsonValue(session));
-        req.set("governor", JsonValue(opt.governor));
-        req.set("kernel", JsonValue(kernel));
-        req.set("iteration", JsonValue(index));
+        req.key("session").string(session);
+        req.key("governor").string(opt.governor);
+        req.key("kernel").string(kernel);
+        req.key("iteration").integer(index);
     } else {
-        req.set("verb", JsonValue("ping"));
+        req.key("verb").string("ping");
     }
-    return req.dump();
+    return req.endObject().take();
 }
 
 double
