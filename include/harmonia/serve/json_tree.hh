@@ -38,11 +38,6 @@ class JsonValue
     JsonValue(bool b) : value_(b) {}
     JsonValue(double d) : value_(d) {}
     JsonValue(int i) : value_(static_cast<int64_t>(i)) {}
-    JsonValue(long long i) : value_(static_cast<int64_t>(i)) {}
-    JsonValue(unsigned long long i)
-        : value_(static_cast<int64_t>(i))
-    {
-    }
     JsonValue(int64_t i) : value_(i) {}
     JsonValue(const char *s) : value_(std::string(s)) {}
     JsonValue(std::string s) : value_(std::move(s)) {}
@@ -93,8 +88,6 @@ class JsonValue
 
     /** Compact, deterministic serialization (no whitespace). */
     std::string dump() const;
-    /** dump(), appended to @p out. */
-    void dumpTo(std::string &out) const;
 
     bool operator==(const JsonValue &other) const = default;
 

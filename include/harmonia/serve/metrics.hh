@@ -98,7 +98,7 @@ struct TransportMetrics
             --active;
     }
 
-    /** Write the counters as one object, in declaration order. */
+    /** Write the counters as one object. */
     void write(JsonWriter &w) const;
 };
 

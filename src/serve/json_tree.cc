@@ -78,19 +78,11 @@ writeJson(JsonWriter &w, const JsonValue &v)
     return w.endObject();
 }
 
-void
-JsonValue::dumpTo(std::string &out) const
-{
-    JsonWriter w(std::move(out));
-    out = writeJson(w, *this).take();
-}
-
 std::string
 JsonValue::dump() const
 {
-    std::string out;
-    dumpTo(out);
-    return out;
+    JsonWriter w;
+    return writeJson(w, *this).take();
 }
 
 namespace

@@ -1,8 +1,6 @@
 #include "harmonia/serve/metrics.hh"
 
 #include <cmath>
-#include <initializer_list>
-#include <utility>
 
 namespace harmonia::serve
 {
@@ -83,17 +81,14 @@ ServiceMetrics::recordEvaluate(uint64_t pointsComputed, uint64_t duplicates)
 void
 TransportMetrics::write(JsonWriter &w) const
 {
-    w.beginObject();
-    for (const auto &[key, value] :
-         {std::pair<const char *, uint64_t>{"accepted", accepted},
-          {"rejected", rejected},
-          {"disconnects", disconnects},
-          {"idle_timeouts", idleTimeouts},
-          {"backpressure_sheds", backpressureSheds},
-          {"active", active},
-          {"peak", peak}})
-        w.key(key).integer(static_cast<int64_t>(value));
-    w.endObject();
+    w.beginObject().key("accepted").integer(static_cast<int64_t>(accepted));
+    w.key("rejected").integer(static_cast<int64_t>(rejected));
+    w.key("disconnects").integer(static_cast<int64_t>(disconnects));
+    w.key("idle_timeouts").integer(static_cast<int64_t>(idleTimeouts));
+    w.key("backpressure_sheds")
+        .integer(static_cast<int64_t>(backpressureSheds));
+    w.key("active").integer(static_cast<int64_t>(active));
+    w.key("peak").integer(static_cast<int64_t>(peak)).endObject();
 }
 
 void

@@ -431,32 +431,51 @@ parseRequest(std::string_view line, std::string *idOut)
 void
 writeConfig(JsonWriter &w, const HardwareConfig &cfg)
 {
-    w.beginObject().key("cu").integer(cfg.cuCount);
-    w.key("compute_mhz").integer(cfg.computeFreqMhz);
-    w.key("mem_mhz").integer(cfg.memFreqMhz).endObject();
+    w.beginObject()
+        .key("cu")
+        .integer(cfg.cuCount)
+        .key("compute_mhz")
+        .integer(cfg.computeFreqMhz)
+        .key("mem_mhz")
+        .integer(cfg.memFreqMhz)
+        .endObject();
 }
 
 void
 beginResultResponse(JsonWriter &w, std::string_view id, Verb verb)
 {
-    w.beginObject().key("schema").string(kResponseSchema);
-    w.key("id").raw(id);
-    w.key("verb").string(verbName(verb));
-    w.key("ok").boolean(true);
-    w.key("result");
+    w.beginObject()
+        .key("schema")
+        .string(kResponseSchema)
+        .key("id")
+        .raw(id)
+        .key("verb")
+        .string(verbName(verb))
+        .key("ok")
+        .boolean(true)
+        .key("result");
 }
 
 std::string
 makeErrorResponse(std::string_view id, const Status &status)
 {
-    JsonWriter w;
-    w.beginObject().key("schema").string(kResponseSchema);
-    w.key("id").raw(id);
-    w.key("ok").boolean(false);
-    w.key("error").beginObject();
-    w.key("code").string(statusCodeName(status.code()));
-    w.key("message").string(status.message());
-    return w.endObject().endObject().take();
+    return JsonWriter()
+        .beginObject()
+        .key("schema")
+        .string(kResponseSchema)
+        .key("id")
+        .raw(id)
+        .key("ok")
+        .boolean(false)
+        .key("error")
+        .beginObject()
+        .key("code")
+        .string(statusCodeName(status.code()))
+        .key("message")
+        .string(status.message())
+        .endObject()
+        .endObject()
+        .take();
 }
 
 } // namespace harmonia::serve

@@ -60,13 +60,20 @@ void
 beginKernelResult(JsonWriter &w, const HardwareConfig &cfg,
                   const KernelResult &r)
 {
-    writeConfig(w.beginObject().key("config"), cfg);
-    w.key("time_s").number(r.time());
-    w.key("power_w").number(r.power.total());
-    w.key("card_energy_j").number(r.cardEnergy);
-    w.key("gpu_energy_j").number(r.gpuEnergy);
-    w.key("mem_energy_j").number(r.memEnergy);
-    w.key("ed2").number(r.ed2());
+    w.beginObject().key("config");
+    writeConfig(w, cfg);
+    w.key("time_s")
+        .number(r.time())
+        .key("power_w")
+        .number(r.power.total())
+        .key("card_energy_j")
+        .number(r.cardEnergy)
+        .key("gpu_energy_j")
+        .number(r.gpuEnergy)
+        .key("mem_energy_j")
+        .number(r.memEnergy)
+        .key("ed2")
+        .number(r.ed2());
 }
 
 } // namespace
@@ -82,10 +89,15 @@ evaluateResponse(std::string_view id, const EvaluateParams &p,
         p.fullLattice ? lattice.size() : p.configs.size();
     JsonWriter w({}, 256 + 256 * count);
     beginResultResponse(w, id, Verb::Evaluate);
-    w.beginObject().key("kernel").string(p.kernel);
-    w.key("iteration").integer(p.iteration);
-    w.key("points").integer(static_cast<int64_t>(count));
-    w.key("results").beginArray();
+    w.beginObject()
+        .key("kernel")
+        .string(p.kernel)
+        .key("iteration")
+        .integer(p.iteration)
+        .key("points")
+        .integer(static_cast<int64_t>(count))
+        .key("results")
+        .beginArray();
     auto row = [&](const HardwareConfig &cfg, size_t slot) {
         const auto it = std::lower_bound(slots.begin(), slots.end(),
                                          static_cast<uint32_t>(slot));
@@ -443,11 +455,16 @@ Service::runSweep(std::string_view id, const SweepParams &p)
     };
 
     beginResultResponse(w, id, Verb::Sweep);
-    w.beginObject().key("kernel").string(p.kernel);
-    w.key("iteration").integer(p.iteration);
-    w.key("objective").string(p.objective);
-    w.key("points").integer(static_cast<int64_t>(results.size()));
-    w.key("best");
+    w.beginObject()
+        .key("kernel")
+        .string(p.kernel)
+        .key("iteration")
+        .integer(p.iteration)
+        .key("objective")
+        .string(p.objective)
+        .key("points")
+        .integer(static_cast<int64_t>(results.size()))
+        .key("best");
     row(sweep.indexOf(bestConfigFor(configs, results, objective.value())));
     if (!p.device.empty())
         w.key("device").string(dev.device.name());

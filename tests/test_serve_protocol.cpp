@@ -305,15 +305,23 @@ TEST_F(ServeProtocolTest, IdOtherThanStringIntegerOrNullIsRejected)
     expectStillServing();
 }
 
+// parseRequest keeps the id in the wire form the reply echoes: a
+// string is re-encoded from its decoded bytes.
 TEST_F(ServeProtocolTest, StringIntegerAndNullIdsAreEchoed)
 {
     for (const auto &[id, echoed] :
          {std::pair<const char *, const char *>{"\"a\\u0062\"", "\"ab\""},
+          {"\"\\u0041\\u000a\\/\"", "\"A\\n/\""},
           {"-9223372036854775808", "-9223372036854775808"},
           {"null", "null"}}) {
         const std::string line =
             std::string("{\"schema\":\"harmonia.request/1\",\"id\":") +
             id + ",\"verb\":\"ping\"}";
+        std::string idOut;
+        const Result<Request> req = parseRequest(line, &idOut);
+        ASSERT_TRUE(req.ok()) << id;
+        EXPECT_EQ(req.value().id, echoed);
+        EXPECT_EQ(idOut, echoed);
         EXPECT_EQ(service_.processLine(line),
                   std::string("{\"schema\":\"harmonia.response/1\",\"id\":") +
                       echoed +
