@@ -9,8 +9,8 @@ namespace harmonia::lint
 namespace
 {
 
-/** Minimal JSON string escaping (same coverage as the artifact
- * writer: control chars, quote, backslash). */
+/** Minimal JSON string escaping (control chars, quote, backslash);
+ * the linter links no serve code, so it does not use JsonWriter. */
 std::string
 jsonEscape(const std::string &s)
 {
