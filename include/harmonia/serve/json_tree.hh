@@ -3,8 +3,8 @@
  * A JSON document tree (JsonValue, parseJson) for harmonia_client and
  * the serve tests, in the harmonia_json_tree library. The daemon never
  * builds one: it reads requests with parseRequest() and writes replies
- * with JsonWriter, which dump() also walks the tree through, so a tree
- * dumps to the daemon's bytes for the same document. Objects keep
+ * with JsonWriter. dump() walks the tree through the same writer, so a
+ * tree dumps to the daemon's bytes for the same document. Objects keep
  * insertion order; parse errors come back as Status.
  */
 
