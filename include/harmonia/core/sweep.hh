@@ -85,6 +85,12 @@ class ConfigSweep
                                   int iteration,
                                   const std::vector<uint32_t> &slots) const;
 
+    /** run() into @p out (resized to slots.size()). A caller that keeps
+     * @p out across calls makes a warm slice run allocate nothing. */
+    void run(const KernelProfile &profile, int iteration,
+             const std::vector<uint32_t> &slots,
+             std::vector<KernelResult> &out) const;
+
   private:
     const GpuDevice &device_;
     std::vector<HardwareConfig> configs_;

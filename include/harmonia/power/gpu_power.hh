@@ -119,21 +119,18 @@ class GpuPowerModel
 
     /**
      * factorsFor() over a (CU count x compute frequency) grid, written
-     * row-major into @p out (out[cu * nCf + cf]) at the slots where
-     * @p touched is nonzero; other slots are left as they are. Each
-     * entry
-     * is bitwise equal to the corresponding factorsFor() call: the
+     * row-major into @p out (out[cu * nCf + cf]). Each entry is
+     * bitwise equal to the corresponding factorsFor() call: the
      * voltage lookup, vScale/fScale products, and the pow() of the
      * leakage voltage scale depend only on the frequency, and every
      * factor expression associates left, so hoisting the per-frequency
      * prefix out of the CU loop multiplies the identical intermediate
      * by cuFraction last — the same rounding sequence factorsFor()
-     * performs. Cuts the pow() count from one per touched slot to one
-     * per frequency when filling a lattice run's power plane.
+     * performs. Cuts the pow() count from one per slot to one per
+     * frequency when a device builds its power tables.
      */
     void factorsForLattice(const int *cuCounts, size_t nCu,
                            const int *computeFreqsMhz, size_t nCf,
-                           const char *touched,
                            GpuPowerFactors *out) const;
 
     /**

@@ -3,7 +3,9 @@
  * JsonWriter: every byte of JSON harmoniad and harmonia_exp write goes
  * through it (docs/SERVING.md, "Encoding"). Members come out in the
  * order they are written, and doubles take their shortest round-trip
- * form (std::to_chars), so replies are deterministic and exact. No
+ * form, so replies are deterministic and exact. The in-repo Schubfach
+ * writer (src/serve/shortest_double.hh) produces them, equal byte for
+ * byte to std::to_chars' shortest form. No
  * NaN/Inf literals (the invariant checker enforces finiteness); UTF-8
  * passes through unvalidated. Requests are read by the tokenizer in
  * src/serve/json_parse.hh; the JsonValue tree
@@ -37,7 +39,22 @@ class JsonWriter
 {
   public:
     /** Write after @p prefix, with room for @p sizeHint more bytes. */
-    explicit JsonWriter(std::string prefix = {}, size_t sizeHint = 0);
+    explicit JsonWriter(std::string &&prefix = {}, size_t sizeHint = 0);
+
+    /**
+     * Append to @p out in place, with room for @p sizeHint more bytes:
+     * no buffer of its own and no copy. @p out holds exactly what was
+     * written once the writer is destroyed; until then it may carry
+     * spare room past the written bytes.
+     */
+    JsonWriter(std::string &out, size_t sizeHint);
+
+    /** Trims the buffer to the bytes written. */
+    ~JsonWriter() { buf_.resize(len_); }
+
+    // buf_ may refer to own_.
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     JsonWriter &beginObject();
     JsonWriter &endObject();
@@ -61,7 +78,7 @@ class JsonWriter
     JsonWriter &null();
     JsonWriter &boolean(bool b);
     JsonWriter &integer(int64_t i);
-    /** Shortest round-trip form (std::to_chars). */
+    /** Shortest round-trip form, as std::to_chars writes it. */
     JsonWriter &number(double d);
     JsonWriter &string(std::string_view s)
     {
@@ -84,7 +101,8 @@ class JsonWriter
         return *this;
     }
 
-    /** The prefix plus everything written; the writer is spent. */
+    /** The prefix plus everything written, for a writer that owns its
+     * buffer; the writer is spent. */
     std::string take();
 
   private:
@@ -141,7 +159,8 @@ class JsonWriter
             put(',');
     }
 
-    std::string buf_; ///< [0, len_) is written; the rest is room.
+    std::string own_;  ///< The buffer, unless writing to a caller's.
+    std::string &buf_; ///< [0, len_) is written; the rest is room.
     size_t len_ = 0;
     bool comma_ = false; ///< An element precedes at this level.
 };

@@ -46,6 +46,8 @@
 #include <string_view>
 #include <vector>
 
+#include <poll.h>
+
 #include "harmonia/serve/service.hh"
 
 namespace harmonia::serve
@@ -152,7 +154,9 @@ class Server
     void acceptClients(int listenFd, bool tcp);
     size_t allocConnSlot();
     void closeConn(Conn &conn, CloseReason reason);
-    void readConn(Conn &conn);
+    /** Read what one wake-up may from @p conn and serve its complete
+     * lines; @p peerClosed (the peer shut its end) reads on to EOF. */
+    void readConn(Conn &conn, bool peerClosed);
     void serveLine(Conn &conn, std::string_view line);
     void flushConn(Conn &conn);
     void enforceWriteCap(Conn &conn);
@@ -171,6 +175,11 @@ class Server
     int signalFd_ = -1; ///< Read end of the self-pipe.
     bool stopRequested_ = false;
     std::vector<std::unique_ptr<Conn>> conns_;
+
+    // run()'s ppoll set, rebuilt each pass in place (no allocation once
+    // warm): the descriptors and, per descriptor, its conns_ index.
+    std::vector<pollfd> pollFds_;
+    std::vector<size_t> pollConn_;
 };
 
 } // namespace harmonia::serve

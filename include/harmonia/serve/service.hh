@@ -84,14 +84,25 @@ struct GovernorSession
 };
 
 /**
- * The success reply to evaluate request @p id (in wire form).
- * @p points[i] is the result at lattice slot @p slots[i] of @p sweep
- * (sorted, unique, covering every config of @p p).
+ * The lattice slots evaluate request @p p reads on @p sweep's device:
+ * @p slots gets them sorted and unique (one lattice run computes
+ * them), and @p rows[i] the position in @p slots of reply row i — the
+ * request's configs in order, or the whole lattice. Both vectors are
+ * overwritten, keeping their capacity.
  */
-std::string evaluateResponse(std::string_view id, const EvaluateParams &p,
-                             const ConfigSweep &sweep,
-                             const std::vector<uint32_t> &slots,
-                             const std::vector<KernelResult> &points);
+void evaluateSlots(const ConfigSweep &sweep, const EvaluateParams &p,
+                   std::vector<uint32_t> &slots,
+                   std::vector<uint32_t> &rows);
+
+/**
+ * Append the success reply to evaluate request @p id (in wire form) to
+ * @p out. Reply row i is @p points[@p rows[i]], with @p rows as
+ * evaluateSlots() builds it.
+ */
+void evaluateResponse(std::string &out, std::string_view id,
+                      const EvaluateParams &p, const ConfigSweep &sweep,
+                      const std::vector<uint32_t> &rows,
+                      const KernelResult *points);
 
 /** The in-process service behind harmoniad. */
 class Service
@@ -113,8 +124,12 @@ class Service
     const ConfigSweep &sweep() const;
     size_t sessionCount() const { return sessions_.size(); }
 
-    /** Answer one request line: its response line, without the
-     * trailing newline. @p line is read in place and not kept. */
+    /** Answer one request line: append its response line, without the
+     * trailing newline, to @p out. @p line is read in place and not
+     * kept; @p line must not point into @p out. */
+    void processLine(std::string_view line, std::string &out);
+
+    /** processLine() into a fresh string. */
     std::string processLine(std::string_view line);
 
     /** True once a `shutdown` request has been accepted. */
@@ -138,15 +153,14 @@ class Service
 
     Status validateEvaluate(const DeviceState &dev,
                             const EvaluateParams &p) const;
-    /** The whole success reply to evaluate request @p id. */
-    Result<std::string> runEvaluate(std::string_view id,
-                                    const EvaluateParams &p);
-    /** The whole success reply to govern request @p id. */
-    Result<std::string> runGovern(std::string_view id,
-                                  const GovernParams &p);
-    /** The whole success reply to sweep request @p id. */
-    Result<std::string> runSweep(std::string_view id,
-                                 const SweepParams &p);
+    // Each verb appends its whole success reply to @p out, or returns
+    // the error without writing.
+    Status runEvaluate(std::string_view id, const EvaluateParams &p,
+                       std::string &out);
+    Status runGovern(std::string_view id, const GovernParams &p,
+                     std::string &out);
+    Status runSweep(std::string_view id, const SweepParams &p,
+                    std::string &out);
     Result<std::unique_ptr<Governor>>
     buildGovernor(DeviceState &dev, const std::string &name);
     Status ensureTraining(DeviceState &dev);
@@ -171,6 +185,14 @@ class Service
 
     ServiceMetrics metrics_;
     bool shutdownRequested_ = false;
+
+    // runEvaluate's working memory, kept across requests so a warm
+    // evaluate allocates nothing here. It keeps the capacity of the
+    // largest request served: a full ampere-ga100 lattice holds ~3.4 MB
+    // of results.
+    std::vector<uint32_t> slots_;
+    std::vector<uint32_t> rows_;
+    std::vector<KernelResult> points_;
 };
 
 } // namespace harmonia::serve

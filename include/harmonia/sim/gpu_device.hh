@@ -12,6 +12,8 @@
 #ifndef HARMONIA_SIM_GPU_DEVICE_HH
 #define HARMONIA_SIM_GPU_DEVICE_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +57,41 @@ std::string_view firstBitDifference(const KernelResult &a,
                                     const KernelResult &b);
 
 /**
+ * The power model's device constants over the lattice axes, built once
+ * when a GpuDevice is constructed. Each entry comes from the call
+ * run() makes per configuration (GpuPowerModel::factorsFor and
+ * idlePower, Gddr5Model::factorsFor and the idle power), so a lattice
+ * run reads the same bits run() computes, and no lattice run pays a
+ * voltage lookup or pow().
+ */
+struct LatticePowerTables
+{
+    // (CU count, compute frequency) plane over the lattice axes,
+    // row-major in CU count: GpuPowerFactors and the DPM-state idle
+    // GpuPowerBreakdown, one plane per component.
+    std::vector<double> gpuCuDynPrefix;
+    std::vector<double> gpuUncoreDynPrefix;
+    std::vector<double> gpuLeakage;
+    std::vector<double> idleGpuCuDynamic;
+    std::vector<double> idleGpuUncoreDynamic;
+    std::vector<double> idleGpuLeakage;
+    std::vector<double> idleGpuTotal; ///< idle GpuPowerBreakdown::total().
+
+    // Memory-frequency axis: Gddr5PowerFactors and the idle
+    // MemPowerBreakdown, one plane per component.
+    std::vector<double> memFRatio;
+    std::vector<double> memLowFreqScale;
+    std::vector<double> memVScale;
+    std::vector<double> memBackground;
+    std::vector<double> idleMemBackground;
+    std::vector<double> idleMemActivatePrecharge;
+    std::vector<double> idleMemReadWrite;
+    std::vector<double> idleMemTermination;
+    std::vector<double> idleMemPhy;
+    std::vector<double> idleMemTotal; ///< idle MemPowerBreakdown::total().
+};
+
+/**
  * The simulated GPU card.
  */
 class GpuDevice
@@ -81,6 +118,9 @@ class GpuDevice
     const TimingEngine &engine() const { return engine_; }
     const GpuPowerModel &gpuPower() const { return gpuPower_; }
     const BoardPowerModel &boardPower() const { return boardPower_; }
+
+    /** The power model's constants over the lattice axes. */
+    const LatticePowerTables &powerTables() const { return powerTables_; }
 
     /** Run one invocation of @p profile at iteration @p iteration. */
     KernelResult run(const KernelProfile &profile, int iteration,
@@ -112,6 +152,20 @@ class GpuDevice
                     const std::vector<HardwareConfig> &configs,
                     KernelResult *out) const;
 
+    /**
+     * runLattice() over @p n lattice slots (indices into
+     * space().allConfigs(), ascending and unique) — the governor-slice
+     * path: result i for @p slots[i] into @p out[i]. Its demand, axis
+     * tables and lane buffers live in per-thread memory that runs
+     * reuse, so a warm slice run allocates nothing, and concurrent
+     * callers never share it.
+     * @throws ConfigError when the slots do not ascend within the
+     * lattice.
+     */
+    void runSlots(const KernelProfile &profile, const KernelPhase &phase,
+                  const uint32_t *slots, size_t n,
+                  KernelResult *out) const;
+
   private:
     /**
      * run()'s per-config power/energy composition. All model inputs
@@ -133,6 +187,7 @@ class GpuDevice
     GpuPowerModel gpuPower_;
     BoardPowerModel boardPower_;
     std::string name_;
+    LatticePowerTables powerTables_;
 };
 
 } // namespace harmonia

@@ -23,6 +23,7 @@
 #define HARMONIA_TIMING_TIMING_ENGINE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "harmonia/arch/occupancy.hh"
@@ -103,12 +104,17 @@ struct TimingAxisValues
 
 /**
  * The lattice cells one batch evaluation reads. The touched values of
- * each tunable axis (ascending) span a compact grid; @c cells marks
- * the requested (memory frequency, CU count, compute frequency)
- * cells of that grid and @c pairs the (CU count, compute frequency)
- * pairs those cells use. TimingEngine::buildAxisTables() builds only
- * what a demand touches; the full lattice is the demand that touches
- * every cell, and its grid is the lattice itself.
+ * each tunable axis (ascending) span a compact grid; @c requested
+ * lists the requested (memory frequency, CU count, compute frequency)
+ * cells of that grid in ascending (mem-major) order and @c pairs marks
+ * the (CU count, compute frequency) pairs those cells use.
+ * TimingEngine::buildAxisTables() builds only what a demand touches;
+ * the full lattice is the demand that touches every cell, and its grid
+ * is the lattice itself.
+ *
+ * The assign functions rebuild a demand in place, keeping its vectors'
+ * capacity, so a caller that reuses one demand allocates nothing once
+ * it is warm.
  */
 struct LatticeDemand
 {
@@ -116,13 +122,16 @@ struct LatticeDemand
     std::vector<int> computeFreqValues; ///< Touched values, ascending.
     std::vector<int> memFreqValues;     ///< Touched values, ascending.
 
+    // Each touched value's position on its lattice axis (its index in
+    // ConfigSpace::values()), parallel to the value lists above.
+    std::vector<uint32_t> cuLattice;
+    std::vector<uint32_t> computeFreqLattice;
+    std::vector<uint32_t> memFreqLattice;
+
     /** Touched (CU, compute-freq) pairs, row-major in CU count. */
     std::vector<char> pairs;
-    /** Requested cells, mem-major: (m * nCu + cu) * nCf + cf. */
-    std::vector<char> cells;
-
-    /** Every cell of @p space. */
-    static LatticeDemand full(const ConfigSpace &space);
+    /** Requested cells, ascending: (m * nCu + cu) * nCf + cf. */
+    std::vector<uint32_t> requested;
 
     /**
      * The cells @p n configs read. Writes config i's position on the
@@ -132,6 +141,24 @@ struct LatticeDemand
     static LatticeDemand of(const ConfigSpace &space,
                             const HardwareConfig *configs, size_t n,
                             size_t *cuIdx, size_t *cfIdx, size_t *memIdx);
+
+    /** Every cell of @p space: its grid is the lattice. */
+    void assignFull(const ConfigSpace &space);
+
+    /** Become of(@p space, @p configs, ...). */
+    void assign(const ConfigSpace &space, const HardwareConfig *configs,
+                size_t n, size_t *cuIdx, size_t *cfIdx, size_t *memIdx);
+
+    /**
+     * The cells of @p n lattice slots (indices into
+     * ConfigSpace::allConfigs(), ascending and unique), lane i's
+     * positions on the touched axes written as for of().
+     * @throws ConfigError when the slots do not ascend within the
+     * lattice.
+     */
+    void assignSlots(const ConfigSpace &space, const uint32_t *slots,
+                     size_t n, size_t *cuIdx, size_t *cfIdx,
+                     size_t *memIdx);
 };
 
 /**
@@ -267,6 +294,14 @@ class TimingEngine
     TimingAxisTables buildAxisTables(const PreparedKernel &prep,
                                      const LatticeDemand &demand) const;
 
+    /**
+     * buildAxisTables() into @p out, reusing its vectors' capacity and
+     * per-thread lane buffers: once warm, a build allocates nothing.
+     */
+    void buildAxisTables(const PreparedKernel &prep,
+                         const LatticeDemand &demand,
+                         TimingAxisTables &out) const;
+
     /** buildAxisTables() over the full lattice. */
     TimingAxisTables buildAxisTables(const PreparedKernel &prep) const;
 
@@ -281,6 +316,16 @@ class TimingEngine
     CacheModel cache_;
     MemorySystem memsys_;
     TimingParams params_;
+
+    // Device constants per lattice axis position, built once at
+    // construction by the calls run() makes, so each entry has the
+    // bits that call returns: L2 bandwidth and L2->MC crossing cap per
+    // compute frequency, peak bus bandwidth and its reciprocal per
+    // memory frequency.
+    std::vector<double> l2BandwidthAt_;
+    std::vector<double> crossingCapAt_;
+    std::vector<double> peakBandwidthAt_;
+    std::vector<double> invPeakBandwidthAt_;
 };
 
 } // namespace harmonia

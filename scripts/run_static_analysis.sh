@@ -15,11 +15,13 @@
 #              (skipped with a notice when clang-tidy is absent)
 #   asan       ASan+UBSan Debug build; tier-1 ctest suite, the
 #              request-reader mutation corpus, the JSON writer and
-#              tokenizer suite, the SIMD-vs-naive
+#              tokenizer suite, the shortest-double writer, the
+#              SIMD-vs-naive
 #              equivalence suites, and
 #              `harmonia_exp --run fig10` with --jobs 4
-#   tsan       TSan build; the thread-pool, sweep-determinism and
-#              invariant-checker tests, which exercise the thread
+#   tsan       TSan build; the thread-pool, sweep-determinism,
+#              lattice-reuse and invariant-checker tests, which
+#              exercise per-thread lattice memory and the thread
 #              pool (the library's one lock) under every layer that
 #              fans out over invocations: sensitivity sweeps,
 #              training, the campaign and the checker
@@ -116,6 +118,9 @@ if want asan; then
         # changes.
         ./build-asan/tests/test_serve_mutation > /dev/null || FAILED=1
         ./build-asan/tests/test_serve_json > /dev/null || FAILED=1
+        # The shortest-double writer behind every reply number, against
+        # std::to_chars over two million values and the edges.
+        ./build-asan/tests/test_shortest_double > /dev/null || FAILED=1
         # The SIMD-vs-naive bitwise-equivalence suites under the
         # sanitizers: the batching, table reuse, and partial-pack tail
         # loads/stores in the lattice path are exactly the kind of
@@ -136,6 +141,8 @@ if want tsan; then
     if [ "$FAILED" -eq 0 ]; then
         ./build-tsan/tests/test_thread_pool > /dev/null || FAILED=1
         ./build-tsan/tests/test_sweep_determinism > /dev/null || FAILED=1
+        # Lattice runs keep their working memory per thread.
+        ./build-tsan/tests/test_lattice_reuse > /dev/null || FAILED=1
         ./build-tsan/tests/test_invariants > /dev/null || FAILED=1
         echo "TSan runs clean"
     fi

@@ -50,18 +50,25 @@ std::vector<KernelResult>
 ConfigSweep::run(const KernelProfile &profile, int iteration,
                  const std::vector<uint32_t> &slots) const
 {
+    std::vector<KernelResult> results;
+    run(profile, iteration, slots, results);
+    return results;
+}
+
+void
+ConfigSweep::run(const KernelProfile &profile, int iteration,
+                 const std::vector<uint32_t> &slots,
+                 std::vector<KernelResult> &out) const
+{
+    out.resize(slots.size());
+    const KernelPhase phase = profile.phase(iteration);
     // Sorted unique slots as many as the lattice's are the lattice:
     // hand runLattice the canonical enumeration it recognizes.
     if (slots.size() == configs_.size())
-        return evaluate(profile, iteration);
-    std::vector<HardwareConfig> configs;
-    configs.reserve(slots.size());
-    for (const uint32_t slot : slots)
-        configs.push_back(configs_[slot]);
-    std::vector<KernelResult> results(slots.size());
-    device_.runLattice(profile, profile.phase(iteration), configs,
-                       results.data());
-    return results;
+        device_.runLattice(profile, phase, configs_, out.data());
+    else
+        device_.runSlots(profile, phase, slots.data(), slots.size(),
+                         out.data());
 }
 
 std::vector<KernelResult>

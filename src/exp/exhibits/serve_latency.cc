@@ -80,6 +80,7 @@ struct StageSplit
     double parseUs = 0.0;
     double latticeUs = 0.0;
     double encodeUs = 0.0;
+    double doublesUs = 0.0; ///< The reply's doubles alone, re-formatted.
     double requestUs = 0.0; ///< Service::processLine, whole request.
 };
 
@@ -89,10 +90,13 @@ struct StageSplit
  * (by whole-request time). Within a round, each step runs one request
  * through Service::processLine and another, half a rotation away,
  * stage by stage: parse the line, run the lattice over its sorted
- * unique slots, encode the reply. Either way a request was last
- * touched half a round earlier, so the stage sum and the whole
- * request are comparable; no row is clamped. Every staged reply must
- * equal processLine's byte for byte.
+ * unique slots, encode the reply, then format the reply's doubles
+ * again through JsonWriter::number alone (the share of the encode
+ * that goes to numbers). Either way a request was last touched half a
+ * round earlier, so the stage sum and the whole request are
+ * comparable; no row is clamped. Both append to buffers that persist
+ * across requests, as the reactor's connection buffer does. Every
+ * staged reply must equal processLine's byte for byte.
  */
 StageSplit
 splitStages(ExpContext &ctx, int rounds, size_t &responseBytes)
@@ -120,35 +124,54 @@ splitStages(ExpContext &ctx, int rounds, size_t &responseBytes)
     }
 
     StageSplit round;
-    // One request stage by stage, adding its µs to `round`.
-    const auto staged = [&](size_t i) {
+    std::vector<uint32_t> slots, rows;
+    std::vector<KernelResult> points;
+    std::vector<double> numbers;
+    std::string doubles;
+    // One request stage by stage into @p reply, adding its µs to
+    // `round`.
+    const auto staged = [&](size_t i, std::string &reply) {
+        reply.clear();
         const auto t0 = Clock::now();
         Result<serve::Request> parsed =
             serve::parseRequest(lines[i], nullptr);
         const auto t1 = Clock::now();
         fatalIf(!parsed.ok(), "serve_latency: ", parsed.status().str());
         const serve::Request &req = parsed.value();
-        std::vector<uint32_t> slots;
-        for (const HardwareConfig &cfg : req.evaluate.configs)
-            slots.push_back(static_cast<uint32_t>(sweep.indexOf(cfg)));
-        std::sort(slots.begin(), slots.end());
-        slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+        serve::evaluateSlots(sweep, req.evaluate, slots, rows);
         const auto t2 = Clock::now();
-        const std::vector<KernelResult> points =
-            sweep.run(*lineKernel[i], req.evaluate.iteration, slots);
+        sweep.run(*lineKernel[i], req.evaluate.iteration, slots, points);
         const auto t3 = Clock::now();
-        std::string reply = serve::evaluateResponse(
-            req.id, req.evaluate, sweep, slots, points);
+        serve::evaluateResponse(reply, req.id, req.evaluate, sweep, rows,
+                                points.data());
         const auto t4 = Clock::now();
+        numbers.clear();
+        for (const uint32_t row : rows) {
+            const KernelResult &r = points[row];
+            numbers.insert(numbers.end(),
+                           {r.time(), r.power.total(), r.cardEnergy,
+                            r.gpuEnergy, r.memEnergy, r.ed2()});
+        }
+        doubles.clear();
+        const auto t5 = Clock::now();
+        {
+            serve::JsonWriter w(doubles, 32 * numbers.size());
+            w.beginArray();
+            for (const double d : numbers)
+                w.number(d);
+            w.endArray();
+        }
+        const auto t6 = Clock::now();
         round.parseUs += micros(t0, t1);
         round.latticeUs += micros(t2, t3);
         round.encodeUs += micros(t3, t4);
-        return reply;
+        round.doublesUs += micros(t5, t6);
     };
 
     responseBytes = 0;
+    std::string reply, whole;
     for (size_t i = 0; i < kRotation; ++i) {
-        const std::string reply = staged(i);
+        staged(i, reply);
         fatalIf(reply != service.processLine(lines[i]),
                 "serve_latency: staged reply differs from processLine");
         responseBytes += reply.size();
@@ -160,13 +183,16 @@ splitStages(ExpContext &ctx, int rounds, size_t &responseBytes)
     for (int r = 0; r < rounds; ++r) {
         round = StageSplit{};
         for (size_t k = 0; k < kRotation; ++k) {
+            whole.clear();
             const auto t0 = Clock::now();
-            sink += service.processLine(lines[k]).size();
+            service.processLine(lines[k], whole);
             round.requestUs += micros(t0, Clock::now());
-            sink += staged((k + kRotation / 2) % kRotation).size();
+            staged((k + kRotation / 2) % kRotation, reply);
+            sink += whole.size() + reply.size() + doubles.size();
         }
         for (double *us : {&round.parseUs, &round.latticeUs,
-                           &round.encodeUs, &round.requestUs})
+                           &round.encodeUs, &round.doublesUs,
+                           &round.requestUs})
             *us /= kRotation;
         done.push_back(round);
     }
@@ -409,7 +435,9 @@ class ServeLatency final : public Experiment
         };
         stageRow("parse request", split.parseUs);
         stageRow("lattice run", split.latticeUs);
-        stageRow("encode reply", split.encodeUs);
+        stageRow("encode reply, but its doubles",
+                 split.encodeUs - split.doublesUs);
+        stageRow("format doubles (JsonWriter::number)", split.doublesUs);
         stageRow("rest (validate, dedup, bookkeeping)",
                  split.requestUs - stageSum);
         stageRow("processLine (whole request)", split.requestUs);

@@ -6,12 +6,19 @@
 #include <cstring>
 
 #include "serve/json_parse.hh"
+#include "serve/shortest_double.hh"
 
 namespace harmonia::serve
 {
 
-JsonWriter::JsonWriter(std::string prefix, size_t sizeHint)
-    : buf_(std::move(prefix)), len_(buf_.size())
+JsonWriter::JsonWriter(std::string &&prefix, size_t sizeHint)
+    : own_(std::move(prefix)), buf_(own_), len_(buf_.size())
+{
+    buf_.resize(len_ + sizeHint);
+}
+
+JsonWriter::JsonWriter(std::string &out, size_t sizeHint)
+    : buf_(out), len_(out.size())
 {
     buf_.resize(len_ + sizeHint);
 }
@@ -19,7 +26,9 @@ JsonWriter::JsonWriter(std::string prefix, size_t sizeHint)
 void
 JsonWriter::grow(size_t n)
 {
-    buf_.resize(std::max({2 * buf_.size(), len_ + n, size_t{256}}));
+    // Geometric in the written length, so appends stay amortized O(1)
+    // without zero-filling a caller's whole buffer again.
+    buf_.resize(len_ + std::max({n, len_ / 2, size_t{256}}));
 }
 
 void
@@ -134,13 +143,10 @@ JsonWriter &
 JsonWriter::number(double d)
 {
     element();
-    // Shortest round-trip representation; deterministic for a given
-    // libc++/libstdc++ (the determinism gate compares within one
-    // build, never across toolchains).
-    constexpr size_t kMax = 32;
-    char *at = room(kMax);
-    len_ = static_cast<size_t>(std::to_chars(at, at + kMax, d).ptr -
-                               buf_.data());
+    // Shortest round-trip representation, byte for byte what
+    // std::to_chars writes (serve/shortest_double.hh).
+    char *at = room(kShortestDoubleRoom);
+    len_ = static_cast<size_t>(writeShortestDouble(at, d) - buf_.data());
     comma_ = true;
     return *this;
 }
@@ -149,6 +155,7 @@ std::string
 JsonWriter::take()
 {
     buf_.resize(len_);
+    len_ = 0;
     return std::move(buf_);
 }
 

@@ -361,17 +361,20 @@ Server::acceptClients(int listenFd, bool tcp)
 void
 Server::serveLine(Conn &conn, std::string_view line)
 {
-    conn.outBuf += service_.processLine(line);
+    service_.processLine(line, conn.outBuf);
     conn.outBuf += '\n';
 }
 
 void
-Server::readConn(Conn &conn)
+Server::readConn(Conn &conn, bool peerClosed)
 {
     if (conn.fd < 0)
         return;
     char buf[kReadChunkBytes];
     size_t budget = kReadBudgetBytes;
+    // inBuf holds no newline on entry (every complete line was served
+    // on the last wake-up), so only the bytes read now are scanned.
+    bool sawNewline = false;
     while (budget > 0) {
         const ssize_t n = read(conn.fd, buf, sizeof(buf));
         if (n < 0) {
@@ -386,14 +389,15 @@ Server::readConn(Conn &conn)
             conn.eof = true;
             break;
         }
-        budget -= std::min(budget, static_cast<size_t>(n));
-        conn.inBuf.append(buf, static_cast<size_t>(n));
+        const auto got = static_cast<size_t>(n);
+        budget -= std::min(budget, got);
+        conn.inBuf.append(buf, got);
         conn.lastActivityMicros = nowMicros();
+        sawNewline = sawNewline || std::memchr(buf, '\n', got) != nullptr;
         // A single line larger than the request cap would otherwise
         // buffer without bound; reject it early and resynchronize at
         // the next newline.
-        if (!conn.oversized &&
-            conn.inBuf.find('\n') == std::string::npos &&
+        if (!conn.oversized && !sawNewline &&
             conn.inBuf.size() > service_.options().maxRequestBytes) {
             conn.outBuf += makeErrorResponse(
                 "null",
@@ -404,7 +408,15 @@ Server::readConn(Conn &conn)
             conn.outBuf += '\n';
             conn.oversized = true;
             conn.inBuf.clear();
+        } else if (conn.oversized && !sawNewline) {
+            conn.inBuf.clear(); // More of the rejected line.
         }
+        // A read shorter than its chunk drained the socket: stop here
+        // rather than pay a read() that returns EAGAIN. ppoll is
+        // level-triggered, so bytes that arrive later wake us again.
+        // A peer that has closed its end is read on to the EOF.
+        if (got < sizeof(buf) && !peerClosed)
+            break;
     }
 
     size_t start = 0;
@@ -557,8 +569,10 @@ Server::run()
                 break;
         }
 
-        std::vector<pollfd> fds;
-        std::vector<size_t> connOf; // fds index -> conns_ index.
+        std::vector<pollfd> &fds = pollFds_;
+        std::vector<size_t> &connOf = pollConn_; // fds index -> conns_.
+        fds.clear();
+        connOf.clear();
         fds.push_back({signalFd_, POLLIN, 0});
         connOf.push_back(SIZE_MAX);
         size_t unixListenerIdx = SIZE_MAX;
@@ -582,9 +596,11 @@ Server::run()
             const bool wantOut = conn.unsentBytes() > 0;
             const bool wantIn =
                 conn.fd >= 0 && !conn.eof && !draining && !wantOut;
+            // POLLRDHUP reports a peer that has closed its end, so
+            // readConn reads on to the EOF in the same wake-up.
             if (conn.fd == conn.outFd) {
                 const short events =
-                    static_cast<short>((wantIn ? POLLIN : 0) |
+                    static_cast<short>((wantIn ? POLLIN | POLLRDHUP : 0) |
                                        (wantOut ? POLLOUT : 0));
                 if (events == 0)
                     continue;
@@ -593,7 +609,7 @@ Server::run()
             } else {
                 // stdio: read and write sides are distinct fds.
                 if (wantIn) {
-                    fds.push_back({conn.fd, POLLIN, 0});
+                    fds.push_back({conn.fd, POLLIN | POLLRDHUP, 0});
                     connOf.push_back(i);
                 }
                 if (wantOut) {
@@ -654,8 +670,9 @@ Server::run()
                     flushConn(*conns_[ci]);
                     enforceWriteCap(*conns_[ci]);
                 }
-                if (revents & (POLLIN | POLLHUP | POLLERR))
-                    readConn(*conns_[ci]);
+                if (revents & (POLLIN | POLLRDHUP | POLLHUP | POLLERR))
+                    readConn(*conns_[ci],
+                             revents & (POLLRDHUP | POLLHUP | POLLERR));
             }
         }
 

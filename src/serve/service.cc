@@ -40,16 +40,17 @@ parseObjective(const std::string &name)
         "\" (want min_ed2, min_ed, min_energy, or max_performance)");
 }
 
-/** The success reply to @p id: its envelope around the result value
- * @p body writes. */
+/** Append the success reply to @p id to @p out: its envelope around
+ * the result value @p body writes. */
 template <typename Body>
-std::string
-resultReply(std::string_view id, Verb verb, const Body &body)
+void
+appendResult(std::string &out, std::string_view id, Verb verb,
+             const Body &body)
 {
-    JsonWriter w;
+    JsonWriter w(out, 256);
     beginResultResponse(w, id, verb);
     body(w);
-    return w.endObject().take();
+    w.endObject();
 }
 
 /**
@@ -78,16 +79,40 @@ beginKernelResult(JsonWriter &w, const HardwareConfig &cfg,
 
 } // namespace
 
-std::string
-evaluateResponse(std::string_view id, const EvaluateParams &p,
-                 const ConfigSweep &sweep,
-                 const std::vector<uint32_t> &slots,
-                 const std::vector<KernelResult> &points)
+void
+evaluateSlots(const ConfigSweep &sweep, const EvaluateParams &p,
+              std::vector<uint32_t> &slots, std::vector<uint32_t> &rows)
+{
+    if (p.fullLattice) {
+        slots.resize(sweep.configs().size());
+        std::iota(slots.begin(), slots.end(), uint32_t{0});
+        rows = slots;
+        return;
+    }
+    // Every point the request asks for, duplicates included, then
+    // their sorted union; each row keeps its position in the union.
+    rows.clear();
+    for (const HardwareConfig &cfg : p.configs)
+        rows.push_back(static_cast<uint32_t>(sweep.indexOf(cfg)));
+    slots = rows;
+    std::sort(slots.begin(), slots.end());
+    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+    for (uint32_t &row : rows)
+        row = static_cast<uint32_t>(
+            std::lower_bound(slots.begin(), slots.end(), row) -
+            slots.begin());
+}
+
+void
+evaluateResponse(std::string &out, std::string_view id,
+                 const EvaluateParams &p, const ConfigSweep &sweep,
+                 const std::vector<uint32_t> &rows,
+                 const KernelResult *points)
 {
     const std::vector<HardwareConfig> &lattice = sweep.configs();
-    const size_t count =
-        p.fullLattice ? lattice.size() : p.configs.size();
-    JsonWriter w({}, 256 + 256 * count);
+    const size_t count = rows.size();
+    // About 290 bytes per row, so the hint holds the whole reply.
+    JsonWriter w(out, 256 + 320 * count);
     beginResultResponse(w, id, Verb::Evaluate);
     w.beginObject()
         .key("kernel")
@@ -98,18 +123,10 @@ evaluateResponse(std::string_view id, const EvaluateParams &p,
         .integer(static_cast<int64_t>(count))
         .key("results")
         .beginArray();
-    auto row = [&](const HardwareConfig &cfg, size_t slot) {
-        const auto it = std::lower_bound(slots.begin(), slots.end(),
-                                         static_cast<uint32_t>(slot));
-        beginKernelResult(w, cfg, points[it - slots.begin()]);
+    for (size_t i = 0; i < count; ++i) {
+        beginKernelResult(w, p.fullLattice ? lattice[i] : p.configs[i],
+                          points[rows[i]]);
         w.endObject();
-    };
-    if (p.fullLattice) {
-        for (size_t i = 0; i < lattice.size(); ++i)
-            row(lattice[i], i);
-    } else {
-        for (const HardwareConfig &cfg : p.configs)
-            row(cfg, sweep.indexOf(cfg));
     }
     w.endArray();
     // Only requests that selected a device echo it back: device-less
@@ -117,7 +134,7 @@ evaluateResponse(std::string_view id, const EvaluateParams &p,
     // introduction of the registry.
     if (!p.device.empty())
         w.key("device").string(sweep.device().name());
-    return w.endObject().endObject().take();
+    w.endObject().endObject();
 }
 
 /**
@@ -236,8 +253,9 @@ Service::validateEvaluate(const DeviceState &dev,
     return Status::okStatus();
 }
 
-Result<std::string>
-Service::runEvaluate(std::string_view id, const EvaluateParams &p)
+Status
+Service::runEvaluate(std::string_view id, const EvaluateParams &p,
+                     std::string &out)
 {
     Result<DeviceState *> devResult = resolveDevice(p.device);
     if (!devResult.ok())
@@ -247,25 +265,13 @@ Service::runEvaluate(std::string_view id, const EvaluateParams &p)
     if (const Status valid = validateEvaluate(dev, p); !valid.ok())
         return valid;
 
-    // Every point the request asks for, duplicates included, then
-    // their sorted union: one lattice run computes it, and nothing is
-    // kept.
-    std::vector<uint32_t> slots;
-    if (p.fullLattice) {
-        slots.resize(dev.sweep.configs().size());
-        std::iota(slots.begin(), slots.end(), uint32_t{0});
-    } else {
-        for (const HardwareConfig &cfg : p.configs)
-            slots.push_back(static_cast<uint32_t>(dev.sweep.indexOf(cfg)));
-    }
-    const size_t requested = slots.size();
-    std::sort(slots.begin(), slots.end());
-    slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-
-    const std::vector<KernelResult> points =
-        dev.sweep.run(*findKernel(p.kernel), p.iteration, slots);
-    metrics_.recordEvaluate(slots.size(), requested - slots.size());
-    return evaluateResponse(id, p, dev.sweep, slots, points);
+    // One lattice run computes the sorted union of the requested
+    // points, and nothing is kept.
+    evaluateSlots(dev.sweep, p, slots_, rows_);
+    dev.sweep.run(*findKernel(p.kernel), p.iteration, slots_, points_);
+    metrics_.recordEvaluate(slots_.size(), rows_.size() - slots_.size());
+    evaluateResponse(out, id, p, dev.sweep, rows_, points_.data());
+    return Status::okStatus();
 }
 
 Status
@@ -310,8 +316,9 @@ Service::buildGovernor(DeviceState &dev, const std::string &name)
     return makeGovernor(name, spec);
 }
 
-Result<std::string>
-Service::runGovern(std::string_view id, const GovernParams &p)
+Status
+Service::runGovern(std::string_view id, const GovernParams &p,
+                   std::string &out)
 {
     if (p.end || p.reset) {
         const auto it = sessions_.find(p.session);
@@ -323,7 +330,7 @@ Service::runGovern(std::string_view id, const GovernParams &p)
             sessions_.erase(it);
         else
             it->second.governor->reset();
-        return resultReply(id, Verb::Govern, [&](JsonWriter &w) {
+        appendResult(out, id, Verb::Govern, [&](JsonWriter &w) {
             w.beginObject().key("session").string(p.session);
             if (p.end) {
                 w.key("ended").boolean(true);
@@ -333,6 +340,7 @@ Service::runGovern(std::string_view id, const GovernParams &p)
             }
             w.endObject();
         });
+        return Status::okStatus();
     }
 
     const KernelProfile *profile = findKernel(p.kernel);
@@ -403,7 +411,7 @@ Service::runGovern(std::string_view id, const GovernParams &p)
     session.governor->observe(sample);
     ++session.steps;
 
-    return resultReply(id, Verb::Govern, [&](JsonWriter &w) {
+    appendResult(out, id, Verb::Govern, [&](JsonWriter &w) {
         w.beginObject().key("session").string(p.session);
         w.key("governor").string(session.governor->name());
         w.key("kernel").string(p.kernel);
@@ -418,10 +426,12 @@ Service::runGovern(std::string_view id, const GovernParams &p)
             w.key("device").string(session.deviceName);
         w.endObject();
     });
+    return Status::okStatus();
 }
 
-Result<std::string>
-Service::runSweep(std::string_view id, const SweepParams &p)
+Status
+Service::runSweep(std::string_view id, const SweepParams &p,
+                  std::string &out)
 {
     const KernelProfile *profile = findKernel(p.kernel);
     if (!profile)
@@ -444,14 +454,24 @@ Service::runSweep(std::string_view id, const SweepParams &p)
         sweep.evaluate(*profile, p.iteration);
     const std::vector<HardwareConfig> &configs = sweep.configs();
 
-    const auto score = [&](size_t idx) {
-        return objectiveScore(results[idx], objective.value());
-    };
+    // Each point is scored once. The top N by score, ties broken on
+    // canonical lattice order: the order a stable sort of every index
+    // gives, so rankings are thread-count independent.
+    std::vector<std::pair<double, size_t>> ranked;
+    if (p.top > 0) {
+        ranked.reserve(results.size());
+        for (size_t i = 0; i < results.size(); ++i)
+            ranked.emplace_back(
+                objectiveScore(results[i], objective.value()), i);
+        const size_t n = std::min(static_cast<size_t>(p.top), ranked.size());
+        std::partial_sort(ranked.begin(), ranked.begin() + n, ranked.end());
+        ranked.resize(n);
+    }
 
-    JsonWriter w;
-    const auto row = [&](size_t idx) {
+    JsonWriter w(out, 1024 + 320 * ranked.size());
+    const auto row = [&](size_t idx, double score) {
         beginKernelResult(w, configs[idx], results[idx]);
-        w.key("score").number(score(idx)).endObject();
+        w.key("score").number(score).endObject();
     };
 
     beginResultResponse(w, id, Verb::Sweep);
@@ -465,26 +485,20 @@ Service::runSweep(std::string_view id, const SweepParams &p)
         .key("points")
         .integer(static_cast<int64_t>(results.size()))
         .key("best");
-    row(sweep.indexOf(bestConfigFor(configs, results, objective.value())));
+    const size_t best =
+        sweep.indexOf(bestConfigFor(configs, results, objective.value()));
+    row(best, objectiveScore(results[best], objective.value()));
     if (!p.device.empty())
         w.key("device").string(dev.device.name());
 
     if (p.top > 0) {
-        // Rank by objective score; ties break on canonical lattice
-        // order, so rankings are thread-count independent.
-        std::vector<size_t> order(results.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        std::stable_sort(
-            order.begin(), order.end(),
-            [&](size_t a, size_t b) { return score(a) < score(b); });
-        const size_t n =
-            std::min(static_cast<size_t>(p.top), order.size());
         w.key("top").beginArray();
-        for (size_t i = 0; i < n; ++i)
-            row(order[i]);
+        for (const auto &[score, idx] : ranked)
+            row(idx, score);
         w.endArray();
     }
-    return w.endObject().endObject().take();
+    w.endObject().endObject();
+    return Status::okStatus();
 }
 
 void
@@ -522,56 +536,73 @@ Service::writeStats(JsonWriter &w) const
 std::string
 Service::processLine(std::string_view line)
 {
-    std::string id = "null";
+    std::string out;
+    processLine(line, out);
+    return out;
+}
+
+void
+Service::processLine(std::string_view line, std::string &out)
+{
+    const std::string_view nullId = "null";
     if (line.size() > options_.maxRequestBytes) {
         metrics_.recordMalformed();
-        return makeErrorResponse(
-            id, Status::resourceExhausted(
-                    "request line exceeds " +
-                    std::to_string(options_.maxRequestBytes) + " bytes"));
+        out += makeErrorResponse(
+            nullId, Status::resourceExhausted(
+                        "request line exceeds " +
+                        std::to_string(options_.maxRequestBytes) +
+                        " bytes"));
+        return;
     }
+    std::string id(nullId);
     Result<Request> parsed = parseRequest(line, &id);
     if (!parsed.ok()) {
         metrics_.recordMalformed();
-        return makeErrorResponse(id, parsed.status());
+        out += makeErrorResponse(id, parsed.status());
+        return;
     }
     const Request &req = parsed.value();
 
+    // A verb either appends its whole reply or returns an error; an
+    // escaped exception may leave a partial reply, which is dropped.
+    const size_t mark = out.size();
     const auto start = Clock::now();
-    Result<std::string> reply = std::string();
+    Status status = Status::okStatus();
     try {
         switch (req.verb) {
           case Verb::Evaluate:
-            reply = runEvaluate(id, req.evaluate);
+            status = runEvaluate(id, req.evaluate, out);
             break;
           case Verb::Govern:
-            reply = runGovern(id, req.govern);
+            status = runGovern(id, req.govern, out);
             break;
           case Verb::Sweep:
-            reply = runSweep(id, req.sweep);
+            status = runSweep(id, req.sweep, out);
             break;
           case Verb::Stats:
-            reply = resultReply(id, req.verb,
-                                [&](JsonWriter &w) { writeStats(w); });
+            appendResult(out, id, req.verb,
+                         [&](JsonWriter &w) { writeStats(w); });
             break;
           case Verb::Ping:
-            reply = resultReply(id, req.verb, [](JsonWriter &w) {
+            appendResult(out, id, req.verb, [](JsonWriter &w) {
                 w.beginObject().key("pong").boolean(true).endObject();
             });
             break;
           case Verb::Shutdown:
             shutdownRequested_ = true;
-            reply = resultReply(id, req.verb, [](JsonWriter &w) {
+            appendResult(out, id, req.verb, [](JsonWriter &w) {
                 w.beginObject().key("draining").boolean(true).endObject();
             });
             break;
         }
     } catch (...) {
-        reply = statusFromCurrentException();
+        status = statusFromCurrentException();
     }
-    metrics_.record(req.verb, reply.ok(), microsSince(start));
-    return reply.ok() ? std::move(reply.value())
-                      : makeErrorResponse(id, reply.status());
+    metrics_.record(req.verb, status.ok(), microsSince(start));
+    if (!status.ok()) {
+        out.resize(mark);
+        out += makeErrorResponse(id, status);
+    }
 }
 
 } // namespace harmonia::serve

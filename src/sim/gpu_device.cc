@@ -18,6 +18,59 @@ GpuDevice::GpuDevice(const GcnDeviceConfig &dev, TimingEngine engine,
       name_(std::move(name))
 {
     dev_.validate();
+
+    // The power planes over the whole lattice, each entry the value
+    // run() computes at its pair: factorsForLattice() is bitwise
+    // factorsFor() per pair, and idlePower(cfg) is
+    // powerFromFactors(factorsFor(cfg), 0, 0).
+    LatticePowerTables &t = powerTables_;
+    const std::vector<int> cus = space().values(Tunable::CuCount);
+    const std::vector<int> cfs = space().values(Tunable::ComputeFreq);
+    const size_t nGpu = cus.size() * cfs.size();
+    std::vector<GpuPowerFactors> factors(nGpu);
+    gpuPower_.factorsForLattice(cus.data(), cus.size(), cfs.data(),
+                                cfs.size(), factors.data());
+    for (std::vector<double> *plane :
+         {&t.gpuCuDynPrefix, &t.gpuUncoreDynPrefix, &t.gpuLeakage,
+          &t.idleGpuCuDynamic, &t.idleGpuUncoreDynamic, &t.idleGpuLeakage,
+          &t.idleGpuTotal})
+        plane->resize(nGpu);
+    for (size_t i = 0; i < nGpu; ++i) {
+        const GpuPowerFactors &f = factors[i];
+        const GpuPowerBreakdown idle =
+            gpuPower_.powerFromFactors(f, 0.0, 0.0);
+        t.gpuCuDynPrefix[i] = f.cuDynPrefix;
+        t.gpuUncoreDynPrefix[i] = f.uncoreDynPrefix;
+        t.gpuLeakage[i] = f.leakage;
+        t.idleGpuCuDynamic[i] = idle.cuDynamic;
+        t.idleGpuUncoreDynamic[i] = idle.uncoreDynamic;
+        t.idleGpuLeakage[i] = idle.leakage;
+        t.idleGpuTotal[i] = idle.total();
+    }
+
+    // Memory-side power depends only on the bus frequency.
+    const Gddr5Model &gddr5 = engine_.memorySystem().gddr5();
+    const std::vector<int> mems = space().values(Tunable::MemFreq);
+    for (std::vector<double> *plane :
+         {&t.memFRatio, &t.memLowFreqScale, &t.memVScale, &t.memBackground,
+          &t.idleMemBackground, &t.idleMemActivatePrecharge,
+          &t.idleMemReadWrite, &t.idleMemTermination, &t.idleMemPhy,
+          &t.idleMemTotal})
+        plane->resize(mems.size());
+    for (size_t m = 0; m < mems.size(); ++m) {
+        const Gddr5PowerFactors f = gddr5.factorsFor(mems[m]);
+        const MemPowerBreakdown idle = gddr5.powerFromFactors(f, 0.0, 1.0);
+        t.memFRatio[m] = f.fRatio;
+        t.memLowFreqScale[m] = f.lowFreqScale;
+        t.memVScale[m] = f.vScale;
+        t.memBackground[m] = f.background;
+        t.idleMemBackground[m] = idle.background;
+        t.idleMemActivatePrecharge[m] = idle.activatePrecharge;
+        t.idleMemReadWrite[m] = idle.readWrite;
+        t.idleMemTermination[m] = idle.termination;
+        t.idleMemPhy[m] = idle.phy;
+        t.idleMemTotal[m] = idle.total();
+    }
 }
 
 namespace
@@ -194,6 +247,30 @@ GpuDevice::composeResult(KernelTiming timing, const KernelPhase &phase,
     return out;
 }
 
+namespace
+{
+
+/**
+ * A lattice run's working memory, one per thread: runs reuse its
+ * vectors, so once warm they allocate nothing, and concurrent callers
+ * (check_model --jobs) never share it.
+ */
+struct LatticeScratch
+{
+    LatticeDemand demand;
+    TimingAxisTables tables;
+    std::vector<size_t> lanes; ///< cuIdx, cfIdx, memIdx per config.
+};
+
+LatticeScratch &
+latticeScratch()
+{
+    thread_local LatticeScratch scratch;
+    return scratch;
+}
+
+} // namespace
+
 void
 GpuDevice::runLattice(const KernelProfile &profile,
                       const KernelPhase &phase,
@@ -207,11 +284,12 @@ GpuDevice::runLattice(const KernelProfile &profile,
     // arithmetically. Any other list is mapped onto the axis values
     // it touches (validating every config), so the hoist below builds
     // only what those configs read.
+    LatticeScratch &scratch = latticeScratch();
+    LatticeDemand &demand = scratch.demand;
     const size_t n = configs.size();
-    LatticeDemand demand;
     bool canonical = n == space().size();
     if (canonical) {
-        demand = LatticeDemand::full(space());
+        demand.assignFull(space());
         size_t i = 0;
         for (const int mem : demand.memFreqValues)
             for (const int cu : demand.cuValues)
@@ -222,20 +300,19 @@ GpuDevice::runLattice(const KernelProfile &profile,
                                 c.memFreqMhz == mem;
                 }
     }
-    std::vector<size_t> lanes;
     if (!canonical) {
+        std::vector<size_t> &lanes = scratch.lanes;
         lanes.resize(3 * n);
-        demand = LatticeDemand::of(space(), configs.data(), n,
-                                   lanes.data(), lanes.data() + n,
-                                   lanes.data() + 2 * n);
-    }
-    const LatticeEvaluator eval(*this, profile, phase, demand);
-
-    if (!canonical) {
+        demand.assign(space(), configs.data(), n, lanes.data(),
+                      lanes.data() + n, lanes.data() + 2 * n);
+        const LatticeEvaluator eval(*this, profile, phase, demand,
+                                    scratch.tables);
         eval.evaluateBatchAtInto(lanes.data(), lanes.data() + n,
                                  lanes.data() + 2 * n, n, out);
         return;
     }
+    const LatticeEvaluator eval(*this, profile, phase, demand,
+                                scratch.tables);
 
     // Batched SIMD combine, one lane block at a time. Odometer walk
     // instead of three divisions per lane: the canonical order
@@ -261,6 +338,21 @@ GpuDevice::runLattice(const KernelProfile &profile,
         }
         eval.evaluateBatchAtInto(cuIdx, cfIdx, memIdx, len, out + begin);
     }
+}
+
+void
+GpuDevice::runSlots(const KernelProfile &profile, const KernelPhase &phase,
+                    const uint32_t *slots, size_t n, KernelResult *out) const
+{
+    LatticeScratch &scratch = latticeScratch();
+    std::vector<size_t> &lanes = scratch.lanes;
+    lanes.resize(3 * n);
+    scratch.demand.assignSlots(space(), slots, n, lanes.data(),
+                               lanes.data() + n, lanes.data() + 2 * n);
+    const LatticeEvaluator eval(*this, profile, phase, scratch.demand,
+                                scratch.tables);
+    eval.evaluateBatchAtInto(lanes.data(), lanes.data() + n,
+                             lanes.data() + 2 * n, n, out);
 }
 
 } // namespace harmonia

@@ -12,90 +12,15 @@ namespace harmonia
 LatticeEvaluator::LatticeEvaluator(const GpuDevice &device,
                                    const KernelProfile &profile,
                                    const KernelPhase &phase,
-                                   const LatticeDemand &demand)
-    : device_(device), prep_(device.engine().prepare(profile, phase)),
-      timing_(device.engine().buildAxisTables(prep_, demand))
+                                   const LatticeDemand &demand,
+                                   TimingAxisTables &tables)
+    : device_(device), demand_(demand), timing_(tables),
+      power_(device.powerTables()),
+      prep_(device.engine().prepare(profile, phase)),
+      nCfLattice_(device.space().count(Tunable::ComputeFreq)),
+      wholeLattice_(demand.requested.size() == device.space().size())
 {
-    const size_t nCu = timing_.cuValues.size();
-    const size_t nCf = timing_.computeFreqValues.size();
-    const size_t nMem = timing_.memFreqValues.size();
-
-    // GPU-side power state depends only on the DPM state: active CU
-    // count and compute frequency (which selects the voltage), so it
-    // is built at the demand's touched pairs only. The plane entries
-    // are produced by exactly the calls run() makes, so lookups are
-    // bitwise identical to recomputation; the memory frequency in the
-    // probe config is irrelevant to both calls.
-    const size_t nGpu = nCu * nCf;
-    planes_.resize(7 * nGpu + 10 * nMem);
-    double *next = planes_.data();
-    auto carve = [&](size_t len) {
-        double *plane = next;
-        next += len;
-        return plane;
-    };
-    gpuCuDynPrefix_ = carve(nGpu);
-    gpuUncoreDynPrefix_ = carve(nGpu);
-    gpuLeakage_ = carve(nGpu);
-    idleGpuCuDynamic_ = carve(nGpu);
-    idleGpuUncoreDynamic_ = carve(nGpu);
-    idleGpuLeakage_ = carve(nGpu);
-    idleGpuTotal_ = carve(nGpu);
-    memFRatio_ = carve(nMem);
-    memLowFreqScale_ = carve(nMem);
-    memVScale_ = carve(nMem);
-    memBackground_ = carve(nMem);
-    idleMemBackground_ = carve(nMem);
-    idleMemActivatePrecharge_ = carve(nMem);
-    idleMemReadWrite_ = carve(nMem);
-    idleMemTermination_ = carve(nMem);
-    idleMemPhy_ = carve(nMem);
-    idleMemTotal_ = carve(nMem);
-
-    // factorsForLattice() hoists the per-frequency voltage lookup and
-    // pow() out of the CU loop and is bitwise equal to calling
-    // factorsFor() per slot; idlePower(cfg) is
-    // powerFromFactors(factorsFor(cfg), 0, 0), so reusing the factors
-    // skips the second voltage lookup and pow() with the same bits.
-    std::vector<GpuPowerFactors> factors(nGpu);
-    device_.gpuPower().factorsForLattice(timing_.cuValues.data(), nCu,
-                                         timing_.computeFreqValues.data(),
-                                         nCf, demand.pairs.data(),
-                                         factors.data());
-    for (size_t slot = 0; slot < nGpu; ++slot) {
-        if (!demand.pairs[slot])
-            continue;
-        const GpuPowerBreakdown idle =
-            device_.gpuPower().powerFromFactors(factors[slot], 0.0, 0.0);
-        gpuCuDynPrefix_[slot] = factors[slot].cuDynPrefix;
-        gpuUncoreDynPrefix_[slot] = factors[slot].uncoreDynPrefix;
-        gpuLeakage_[slot] = factors[slot].leakage;
-        idleGpuCuDynamic_[slot] = idle.cuDynamic;
-        idleGpuUncoreDynamic_[slot] = idle.uncoreDynamic;
-        idleGpuLeakage_[slot] = idle.leakage;
-        idleGpuTotal_[slot] = idle.total();
-    }
-
-    // Memory-side power state depends only on the bus frequency; the
-    // demand's memory axis holds only touched frequencies.
-    const MemorySystem &memsys = device_.engine().memorySystem();
-    for (size_t m = 0; m < nMem; ++m) {
-        const int memFreq = timing_.memFreqValues[m];
-        const Gddr5PowerFactors memFactors =
-            memsys.gddr5().factorsFor(memFreq);
-        const MemPowerBreakdown idle =
-            memsys.gddr5().powerFromFactors(memFactors, 0.0, 1.0);
-        memFRatio_[m] = memFactors.fRatio;
-        memLowFreqScale_[m] = memFactors.lowFreqScale;
-        memVScale_[m] = memFactors.vScale;
-        memBackground_[m] = memFactors.background;
-        idleMemBackground_[m] = idle.background;
-        idleMemActivatePrecharge_[m] = idle.activatePrecharge;
-        idleMemReadWrite_[m] = idle.readWrite;
-        idleMemTermination_[m] = idle.termination;
-        idleMemPhy_[m] = idle.phy;
-        idleMemTotal_[m] = idle.total();
-    }
+    device_.engine().buildAxisTables(prep_, demand, tables);
 }
 
 void
@@ -138,6 +63,7 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
 
     const size_t nCu = timing_.cuValues.size();
     const size_t nCf = timing_.computeFreqValues.size();
+    const LatticePowerTables &pw = power_;
 
     // ---- Gather: lane inputs from the SoA planes ---------------------
     alignas(64) double ct[kC];     // compute (ALU issue) time
@@ -161,11 +87,12 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
     // gpu-slot and bandwidth planes, one periodic L2 pack per
     // compute-frequency offset, and broadcasts for the per-CU-row and
     // per-chunk-constant values — instead of staging 25 gather
-    // buffers. Fusion requires packs that never straddle a
-    // compute-frequency row (nCf a multiple of the vector width);
-    // otherwise the chunk takes the indexed gather, which handles any
-    // lane pattern.
-    bool canonical = n > 0 && cfIdx[0] == 0;
+    // buffers. Fusion requires the whole lattice (so the device's
+    // power planes line up with the demand's grid) and packs that
+    // never straddle a compute-frequency row (nCf a multiple of the
+    // vector width); otherwise the chunk takes the indexed gather,
+    // which handles any lane pattern.
+    bool canonical = wholeLattice_ && n > 0 && cfIdx[0] == 0;
     if (canonical) {
         const size_t cu0 = cuIdx[0], m0 = memIdx[0];
         for (size_t i = 0; i < n && canonical; ++i)
@@ -175,10 +102,15 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
     const bool fused = canonical && nCf % VDouble::width == 0;
     if (!fused) {
         for (size_t i = 0; i < n; ++i) {
-            const size_t gpuSlot = cuIdx[i] * nCf + cfIdx[i];
+            const size_t gridPair = cuIdx[i] * nCf + cfIdx[i];
             const size_t bwSlot =
                 (memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i];
-            ct[i] = timing_.computeTime[gpuSlot];
+            // The power planes are over the lattice axes.
+            const size_t gpuSlot =
+                demand_.cuLattice[cuIdx[i]] * nCfLattice_ +
+                demand_.computeFreqLattice[cfIdx[i]];
+            const size_t memAt = demand_.memFreqLattice[memIdx[i]];
+            ct[i] = timing_.computeTime[gridPair];
             l2t[i] = timing_.l2Time[cfIdx[i]];
             hit[i] = timing_.l2HitRate[cuIdx[i]];
             off[i] = timing_.offChipBytes[cuIdx[i]];
@@ -186,23 +118,23 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
             pk[i] = timing_.peakBandwidth[memIdx[i]];
             ipk[i] = timing_.invPeakBandwidth[memIdx[i]];
             l2bw[i] = timing_.l2Bandwidth[cfIdx[i]];
-            gCuPre[i] = gpuCuDynPrefix_[gpuSlot];
-            gUncPre[i] = gpuUncoreDynPrefix_[gpuSlot];
-            gLeak[i] = gpuLeakage_[gpuSlot];
-            iCuDyn[i] = idleGpuCuDynamic_[gpuSlot];
-            iUncDyn[i] = idleGpuUncoreDynamic_[gpuSlot];
-            iLeak[i] = idleGpuLeakage_[gpuSlot];
-            iGpuTot[i] = idleGpuTotal_[gpuSlot];
-            mFR[i] = memFRatio_[memIdx[i]];
-            mLFS[i] = memLowFreqScale_[memIdx[i]];
-            mVS[i] = memVScale_[memIdx[i]];
-            mBG[i] = memBackground_[memIdx[i]];
-            imBG[i] = idleMemBackground_[memIdx[i]];
-            imAP[i] = idleMemActivatePrecharge_[memIdx[i]];
-            imRW[i] = idleMemReadWrite_[memIdx[i]];
-            imTerm[i] = idleMemTermination_[memIdx[i]];
-            imPhy[i] = idleMemPhy_[memIdx[i]];
-            iMemTot[i] = idleMemTotal_[memIdx[i]];
+            gCuPre[i] = pw.gpuCuDynPrefix[gpuSlot];
+            gUncPre[i] = pw.gpuUncoreDynPrefix[gpuSlot];
+            gLeak[i] = pw.gpuLeakage[gpuSlot];
+            iCuDyn[i] = pw.idleGpuCuDynamic[gpuSlot];
+            iUncDyn[i] = pw.idleGpuUncoreDynamic[gpuSlot];
+            iLeak[i] = pw.idleGpuLeakage[gpuSlot];
+            iGpuTot[i] = pw.idleGpuTotal[gpuSlot];
+            mFR[i] = pw.memFRatio[memAt];
+            mLFS[i] = pw.memLowFreqScale[memAt];
+            mVS[i] = pw.memVScale[memAt];
+            mBG[i] = pw.memBackground[memAt];
+            imBG[i] = pw.idleMemBackground[memAt];
+            imAP[i] = pw.idleMemActivatePrecharge[memAt];
+            imRW[i] = pw.idleMemReadWrite[memAt];
+            imTerm[i] = pw.idleMemTermination[memAt];
+            imPhy[i] = pw.idleMemPhy[memAt];
+            iMemTot[i] = pw.idleMemTotal[memAt];
         }
     }
 
@@ -255,16 +187,16 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         const size_t m0 = memIdx[0];
         cPk = VDouble(timing_.peakBandwidth[m0]);
         cIpk = VDouble(timing_.invPeakBandwidth[m0]);
-        cMFR = VDouble(memFRatio_[m0]);
-        cMLFS = VDouble(memLowFreqScale_[m0]);
-        cMVS = VDouble(memVScale_[m0]);
-        cMBG = VDouble(memBackground_[m0]);
-        cImBG = VDouble(idleMemBackground_[m0]);
-        cImAP = VDouble(idleMemActivatePrecharge_[m0]);
-        cImRW = VDouble(idleMemReadWrite_[m0]);
-        cImTerm = VDouble(idleMemTermination_[m0]);
-        cImPhy = VDouble(idleMemPhy_[m0]);
-        cIMemTot = VDouble(idleMemTotal_[m0]);
+        cMFR = VDouble(pw.memFRatio[m0]);
+        cMLFS = VDouble(pw.memLowFreqScale[m0]);
+        cMVS = VDouble(pw.memVScale[m0]);
+        cMBG = VDouble(pw.memBackground[m0]);
+        cImBG = VDouble(pw.idleMemBackground[m0]);
+        cImAP = VDouble(pw.idleMemActivatePrecharge[m0]);
+        cImRW = VDouble(pw.idleMemReadWrite[m0]);
+        cImTerm = VDouble(pw.idleMemTermination[m0]);
+        cImPhy = VDouble(pw.idleMemPhy[m0]);
+        cIMemTot = VDouble(pw.idleMemTotal[m0]);
     }
 
     for (size_t i = 0; i < n; i += VDouble::width) {
@@ -277,15 +209,16 @@ LatticeEvaluator::evaluateChunkAtInto(const size_t *cuIdx,
         if (fused) {
             vCt = VDouble::loadN(&timing_.computeTime[g0 + i], lanes);
             vBw = VDouble::loadN(&timing_.bandwidthBps[b0 + i], lanes);
-            vGCuPre = VDouble::loadN(&gpuCuDynPrefix_[g0 + i], lanes);
+            vGCuPre = VDouble::loadN(&pw.gpuCuDynPrefix[g0 + i], lanes);
             vGUncPre =
-                VDouble::loadN(&gpuUncoreDynPrefix_[g0 + i], lanes);
-            vGLeak = VDouble::loadN(&gpuLeakage_[g0 + i], lanes);
-            vICuDyn = VDouble::loadN(&idleGpuCuDynamic_[g0 + i], lanes);
+                VDouble::loadN(&pw.gpuUncoreDynPrefix[g0 + i], lanes);
+            vGLeak = VDouble::loadN(&pw.gpuLeakage[g0 + i], lanes);
+            vICuDyn =
+                VDouble::loadN(&pw.idleGpuCuDynamic[g0 + i], lanes);
             vIUncDyn =
-                VDouble::loadN(&idleGpuUncoreDynamic_[g0 + i], lanes);
-            vILeak = VDouble::loadN(&idleGpuLeakage_[g0 + i], lanes);
-            vIGpuTot = VDouble::loadN(&idleGpuTotal_[g0 + i], lanes);
+                VDouble::loadN(&pw.idleGpuUncoreDynamic[g0 + i], lanes);
+            vILeak = VDouble::loadN(&pw.idleGpuLeakage[g0 + i], lanes);
+            vIGpuTot = VDouble::loadN(&pw.idleGpuTotal[g0 + i], lanes);
             // The pack never straddles a compute-frequency row, so the
             // L2 axis repeats at offset i % nCf and the per-CU-row
             // values are pack constants.

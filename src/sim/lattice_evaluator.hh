@@ -13,15 +13,15 @@
  *  - the config-invariant bundle (TimingEngine::prepare): validation,
  *    occupancy, instruction and traffic totals;
  *  - the timing axis tables (TimingEngine::buildAxisTables): L2 hit
- *    rates per touched CU count, L2 bandwidth and crossing caps per
- *    touched compute frequency, ALU issue times per touched (CU, freq)
- *    pair, peak bus bandwidth per touched memory frequency, and the
- *    resolved bandwidth of each requested cell;
- *  - GPU power factors and DPM-state idle power per touched (CU count,
- *    compute frequency) pair, with one voltage lookup and pow() per
- *    touched frequency;
- *  - GDDR5 power factors and idle memory power per touched memory
- *    frequency.
+ *    rates per touched CU count, L2 service time per touched compute
+ *    frequency, ALU issue times per touched (CU, freq) pair, and the
+ *    resolved bandwidth of each requested cell.
+ *
+ * What depends on the device alone is not rebuilt per run: L2
+ * bandwidth, crossing caps and peak bus bandwidth are the timing
+ * engine's per-axis constants, and the GPU and GDDR5 power factors and
+ * idle power are the device's LatticePowerTables, read at each lane's
+ * lattice position.
  *
  * The full lattice is the demand that touches every cell, so a sweep
  * builds exactly the dense tables, while an 8-point slice builds a
@@ -65,12 +65,14 @@ class LatticeEvaluator
 
     /**
      * Hoist the config-invariant and axis-separable work for
-     * (@p profile, @p phase) over the cells @p demand touches.
+     * (@p profile, @p phase) over the cells @p demand touches, building
+     * the axis tables into @p tables. The evaluator reads @p demand and
+     * @p tables; both must outlive it.
      */
     LatticeEvaluator(const GpuDevice &device, const KernelProfile &profile,
-                     const KernelPhase &phase, const LatticeDemand &demand);
+                     const KernelPhase &phase, const LatticeDemand &demand,
+                     TimingAxisTables &tables);
 
-    // The power planes point into planes_.
     LatticeEvaluator(const LatticeEvaluator &) = delete;
     LatticeEvaluator &operator=(const LatticeEvaluator &) = delete;
 
@@ -94,36 +96,16 @@ class LatticeEvaluator
                              KernelResult *out) const;
 
     const GpuDevice &device_;
+    const LatticeDemand &demand_;
+    const TimingAxisTables &timing_;
+    const LatticePowerTables &power_;
     PreparedKernel prep_;
-    TimingAxisTables timing_;
-
-    // One allocation backs every power plane below.
-    std::vector<double> planes_;
-
-    // (CU count, compute frequency) plane over the demand's touched
-    // axes, row-major in CU count, filled at its touched pairs —
-    // GpuPowerFactors and the DPM-state idle GpuPowerBreakdown split
-    // into one plane per component.
-    double *gpuCuDynPrefix_ = nullptr;
-    double *gpuUncoreDynPrefix_ = nullptr;
-    double *gpuLeakage_ = nullptr;
-    double *idleGpuCuDynamic_ = nullptr;
-    double *idleGpuUncoreDynamic_ = nullptr;
-    double *idleGpuLeakage_ = nullptr;
-    double *idleGpuTotal_ = nullptr; ///< idle GpuPowerBreakdown::total().
-
-    // Memory-frequency axis — Gddr5PowerFactors and the idle
-    // MemPowerBreakdown, one plane per component.
-    double *memFRatio_ = nullptr;
-    double *memLowFreqScale_ = nullptr;
-    double *memVScale_ = nullptr;
-    double *memBackground_ = nullptr;
-    double *idleMemBackground_ = nullptr;
-    double *idleMemActivatePrecharge_ = nullptr;
-    double *idleMemReadWrite_ = nullptr;
-    double *idleMemTermination_ = nullptr;
-    double *idleMemPhy_ = nullptr;
-    double *idleMemTotal_ = nullptr; ///< idle MemPowerBreakdown::total().
+    /** Compute frequencies on the lattice: the power planes' row
+     * length. */
+    size_t nCfLattice_;
+    /** The demand spans the whole lattice, so its compact grid is the
+     * lattice and the power planes line up with the timing planes. */
+    bool wholeLattice_;
 };
 
 } // namespace harmonia

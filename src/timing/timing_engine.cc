@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <utility>
 
 #include "common/check.hh"
 #include "harmonia/common/error.hh"
@@ -10,64 +13,153 @@
 namespace harmonia
 {
 
-LatticeDemand
-LatticeDemand::full(const ConfigSpace &space)
+namespace
 {
-    LatticeDemand d;
-    d.cuValues = space.values(Tunable::CuCount);
-    d.computeFreqValues = space.values(Tunable::ComputeFreq);
-    d.memFreqValues = space.values(Tunable::MemFreq);
-    d.pairs.assign(d.cuValues.size() * d.computeFreqValues.size(), 1);
-    d.cells.assign(d.pairs.size() * d.memFreqValues.size(), 1);
-    return d;
+
+constexpr Tunable kAxes[] = {Tunable::CuCount, Tunable::ComputeFreq,
+                             Tunable::MemFreq};
+
+/**
+ * Compact one axis of @p n lanes: @p idx holds each lane's lattice
+ * position on @p axis and becomes its position among the touched
+ * values; @p values and @p lattice get the touched values and their
+ * lattice positions, ascending.
+ */
+void
+compactAxis(const ConfigSpace &space, Tunable axis, size_t n, size_t *idx,
+            std::vector<int> &values, std::vector<uint32_t> &lattice)
+{
+    // lattice first marks the touched positions, then maps each to its
+    // touched index, then (compacted in place) lists the positions.
+    lattice.assign(space.count(axis), 0);
+    for (size_t i = 0; i < n; ++i)
+        lattice[idx[i]] = 1;
+    const int lo = space.minValue(axis);
+    const int step = space.step(axis);
+    values.clear();
+    for (size_t p = 0; p < lattice.size(); ++p) {
+        if (lattice[p] != 0) {
+            lattice[p] = static_cast<uint32_t>(values.size());
+            values.push_back(lo + static_cast<int>(p) * step);
+        }
+    }
+    for (size_t i = 0; i < n; ++i)
+        idx[i] = lattice[idx[i]];
+    lattice.resize(values.size());
+    for (size_t k = 0; k < values.size(); ++k)
+        lattice[k] = static_cast<uint32_t>((values[k] - lo) / step);
 }
+
+/** The rest of a demand, once every lane's lattice positions are in
+ * @p cuIdx, @p cfIdx and @p memIdx. */
+void
+assignLanes(LatticeDemand &d, const ConfigSpace &space, size_t n,
+            size_t *cuIdx, size_t *cfIdx, size_t *memIdx)
+{
+    compactAxis(space, Tunable::CuCount, n, cuIdx, d.cuValues,
+                d.cuLattice);
+    compactAxis(space, Tunable::ComputeFreq, n, cfIdx,
+                d.computeFreqValues, d.computeFreqLattice);
+    compactAxis(space, Tunable::MemFreq, n, memIdx, d.memFreqValues,
+                d.memFreqLattice);
+
+    const size_t nCu = d.cuValues.size();
+    const size_t nCf = d.computeFreqValues.size();
+    d.pairs.assign(nCu * nCf, 0);
+    d.requested.clear();
+    for (size_t i = 0; i < n; ++i) {
+        d.pairs[cuIdx[i] * nCf + cfIdx[i]] = 1;
+        d.requested.push_back(static_cast<uint32_t>(
+            (memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i]));
+    }
+    // Slots arrive sorted and unique; an arbitrary config list may
+    // repeat or reorder cells.
+    if (!std::is_sorted(d.requested.begin(), d.requested.end()) ||
+        std::adjacent_find(d.requested.begin(), d.requested.end()) !=
+            d.requested.end()) {
+        std::sort(d.requested.begin(), d.requested.end());
+        d.requested.erase(
+            std::unique(d.requested.begin(), d.requested.end()),
+            d.requested.end());
+    }
+}
+
+} // namespace
 
 LatticeDemand
 LatticeDemand::of(const ConfigSpace &space, const HardwareConfig *configs,
                   size_t n, size_t *cuIdx, size_t *cfIdx, size_t *memIdx)
 {
-    // Per axis: mark the touched lattice positions, number them in
-    // ascending order, and map every config onto that numbering.
     LatticeDemand d;
-    std::vector<size_t> pos;
-    auto touch = [&](Tunable axis, int HardwareConfig::*field,
-                     std::vector<int> &values, size_t *idx) {
+    d.assign(space, configs, n, cuIdx, cfIdx, memIdx);
+    return d;
+}
+
+void
+LatticeDemand::assignFull(const ConfigSpace &space)
+{
+    const auto axis = [&](Tunable t, std::vector<int> &values,
+                          std::vector<uint32_t> &lattice) {
+        values = space.values(t);
+        lattice.resize(values.size());
+        std::iota(lattice.begin(), lattice.end(), uint32_t{0});
+    };
+    axis(Tunable::CuCount, cuValues, cuLattice);
+    axis(Tunable::ComputeFreq, computeFreqValues, computeFreqLattice);
+    axis(Tunable::MemFreq, memFreqValues, memFreqLattice);
+    pairs.assign(cuValues.size() * computeFreqValues.size(), 1);
+    requested.resize(pairs.size() * memFreqValues.size());
+    std::iota(requested.begin(), requested.end(), uint32_t{0});
+}
+
+void
+LatticeDemand::assign(const ConfigSpace &space,
+                      const HardwareConfig *configs, size_t n,
+                      size_t *cuIdx, size_t *cfIdx, size_t *memIdx)
+{
+    size_t *idx[] = {cuIdx, cfIdx, memIdx};
+    for (size_t a = 0; a < 3; ++a) {
+        const Tunable axis = kAxes[a];
         const int lo = space.minValue(axis);
         const int hi = space.maxValue(axis);
         const int step = space.step(axis);
-        pos.assign(space.count(axis), 0);
         for (size_t i = 0; i < n; ++i) {
-            const int v = configs[i].*field;
+            const int v = configs[i].get(axis);
             if (v < lo || v > hi || (v - lo) % step != 0)
                 space.validate(configs[i]); // Throws, naming the axis.
-            idx[i] = static_cast<size_t>((v - lo) / step);
-            pos[idx[i]] = 1;
+            idx[a][i] = static_cast<size_t>((v - lo) / step);
         }
-        values.reserve(std::count(pos.begin(), pos.end(), 1));
-        for (size_t p = 0; p < pos.size(); ++p) {
-            if (pos[p] != 0) {
-                pos[p] = values.size();
-                values.push_back(lo + static_cast<int>(p) * step);
-            }
-        }
-        for (size_t i = 0; i < n; ++i)
-            idx[i] = pos[idx[i]];
-    };
-    touch(Tunable::CuCount, &HardwareConfig::cuCount, d.cuValues, cuIdx);
-    touch(Tunable::ComputeFreq, &HardwareConfig::computeFreqMhz,
-          d.computeFreqValues, cfIdx);
-    touch(Tunable::MemFreq, &HardwareConfig::memFreqMhz, d.memFreqValues,
-          memIdx);
-
-    const size_t nCu = d.cuValues.size();
-    const size_t nCf = d.computeFreqValues.size();
-    d.pairs.assign(nCu * nCf, 0);
-    d.cells.assign(nCu * nCf * d.memFreqValues.size(), 0);
-    for (size_t i = 0; i < n; ++i) {
-        d.pairs[cuIdx[i] * nCf + cfIdx[i]] = 1;
-        d.cells[(memIdx[i] * nCu + cuIdx[i]) * nCf + cfIdx[i]] = 1;
     }
-    return d;
+    assignLanes(*this, space, n, cuIdx, cfIdx, memIdx);
+}
+
+void
+LatticeDemand::assignSlots(const ConfigSpace &space, const uint32_t *slots,
+                           size_t n, size_t *cuIdx, size_t *cfIdx,
+                           size_t *memIdx)
+{
+    // Slots ascend in mem-major order, so each axis position follows
+    // from the previous slot's by counting up, with no division.
+    const size_t nCf = space.count(Tunable::ComputeFreq);
+    const size_t slab = space.count(Tunable::CuCount) * nCf;
+    const size_t size = space.size();
+    size_t m = 0, cu = 0;
+    for (size_t i = 0; i < n; ++i) {
+        fatalIf(slots[i] >= size || (i > 0 && slots[i] <= slots[i - 1]),
+                "LatticeDemand: slots must ascend within the ", size,
+                "-point lattice; slot ", i, " is ", slots[i]);
+        while (slots[i] >= (m + 1) * slab) {
+            ++m;
+            cu = 0;
+        }
+        const size_t off = slots[i] - m * slab;
+        while (off >= (cu + 1) * nCf)
+            ++cu;
+        memIdx[i] = m;
+        cuIdx[i] = cu;
+        cfIdx[i] = off - cu * nCf;
+    }
+    assignLanes(*this, space, n, cuIdx, cfIdx, memIdx);
 }
 
 TimingEngine::TimingEngine(const GcnDeviceConfig &dev, CacheModel cache,
@@ -86,6 +178,15 @@ TimingEngine::TimingEngine(const GcnDeviceConfig &dev, CacheModel cache,
     fatalIf(params_.overlapOccupancyKnee <= 0.0 ||
                 params_.overlapOccupancyKnee > 1.0,
             "TimingEngine: overlapOccupancyKnee must be in (0, 1]");
+
+    for (const int cf : space_.values(Tunable::ComputeFreq)) {
+        l2BandwidthAt_.push_back(cache_.l2Bandwidth(cf));
+        crossingCapAt_.push_back(memsys_.crossing().maxBandwidth(cf));
+    }
+    for (const int mem : space_.values(Tunable::MemFreq)) {
+        peakBandwidthAt_.push_back(memsys_.peakBandwidth(mem));
+        invPeakBandwidthAt_.push_back(1.0 / peakBandwidthAt_.back());
+    }
 }
 
 TimingEngine::TimingEngine(const GcnDeviceConfig &dev)
@@ -180,19 +281,56 @@ TimingEngine::prepare(const KernelProfile &profile,
 TimingAxisTables
 TimingEngine::buildAxisTables(const PreparedKernel &prep) const
 {
-    return buildAxisTables(prep, LatticeDemand::full(space_));
+    LatticeDemand full;
+    full.assignFull(space_);
+    return buildAxisTables(prep, full);
 }
 
 TimingAxisTables
 TimingEngine::buildAxisTables(const PreparedKernel &prep,
                               const LatticeDemand &demand) const
 {
+    TimingAxisTables t;
+    buildAxisTables(prep, demand, t);
+    return t;
+}
+
+namespace
+{
+
+/** buildAxisTables()' bandwidth lanes, reused per thread. */
+struct LaneStaging
+{
+    std::vector<double> outstanding;
+    std::vector<double> crossingCap;
+    std::vector<uint32_t> cell; ///< Grid cell each lane resolves.
+    std::vector<BandwidthResult> result;
+    std::vector<MemorySystem::SlabLaneRequest> slabs;
+    /** (cell, earlier cell of its row) pairs that reuse a result. */
+    std::vector<std::pair<uint32_t, uint32_t>> copies;
+};
+
+LaneStaging &
+laneStaging()
+{
+    thread_local LaneStaging staging;
+    return staging;
+}
+
+} // namespace
+
+void
+TimingEngine::buildAxisTables(const PreparedKernel &prep,
+                              const LatticeDemand &demand,
+                              TimingAxisTables &t) const
+{
     const KernelPhase &phase = prep.phase;
 
-    TimingAxisTables t;
-    t.cuValues = demand.cuValues;
-    t.computeFreqValues = demand.computeFreqValues;
-    t.memFreqValues = demand.memFreqValues;
+    t.cuValues.assign(demand.cuValues.begin(), demand.cuValues.end());
+    t.computeFreqValues.assign(demand.computeFreqValues.begin(),
+                               demand.computeFreqValues.end());
+    t.memFreqValues.assign(demand.memFreqValues.begin(),
+                           demand.memFreqValues.end());
     const size_t nCu = t.cuValues.size();
     const size_t nCf = t.computeFreqValues.size();
     const size_t nMem = t.memFreqValues.size();
@@ -214,13 +352,13 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
     t.l2Time.resize(nCf);
     t.crossingCap.resize(nCf);
     for (size_t i = 0; i < nCf; ++i) {
-        const int cf = t.computeFreqValues[i];
-        t.l2Bandwidth[i] = cache_.l2Bandwidth(cf);
+        const uint32_t at = demand.computeFreqLattice[i];
+        t.l2Bandwidth[i] = l2BandwidthAt_[at];
         t.l2Time[i] = prep.requestedBytes / t.l2Bandwidth[i];
-        t.crossingCap[i] = memsys_.crossing().maxBandwidth(cf);
+        t.crossingCap[i] = crossingCapAt_[at];
     }
 
-    t.computeTime.resize(nCu * nCf);
+    t.computeTime.assign(nCu * nCf, 0.0);
     for (size_t cu = 0; cu < nCu; ++cu) {
         for (size_t cf = 0; cf < nCf; ++cf) {
             if (!demand.pairs[cu * nCf + cf])
@@ -236,12 +374,13 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
     t.peakBandwidth.resize(nMem);
     t.invPeakBandwidth.resize(nMem);
     for (size_t m = 0; m < nMem; ++m) {
-        t.peakBandwidth[m] = memsys_.peakBandwidth(t.memFreqValues[m]);
-        t.invPeakBandwidth[m] = 1.0 / t.peakBandwidth[m];
+        const uint32_t at = demand.memFreqLattice[m];
+        t.peakBandwidth[m] = peakBandwidthAt_[at];
+        t.invPeakBandwidth[m] = invPeakBandwidthAt_[at];
     }
 
-    // The bandwidth grid, built one memory-frequency slab at a time
-    // over the requested cells only. Two levers keep the slab cheap
+    // The bandwidth grid, built over the requested cells only, walked
+    // in their ascending (mem-major) order. Two levers keep it cheap
     // while staying bitwise identical to per-point resolveBandwidth()
     // calls:
     //
@@ -250,122 +389,87 @@ TimingEngine::buildAxisTables(const PreparedKernel &prep,
     //     caps clear the bus ceiling the solve sees the identical
     //     supply ceiling and limiter ordering — so a requested cell
     //     reuses the previous requested cell of its (memory
-    //     frequency, CU count) row verbatim.
-    //  2. Every remaining requested cell of the slab is an
-    //     independent lane of resolveSlabLanesWithCrossingCap(), which
-    //     runs the bisection solves as interleaved vector packs so
-    //     their division chains pipeline instead of running back to
-    //     back.
+    //     frequency, CU count) row verbatim. In ascending order that
+    //     cell is simply the previous requested one, when it shares
+    //     the row.
+    //  2. Every remaining requested cell is an independent lane of
+    //     resolveSlabLanesWithCrossingCap(), one slab per memory
+    //     frequency, which runs the bisection solves as interleaved
+    //     vector packs so their division chains pipeline instead of
+    //     running back to back.
     const size_t slab = nCu * nCf;
-    t.bandwidthBps.resize(nMem * slab);
-    t.bandwidthLatency.resize(nMem * slab);
-    t.bandwidthLimiter.resize(nMem * slab);
-
-    // Lane buffers for every slab, allocated once up front and sized
-    // by the requested cells: slab m stages into its own window
-    // [laneBegin[m], laneBegin[m + 1]).
-    std::vector<size_t> laneBegin(nMem + 1, 0);
-    for (size_t m = 0; m < nMem; ++m) {
-        size_t requested = 0;
-        for (size_t s = 0; s < slab; ++s)
-            requested += demand.cells[m * slab + s] != 0;
-        laneBegin[m + 1] = laneBegin[m] + requested;
-    }
-    const size_t nLanes = laneBegin[nMem];
-    std::vector<double> laneOutstandingBuf(nLanes);
-    std::vector<double> laneCapBuf(nLanes);
-    std::vector<size_t> laneSlotBuf(nLanes);
-    std::vector<BandwidthResult> laneResultBuf(nLanes);
+    t.bandwidthBps.assign(nMem * slab, 0.0);
+    t.bandwidthLatency.assign(nMem * slab, 0.0);
+    t.bandwidthLimiter.assign(nMem * slab, BandwidthLimiter::BusPeak);
 
     MemDemand memDemand;
     memDemand.requestBytes = dev_.cacheLineBytes;
     memDemand.rowHitFraction = phase.rowHitFraction;
     memDemand.streamEfficiency = phase.streamEfficiency;
 
-    // A requested compute frequency dedups against the previous
-    // requested one (@p prev) of its row when both crossing caps clear
-    // the slab's bus ceiling (or the row has no outstanding requests);
-    // everything else becomes a lane.
-    auto dedups = [&](double outstanding, double busPeak, size_t prev,
-                      size_t cf) {
-        return prev < nCf &&
-               (outstanding == 0.0 || (t.crossingCap[cf] >= busPeak &&
-                                       t.crossingCap[prev] >= busPeak));
-    };
+    LaneStaging &lanes = laneStaging();
+    const size_t nReq = demand.requested.size();
+    lanes.outstanding.resize(nReq);
+    lanes.crossingCap.resize(nReq);
+    lanes.cell.resize(nReq);
+    lanes.result.resize(nReq);
+    lanes.slabs.resize(nMem);
+    lanes.copies.clear();
 
-    auto stageLanes = [&](size_t m) -> size_t {
-        const double busPeak =
-            t.peakBandwidth[m] * memDemand.streamEfficiency;
-        const char *cells = &demand.cells[m * slab];
-        double *laneOutstanding = &laneOutstandingBuf[laneBegin[m]];
-        double *laneCap = &laneCapBuf[laneBegin[m]];
-        size_t *laneSlot = &laneSlotBuf[laneBegin[m]];
-        size_t n = 0;
-        for (size_t cu = 0; cu < nCu; ++cu) {
-            size_t prev = nCf;
-            for (size_t cf = 0; cf < nCf; ++cf) {
-                if (!cells[cu * nCf + cf])
-                    continue;
-                if (!dedups(t.outstandingRequests[cu], busPeak, prev,
-                            cf)) {
-                    laneOutstanding[n] = t.outstandingRequests[cu];
-                    laneCap[n] = t.crossingCap[cf];
-                    laneSlot[n] = cu * nCf + cf;
-                    ++n;
-                }
-                prev = cf;
-            }
-        }
-        return n;
-    };
-
-    auto scatterSlab = [&](size_t m, size_t n) {
-        const double busPeak =
-            t.peakBandwidth[m] * memDemand.streamEfficiency;
-        const char *cells = &demand.cells[m * slab];
-        double *slabBps = &t.bandwidthBps[m * slab];
-        double *slabLatency = &t.bandwidthLatency[m * slab];
-        BandwidthLimiter *slabLimiter = &t.bandwidthLimiter[m * slab];
-        const size_t *laneSlot = &laneSlotBuf[laneBegin[m]];
-        const BandwidthResult *laneResult = &laneResultBuf[laneBegin[m]];
-        for (size_t l = 0; l < n; ++l) {
-            slabBps[laneSlot[l]] = laneResult[l].effectiveBps;
-            slabLatency[laneSlot[l]] = laneResult[l].latency;
-            slabLimiter[laneSlot[l]] = laneResult[l].limiter;
-        }
-        for (size_t cu = 0; cu < nCu; ++cu) {
-            const size_t row = cu * nCf;
-            size_t prev = nCf;
-            for (size_t cf = 0; cf < nCf; ++cf) {
-                if (!cells[row + cf])
-                    continue;
-                if (dedups(t.outstandingRequests[cu], busPeak, prev,
-                           cf)) {
-                    slabBps[row + cf] = slabBps[row + prev];
-                    slabLatency[row + cf] = slabLatency[row + prev];
-                    slabLimiter[row + cf] = slabLimiter[row + prev];
-                }
-                prev = cf;
-            }
-        }
-    };
-
-    // Stage every slab first and resolve them in one multi-slab call,
-    // so the bisection packs of all memory frequencies pipeline
-    // against each other (bitwise identical to per-slab calls; see
-    // resolveSlabLanesWithCrossingCap).
-    std::vector<MemorySystem::SlabLaneRequest> reqs(nMem);
+    size_t r = 0, staged = 0;
     for (size_t m = 0; m < nMem; ++m) {
-        reqs[m].memFreqMhz = t.memFreqValues[m];
-        reqs[m].outstanding = &laneOutstandingBuf[laneBegin[m]];
-        reqs[m].crossingCaps = &laneCapBuf[laneBegin[m]];
-        reqs[m].out = &laneResultBuf[laneBegin[m]];
-        reqs[m].lanes = stageLanes(m);
+        MemorySystem::SlabLaneRequest &req = lanes.slabs[m];
+        req.memFreqMhz = t.memFreqValues[m];
+        req.outstanding = lanes.outstanding.data() + staged;
+        req.crossingCaps = lanes.crossingCap.data() + staged;
+        req.out = lanes.result.data() + staged;
+        const size_t first = staged;
+        const double busPeak =
+            t.peakBandwidth[m] * memDemand.streamEfficiency;
+        const size_t slabEnd = (m + 1) * slab;
+        size_t cu = 0;
+        size_t prevRow = SIZE_MAX, prevCf = 0;
+        for (; r < nReq && demand.requested[r] < slabEnd; ++r) {
+            const uint32_t cell = demand.requested[r];
+            const size_t off = cell - m * slab;
+            while (off >= (cu + 1) * nCf)
+                ++cu;
+            const size_t cf = off - cu * nCf;
+            const double outstanding = t.outstandingRequests[cu];
+            if (prevRow == cu &&
+                (outstanding == 0.0 ||
+                 (t.crossingCap[cf] >= busPeak &&
+                  t.crossingCap[prevCf] >= busPeak))) {
+                lanes.copies.emplace_back(cell, cell - (cf - prevCf));
+            } else {
+                lanes.outstanding[staged] = outstanding;
+                lanes.crossingCap[staged] = t.crossingCap[cf];
+                lanes.cell[staged] = cell;
+                ++staged;
+            }
+            prevRow = cu;
+            prevCf = cf;
+        }
+        req.lanes = staged - first;
     }
-    memsys_.resolveSlabLanesWithCrossingCap(reqs.data(), nMem, memDemand);
-    for (size_t m = 0; m < nMem; ++m)
-        scatterSlab(m, reqs[m].lanes);
-    return t;
+
+    // Resolve every slab in one multi-slab call, so the bisection packs
+    // of all memory frequencies pipeline against each other (bitwise
+    // identical to per-slab calls; see resolveSlabLanesWithCrossingCap).
+    memsys_.resolveSlabLanesWithCrossingCap(lanes.slabs.data(), nMem,
+                                            memDemand);
+    for (size_t l = 0; l < staged; ++l) {
+        const uint32_t cell = lanes.cell[l];
+        t.bandwidthBps[cell] = lanes.result[l].effectiveBps;
+        t.bandwidthLatency[cell] = lanes.result[l].latency;
+        t.bandwidthLimiter[cell] = lanes.result[l].limiter;
+    }
+    // In ascending order, so a copy's source is already in place.
+    for (const auto &[cell, from] : lanes.copies) {
+        t.bandwidthBps[cell] = t.bandwidthBps[from];
+        t.bandwidthLatency[cell] = t.bandwidthLatency[from];
+        t.bandwidthLimiter[cell] = t.bandwidthLimiter[from];
+    }
 }
 
 KernelTiming

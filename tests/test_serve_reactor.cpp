@@ -7,6 +7,8 @@
  *  - slow-client framing: a request dribbled one byte at a time and a
  *    response read one byte at a time are handled identically to
  *    whole-line I/O, on both the Unix-domain and TCP transports;
+ *  - an oversized line sent in small chunks gets one error reply, and
+ *    the next line is served;
  *  - idle-timeout eviction: a silent connection is closed, counted,
  *    and the listener keeps accepting;
  *  - abrupt disconnect mid-request: a client that vanishes before its
@@ -222,10 +224,8 @@ transportCounter(int fd, const std::string &key)
 class Reactor
 {
   public:
-    explicit Reactor(ServerOptions sopt, int jobs = 1)
+    explicit Reactor(ServerOptions sopt, ServiceOptions svc = {})
     {
-        ServiceOptions svc;
-        svc.jobs = jobs;
         service_ = std::make_unique<Service>(svc);
         sockPath_ = "/tmp/harmonia_reactor_" +
                     std::to_string(getpid()) + "_" +
@@ -332,6 +332,38 @@ TEST(ServeReactor, SlowClientFramingBothTransports)
         EXPECT_TRUE(replyOk(eval)) << eval.substr(0, 200);
         close(fd);
     }
+}
+
+// A line past maxRequestBytes, sent in small chunks, is rejected once
+// with a null id while it streams in (the newline scan covers only the
+// bytes each read adds), and the next line is served normally.
+TEST(ServeReactor, OversizedLineInChunksRejectedOnce)
+{
+    ServiceOptions svc;
+    svc.maxRequestBytes = 64 * 1024;
+    Reactor reactor(ServerOptions{}, svc);
+    ASSERT_TRUE(reactor.ok());
+
+    const int fd = connectUnix(reactor.socketPath());
+    ASSERT_GE(fd, 0);
+    // 160 KiB of one line, 512 bytes per write, then a ping.
+    const std::string chunk(512, 'x');
+    for (int i = 0; i < 320; ++i)
+        ASSERT_TRUE(sendAll(fd, chunk));
+    ASSERT_TRUE(sendAll(fd, "\n" + pingLine("after")));
+
+    std::string carry, first, second;
+    ASSERT_TRUE(readLine(fd, carry, first));
+    ASSERT_TRUE(readLine(fd, carry, second));
+    EXPECT_EQ(replyErrorCode(first), "resource_exhausted") << first;
+    const Result<JsonValue> doc = parseJson(first);
+    ASSERT_TRUE(doc.ok());
+    ASSERT_NE(doc.value().find("id"), nullptr);
+    EXPECT_TRUE(doc.value().find("id")->isNull()) << first;
+    EXPECT_TRUE(replyOk(second)) << second;
+    EXPECT_NE(second.find("\"after\""), std::string::npos) << second;
+    EXPECT_TRUE(carry.empty()) << "unexpected extra reply: " << carry;
+    close(fd);
 }
 
 // A connection with no traffic past the idle timeout is evicted and
