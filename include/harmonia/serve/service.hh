@@ -9,9 +9,10 @@
  *
  * The service answers one request line at a time (processLine), in
  * the order the server reads them. An `evaluate` runs the sorted,
- * deduplicated slots it names in one GpuDevice::runLattice call; the
- * lattice evaluator builds only what those points read, so a
- * governor-style 8-config slice costs a few microseconds.
+ * deduplicated slots it names in one GpuDevice::runSlots call; the
+ * lattice evaluator builds only what those points read, in memory
+ * reused across requests, so a governor-style 8-config slice costs a
+ * few microseconds and allocates nothing once warm.
  *
  * Determinism: responses depend only on the request stream, never on
  * how the transport cut it or on worker count — runLattice is bitwise

@@ -139,7 +139,7 @@ class GpuDevice
      * cells), then combines them per configuration in SIMD lane blocks
      * (LatticeEvaluator::evaluateBatchAtInto). The full lattice in
      * canonical order is recognized and builds the dense tables; an
-     * 8-config governor slice costs about what 8 run() calls cost.
+     * 8-config governor slice costs about half of 8 run() calls.
      * Writes result i for @p configs[i] into @p out[i]; @p out must
      * have room for configs.size() results. Bitwise identical to
      * calling run() per configuration (tests/test_factored_engine.cpp
