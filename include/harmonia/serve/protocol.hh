@@ -103,6 +103,14 @@ struct Request
  */
 Result<Request> parseRequest(std::string_view line, std::string *idOut);
 
+/**
+ * parseRequest() into @p out, which a caller keeps across lines: every
+ * field is reset, but the evaluate kernel and config list keep their
+ * capacity, so a warm governor slice parses without allocating.
+ */
+Status parseRequest(std::string_view line, Request &out,
+                    std::string *idOut);
+
 /** Write @p cfg as {"cu":..,"compute_mhz":..,"mem_mhz":..}. */
 void writeConfig(JsonWriter &w, const HardwareConfig &cfg);
 

@@ -187,10 +187,11 @@ class Service
     ServiceMetrics metrics_;
     bool shutdownRequested_ = false;
 
-    // runEvaluate's working memory, kept across requests so a warm
-    // evaluate allocates nothing here. It keeps the capacity of the
-    // largest request served: a full ampere-ga100 lattice holds ~3.4 MB
-    // of results.
+    // processLine's and runEvaluate's working memory, kept across
+    // requests so a warm evaluate allocates nothing. It keeps the
+    // capacity of the largest request served: a full ampere-ga100
+    // lattice holds ~3.4 MB of results.
+    Request request_;
     std::vector<uint32_t> slots_;
     std::vector<uint32_t> rows_;
     std::vector<KernelResult> points_;

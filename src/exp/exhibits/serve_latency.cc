@@ -124,6 +124,7 @@ splitStages(ExpContext &ctx, int rounds, size_t &responseBytes)
     }
 
     StageSplit round;
+    serve::Request req;
     std::vector<uint32_t> slots, rows;
     std::vector<KernelResult> points;
     std::vector<double> numbers;
@@ -133,11 +134,9 @@ splitStages(ExpContext &ctx, int rounds, size_t &responseBytes)
     const auto staged = [&](size_t i, std::string &reply) {
         reply.clear();
         const auto t0 = Clock::now();
-        Result<serve::Request> parsed =
-            serve::parseRequest(lines[i], nullptr);
+        const Status parsed = serve::parseRequest(lines[i], req, nullptr);
         const auto t1 = Clock::now();
-        fatalIf(!parsed.ok(), "serve_latency: ", parsed.status().str());
-        const serve::Request &req = parsed.value();
+        fatalIf(!parsed.ok(), "serve_latency: ", parsed.str());
         serve::evaluateSlots(sweep, req.evaluate, slots, rows);
         const auto t2 = Clock::now();
         sweep.run(*lineKernel[i], req.evaluate.iteration, slots, points);

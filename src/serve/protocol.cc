@@ -38,6 +38,13 @@ textOf(const Field &f, std::string &bytes)
 class RequestReader
 {
   public:
+    /** Configs go to @p configs (cleared first), reusing its capacity. */
+    explicit RequestReader(std::vector<HardwareConfig> &configs)
+        : configList(configs)
+    {
+        configList.clear();
+    }
+
     void beginObject() { open(JsonKind::Object); }
     void beginArray() { open(JsonKind::Array); }
     void endObject() { close(); }
@@ -75,7 +82,7 @@ class RequestReader
     /** Elements of the first `configs` array. */
     size_t configCount = 0;
     /** Its configs up to the first bad element. */
-    std::vector<HardwareConfig> configList;
+    std::vector<HardwareConfig> &configList;
     /** The first bad element's error. */
     Status configError;
 
@@ -290,8 +297,7 @@ parseEvaluate(RequestReader &r, EvaluateParams &out)
         return Status::invalidArgument("\"configs\" must be non-empty");
     if (!r.configError.ok())
         return r.configError;
-    out.configs = std::move(r.configList);
-    return Status::okStatus();
+    return Status::okStatus(); // The reader filled out.configs.
 }
 
 Status
@@ -362,15 +368,32 @@ verbName(Verb verb)
 Result<Request>
 parseRequest(std::string_view line, std::string *idOut)
 {
+    Request req;
+    if (Status s = parseRequest(line, req, idOut); !s.ok())
+        return s;
+    return req;
+}
+
+Status
+parseRequest(std::string_view line, Request &req, std::string *idOut)
+{
+    // A fresh request, but the evaluate kernel and config list keep
+    // their capacity: a warm governor slice parses without allocating.
+    std::string kernel = std::move(req.evaluate.kernel);
+    std::vector<HardwareConfig> configs = std::move(req.evaluate.configs);
+    req = Request{};
+    kernel.clear();
+    req.evaluate.kernel = std::move(kernel);
+    req.evaluate.configs = std::move(configs);
+
     // The whole line passes the syntax check before any member is
     // read, so a syntax error anywhere wins over every semantic one.
-    RequestReader r;
+    RequestReader r(req.evaluate.configs);
     if (Status s = parseJsonInto(line, r); !s.ok())
         return s;
     if (r.rootKind != JsonKind::Object)
         return Status::invalidArgument("request must be a JSON object");
 
-    Request req;
     if (r.id.seen) {
         switch (r.id.token.kind) {
           case JsonKind::String: {
@@ -428,7 +451,7 @@ parseRequest(std::string_view line, std::string *idOut)
     if (!params.ok())
         return Status(params.code(), std::string(verbName(req.verb)) +
                                          ": " + params.message());
-    return req;
+    return Status::okStatus();
 }
 
 void

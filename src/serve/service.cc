@@ -555,13 +555,13 @@ Service::processLine(std::string_view line, std::string &out)
         return;
     }
     std::string id(nullId);
-    Result<Request> parsed = parseRequest(line, &id);
-    if (!parsed.ok()) {
+    if (const Status parsed = parseRequest(line, request_, &id);
+        !parsed.ok()) {
         metrics_.recordMalformed();
-        out += makeErrorResponse(id, parsed.status());
+        out += makeErrorResponse(id, parsed);
         return;
     }
-    const Request &req = parsed.value();
+    const Request &req = request_;
 
     // A verb either appends its whole reply or returns an error; an
     // escaped exception may leave a partial reply, which is dropped.
