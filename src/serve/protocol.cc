@@ -38,9 +38,9 @@ textOf(const Field &f, std::string &bytes)
 class RequestReader
 {
   public:
-    /** Configs go to @p configs (cleared first), reusing its capacity. */
-    explicit RequestReader(std::vector<HardwareConfig> &configs)
-        : configList(configs)
+    /** Configs go to @p out (cleared first), reusing its capacity. */
+    explicit RequestReader(std::vector<HardwareConfig> &out)
+        : configList(out)
     {
         configList.clear();
     }
