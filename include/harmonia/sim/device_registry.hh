@@ -94,8 +94,8 @@ struct DeviceProfile
 
 /**
  * Global name -> profile registry. The built-ins are installed on
- * first access; libraries may add their own parts at static-init
- * time or later.
+ * first access, without building their devices; libraries may add
+ * their own parts at static-init time or later.
  */
 class DeviceRegistry
 {
@@ -104,9 +104,10 @@ class DeviceRegistry
 
     /**
      * Register @p profile under its name (stored lowercase). The
-     * profile is validated by building it once.
-     * @returns InvalidArgument when the name is empty, taken, or the
-     *          profile does not compose into a valid device.
+     * profile is validated by building it once, before it becomes
+     * reachable.
+     * @returns InvalidArgument when the profile does not compose
+     *          into a valid device, or its name is empty or taken.
      */
     Status add(DeviceProfile profile);
 
@@ -127,6 +128,9 @@ class DeviceRegistry
 
   private:
     DeviceRegistry();
+
+    /** Store @p profile as add() does, without composing it. */
+    Status insert(DeviceProfile profile);
 
     std::vector<std::pair<std::string, DeviceProfile>> profiles_;
 };

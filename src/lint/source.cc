@@ -137,7 +137,7 @@ stripCommentsAndStrings(const std::string &raw)
                     out.push_back(c); // malformed; pass through
                     break;
                 }
-                rawDelim = ")" + raw.substr(i + 1, open - i - 1) + "\"";
+                rawDelim = ')' + raw.substr(i + 1, open - i - 1) + '"';
                 for (size_t j = i; j <= open; ++j)
                     out.push_back(raw[j]);
                 i = open;

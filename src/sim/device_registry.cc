@@ -199,8 +199,11 @@ DeviceProfile::makeDevice() const
 
 DeviceRegistry::DeviceRegistry()
 {
+    // The built-ins are stored without composing a device: a start
+    // would otherwise build every part's lattice tables only to drop
+    // them. DeviceRegistry.BuiltinsCompose proves each one builds.
     auto addBuiltin = [this](DeviceProfile profile) {
-        const Status s = add(std::move(profile));
+        const Status s = insert(std::move(profile));
         panicIf(!s.ok(), "DeviceRegistry: ", s.str());
     };
     addBuiltin(hd7970Profile());
@@ -218,13 +221,6 @@ DeviceRegistry::instance()
 Status
 DeviceRegistry::add(DeviceProfile profile)
 {
-    const std::string key = lowered(profile.name);
-    if (key.empty())
-        return Status::invalidArgument("device name must be non-empty");
-    if (contains(key))
-        return Status::invalidArgument("device '" + key +
-                                       "' already registered");
-    profile.name = key;
     // Validate by composing once: a profile that cannot build must
     // never become reachable by name.
     try {
@@ -232,6 +228,19 @@ DeviceRegistry::add(DeviceProfile profile)
     } catch (...) {
         return statusFromCurrentException();
     }
+    return insert(std::move(profile));
+}
+
+Status
+DeviceRegistry::insert(DeviceProfile profile)
+{
+    const std::string key = lowered(profile.name);
+    if (key.empty())
+        return Status::invalidArgument("device name must be non-empty");
+    if (contains(key))
+        return Status::invalidArgument("device '" + key +
+                                       "' already registered");
+    profile.name = key;
     profiles_.emplace_back(key, std::move(profile));
     return {};
 }

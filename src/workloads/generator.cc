@@ -67,9 +67,10 @@ WorkloadGenerator::randomApp(const std::string &name, int kernelCount,
     Application app;
     app.name = name;
     app.iterations = iterations;
+    // 'k' is a char: GCC 12 at -O3 reports a false -Wrestrict on
+    // "k" + std::string (a const char* left operand).
     for (int i = 0; i < kernelCount; ++i)
-        app.kernels.push_back(
-            randomKernel(name, "k" + std::to_string(i)));
+        app.kernels.push_back(randomKernel(name, 'k' + std::to_string(i)));
     app.validate();
     return app;
 }

@@ -84,6 +84,21 @@ TEST(DeviceRegistry, LatticeSizesMatchTheCatalog)
     EXPECT_EQ(ampere, reg.make("ampere-ga100").value().space().size());
 }
 
+TEST(DeviceRegistry, BuiltinsCompose)
+{
+    // The registry stores its built-ins without building them, so
+    // this is the proof that each one composes into a valid device
+    // whose config space is the lattice the profile advertises.
+    DeviceRegistry &reg = DeviceRegistry::instance();
+    for (const char *builtin : {"hd7970", "hbm-stacked", "ampere-ga100"}) {
+        SCOPED_TRACE(builtin);
+        const DeviceProfile profile = reg.profile(builtin).value();
+        const GpuDevice device = profile.makeDevice();
+        EXPECT_EQ(device.name(), builtin);
+        EXPECT_EQ(device.space().size(), profile.latticeSize());
+    }
+}
+
 TEST(DeviceRegistry, DefaultProfileMatchesHardwiredDeviceBitwise)
 {
     // The pre-registry default constructor and the registry's default

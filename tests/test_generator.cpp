@@ -67,7 +67,7 @@ TEST_P(GeneratorSeedSweep, GeneratedKernelsRunEverywhere)
     WorkloadGenerator gen(GetParam());
     for (int i = 0; i < 3; ++i) {
         const KernelProfile k =
-            gen.randomKernel("prop", "k" + std::to_string(i));
+            gen.randomKernel("prop", 'k' + std::to_string(i));
         ASSERT_NO_THROW(k.phase(0));
         for (const HardwareConfig cfg :
              {HardwareConfig{4, 300, 475}, HardwareConfig{32, 1000, 1375},

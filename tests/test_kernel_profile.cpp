@@ -69,8 +69,10 @@ TEST(KernelProfile, IdCombinesAppAndName)
 TEST(KernelProfile, PhaseDefaultsToBase)
 {
     KernelProfile k;
-    k.app = "a";
-    k.name = "k";
+    // Chars, not "a"/"k": GCC 12 at -O3 reports a false -Wrestrict
+    // on these one-letter string-literal assignments.
+    k.app = 'a';
+    k.name = 'k';
     k.basePhase.aluInstsPerItem = 33.0;
     const KernelPhase p = k.phase(5);
     EXPECT_DOUBLE_EQ(p.aluInstsPerItem, 33.0);
@@ -79,8 +81,8 @@ TEST(KernelProfile, PhaseDefaultsToBase)
 TEST(KernelProfile, PhaseFnReceivesIteration)
 {
     KernelProfile k;
-    k.app = "a";
-    k.name = "k";
+    k.app = 'a';
+    k.name = 'k';
     k.phaseFn = [](const KernelPhase &base, int iter) {
         KernelPhase p = base;
         p.workItems = 1000.0 * (iter + 1);
@@ -93,8 +95,8 @@ TEST(KernelProfile, PhaseFnReceivesIteration)
 TEST(KernelProfile, PhaseFnOutputIsValidated)
 {
     KernelProfile k;
-    k.app = "a";
-    k.name = "k";
+    k.app = 'a';
+    k.name = 'k';
     k.phaseFn = [](const KernelPhase &base, int) {
         KernelPhase p = base;
         p.workItems = -1.0;
@@ -106,7 +108,7 @@ TEST(KernelProfile, PhaseFnOutputIsValidated)
 TEST(KernelProfile, NegativeIterationThrows)
 {
     KernelProfile k;
-    k.app = "a";
-    k.name = "k";
+    k.app = 'a';
+    k.name = 'k';
     EXPECT_THROW(k.phase(-1), ConfigError);
 }

@@ -169,7 +169,7 @@ TEST(ServeJson, WriterMatchesTheTreeDump)
     // A tree handed to the writer mid-document lands in place.
     JsonWriter mid;
     EXPECT_EQ(writeJson(mid.beginArray(), tree).integer(1).endArray().take(),
-              "[" + tree.dump() + ",1]");
+              '[' + tree.dump() + ",1]");
     EXPECT_EQ(JsonWriter().string("\x01").take(), "\"\\u0001\"");
 }
 
