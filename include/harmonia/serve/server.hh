@@ -93,28 +93,35 @@ struct ServerOptions
      * The stdio pair is exempt.
      */
     size_t maxWriteBufferBytes = 8u << 20;
+
+    /** Write nothing to stderr: no listen lines, no start or ppoll
+     * error, no drain snapshot (in-process tests and exhibits). */
+    bool quiet = false;
 };
 
 /** The reactor. run() blocks until shutdown; returns exit code. */
 class Server
 {
   public:
-    Server(Service &service, ServerOptions options);
+    explicit Server(ServerOptions options);
     ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
     /**
-     * Install signal handling and bind the configured listeners.
-     * Idempotent; run() calls it if it has not been called. Exposed
-     * separately so a caller can learn tcpPort() (and only then spin
-     * run() on a thread, as the serve_latency exhibit does).
+     * Install signal handling and bind the configured listeners; no
+     * Service is needed yet. Idempotent; run() calls it if it has not
+     * been called. Exposed separately so a caller can listen before
+     * it builds the Service (harmoniad does: clients that connect
+     * meanwhile wait in the listen backlog), or learn tcpPort() before
+     * it spins run() on a thread (the serve_latency exhibit).
      */
     Status start();
 
-    /** Serve until EOF/SIGTERM/shutdown-verb; 0 on clean drain. */
-    int run();
+    /** Serve @p service until EOF/SIGTERM/shutdown-verb; 0 on clean
+     * drain. */
+    int run(Service &service);
 
     /** Bound TCP port after start() (0 when no TCP listener). */
     int tcpPort() const { return tcpPort_; }
@@ -166,7 +173,7 @@ class Server
     void shedStalledDrains(long long nowUs);
     void closeFinished();
 
-    Service &service_;
+    Service *service_ = nullptr; ///< Set by run().
     ServerOptions options_;
     bool started_ = false;
     int listenFd_ = -1;    ///< Unix-domain listener.

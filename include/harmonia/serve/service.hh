@@ -142,7 +142,8 @@ class Service
   private:
     struct DeviceState;
 
-    const KernelProfile *findKernel(const std::string &id) const;
+    /** The suite's kernel with id "App.Kernel", or nullptr. */
+    const KernelProfile *findKernel(std::string_view id) const;
 
     /**
      * Map a request's `device` field to its per-device state. Empty
@@ -152,6 +153,7 @@ class Service
      */
     Result<DeviceState *> resolveDevice(const std::string &name);
 
+    /** Everything but the kernel name, which runEvaluate looks up. */
     Status validateEvaluate(const DeviceState &dev,
                             const EvaluateParams &p) const;
     // Each verb appends its whole success reply to @p out, or returns
@@ -168,8 +170,9 @@ class Service
 
     ServiceOptions options_;
 
-    /** "App.Kernel" -> profile, for the whole standard suite. */
-    std::map<std::string, KernelProfile> kernels_;
+    /** The standard suite, built once: the kernel catalog requests
+     * name kernels from, and every device's predictor training set. */
+    std::vector<Application> suite_;
 
     /**
      * Per-device serving state, keyed by the registry's canonical

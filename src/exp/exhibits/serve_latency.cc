@@ -21,8 +21,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -294,20 +292,15 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
     serve::ServerOptions sopt;
     sopt.tcpBind = "127.0.0.1:0";
     sopt.maxConnections = clients + 8;
-    serve::Server server(service, sopt);
+    // No listen line or drain snapshot in the bench output.
+    sopt.quiet = true;
+    serve::Server server(sopt);
 
-    // The reactor narrates on stderr (listen line, drain snapshot);
-    // keep the bench output clean. The server thread only writes
-    // inside run(), which this scope brackets.
-    std::ostringstream sink;
-    std::streambuf *cerrBuf = std::cerr.rdbuf(sink.rdbuf());
     FanInResult r;
     r.clients = clients;
-    if (!server.start().ok()) {
-        std::cerr.rdbuf(cerrBuf);
+    if (!server.start().ok())
         return r;
-    }
-    std::thread reactor([&server] { server.run(); });
+    std::thread reactor([&] { server.run(service); });
 
     std::vector<int> fds;
     std::vector<std::string> carries(static_cast<size_t>(clients));
@@ -382,7 +375,6 @@ fanIn(ExpContext &ctx, int clients, int totalRequests)
     reactor.join();
     for (const int fd : fds)
         close(fd);
-    std::cerr.rdbuf(cerrBuf);
 
     std::sort(latenciesMs.begin(), latenciesMs.end());
     auto pct = [&](double p) {

@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 
 #include <arpa/inet.h>
 #include <errno.h>
@@ -90,10 +90,7 @@ wakeTimeout(long long nowUs, long long wakeAtUs, bool draining,
     return &storage;
 }
 
-Server::Server(Service &service, ServerOptions options)
-    : service_(service), options_(std::move(options))
-{
-}
+Server::Server(ServerOptions options) : options_(std::move(options)) {}
 
 Server::~Server()
 {
@@ -250,16 +247,19 @@ Server::start()
         if (!options_.socketPath.empty()) {
             if (const Status s = setupUnixListener(); !s.ok())
                 return s;
-            std::cerr << "harmoniad: listening on "
-                      << options_.socketPath << '\n';
+            if (!options_.quiet)
+                std::fprintf(stderr, "harmoniad: listening on %s\n",
+                             options_.socketPath.c_str());
         }
         if (!options_.tcpBind.empty()) {
             if (const Status s = setupTcpListener(); !s.ok())
                 return s;
-            std::cerr << "harmoniad: listening on tcp "
-                      << options_.tcpBind.substr(
-                             0, options_.tcpBind.rfind(':'))
-                      << ':' << tcpPort_ << '\n';
+            // The bound address: the host as given, the port as bound.
+            if (!options_.quiet)
+                std::fprintf(
+                    stderr, "harmoniad: listening on tcp %.*s:%d\n",
+                    static_cast<int>(options_.tcpBind.rfind(':')),
+                    options_.tcpBind.c_str(), tcpPort_);
         }
     }
     started_ = true;
@@ -288,7 +288,7 @@ Server::closeConn(Conn &conn, CloseReason reason)
     if (!conn.stdio) {
         if (conn.fd >= 0)
             close(conn.fd);
-        TransportMetrics &t = service_.metricsMut().transport();
+        TransportMetrics &t = service_->metricsMut().transport();
         switch (reason) {
           case CloseReason::Disconnect:
             t.onClose(t.disconnects);
@@ -338,7 +338,7 @@ Server::acceptClients(int listenFd, bool tcp)
             [[maybe_unused]] const ssize_t n =
                 write(fd, reply.data(), reply.size());
             close(fd);
-            ++service_.metricsMut().transport().rejected;
+            ++service_->metricsMut().transport().rejected;
             continue;
         }
         if (tcp) {
@@ -354,14 +354,14 @@ Server::acceptClients(int listenFd, bool tcp)
         conn.outFd = fd;
         conn.tcp = tcp;
         conn.lastActivityMicros = nowMicros();
-        service_.metricsMut().transport().onAccept();
+        service_->metricsMut().transport().onAccept();
     }
 }
 
 void
 Server::serveLine(Conn &conn, std::string_view line)
 {
-    service_.processLine(line, conn.outBuf);
+    service_->processLine(line, conn.outBuf);
     conn.outBuf += '\n';
 }
 
@@ -398,12 +398,12 @@ Server::readConn(Conn &conn, bool peerClosed)
         // buffer without bound; reject it early and resynchronize at
         // the next newline.
         if (!conn.oversized && !sawNewline &&
-            conn.inBuf.size() > service_.options().maxRequestBytes) {
+            conn.inBuf.size() > service_->options().maxRequestBytes) {
             conn.outBuf += makeErrorResponse(
                 "null",
                 Status::resourceExhausted(
                     "request line exceeds " +
-                    std::to_string(service_.options().maxRequestBytes) +
+                    std::to_string(service_->options().maxRequestBytes) +
                     " bytes"));
             conn.outBuf += '\n';
             conn.oversized = true;
@@ -544,18 +544,20 @@ Server::closeFinished()
 }
 
 int
-Server::run()
+Server::run(Service &service)
 {
     if (const Status s = start(); !s.ok()) {
-        std::cerr << "harmoniad: " << s.message() << '\n';
+        if (!options_.quiet)
+            std::fprintf(stderr, "harmoniad: %s\n", s.message().c_str());
         return 1;
     }
+    service_ = &service;
     while (true) {
         // Drain condition: stop was requested (signal, shutdown verb,
         // or stdio EOF) and every response to a request already read
         // has been flushed.
         const bool draining =
-            stopRequested_ || service_.shutdownRequested() ||
+            stopRequested_ || service_->shutdownRequested() ||
             (options_.stdio && conns_.front()->eof);
         if (draining) {
             for (const auto &conn : conns_)
@@ -641,8 +643,9 @@ Server::run()
             fds.data(), static_cast<nfds_t>(fds.size()),
             wakeTimeout(pollStart, wakeAtUs, draining, timeout), nullptr);
         if (rc < 0 && errno != EINTR) {
-            std::cerr << "harmoniad: ppoll(): " << std::strerror(errno)
-                      << '\n';
+            if (!options_.quiet)
+                std::fprintf(stderr, "harmoniad: ppoll(): %s\n",
+                             std::strerror(errno));
             return 1;
         }
 
@@ -680,10 +683,12 @@ Server::run()
         closeFinished();
     }
 
-    JsonWriter stats;
-    service_.writeStats(stats);
-    std::cerr << "harmoniad: drained, shutting down\n"
-              << stats.take() << '\n';
+    if (!options_.quiet) {
+        JsonWriter stats;
+        service_->writeStats(stats);
+        std::fprintf(stderr, "harmoniad: drained, shutting down\n%s\n",
+                     stats.take().c_str());
+    }
     return 0;
 }
 

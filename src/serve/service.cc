@@ -161,7 +161,8 @@ struct Service::DeviceState
     uint64_t requests = 0; ///< evaluate/govern/sweep routed here.
 };
 
-Service::Service(ServiceOptions options) : options_(std::move(options))
+Service::Service(ServiceOptions options)
+    : options_(std::move(options)), suite_(standardSuite())
 {
     // The default device is always resident: legacy (device-less)
     // requests must not pay a lazy-construction step, and device()/
@@ -176,11 +177,6 @@ Service::Service(ServiceOptions options) : options_(std::move(options))
     defaultDevice_ = state.get();
     const std::string canonical = state->device.name();
     devices_.emplace(canonical, std::move(state));
-
-    for (const Application &app : standardSuite()) {
-        for (const KernelProfile &kernel : app.kernels)
-            kernels_.emplace(kernel.id(), kernel);
-    }
 }
 
 Service::~Service() = default;
@@ -222,18 +218,28 @@ Service::resolveDevice(const std::string &name)
 }
 
 const KernelProfile *
-Service::findKernel(const std::string &id) const
+Service::findKernel(std::string_view id) const
 {
-    const auto it = kernels_.find(id);
-    return it == kernels_.end() ? nullptr : &it->second;
+    // 30 kernels: a scan that matches the id in place is as quick as a
+    // map lookup, and builds no index at start.
+    for (const Application &app : suite_) {
+        const size_t dot = app.name.size();
+        if (id.size() <= dot || id[dot] != '.' ||
+            id.compare(0, dot, app.name) != 0)
+            continue;
+        const std::string_view name = id.substr(dot + 1);
+        for (const KernelProfile &kernel : app.kernels) {
+            if (kernel.name == name)
+                return &kernel;
+        }
+    }
+    return nullptr;
 }
 
 Status
 Service::validateEvaluate(const DeviceState &dev,
                           const EvaluateParams &p) const
 {
-    if (!findKernel(p.kernel))
-        return Status::notFound("unknown kernel \"" + p.kernel + "\"");
     if (p.iteration < 0)
         return Status::invalidArgument("\"iteration\" must be >= 0");
     if (p.fullLattice)
@@ -262,13 +268,16 @@ Service::runEvaluate(std::string_view id, const EvaluateParams &p,
         return devResult.status();
     DeviceState &dev = *devResult.value();
     ++dev.requests;
+    const KernelProfile *kernel = findKernel(p.kernel);
+    if (!kernel)
+        return Status::notFound("unknown kernel \"" + p.kernel + "\"");
     if (const Status valid = validateEvaluate(dev, p); !valid.ok())
         return valid;
 
     // One lattice run computes the sorted union of the requested
     // points, and nothing is kept.
     evaluateSlots(dev.sweep, p, slots_, rows_);
-    dev.sweep.run(*findKernel(p.kernel), p.iteration, slots_, points_);
+    dev.sweep.run(*kernel, p.iteration, slots_, points_);
     metrics_.recordEvaluate(slots_.size(), rows_.size() - slots_.size());
     evaluateResponse(out, id, p, dev.sweep, rows_, points_.data());
     return Status::okStatus();
@@ -282,7 +291,7 @@ Service::ensureTraining(DeviceState &dev)
     try {
         TrainingOptions opt;
         opt.jobs = options_.jobs;
-        dev.training = trainPredictors(dev.device, standardSuite(), opt);
+        dev.training = trainPredictors(dev.device, suite_, opt);
         dev.predictor = dev.training->predictor();
     } catch (...) {
         return statusFromCurrentException();

@@ -8,13 +8,17 @@ namespace harmonia
 std::vector<Application>
 standardSuite()
 {
-    return {
-        makeComd(),     makeXsbench(),      makeMiniFe(),
-        makeGraph500(), makeBpt(),          makeCfd(),
-        makeLud(),      makeSrad(),         makeStreamcluster(),
-        makeStencil(),  makeSort(),         makeSpmv(),
-        makeMaxFlops(), makeDeviceMemory(),
-    };
+    // Each application is moved in where it is made; a braced list
+    // would copy every one, kernels and all, out of its initializer
+    // list.
+    std::vector<Application> suite;
+    suite.reserve(14);
+    for (Application (*make)() :
+         {makeComd, makeXsbench, makeMiniFe, makeGraph500, makeBpt,
+          makeCfd, makeLud, makeSrad, makeStreamcluster, makeStencil,
+          makeSort, makeSpmv, makeMaxFlops, makeDeviceMemory})
+        suite.push_back(make());
+    return suite;
 }
 
 std::vector<Application>

@@ -22,8 +22,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -261,14 +259,11 @@ transportReplay(const std::string &mode, size_t chunkBytes = 0)
         sopt.tcpBind = "127.0.0.1:0";
     }
 
-    Server server(service, sopt);
-    std::ostringstream sink; // The reactor narrates on stderr.
-    std::streambuf *cerrBuf = std::cerr.rdbuf(sink.rdbuf());
-    if (!server.start().ok()) {
-        std::cerr.rdbuf(cerrBuf);
+    sopt.quiet = true;
+    Server server(sopt);
+    if (!server.start().ok())
         return {};
-    }
-    std::thread reactor([&server] { server.run(); });
+    std::thread reactor([&] { server.run(service); });
 
     int wfd = -1, rfd = -1;
     if (mode == "stdio") {
@@ -312,7 +307,6 @@ transportReplay(const std::string &mode, size_t chunkBytes = 0)
         }
     }
     reactor.join();
-    std::cerr.rdbuf(cerrBuf);
     if (mode == "stdio") {
         close(reqPipe[0]);
         close(respPipe[0]);

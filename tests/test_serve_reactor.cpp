@@ -33,9 +33,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <iostream>
+#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -233,13 +232,11 @@ class Reactor
         sopt.socketPath = sockPath_;
         if (sopt.tcpBind.empty())
             sopt.tcpBind = "127.0.0.1:0";
-        server_ = std::make_unique<Server>(*service_, sopt);
-        cerrBuf_ = std::cerr.rdbuf(sink_.rdbuf());
+        sopt.quiet = true;
+        server_ = std::make_unique<Server>(sopt);
         startOk_ = server_->start().ok();
         if (startOk_)
-            thread_ = std::thread([this] { server_->run(); });
-        else
-            std::cerr.rdbuf(cerrBuf_);
+            thread_ = std::thread([this] { server_->run(*service_); });
     }
 
     ~Reactor() { stop(); }
@@ -269,7 +266,6 @@ class Reactor
                 std::chrono::milliseconds(20));
         }
         thread_.join();
-        std::cerr.rdbuf(cerrBuf_);
     }
 
   private:
@@ -278,8 +274,6 @@ class Reactor
     std::unique_ptr<Server> server_;
     std::string sockPath_;
     std::thread thread_;
-    std::ostringstream sink_;
-    std::streambuf *cerrBuf_ = nullptr;
     bool startOk_ = false;
 };
 
@@ -516,13 +510,12 @@ TEST(ServeReactor, DrainShedsAPeerThatNeverReads)
     ServerOptions sopt;
     sopt.socketPath = "/tmp/harmonia_reactor_" + std::to_string(getpid()) +
                       "_drain.sock";
-    Server server(service, sopt);
-    std::ostringstream log;
-    std::streambuf *cerrBuf = std::cerr.rdbuf(log.rdbuf());
+    sopt.quiet = true;
+    Server server(sopt);
     ASSERT_TRUE(server.start().ok());
     std::atomic<bool> returned{false};
     std::thread reactor([&] {
-        server.run();
+        server.run(service);
         returned = true;
     });
 
@@ -565,11 +558,80 @@ TEST(ServeReactor, DrainShedsAPeerThatNeverReads)
     writer.join();
     close(hog);
     close(polite);
-    std::cerr.rdbuf(cerrBuf);
 
     EXPECT_LT(seconds, 3.0);
     EXPECT_GE(seconds, 0.9); // The grace was given.
     EXPECT_EQ(service.metrics().transport().backpressureSheds, 1u);
+}
+
+namespace
+{
+
+std::string
+firstLineOf(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    return line;
+}
+
+} // namespace
+
+// harmoniad binds its listeners before it builds the Service. A client
+// that connects and sends in that window waits in the listen backlog,
+// then gets the reply `harmoniad --stdio` gives the same line: the
+// first line of the checked-in wire stream (serve_wire_golden pins the
+// daemon to that file).
+TEST(ServeReactor, ServesAClientThatConnectedBeforeTheServiceWasBuilt)
+{
+    const std::string request =
+        firstLineOf(HARMONIA_GOLDEN_DIR "/serve_wire.requests.jsonl");
+    const std::string expected =
+        firstLineOf(HARMONIA_GOLDEN_DIR "/serve_wire.responses.jsonl");
+    ASSERT_NE(request.find("\"evaluate\""), std::string::npos);
+    ASSERT_FALSE(expected.empty());
+
+    ServerOptions sopt;
+    sopt.socketPath = "/tmp/harmonia_reactor_" + std::to_string(getpid()) +
+                      "_early.sock";
+    sopt.quiet = true;
+    Server server(sopt);
+    ASSERT_TRUE(server.start().ok());
+    const int fd = connectUnix(sopt.socketPath);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendAll(fd, request + "\n"));
+
+    Service service(ServiceOptions{});
+    std::thread reactor([&] { server.run(service); });
+    std::string carry, reply, bye;
+    const bool replied = readLine(fd, carry, reply);
+    sendAll(fd, std::string("{\"schema\":\"") + kRequestSchema +
+                    "\",\"id\":\"bye\",\"verb\":\"shutdown\"}\n");
+    readLine(fd, carry, bye);
+    reactor.join();
+    close(fd);
+    ASSERT_TRUE(replied);
+    EXPECT_EQ(reply, expected);
+}
+
+// harmoniad's exit path when the Service cannot be built after the
+// bind: the Server, never run, still closes and unlinks its socket.
+TEST(ServeReactor, UnrunServerUnlinksItsSocket)
+{
+    ServerOptions sopt;
+    sopt.socketPath = "/tmp/harmonia_reactor_" + std::to_string(getpid()) +
+                      "_unrun.sock";
+    sopt.quiet = true;
+    {
+        Server server(sopt);
+        ASSERT_TRUE(server.start().ok());
+        ASSERT_EQ(access(sopt.socketPath.c_str(), F_OK), 0);
+        ServiceOptions bad;
+        bad.defaultDevice = "no-such-device";
+        EXPECT_THROW(Service{bad}, ConfigError);
+    }
+    EXPECT_NE(access(sopt.socketPath.c_str(), F_OK), 0);
 }
 
 // --- wake-up precision --------------------------------------------------

@@ -41,8 +41,10 @@
  * stderr as one JSON line.
  */
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
-#include <iostream>
+#include <optional>
 #include <string>
 
 #include "harmonia/harmonia.hh"
@@ -56,14 +58,23 @@ namespace
 [[noreturn]] void
 usage(int status)
 {
-    std::cout << "usage: harmoniad (--socket PATH | --tcp HOST:PORT | "
-                 "--stdio) [--device NAME]\n"
-                 "                 [--list-devices] [--jobs N]\n"
-                 "                 [--max-configs N] [--max-sessions N]\n"
-                 "                 [--max-connections N] "
-                 "[--idle-timeout-ms N]\n"
-                 "                 [--max-write-buf BYTES]\n";
+    std::fputs("usage: harmoniad (--socket PATH | --tcp HOST:PORT | "
+               "--stdio) [--device NAME]\n"
+               "                 [--list-devices] [--jobs N]\n"
+               "                 [--max-configs N] [--max-sessions N]\n"
+               "                 [--max-connections N] "
+               "[--idle-timeout-ms N]\n"
+               "                 [--max-write-buf BYTES]\n",
+               stdout);
     std::exit(status);
+}
+
+/** Print "harmoniad: MESSAGE" on stderr, then the usage; exit 2. */
+[[noreturn]] void
+usageError(const std::string &message)
+{
+    std::fprintf(stderr, "harmoniad: %s\n", message.c_str());
+    usage(2);
 }
 
 } // namespace
@@ -81,37 +92,29 @@ main(int argc, char **argv)
     }
 
     auto intArg = [&](int &i, const std::string &flag) {
-        if (i + 1 >= argc) {
-            std::cerr << "harmoniad: " << flag << " needs a value\n";
-            usage(2);
-        }
+        if (i + 1 >= argc)
+            usageError(flag + " needs a value");
         return std::atoi(argv[++i]);
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--socket") {
-            if (i + 1 >= argc) {
-                std::cerr << "harmoniad: --socket needs a value\n";
-                usage(2);
-            }
+            if (i + 1 >= argc)
+                usageError("--socket needs a value");
             server.socketPath = argv[++i];
         } else if (arg == "--tcp") {
-            if (i + 1 >= argc) {
-                std::cerr << "harmoniad: --tcp needs HOST:PORT\n";
-                usage(2);
-            }
+            if (i + 1 >= argc)
+                usageError("--tcp needs HOST:PORT");
             server.tcpBind = argv[++i];
         } else if (arg == "--stdio") {
             server.stdio = true;
         } else if (arg == "--device") {
-            if (i + 1 >= argc) {
-                std::cerr << "harmoniad: --device needs a value\n";
-                usage(2);
-            }
+            if (i + 1 >= argc)
+                usageError("--device needs a value");
             service.defaultDevice = argv[++i];
         } else if (arg == "--list-devices") {
             for (const std::string &name : Device::names())
-                std::cout << name << '\n';
+                std::printf("%s\n", name.c_str());
             return 0;
         } else if (arg == "--jobs") {
             service.jobs = std::max(1, intArg(i, arg));
@@ -131,34 +134,45 @@ main(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {
-            std::cerr << "harmoniad: unknown argument '" << arg
-                      << "'\n";
-            usage(2);
+            usageError("unknown argument '" + arg + "'");
         }
     }
 
     if (!server.stdio && server.socketPath.empty() &&
-        server.tcpBind.empty()) {
-        std::cerr << "harmoniad: need --socket PATH, --tcp HOST:PORT, "
-                     "or --stdio\n";
-        usage(2);
-    }
+        server.tcpBind.empty())
+        usageError("need --socket PATH, --tcp HOST:PORT, or --stdio");
     if (server.stdio &&
-        (!server.socketPath.empty() || !server.tcpBind.empty())) {
-        std::cerr << "harmoniad: --stdio excludes --socket/--tcp\n";
-        usage(2);
-    }
+        (!server.socketPath.empty() || !server.tcpBind.empty()))
+        usageError("--stdio excludes --socket/--tcp");
+    // Checked before any listener is bound, so a bad name leaves no
+    // socket behind.
     if (!service.defaultDevice.empty() &&
         !DeviceRegistry::instance().contains(service.defaultDevice)) {
-        std::cerr << "harmoniad: unknown device '"
-                  << service.defaultDevice << "' (have:";
+        std::fprintf(stderr, "harmoniad: unknown device '%s' (have:",
+                     service.defaultDevice.c_str());
         for (const std::string &name : Device::names())
-            std::cerr << ' ' << name;
-        std::cerr << ")\n";
+            std::fprintf(stderr, " %s", name.c_str());
+        std::fputs(")\n", stderr);
         return 2;
     }
 
-    Service svc(service);
-    Server loop(svc, server);
-    return loop.run();
+    // Listen first. A client that connects while the Service (the
+    // default device's tables, the kernel catalog) is built waits in
+    // the listen backlog, and is served at the reactor's first wake-up.
+    Server loop(std::move(server));
+    if (const Status s = loop.start(); !s.ok()) {
+        std::fprintf(stderr, "harmoniad: %s\n", s.message().c_str());
+        return 1;
+    }
+    // On a failed build, returning destroys the Server, which closes
+    // its listeners and unlinks the socket.
+    std::optional<Service> svc;
+    try {
+        svc.emplace(std::move(service));
+    } catch (...) {
+        std::fprintf(stderr, "harmoniad: %s\n",
+                     statusFromCurrentException().message().c_str());
+        return 1;
+    }
+    return loop.run(*svc);
 }
